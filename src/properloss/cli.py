@@ -15,7 +15,7 @@ Machine-readable output (``--format machine``) is line-oriented
 and re-rendering that output reproduces it byte for byte.  The default seed
 comes from the ``PROPERLOSS_SEED`` environment variable when set.
 
-Exit codes: 0 success, 2 configuration error, 3 verification failure,
+Exit codes: 0 success, 2 configuration or numeric error, 3 verification failure,
 4 sample-source or protocol error.
 """
 
@@ -70,9 +70,9 @@ from .verify import (
     check_implements,
     degree_gate_bypass_exists,
     enumerate_histograms,
+    exact_expected_known_target,
     exact_expected_two_sample,
     gradient_check,
-    multinomial_pmf,
     naive_plugin_bias_demo,
     naive_plugin_loss,
     poisson_expected_loss,
@@ -457,13 +457,12 @@ def _check_bregman(seed: int) -> CheckResult:
                     ok = False
     # mean of the potential at the empirical distribution exceeds the potential
     # at the truth by exactly the summed frequency variance
+    def at_empirical(h: Histogram, _) -> Fraction:
+        return potential.evaluate(empirical(h).probs, empirical(h).probs)
+
     for n in (2, 3, 4):
         for p in simplex_grid(2, 4):
-            gap = sum(
-                multinomial_pmf(h, n, p) * potential.evaluate(empirical(h).probs, empirical(h).probs)
-                for h in enumerate_histograms(2, n)
-                if multinomial_pmf(h, n, p) != 0
-            ) - potential.evaluate(p.probs, p.probs)
+            gap = exact_expected_known_target(at_empirical, p, None, n) - potential.evaluate(p.probs, p.probs)
             expected = sum(px * (1 - px) for px in p.probs) / n
             if gap != expected:
                 ok = False
@@ -749,6 +748,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_SOURCE
     except (ProperLossError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except ArithmeticError as exc:
+        print(f"error: numeric failure ({type(exc).__name__}: {exc})", file=sys.stderr)
         return EXIT_CONFIG
 
 

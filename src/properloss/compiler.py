@@ -20,8 +20,10 @@ convenience check.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -35,12 +37,7 @@ from .errors import (
     SampleTooSmallError,
     TotalMismatchError,
 )
-from .estimators import (
-    falling_factorial,
-    multinomial_monomial_mvue,
-    poisson_power_series,
-    variance_mvue,
-)
+from .estimators import ExponentVector, falling_factorial, ff_product, poisson_power_series, variance_mvue
 
 
 @dataclass(frozen=True)
@@ -80,6 +77,71 @@ def _check_fixed_total(h: Histogram, n: int, side: str) -> None:
         raise TotalMismatchError(f"{side} histogram has total {h.total}, scheme requires exactly {n}")
 
 
+class _Estimator:
+    """Estimator substitution for a sum of terms ``coeff * p**a * q**b`` on a histogram pair.
+
+    Each term's estimate ``coeff * ff(h_p; a) * ff(h_q; b) / (ff(n, |a|) ff(m, |b|))``
+    vanishes unless every factor's count reaches its power, so terms are
+    filed under their first model coordinate (or, with no model factor, their
+    first target coordinate) and only the files of observed coordinates are
+    opened.  Weights are exact in exact mode and floats in float mode.
+    """
+
+    def __init__(self, terms, n: int, m: int, mode: Mode):
+        self.constant = 0.0 if mode is Mode.FLOAT else Fraction(0)
+        self.by_p: dict[int, list] = {}
+        self.by_q: dict[int, list] = {}
+        weights: dict[tuple, object] = {}
+        for coeff, a, b in terms:
+            key = (type(coeff), coeff, a.degree, b.degree)  # 1 and 1.0 differ: a float coefficient keeps a float weight
+            if key not in weights:
+                w = coeff * Fraction(1, falling_factorial(n, a.degree) * falling_factorial(m, b.degree))
+                weights[key] = float(w) if mode is Mode.FLOAT else w
+            w = weights[key]
+            if a.pairs:
+                self.by_p.setdefault(a.pairs[0][0], []).append((w, a.pairs, b.pairs))
+            elif b.pairs:
+                self.by_q.setdefault(b.pairs[0][0], []).append((w, a.pairs, b.pairs))
+            else:
+                self.constant += w
+
+    def scalar(self, counts_p, support_p, counts_q=(), support_q=()):
+        acc = self.constant
+        for index, support in ((self.by_p, support_p), (self.by_q, support_q)):
+            for x in support:
+                for w, a, b in index.get(x, ()):
+                    num = ff_product(counts_p, a) * ff_product(counts_q, b)
+                    if num:
+                        acc = acc + w * num
+        return acc
+
+    def batch(self, hp: np.ndarray, hq: np.ndarray) -> np.ndarray:
+        """Row-wise float estimates over two (R, d) count matrices.
+
+        Falling-factorial columns are kept only while one coordinate's terms
+        are summed, so memory stays at a few columns whatever d and the degrees.
+        """
+        sides = (np.asarray(hp), np.asarray(hq))
+        out = np.full(len(sides[0]), float(self.constant))
+        for x in sorted(self.by_p.keys() | self.by_q.keys()):
+            columns: dict[tuple, np.ndarray] = {}
+            for w, a, b in self.by_p.get(x, []) + self.by_q.get(x, []):
+                factors = [_ff_column(sides, side, y, e, columns) for side, pairs in ((0, a), (1, b)) for y, e in pairs]
+                out += w * reduce(operator.mul, factors)
+        return out
+
+
+def _ff_column(sides, side: int, y: int, e: int, columns: dict) -> np.ndarray:
+    """Float column ff(counts[:, y], e) of one side, memoized in ``columns`` with the lower powers it builds on."""
+    key = (side, y, e)
+    if key not in columns:
+        if e == 1:
+            columns[key] = sides[side][:, y].astype(float)
+        else:
+            columns[key] = _ff_column(sides, side, y, e - 1, columns) * (_ff_column(sides, side, y, 1, columns) - (e - 1))
+    return columns[key]
+
+
 def compile_known_target(divergence: PolyDivergence, n: int, mode: Mode = Mode.EXACT) -> KnownTargetLoss:
     """Loss against a known target whose expectation over model samples equals
     the divergence.
@@ -93,31 +155,20 @@ def compile_known_target(divergence: PolyDivergence, n: int, mode: Mode = Mode.E
     if n < 1:
         raise ValueError("sample size must be >= 1")
     d = divergence.dim
+    no_q = ExponentVector.zero(d)
 
     def evaluator(h: Histogram, q) -> object:
         if h.dim != d:
             raise DimensionMismatchError(f"histogram dimension {h.dim}, divergence needs {d}")
         _check_fixed_total(h, n, "model")
-        acc = 0
-        for j, coeff in divergence.partial_q(q).items():
-            acc = acc + coeff * multinomial_monomial_mvue(h, n, j, mode)
-        return acc
+        estimator = _Estimator(((coeff, j, no_q) for j, coeff in divergence.partial_q(q).items()), n, 0, mode)
+        return estimator.scalar(h.counts, h.support)
 
     return KnownTargetLoss(
         evaluator=evaluator,
         scheme=FixedSize(n),
         provenance=f"estimator substitution, known target, degree {divergence.deg_p}, n={n}",
     )
-
-
-def _batch_ff(cols: np.ndarray, exps: Sequence[int]) -> np.ndarray:
-    out = np.ones(cols.shape[0])
-    for x, e in enumerate(exps):
-        if e:
-            col = cols[:, x]
-            for s in range(e):
-                out = out * (col - s)
-    return out
 
 
 def compile_two_sample(divergence: PolyDivergence, n: int, m: int, mode: Mode = Mode.EXACT) -> CompiledLoss:
@@ -127,46 +178,24 @@ def compile_two_sample(divergence: PolyDivergence, n: int, m: int, mode: Mode = 
     is the unbiased monomial estimator for its side.  Unbiasedness of each
     factor plus independence of the two samples gives ``E L = divergence``.
     Requires ``n >= deg_p`` and ``m >= deg_q`` (both gates are tight).
+    Evaluation visits only monomials filed under observed coordinates, so its
+    cost follows the samples' support, not the domain size.
     """
     if n < divergence.deg_p or m < divergence.deg_q:
         raise DegreeGateError(divergence.deg_p, divergence.deg_q)
     if n < 1 or m < 1:
         raise ValueError("sample sizes must be >= 1")
     d = divergence.dim
-    monomials = divergence.monomials
+    terms = [(mono.coeff, mono.p_exps, mono.q_exps) for mono in divergence.monomials]
+    scalar = _Estimator(terms, n, m, mode)
+    batch = scalar if mode is Mode.FLOAT else _Estimator(terms, n, m, Mode.FLOAT)
 
     def evaluator(h_p: Histogram, h_q: Histogram) -> object:
         if h_p.dim != d or h_q.dim != d:
             raise DimensionMismatchError(f"histogram dimensions ({h_p.dim}, {h_q.dim}), divergence needs {d}")
         _check_fixed_total(h_p, n, "model")
         _check_fixed_total(h_q, m, "target")
-        acc = 0
-        for mono in monomials:
-            tp = multinomial_monomial_mvue(h_p, n, mono.p_exps, mode)
-            if tp == 0:
-                continue
-            tq = multinomial_monomial_mvue(h_q, m, mono.q_exps, mode)
-            acc = acc + mono.coeff * tp * tq
-        return acc
-
-    terms = [
-        (
-            float(mono.coeff),
-            mono.p_exps.exps,
-            mono.q_exps.exps,
-            float(falling_factorial(n, mono.p_exps.degree)),
-            float(falling_factorial(m, mono.q_exps.degree)),
-        )
-        for mono in monomials
-    ]
-
-    def batch_evaluator(hp: np.ndarray, hq: np.ndarray) -> np.ndarray:
-        hp = np.asarray(hp, dtype=float)
-        hq = np.asarray(hq, dtype=float)
-        out = np.zeros(hp.shape[0])
-        for coeff, p_exps, q_exps, den_p, den_q in terms:
-            out += coeff * (_batch_ff(hp, p_exps) / den_p) * (_batch_ff(hq, q_exps) / den_q)
-        return out
+        return scalar.scalar(h_p.counts, h_p.support, h_q.counts, h_q.support)
 
     return CompiledLoss(
         evaluator=evaluator,
@@ -176,7 +205,7 @@ def compile_two_sample(divergence: PolyDivergence, n: int, m: int, mode: Mode = 
             f"estimator substitution, two samples, degrees ({divergence.deg_p}, {divergence.deg_q}), "
             f"n={n}, m={m}"
         ),
-        batch_evaluator=batch_evaluator,
+        batch_evaluator=batch.batch,
     )
 
 
@@ -220,6 +249,7 @@ def squared_loss_two_sample(n: int, m: int, mode: Mode = Mode.EXACT) -> Compiled
     den_p = n * (n - 1)
     den_q = m * (m - 1)
     den_cross = n * m
+    div = Fraction if mode is Mode.EXACT else operator.truediv
 
     def evaluator(h_p: Histogram, h_q: Histogram) -> object:
         if h_p.dim != h_q.dim:
@@ -230,15 +260,7 @@ def squared_loss_two_sample(n: int, m: int, mode: Mode = Mode.EXACT) -> Compiled
         for x in set(h_p.support).union(h_q.support):
             a = h_p.counts[x]
             b = h_q.counts[x]
-            if mode is Mode.EXACT:
-                acc = (
-                    acc
-                    + Fraction(a * (a - 1), den_p)
-                    - Fraction(2 * a * b, den_cross)
-                    + Fraction(b * (b - 1), den_q)
-                )
-            else:
-                acc = acc + a * (a - 1) / den_p - 2 * a * b / den_cross + b * (b - 1) / den_q
+            acc = acc + div(a * (a - 1), den_p) - div(2 * a * b, den_cross) + div(b * (b - 1), den_q)
         return acc
 
     def batch_evaluator(hp: np.ndarray, hq: np.ndarray) -> np.ndarray:
@@ -282,6 +304,14 @@ def _log_series(rate, mode: Mode) -> Callable[[int], object]:
     return series
 
 
+def _series_loss(series, scale, weights: Histogram, h: Histogram):
+    """sum over x observed in ``weights`` of (weights[x] / scale) * series(count of h outside x)."""
+    acc = 0
+    for x in weights.support:
+        acc = acc + (weights.counts[x] / scale) * series(h.complement(x))
+    return acc
+
+
 def cross_entropy_poisson(alpha: float, beta: float, mode: Mode = Mode.FLOAT) -> CompiledLoss:
     """Poisson-size loss whose expectation is the cross-entropy -sum_x q_x ln p_x.
 
@@ -296,10 +326,7 @@ def cross_entropy_poisson(alpha: float, beta: float, mode: Mode = Mode.FLOAT) ->
     def evaluator(h_p: Histogram, h_q: Histogram) -> object:
         if h_p.dim != h_q.dim:
             raise DimensionMismatchError(f"histogram dimensions {h_p.dim} != {h_q.dim}")
-        acc = 0
-        for x in h_q.support:
-            acc = acc + (h_q.counts[x] / beta_val) * series(h_p.complement(x))
-        return acc
+        return _series_loss(series, beta_val, h_q, h_p)
 
     return CompiledLoss(
         evaluator=evaluator,
@@ -318,16 +345,13 @@ def cross_entropy_poisson_fixed_target(alpha: float, m: int, mode: Mode = Mode.F
     if m < 1:
         raise ValueError("target sample size must be >= 1")
     series = _log_series(alpha, mode)
+    m_val = Fraction(m) if mode is Mode.EXACT else float(m)
 
     def evaluator(h_p: Histogram, h_q: Histogram) -> object:
         if h_p.dim != h_q.dim:
             raise DimensionMismatchError(f"histogram dimensions {h_p.dim} != {h_q.dim}")
         _check_fixed_total(h_q, m, "target")
-        qhat = empirical(h_q, mode).probs
-        acc = 0
-        for x in h_q.support:
-            acc = acc + qhat[x] * series(h_p.complement(x))
-        return acc
+        return _series_loss(series, m_val, h_q, h_p)
 
     return CompiledLoss(
         evaluator=evaluator,
@@ -349,10 +373,7 @@ def entropy_poisson(beta: float, mode: Mode = Mode.FLOAT) -> CompiledLoss:
     beta_val = Fraction(beta) if mode is Mode.EXACT else float(beta)
 
     def evaluator(h_p, h_q: Histogram) -> object:
-        acc = 0
-        for x in h_q.support:
-            acc = acc + (h_q.counts[x] / beta_val) * series(h_q.complement(x))
-        return acc
+        return _series_loss(series, beta_val, h_q, h_q)
 
     return CompiledLoss(
         evaluator=evaluator,
@@ -427,8 +448,7 @@ def bregman_known_target(
     for g in gradient:
         if g.dim != d or g.deg_q != 0:
             raise ValueError("gradient entries must be p-only polynomials over the same domain")
-    if n < potential.deg_p:
-        raise DegreeGateError(potential.deg_p)
+    estimate = compile_known_target(potential, n, mode).evaluator  # applies the degree gate
     if audit_denominator is not None and not convexity_audit(potential, audit_denominator):
         raise ValueError("potential failed the convexity audit; Bregman construction needs a convex potential")
 
@@ -436,10 +456,7 @@ def bregman_known_target(
         qv = q.probs if isinstance(q, Distribution) else tuple(q)
         if h.dim != d or len(qv) != d:
             raise DimensionMismatchError(f"dimensions ({h.dim}, {len(qv)}), potential needs {d}")
-        _check_fixed_total(h, n, "model")
-        est = 0
-        for mono in potential.monomials:
-            est = est + mono.coeff * multinomial_monomial_mvue(h, n, mono.p_exps, mode)
+        est = estimate(h, qv)
         phat = empirical(h, mode).probs
         tangent = potential.evaluate(qv, qv)
         for x in range(d):

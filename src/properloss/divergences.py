@@ -43,11 +43,10 @@ class Monomial:
 
 def _power_product(values: Sequence, exps: ExponentVector):
     out = 1
-    for v, e in zip(values, exps.exps):
-        if e:
-            out = out * v**e
-            if out == 0:
-                break
+    for x, e in exps.pairs:
+        out = out * values[x] ** e
+        if out == 0:
+            break
     return out
 
 
@@ -141,16 +140,17 @@ class SeriesDivergence:
         return acc
 
 
-def builtin_l2(d: int) -> PolyDivergence:
-    """Squared distance sum_x (p_x - q_x)^2, expanded per coordinate."""
+def _coordinatewise(d: int, terms) -> PolyDivergence:
+    """sum over x of ``coeff * p_x**i * q_x**j`` for each ``(coeff, i, j)`` in ``terms``."""
     if d < 1:
         raise ValueError("domain size must be >= 1")
-    monomials = []
-    for x in range(d):
-        monomials.append(Monomial(1, ExponentVector.unit(d, x, 2), ExponentVector.zero(d)))
-        monomials.append(Monomial(-2, ExponentVector.unit(d, x), ExponentVector.unit(d, x)))
-        monomials.append(Monomial(1, ExponentVector.zero(d), ExponentVector.unit(d, x, 2)))
-    return PolyDivergence(tuple(monomials))
+    unit = ExponentVector.unit
+    return PolyDivergence(tuple(Monomial(c, unit(d, x, i), unit(d, x, j)) for x in range(d) for c, i, j in terms))
+
+
+def builtin_l2(d: int) -> PolyDivergence:
+    """Squared distance sum_x (p_x - q_x)^2, expanded per coordinate."""
+    return _coordinatewise(d, ((1, 2, 0), (-2, 1, 1), (1, 0, 2)))
 
 
 def builtin_lk_even(d: int, k: int) -> PolyDivergence:
@@ -163,35 +163,18 @@ def builtin_lk_even(d: int, k: int) -> PolyDivergence:
         raise OddExponentError(f"exponent {k} is odd; only even powers give a proper divergence")
     if k < 2:
         raise ValueError("exponent must be >= 2")
-    if d < 1:
-        raise ValueError("domain size must be >= 1")
-    monomials = []
-    for x in range(d):
-        for i in range(k + 1):
-            coeff = math.comb(k, i) * (-1) ** (k - i)
-            monomials.append(
-                Monomial(coeff, ExponentVector.unit(d, x, i), ExponentVector.unit(d, x, k - i))
-            )
-    return PolyDivergence(tuple(monomials))
+    return _coordinatewise(d, [(math.comb(k, i) * (-1) ** (k - i), i, k - i) for i in range(k + 1)])
 
 
 def builtin_brier(d: int) -> PolyDivergence:
     """sum_x p_x^2 - 2 p_x q_x: same minimizer as the squared distance but
     only degree 1 in the target, so one target draw suffices."""
-    if d < 1:
-        raise ValueError("domain size must be >= 1")
-    monomials = []
-    for x in range(d):
-        monomials.append(Monomial(1, ExponentVector.unit(d, x, 2), ExponentVector.zero(d)))
-        monomials.append(Monomial(-2, ExponentVector.unit(d, x), ExponentVector.unit(d, x)))
-    return PolyDivergence(tuple(monomials))
+    return _coordinatewise(d, ((1, 2, 0), (-2, 1, 1)))
 
 
 def squared_norm_polynomial(d: int) -> PolyDivergence:
     """G(p) = sum_x p_x^2 as a p-only polynomial (a convex potential)."""
-    return PolyDivergence(
-        tuple(Monomial(1, ExponentVector.unit(d, x, 2), ExponentVector.zero(d)) for x in range(d))
-    )
+    return _coordinatewise(d, ((1, 2, 0),))
 
 
 def squared_norm_gradient(d: int) -> tuple[PolyDivergence, ...]:

@@ -223,6 +223,20 @@ class Poisson(SamplingScheme):
             raise ValueError("Poisson rate must be > 0")
 
 
+def poisson_cdf(rate: float) -> Iterator[tuple[int, float]]:
+    """``(t, P[N <= t])`` for ``N ~ Poisson(rate)``, by pmf summation, for t = 0 .. 20 * rate + 500.
+
+    The limit lies far past any quantile a float CDF resolves; callers stop on their own comparison.
+    """
+    pmf = math.exp(-rate)
+    cum = pmf
+    yield 0, cum
+    for t in range(1, int(rate * 20 + 500) + 1):
+        pmf *= rate / t
+        cum += pmf
+        yield t, cum
+
+
 def empirical(h: Histogram, mode: Mode = Mode.EXACT) -> Distribution:
     """Empirical distribution counts/total of a non-empty histogram."""
     if h.total == 0:

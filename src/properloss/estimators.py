@@ -17,12 +17,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Callable, Iterable
 
 from .domain import Histogram, Mode
 from .errors import (
     DegreeExceedsSampleError,
     DimensionMismatchError,
+    IndexOutOfRangeError,
     SampleTooSmallError,
     TotalMismatchError,
 )
@@ -38,39 +39,64 @@ def falling_factorial(t: int, k: int) -> int:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ExponentVector:
-    """Per-coordinate non-negative integer exponents of one monomial."""
+    """Non-negative integer exponents of one monomial over a domain of size ``dim``.
 
-    exps: tuple[int, ...]
-    degree: int = field(init=False)
+    Stored as sorted ``(index, power)`` pairs with power > 0, so a monomial
+    costs its number of factors, not the domain size.  The constructor takes
+    the dense tuple and :attr:`exps` gives it back; both exist for the
+    boundary (spec files, tests), and equality and hashing follow the pairs.
+    """
 
-    def __post_init__(self):
-        exps = tuple(int(e) for e in self.exps)
-        if any(e < 0 for e in exps):
+    dim: int
+    pairs: tuple[tuple[int, int], ...]
+    degree: int = field(compare=False, repr=False)
+
+    def __init__(self, exps: Iterable[int]):
+        exps = tuple(exps)
+        self._fill(len(exps), enumerate(exps))
+
+    def _fill(self, dim: int, pairs: Iterable[tuple[int, int]]) -> None:
+        pairs = tuple((int(i), int(e)) for i, e in pairs if e)
+        if any(e < 0 for _, e in pairs):
             raise ValueError("exponents must be non-negative")
-        object.__setattr__(self, "exps", exps)
-        object.__setattr__(self, "degree", sum(exps))
+        if any(not 0 <= i < dim for i, _ in pairs) or any(i >= j for (i, _), (j, _) in zip(pairs, pairs[1:])):
+            raise IndexOutOfRangeError(f"indices of {pairs} must increase strictly within 0..{dim - 1}")
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "degree", sum(e for _, e in pairs))
+
+    @classmethod
+    def sparse(cls, d: int, pairs: Iterable[tuple[int, int]]) -> "ExponentVector":
+        """From ``(index, power)`` pairs in increasing index order; zero powers are dropped."""
+        out = cls.__new__(cls)
+        out._fill(d, pairs)
+        return out
 
     @classmethod
     def zero(cls, d: int) -> "ExponentVector":
-        return cls((0,) * d)
+        return cls.sparse(d, ())
 
     @classmethod
     def unit(cls, d: int, x: int, power: int = 1) -> "ExponentVector":
-        exps = [0] * d
-        exps[x] = power
-        return cls(tuple(exps))
+        return cls.sparse(d, ((x, power),))
 
     @property
-    def dim(self) -> int:
-        return len(self.exps)
+    def exps(self) -> tuple[int, ...]:
+        """The dense d-tuple of exponents."""
+        powers = dict(self.pairs)
+        return tuple(powers.get(i, 0) for i in range(self.dim))
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.exps)
 
-    def __getitem__(self, i: int) -> int:
-        return self.exps[i]
+def ff_product(counts, pairs) -> int:
+    """prod over ``(x, e)`` in ``pairs`` of ff(counts[x], e); 0 once a count is below its power."""
+    out = 1
+    for x, e in pairs:
+        out *= falling_factorial(counts[x], e)
+        if not out:
+            break
+    return out
 
 
 def binom_mvue(t: int, m: int, k: int, mode: Mode = Mode.EXACT):
@@ -103,12 +129,7 @@ def multinomial_monomial_mvue(h: Histogram, n: int, j: ExponentVector, mode: Mod
         raise TotalMismatchError(f"histogram total {h.total} != declared sample size {n}")
     if j.degree > n:
         raise DegreeExceedsSampleError(f"monomial degree {j.degree} is not estimable from {n} draws")
-    num = 1
-    for c, e in zip(h.counts, j.exps):
-        if e:
-            num *= falling_factorial(c, e)
-            if num == 0:
-                break
+    num = ff_product(h.counts, j.pairs)
     den = falling_factorial(n, j.degree)
     if mode is Mode.EXACT:
         return Fraction(num, den)

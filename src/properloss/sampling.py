@@ -37,7 +37,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .compiler import CompiledLoss, KnownTargetLoss
-from .domain import Distribution, Domain, FixedSize, Histogram, Poisson, SamplingScheme
+from .domain import Distribution, Domain, FixedSize, Histogram, Poisson, SamplingScheme, poisson_cdf
 from .errors import (
     SampleTooSmallError,
     SourceExhaustedError,
@@ -46,6 +46,9 @@ from .errors import (
 
 #: 97.5% standard-normal quantile: half-width of the nominal 95% interval.
 Z95 = 1.959963984540054
+
+#: Seconds a generator may take to exit after the ``0`` request before it is killed.
+CLOSE_TIMEOUT_S = 10.0
 
 STREAM_MODEL = 0
 STREAM_TARGET = 1
@@ -185,7 +188,14 @@ class SubprocessSource(SampleSource):
             proc.stdin.close()
         except (BrokenPipeError, OSError):
             pass
-        code = proc.wait(timeout=10)
+        try:
+            code = proc.wait(timeout=CLOSE_TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait()
+            raise SubprocessFailureError(
+                f"generator {self.command!r} did not exit within {CLOSE_TIMEOUT_S} s of the 0 request; killed it"
+            ) from None
         if code != 0:
             raise SubprocessFailureError(f"generator exited with code {code}")
 
@@ -197,15 +207,10 @@ class SubprocessSource(SampleSource):
 
 
 def _poisson_size(u: float, rate: float) -> int:
-    """Smallest j with CDF(j) > u, by direct pmf summation."""
-    pmf = math.exp(-rate)
-    cum = pmf
-    j = 0
-    limit = int(rate * 20 + 500)
-    while u >= cum and j < limit:
-        j += 1
-        pmf *= rate / j
-        cum += pmf
+    """Smallest j with CDF(j) > u, or the walk's limit."""
+    for j, cum in poisson_cdf(rate):
+        if u < cum:
+            break
     return j
 
 
@@ -222,13 +227,8 @@ def draw_poisson(src: SampleSource, alpha: float, seed: int) -> Histogram:
     Under this scheme the coordinate counts are independent Poissons with
     rates alpha * p_x, which is what the power-series losses rely on.
     """
-    if not alpha > 0:
-        raise ValueError("rate must be > 0")
     rng = stream_rng(seed, STREAM_MODEL)
-    n = _poisson_size(float(rng.random()), alpha)
-    if n == 0:
-        return Histogram.zero(src.domain.size)
-    return src.draw(n, rng)
+    return _draw_for_scheme(src, Poisson(alpha), rng, rng)
 
 
 def _draw_for_scheme(
@@ -261,6 +261,10 @@ class EstimateReport:
     seed: int
 
     def __post_init__(self):
+        for name in ("mean", "std_error"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"the estimate's {name} is {value!r}: the loss values exceed float range")
         if not self.ci_low <= self.mean <= self.ci_high:
             raise ValueError("confidence interval must contain the mean")
         if self.std_error < 0:
@@ -306,8 +310,9 @@ def estimate_loss(
             h_q = _draw_for_scheme(target, loss.scheme_q, target_rng, size_rng_q)
             values[i] = float(loss.evaluator(h_p, h_q))
 
-    mean = float(np.mean(values))
-    std_error = float(np.std(values, ddof=1)) / math.sqrt(replicates)
+    with np.errstate(over="ignore", invalid="ignore"):  # EstimateReport names a non-finite result
+        mean = float(np.mean(values))
+        std_error = float(np.std(values, ddof=1)) / math.sqrt(replicates)
     return EstimateReport(
         mean=mean,
         std_error=std_error,

@@ -20,7 +20,7 @@ import numpy as np
 
 from .compiler import CompiledLoss, KnownTargetLoss
 from .divergences import eval_divergence
-from .domain import Distribution, FixedSize, Histogram, Mode, Poisson, compositions, empirical
+from .domain import Distribution, FixedSize, Histogram, Mode, Poisson, compositions, empirical, poisson_cdf
 from .errors import (
     DimensionMismatchError,
     EnumerationTooLargeError,
@@ -65,6 +65,19 @@ def _require_exact(dist: Distribution, name: str) -> None:
         raise ValueError(f"exact verification requires an exact-mode {name} distribution")
 
 
+def _weighted_histograms(dist: Distribution, size: int, scale=1) -> list:
+    """``(h, scale * P[H = h])`` for every histogram of ``size`` draws from ``dist`` with a nonzero weight.
+
+    A float ``scale`` gives float weights; the default keeps them exact.
+    """
+    items = []
+    for h in enumerate_histograms(dist.dim, size):
+        w = scale * multinomial_pmf(h, size, dist)
+        if w != 0:
+            items.append((h, w))
+    return items
+
+
 def exact_expected_known_target(loss, p: Distribution, q, n: int | None = None):
     """E over model histograms of a known-target loss, by exact enumeration.
 
@@ -80,13 +93,7 @@ def exact_expected_known_target(loss, p: Distribution, q, n: int | None = None):
         if n is None:
             raise ValueError("a raw callable loss needs an explicit sample size n")
         evaluator = loss
-    acc = 0
-    for h in enumerate_histograms(p.dim, n):
-        w = multinomial_pmf(h, n, p)
-        if w == 0:
-            continue
-        acc = acc + w * evaluator(h, q)
-    return acc
+    return sum(w * evaluator(h, q) for h, w in _weighted_histograms(p, n))
 
 
 def exact_expected_two_sample(loss, p: Distribution, q: Distribution, n: int | None = None, m: int | None = None):
@@ -103,35 +110,20 @@ def exact_expected_two_sample(loss, p: Distribution, q: Distribution, n: int | N
         if n is None or m is None:
             raise ValueError("a raw callable loss needs explicit sample sizes n and m")
         evaluator = loss
-    acc = 0
-    model_side = [(h, multinomial_pmf(h, n, p)) for h in enumerate_histograms(p.dim, n)]
-    target_side = [(g, multinomial_pmf(g, m, q)) for g in enumerate_histograms(q.dim, m)]
-    for h, wp in model_side:
-        if wp == 0:
-            continue
-        inner = 0
-        for g, wq in target_side:
-            if wq == 0:
-                continue
-            inner = inner + wq * evaluator(h, g)
-        acc = acc + wp * inner
-    return acc
+    model_side = _weighted_histograms(p, n)
+    target_side = _weighted_histograms(q, m)
+    return sum(wp * sum(wq * evaluator(h, g) for g, wq in target_side) for h, wp in model_side)
 
 
 def _poisson_mass_truncation(rate: float, eps: float) -> int:
-    """Smallest T with P[N > T] <= eps, by direct pmf summation."""
+    """Smallest T with P[N > T] <= eps, or the walk's limit."""
     if not rate > 0:
         raise ValueError("rate must be > 0")
     if not eps > 0:
         raise ValueError("tail mass must be > 0")
-    pmf = math.exp(-rate)
-    cum = pmf
-    t = 0
-    limit = int(rate * 20 + 500)
-    while 1.0 - cum > eps and t < limit:
-        t += 1
-        pmf *= rate / t
-        cum += pmf
+    for t, cum in poisson_cdf(rate):
+        if not 1.0 - cum > eps:
+            break
     return t
 
 
@@ -164,21 +156,8 @@ def _poisson_items(dist: Distribution, rate: float, size_from: int, size_to: int
         )
     items = []
     for size in range(size_from, size_to + 1):
-        w_size = _poisson_size_weight(rate, size)
-        for h in enumerate_histograms(d, size):
-            w = w_size * float(multinomial_pmf(h, size, dist))
-            if w > 0.0:
-                items.append((h, w))
+        items.extend(_weighted_histograms(dist, size, _poisson_size_weight(rate, size)))
     return items
-
-
-def _fixed_side(dist: Distribution, size: int) -> list:
-    side = []
-    for h in enumerate_histograms(dist.dim, size):
-        w = float(multinomial_pmf(h, size, dist))
-        if w > 0.0:
-            side.append((h, w))
-    return side
 
 
 def poisson_expected_loss(
@@ -224,21 +203,16 @@ def poisson_expected_loss(
             acc += wp * inner
         return acc
 
-    if loss.scheme_p is None:
-        model_side, trunc_p, rate_p = [(None, 1.0)], None, None
-    elif isinstance(loss.scheme_p, Poisson):
-        rate_p = loss.scheme_p.rate
-        trunc_p = _poisson_mass_truncation(rate_p, per_side)
-        model_side = _poisson_items(p, rate_p, 0, trunc_p)
-    else:
-        model_side, trunc_p, rate_p = _fixed_side(p, loss.scheme_p.n), None, None
+    def side(scheme, dist: Distribution) -> tuple:
+        if scheme is None:
+            return [(None, 1.0)], None, None
+        if isinstance(scheme, Poisson):
+            trunc = _poisson_mass_truncation(scheme.rate, per_side)
+            return _poisson_items(dist, scheme.rate, 0, trunc), trunc, scheme.rate
+        return _weighted_histograms(dist, scheme.n, 1.0), None, None
 
-    if isinstance(loss.scheme_q, Poisson):
-        rate_q = loss.scheme_q.rate
-        trunc_q = _poisson_mass_truncation(rate_q, per_side)
-        target_side = _poisson_items(q, rate_q, 0, trunc_q)
-    else:
-        target_side, trunc_q, rate_q = _fixed_side(q, loss.scheme_q.n), None, None
+    model_side, trunc_p, rate_p = side(loss.scheme_p, p)
+    target_side, trunc_q, rate_q = side(loss.scheme_q, q)
 
     value = cross(model_side, target_side)
 

@@ -185,6 +185,61 @@ class TestEval:
         )
         assert code == 0
 
+    def test_float_overflow_in_the_log_series_exits_2(self, capsys):
+        code, _, err = run(
+            capsys,
+            "eval",
+            "--divergence", "cross-entropy",
+            "--alpha", "1000", "--beta", "1000",
+            "--model-probs", "0.5,0.5",
+            "--target-probs", "0.5,0.5",
+            "--replicates", "2",
+        )
+        assert code == 2
+        assert err == "error: numeric failure (OverflowError: int too large to convert to float)\n"
+
+    def test_non_finite_mean_exits_2(self, capsys, tmp_path):
+        spec = tmp_path / "huge.json"
+        spec.write_text(json.dumps({"monomials": [
+            {"coeff": 1e308, "p_exps": [2, 0], "q_exps": [0, 0]},
+            {"coeff": 1e308, "p_exps": [0, 2], "q_exps": [0, 0]},
+        ]}), encoding="utf-8")
+        code, _, err = run(
+            capsys,
+            "eval",
+            "--divergence", str(spec),
+            "--n", "2", "--m", "1",
+            "--model-probs", "0.5,0.5",
+            "--target-probs", "0.5,0.5",
+            "--replicates", "10",
+        )
+        assert code == 2
+        assert err == "error: the estimate's mean is inf: the loss values exceed float range\n"
+
+    def test_generator_that_does_not_exit_is_a_source_error(self, capsys, monkeypatch):
+        import properloss.sampling as sampling
+
+        monkeypatch.setattr(sampling, "CLOSE_TIMEOUT_S", 0.2)
+        child = (
+            "import sys, time\n"
+            "for line in sys.stdin:\n"
+            "    sys.stdout.write('a\\n' * int(line.strip()))\n"
+            "    sys.stdout.flush()\n"
+            "time.sleep(60)\n"
+        )
+        code, _, err = run(
+            capsys,
+            "eval",
+            "--divergence", "l2",
+            "--n", "2", "--m", "2",
+            "--labels", "a,b",
+            "--model-cmd", f'{sys.executable} -c "{child}"',
+            "--target-probs", "0.5,0.5",
+            "--replicates", "4",
+        )
+        assert code == 4
+        assert "did not exit within 0.2 s" in err
+
     def test_cross_entropy_eval(self, capsys):
         code, out, _ = run(
             capsys,

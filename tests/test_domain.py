@@ -157,3 +157,41 @@ class TestCompositions:
         assert len(out) == 15  # C(6, 2)
         assert len(set(out)) == 15
         assert all(sum(c) == 4 for c in out)
+
+
+class TestPoissonCdf:
+    # Sampled Poisson sizes and oracle truncation points both come from one
+    # CDF walk; these values were recorded from the two separate pmf loops the
+    # walk replaced, so any change to its float arithmetic shows here.
+    def test_sampled_sizes_are_pinned(self):
+        import hashlib
+
+        from properloss.sampling import STREAM_MODEL_SIZES, _poisson_size, stream_rng
+
+        sizes = []
+        for rate in (0.5, 6.0, 8.0, 40.0, 300.0):
+            for seed in range(20):
+                rng = stream_rng(seed, STREAM_MODEL_SIZES)
+                sizes.append([_poisson_size(float(rng.random()), rate) for _ in range(25)])
+        assert sizes[20][:10] == [8, 3, 7, 7, 4, 6, 7, 10, 5, 5]  # rate 6, seed 0
+        assert sizes[40][:10] == [11, 4, 9, 9, 6, 8, 9, 13, 7, 6]  # rate 8, seed 0
+        digest = hashlib.sha256(repr(sizes).encode()).hexdigest()
+        assert digest == "8bf6c729864483c0db204691c093f974de34b2695acf52b155c1481e7d306ce1"
+
+    def test_oracle_truncation_points_are_pinned(self):
+        from properloss.verify import _poisson_mass_truncation
+
+        # the rates and per-side tail masses of the verify suite's Poisson checks
+        pinned = {(6.0, 1e-10): 27, (6.0, 5e-11): 28, (8.0, 1e-10): 32, (8.0, 5e-11): 32}
+        assert {key: _poisson_mass_truncation(*key) for key in pinned} == pinned
+        assert _poisson_mass_truncation(2.0, 1e-300) == 22
+        assert _poisson_mass_truncation(0.5, 0.5) == 0
+
+    def test_walk_ends_at_the_shared_limit(self):
+        from properloss.domain import poisson_cdf
+        from properloss.sampling import _poisson_size
+
+        steps = list(poisson_cdf(2.0))
+        assert [t for t, _ in steps] == list(range(541))  # 20 * rate + 500
+        assert _poisson_size(1.0, 2.0) == 540
+        assert _poisson_size(0.0, 2.0) == 0

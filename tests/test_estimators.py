@@ -8,6 +8,7 @@ from properloss import (
     DegreeExceedsSampleError,
     ExponentVector,
     Histogram,
+    IndexOutOfRangeError,
     Mode,
     SampleTooSmallError,
     TotalMismatchError,
@@ -71,6 +72,21 @@ class TestExponentVector:
     def test_unit_and_zero(self):
         assert ExponentVector.unit(3, 1, 2).exps == (0, 2, 0)
         assert ExponentVector.zero(2).degree == 0
+
+    def test_sparse_storage_is_independent_of_the_domain_size(self):
+        j = ExponentVector.unit(10**9, 3, 2)
+        assert j.degree == 2
+        assert j.dim == 10**9
+        assert j.pairs == ((3, 2),)
+        assert ExponentVector.zero(10**9).pairs == ()
+
+    def test_sparse_form_validates_its_pairs(self):
+        assert ExponentVector.sparse(4, [(0, 1), (2, 0), (3, 2)]).exps == (1, 0, 0, 2)
+        with pytest.raises(ValueError):
+            ExponentVector.sparse(4, [(1, -1)])
+        for bad in ([(2, 1), (1, 1)], [(1, 1), (1, 2)], [(4, 1)], [(-1, 1)]):
+            with pytest.raises(IndexOutOfRangeError):
+                ExponentVector.sparse(4, bad)
 
 
 class TestBinomMvue:

@@ -188,6 +188,38 @@ class TestSubprocessSource:
             src.draw(1)
 
 
+class TestSubprocessShutdown:
+    def test_child_that_ignores_the_zero_request_is_killed(self, monkeypatch):
+        import properloss.sampling as sampling
+
+        monkeypatch.setattr(sampling, "CLOSE_TIMEOUT_S", 0.2)
+        child = (
+            "import sys, time\n"
+            "for line in sys.stdin:\n"
+            "    sys.stdout.write('a\\n' * int(line.strip()))\n"
+            "    sys.stdout.flush()\n"
+            "time.sleep(60)\n"
+        )
+        src = SubprocessSource([sys.executable, "-c", child], AB)
+        assert src.draw(3).counts == (3, 0)
+        proc = src._proc
+        with pytest.raises(SubprocessFailureError, match="did not exit within 0.2 s"):
+            src.close()
+        assert proc.returncode is not None  # killed and reaped, not left running
+
+
+class TestEstimateReport:
+    @pytest.mark.parametrize("field", ["mean", "std_error"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_values_are_rejected_by_name(self, field, value):
+        from properloss import EstimateReport
+
+        values = dict(mean=1.0, std_error=0.1, ci_low=0.0, ci_high=2.0, replicates=10, seed=0)
+        values[field] = value
+        with pytest.raises(ValueError, match=f"the estimate's {field} is"):
+            EstimateReport(**values)
+
+
 class TestEstimateLoss:
     def test_needs_two_replicates(self):
         loss = squared_loss_two_sample(2, 2, Mode.FLOAT)
