@@ -247,7 +247,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         report = estimate_loss(model, target, loss, args.replicates, args.seed)
     finally:
         for src in (model, target):
-            if isinstance(src, (FileSource, SubprocessSource)):
+            if src is not None:
                 src.close()
 
     pairs = [

@@ -23,7 +23,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -57,16 +57,16 @@ class CompiledLoss:
     """A loss L(h_p, h_q) over a pair of sample histograms.
 
     ``scheme_p`` is ``None`` for target-only losses (the evaluator ignores its
-    first argument).  ``batch_evaluator``, when present, maps two (R, d) count
-    matrices to R loss values for Monte Carlo throughput.  Evaluators are pure
-    apart from internal memoization and safe to call concurrently.
+    first argument).  ``batch_evaluator`` maps two (R, d) count matrices to R
+    float loss values in any mode; Monte Carlo estimation uses it.  Evaluators
+    are pure apart from internal memoization and safe to call concurrently.
     """
 
     evaluator: Callable[[Optional[Histogram], Histogram], object]
     scheme_p: Optional[SamplingScheme]
     scheme_q: SamplingScheme
     provenance: str
-    batch_evaluator: Optional[Callable] = None
+    batch_evaluator: Callable[[Optional[np.ndarray], np.ndarray], np.ndarray]
 
     def evaluate(self, h_p: Optional[Histogram], h_q: Histogram):
         return self.evaluator(h_p, h_q)
@@ -118,14 +118,19 @@ class _Estimator:
     def batch(self, hp: np.ndarray, hq: np.ndarray) -> np.ndarray:
         """Row-wise float estimates over two (R, d) count matrices.
 
+        Only the files of coordinates observed in some row are opened.
         Falling-factorial columns are kept only while one coordinate's terms
         are summed, so memory stays at a few columns whatever d and the degrees.
         """
         sides = (np.asarray(hp), np.asarray(hq))
+        files: dict[int, list] = {}
+        for index, side in zip((self.by_p, self.by_q), sides):
+            for x in index.keys() & set(np.flatnonzero(side.any(axis=0)).tolist()):
+                files.setdefault(x, []).extend(index[x])
         out = np.full(len(sides[0]), float(self.constant))
-        for x in sorted(self.by_p.keys() | self.by_q.keys()):
+        for x in sorted(files):
             columns: dict[tuple, np.ndarray] = {}
-            for w, a, b in self.by_p.get(x, []) + self.by_q.get(x, []):
+            for w, a, b in files[x]:
                 factors = [_ff_column(sides, side, y, e, columns) for side, pairs in ((0, a), (1, b)) for y, e in pairs]
                 out += w * reduce(operator.mul, factors)
         return out
@@ -292,16 +297,7 @@ def _log_series(rate, mode: Mode) -> Callable[[int], object]:
     else:
         r = float(rate)
         coeffs = lambda k: 1.0 / k
-    cache: dict[int, object] = {}
-
-    def series(t: int):
-        val = cache.get(t)
-        if val is None:
-            val = poisson_power_series(t, coeffs, r)
-            cache[t] = val
-        return val
-
-    return series
+    return cache(lambda t: poisson_power_series(t, coeffs, r))
 
 
 def _series_loss(series, scale, weights: Histogram, h: Histogram):
@@ -310,6 +306,18 @@ def _series_loss(series, scale, weights: Histogram, h: Histogram):
     for x in weights.support:
         acc = acc + (weights.counts[x] / scale) * series(h.complement(x))
     return acc
+
+
+def _series_batch(rate, scale, weights: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """:func:`_series_loss` in float over (R, d) count matrices, equal to the float scalar row by row.
+
+    S is evaluated once per count that occurs; a cumulative sum adds terms in index order."""
+    observed = weights > 0
+    counts, inverse = np.unique((h.sum(axis=1, keepdims=True) - h)[observed], return_inverse=True)
+    series = _log_series(rate, Mode.FLOAT)
+    terms = np.zeros(weights.shape)
+    terms[observed] = weights[observed] / float(scale) * np.array([series(int(t)) for t in counts])[inverse]
+    return np.cumsum(terms, axis=1)[:, -1]
 
 
 def cross_entropy_poisson(alpha: float, beta: float, mode: Mode = Mode.FLOAT) -> CompiledLoss:
@@ -333,6 +341,7 @@ def cross_entropy_poisson(alpha: float, beta: float, mode: Mode = Mode.FLOAT) ->
         scheme_p=Poisson(float(alpha)),
         scheme_q=Poisson(float(beta)),
         provenance=f"cross-entropy power-series loss, rates ({alpha}, {beta})",
+        batch_evaluator=lambda hp, hq: _series_batch(alpha, beta, hq, hp),
     )
 
 
@@ -358,6 +367,7 @@ def cross_entropy_poisson_fixed_target(alpha: float, m: int, mode: Mode = Mode.F
         scheme_p=Poisson(float(alpha)),
         scheme_q=FixedSize(m),
         provenance=f"cross-entropy power-series loss, rate {alpha}, fixed target size {m}",
+        batch_evaluator=lambda hp, hq: _series_batch(alpha, m, hq, hp),
     )
 
 
@@ -380,6 +390,7 @@ def entropy_poisson(beta: float, mode: Mode = Mode.FLOAT) -> CompiledLoss:
         scheme_p=None,
         scheme_q=Poisson(float(beta)),
         provenance=f"Shannon-entropy power-series loss, rate {beta}",
+        batch_evaluator=lambda hp, hq: _series_batch(beta, beta, hq, hq),
     )
 
 
@@ -401,6 +412,7 @@ def kl_poisson(alpha: float, beta: float, mode: Mode = Mode.FLOAT) -> CompiledLo
         scheme_p=Poisson(float(alpha)),
         scheme_q=Poisson(float(beta)),
         provenance=f"KL power-series loss, rates ({alpha}, {beta})",
+        batch_evaluator=lambda hp, hq: ce.batch_evaluator(hp, hq) - ent.batch_evaluator(None, hq),
     )
 
 

@@ -227,8 +227,11 @@ def poisson_cdf(rate: float) -> Iterator[tuple[int, float]]:
     """``(t, P[N <= t])`` for ``N ~ Poisson(rate)``, by pmf summation, for t = 0 .. 20 * rate + 500.
 
     The limit lies far past any quantile a float CDF resolves; callers stop on their own comparison.
+    Rates whose starting mass ``exp(-rate)`` is not a normal float (above about 708) are refused.
     """
     pmf = math.exp(-rate)
+    if pmf < 2.0**-1022:  # the smallest normal float
+        raise ValueError(f"Poisson rate {rate} is too large: exp(-{rate}) is below the smallest normal float")
     cum = pmf
     yield 0, cum
     for t in range(1, int(rate * 20 + 500) + 1):

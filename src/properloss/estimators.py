@@ -168,17 +168,16 @@ def poisson_power_series(t: int, coeffs: Callable[[int], object], rate):
     coefficients -- is finite on a finite count.
 
     Arithmetic follows the operand types: pass a Fraction rate and Fraction
-    coefficients for an exact result, floats for speed.
+    coefficients for an exact result, floats for speed.  The running term
+    ``ff(t, k) / rate**k`` keeps a float series clear of huge integers.
     """
     if t < 0:
         raise ValueError("count t must be >= 0")
     if not rate > 0:
         raise ValueError("rate must be > 0")
     acc = 0
-    ff = 1
-    scale = 1
+    term = 1
     for k in range(1, t + 1):
-        ff *= t - k + 1  # ff == falling_factorial(t, k)
-        scale = scale / rate
-        acc = acc + coeffs(k) * scale * ff
+        term = term * (t - k + 1) / rate  # == ff(t, k) / rate**k
+        acc = acc + coeffs(k) * term
     return acc

@@ -9,9 +9,11 @@ Three kinds of black box can be scored:
 * :class:`FileSource` -- a UTF-8 file with one token per line,
 * :class:`SubprocessSource` -- a child process speaking a line protocol:
   the harness writes a decimal count followed by a newline, the child
-  replies with exactly that many token lines; ``0`` asks the child to exit
-  cleanly (exit code 0).
+  replies with exactly that many token lines; ``0``, sent only by ``close``,
+  asks the child to exit cleanly (exit code 0).
 
+Each source implements ``draw_batch(sizes, rng)``: a count matrix whose row i
+holds the next ``sizes[i]`` draws; a subprocess gets one count per batch.
 Every emitted token must map to a domain label; unknown tokens are a hard
 error.  File and subprocess sources are sequential streams and must not be
 read from two replicates concurrently.
@@ -20,10 +22,10 @@ Randomness
 ----------
 All randomness derives from a user seed through named substreams
 (:func:`stream_rng`), one per role (model draws, target draws, size draws,
-block partitions).  Within a stream, draws are consumed in replicate-major
-order, so for fixed-size schemes replicate ``i`` owns draws
-``[i*n, (i+1)*n)`` of its stream and is a pure function of ``(seed, i)``.
-Identical (sources, seed, replicates) yield a bit-identical report.
+block partitions).  Sizes come as one vector per side; within a stream, draws
+are consumed in replicate-major order, so for fixed-size schemes replicate
+``i`` owns draws ``[i*n, (i+1)*n)`` of its stream and is a pure function of
+``(seed, i)``.  Identical (sources, seed, replicates) yield a bit-identical report.
 """
 
 from __future__ import annotations
@@ -47,6 +49,9 @@ from .errors import (
 #: 97.5% standard-normal quantile: half-width of the nominal 95% interval.
 Z95 = 1.959963984540054
 
+#: Bytes of count matrices and draw indices that one chunk of replicates may hold, both sides together.
+CHUNK_BYTES = 16 * 2**20
+
 #: Seconds a generator may take to exit after the ``0`` request before it is killed.
 CLOSE_TIMEOUT_S = 10.0
 
@@ -63,12 +68,37 @@ def stream_rng(seed: int, stream: int = 0) -> np.random.Generator:
 
 
 class SampleSource:
-    """Anything that can produce a histogram of n i.i.d. draws over a domain."""
+    """Anything that can produce histograms of i.i.d. draws over a domain."""
 
     domain: Domain
 
-    def draw(self, n: int, rng: Optional[np.random.Generator] = None) -> Histogram:
+    def draw_batch(self, sizes: Sequence[int], rng: Optional[np.random.Generator] = None) -> np.ndarray:
+        """(len(sizes), d) int64 count matrix; row i holds the next ``sizes[i]`` draws of the stream."""
         raise NotImplementedError
+
+    def draw(self, n: int, rng: Optional[np.random.Generator] = None) -> Histogram:
+        """Histogram of the next n draws."""
+        return Histogram(self.draw_batch([n], rng)[0])
+
+    def close(self) -> None:
+        """Release the stream behind the source, if it holds one."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+
+def _count_rows(indices: np.ndarray, sizes: np.ndarray, d: int) -> np.ndarray:
+    """(len(sizes), d) counts of consecutive runs of ``indices``; run i has length ``sizes[i]``."""
+    rows = np.repeat(np.arange(len(sizes)), sizes)
+    return np.bincount(rows * d + indices, minlength=len(sizes) * d).reshape(len(sizes), d)
+
+
+def _read_indices(lines, total: int, domain: Domain) -> np.ndarray:
+    """Domain indices of the next ``total`` lines; fewer if the lines end first."""
+    return np.fromiter((domain.index(line.strip()) for _, line in zip(range(total), lines)), dtype=np.int64)
 
 
 class InternalSource(SampleSource):
@@ -81,26 +111,12 @@ class InternalSource(SampleSource):
         self.domain = domain if domain is not None else Domain.of_size(dist.dim)
         self._cum = np.cumsum(np.asarray(dist.as_floats()))
 
-    def _indices(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        u = rng.random(n)
-        idx = np.searchsorted(self._cum, u, side="right")
-        return np.minimum(idx, self.dist.dim - 1)  # guard the cumsum-rounding edge
-
-    def draw(self, n: int, rng: Optional[np.random.Generator] = None) -> Histogram:
+    def draw_batch(self, sizes: Sequence[int], rng: Optional[np.random.Generator] = None) -> np.ndarray:
         if rng is None:
             raise ValueError("an internal source needs a random generator")
-        if n == 0:
-            return Histogram.zero(self.dist.dim)
-        counts = np.bincount(self._indices(n, rng), minlength=self.dist.dim)
-        return Histogram(tuple(int(c) for c in counts))
-
-    def draw_batch(self, replicates: int, n: int, rng: np.random.Generator) -> np.ndarray:
-        """(replicates, d) count matrix; row i uses draws [i*n, (i+1)*n) of the stream."""
-        idx = self._indices(replicates * n, rng).reshape(replicates, n)
-        counts = np.zeros((replicates, self.dist.dim), dtype=np.int64)
-        rows = np.repeat(np.arange(replicates), n)
-        np.add.at(counts, (rows, idx.ravel()), 1)
-        return counts
+        idx = np.searchsorted(self._cum, rng.random(int(np.sum(sizes))), side="right")
+        idx = np.minimum(idx, self.dist.dim - 1)  # guard the cumsum-rounding edge
+        return _count_rows(idx, sizes, self.dist.dim)
 
 
 class FileSource(SampleSource):
@@ -116,26 +132,17 @@ class FileSource(SampleSource):
             self._handle = open(self.path, "r", encoding="utf-8")
         return self._handle
 
-    def draw(self, n: int, rng: Optional[np.random.Generator] = None) -> Histogram:
-        counts = [0] * self.domain.size
-        handle = self._lines()
-        for _ in range(n):
-            line = handle.readline()
-            if line == "":
-                raise SourceExhaustedError(f"{self.path} ran out of tokens")
-            counts[self.domain.index(line.strip())] += 1
-        return Histogram(tuple(counts))
+    def draw_batch(self, sizes: Sequence[int], rng: Optional[np.random.Generator] = None) -> np.ndarray:
+        total = int(np.sum(sizes))
+        idx = _read_indices(self._lines(), total, self.domain)
+        if len(idx) < total:
+            raise SourceExhaustedError(f"{self.path} ran out of tokens")
+        return _count_rows(idx, sizes, self.domain.size)
 
     def close(self) -> None:
         if self._handle is not None:
             self._handle.close()
             self._handle = None
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
 
 
 class SubprocessSource(SampleSource):
@@ -160,22 +167,23 @@ class SubprocessSource(SampleSource):
                 raise SubprocessFailureError(f"could not start {self.command!r}: {exc}") from exc
         return self._proc
 
-    def draw(self, n: int, rng: Optional[np.random.Generator] = None) -> Histogram:
+    def draw_batch(self, sizes: Sequence[int], rng: Optional[np.random.Generator] = None) -> np.ndarray:
+        """One count request for the whole batch; none when it asks for no draws (``0`` would end the child)."""
+        total = int(np.sum(sizes))
+        if total == 0:
+            return np.zeros((len(sizes), self.domain.size), dtype=np.int64)
         proc = self._ensure()
         try:
-            proc.stdin.write(f"{n}\n")
+            proc.stdin.write(f"{total}\n")
             proc.stdin.flush()
         except (BrokenPipeError, OSError) as exc:
             raise SubprocessFailureError(f"generator {self.command!r} closed its input") from exc
-        counts = [0] * self.domain.size
-        for i in range(n):
-            line = proc.stdout.readline()
-            if line == "":
-                raise SubprocessFailureError(
-                    f"generator {self.command!r} ended after {i} of {n} requested tokens"
-                )
-            counts[self.domain.index(line.strip())] += 1
-        return Histogram(tuple(counts))
+        idx = _read_indices(proc.stdout, total, self.domain)
+        if len(idx) < total:
+            raise SubprocessFailureError(
+                f"generator {self.command!r} ended after {len(idx)} of {total} requested tokens"
+            )
+        return _count_rows(idx, sizes, self.domain.size)
 
     def close(self) -> None:
         """Send the zero sentinel and require a clean exit."""
@@ -199,19 +207,28 @@ class SubprocessSource(SampleSource):
         if code != 0:
             raise SubprocessFailureError(f"generator exited with code {code}")
 
-    def __enter__(self):
-        return self
 
-    def __exit__(self, *exc):
-        self.close()
-
-
-def _poisson_size(u: float, rate: float) -> int:
-    """Smallest j with CDF(j) > u, or the walk's limit."""
-    for j, cum in poisson_cdf(rate):
-        if u < cum:
+def _poisson_size(u, rate: float):
+    """Smallest j with CDF(j) > u for each uniform u, or the walk's limit; an int for a scalar u."""
+    cdf, top = [], np.max(u)
+    for _, cum in poisson_cdf(rate):  # the walk stops once it passes the largest u
+        cdf.append(cum)
+        if top < cum:
             break
-    return j
+    if not np.ndim(u):
+        return len(cdf) - 1
+    return np.minimum(np.searchsorted(cdf, u, side="right"), len(cdf) - 1)
+
+
+def _size_vector(scheme: Optional[SamplingScheme], rows: int, size_rng: np.random.Generator) -> Optional[np.ndarray]:
+    """Sample sizes of ``rows`` replicates of one side, in replicate order; ``None`` for an absent side."""
+    if scheme is None:
+        return None
+    if isinstance(scheme, FixedSize):
+        return np.full(rows, scheme.n, dtype=np.int64)
+    if isinstance(scheme, Poisson):
+        return _poisson_size(size_rng.random(rows), scheme.rate)
+    raise ValueError(f"unsupported sampling scheme {scheme!r}")
 
 
 def draw_fixed(src: SampleSource, n: int, seed: int) -> Histogram:
@@ -228,25 +245,7 @@ def draw_poisson(src: SampleSource, alpha: float, seed: int) -> Histogram:
     rates alpha * p_x, which is what the power-series losses rely on.
     """
     rng = stream_rng(seed, STREAM_MODEL)
-    return _draw_for_scheme(src, Poisson(alpha), rng, rng)
-
-
-def _draw_for_scheme(
-    src: Optional[SampleSource],
-    scheme: Optional[SamplingScheme],
-    item_rng: np.random.Generator,
-    size_rng: np.random.Generator,
-) -> Optional[Histogram]:
-    if scheme is None:
-        return None
-    if isinstance(scheme, FixedSize):
-        return src.draw(scheme.n, item_rng)
-    if isinstance(scheme, Poisson):
-        n = _poisson_size(float(size_rng.random()), scheme.rate)
-        if n == 0:
-            return Histogram.zero(src.domain.size)
-        return src.draw(n, item_rng)
-    raise ValueError(f"unsupported sampling scheme {scheme!r}")
+    return src.draw(_poisson_size(float(rng.random()), alpha), rng)
 
 
 @dataclass(frozen=True)
@@ -280,35 +279,25 @@ def estimate_loss(
 ) -> EstimateReport:
     """Mean of independent loss evaluations over fresh sample pairs.
 
-    Internal sources under fixed-size schemes take a vectorized path when the
-    loss carries a batch evaluator; stream sources are consumed sequentially,
-    one replicate at a time.  The report is deterministic given
-    (sources, seed, replicates).
+    Every source and scheme takes one path: each side draws one size vector
+    (fixed, or Poisson from its size stream), then per chunk of at most
+    :data:`CHUNK_BYTES` a count matrix, which the loss's float
+    ``batch_evaluator`` scores.  Chunking changes no draw, so the report is
+    deterministic given (sources, seed, replicates).
     """
     if replicates < 2:
         raise ValueError("need at least 2 replicates for a standard error")
-    model_rng = stream_rng(seed, STREAM_MODEL)
-    target_rng = stream_rng(seed, STREAM_TARGET)
-
-    fast = (
-        loss.batch_evaluator is not None
-        and isinstance(loss.scheme_p, FixedSize)
-        and isinstance(loss.scheme_q, FixedSize)
-        and isinstance(model, InternalSource)
-        and isinstance(target, InternalSource)
-    )
-    if fast:
-        hp = model.draw_batch(replicates, loss.scheme_p.n, model_rng)
-        hq = target.draw_batch(replicates, loss.scheme_q.n, target_rng)
-        values = np.asarray(loss.batch_evaluator(hp, hq), dtype=float)
-    else:
-        size_rng_p = stream_rng(seed, STREAM_MODEL_SIZES)
-        size_rng_q = stream_rng(seed, STREAM_TARGET_SIZES)
-        values = np.empty(replicates)
-        for i in range(replicates):
-            h_p = _draw_for_scheme(model, loss.scheme_p, model_rng, size_rng_p)
-            h_q = _draw_for_scheme(target, loss.scheme_q, target_rng, size_rng_q)
-            values[i] = float(loss.evaluator(h_p, h_q))
+    model_rng, target_rng = stream_rng(seed, STREAM_MODEL), stream_rng(seed, STREAM_TARGET)
+    sizes_p = _size_vector(loss.scheme_p, replicates, stream_rng(seed, STREAM_MODEL_SIZES))
+    sizes_q = _size_vector(loss.scheme_q, replicates, stream_rng(seed, STREAM_TARGET_SIZES))
+    sides = ((model, sizes_p), (target, sizes_q))
+    row_bytes = sum(8 * (src.domain.size + sizes.mean()) for src, sizes in sides if sizes is not None)
+    chunk = max(1, int(CHUNK_BYTES // row_bytes))
+    values = np.empty(replicates)
+    for start in range(0, replicates, chunk):
+        rows = slice(start, start + chunk)
+        hp = None if sizes_p is None else model.draw_batch(sizes_p[rows], model_rng)
+        values[rows] = loss.batch_evaluator(hp, target.draw_batch(sizes_q[rows], target_rng))
 
     with np.errstate(over="ignore", invalid="ignore"):  # EstimateReport names a non-finite result
         mean = float(np.mean(values))

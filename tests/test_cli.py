@@ -196,7 +196,7 @@ class TestEval:
             "--replicates", "2",
         )
         assert code == 2
-        assert err == "error: numeric failure (OverflowError: int too large to convert to float)\n"
+        assert err == "error: Poisson rate 1000.0 is too large: exp(-1000.0) is below the smallest normal float\n"
 
     def test_non_finite_mean_exits_2(self, capsys, tmp_path):
         spec = tmp_path / "huge.json"
@@ -250,6 +250,22 @@ class TestEval:
             "--target-probs", "0.5,0.5",
             "--replicates", "5000",
             "--seed", "1",
+            "--format", "machine",
+        )
+        assert code == 0
+        _, record = parse_machine(out)
+        mean, se = float(record["mean"]), float(record["std_error"])
+        assert abs(mean - 0.6931471805599453) <= 5 * se
+
+    def test_log_series_stays_finite_at_large_counts(self, capsys):
+        # some complement counts pass 170, where ff(t, k) no longer fits a float
+        code, out, _ = run(
+            capsys,
+            "eval",
+            "--divergence", "cross-entropy",
+            "--alpha", "300", "--beta", "300",
+            "--model-probs", "0.5,0.5",
+            "--target-probs", "0.5,0.5",
             "--format", "machine",
         )
         assert code == 0

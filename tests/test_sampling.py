@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import sys
 from fractions import Fraction
@@ -71,12 +70,16 @@ class TestDrawFixed:
 
     def test_batch_rows_match_sequential_draws(self):
         # row i of a batch is exactly the histogram of draws [i*n, (i+1)*n)
-        # of the same stream: the replicate-purity contract
-        src = InternalSource(Distribution.floating([0.2, 0.5, 0.3]))
-        batch = src.draw_batch(5, 4, stream_rng(9, 0))
+        # of the same stream: the replicate-purity contract, checked against
+        # an inverse-CDF reference that draws one replicate at a time
+        probs = [0.2, 0.5, 0.3]
+        src = InternalSource(Distribution.floating(probs))
+        batch = src.draw_batch([4] * 5, stream_rng(9, 0))
         rng = stream_rng(9, 0)
+        cum = np.cumsum(probs)
         for i in range(5):
-            assert tuple(batch[i]) == src.draw(4, rng).counts
+            idx = np.minimum(np.searchsorted(cum, rng.random(4), side="right"), len(probs) - 1)
+            assert batch[i].tolist() == np.bincount(idx, minlength=len(probs)).tolist()
 
 
 class TestDrawPoisson:
@@ -167,6 +170,13 @@ class TestSubprocessSource:
         src.draw(2)
         src.close()  # sends the zero sentinel; exit code 0 expected
 
+    def test_zero_draw_keeps_the_generator_running(self):
+        # a request of 0 is the exit sentinel, so an empty draw must not send one
+        src = SubprocessSource([sys.executable, "-c", ALTERNATING_CHILD], AB)
+        assert src.draw(0).counts == (0, 0)
+        assert src.draw(3).counts == (2, 1)
+        src.close()
+
     def test_child_that_dies_early(self):
         child = "import sys; sys.stdin.readline(); sys.exit(1)"
         src = SubprocessSource([sys.executable, "-c", child], AB)
@@ -236,15 +246,93 @@ class TestEstimateLoss:
         assert a == b
 
     def test_fast_path_equals_scalar_path(self):
-        # dropping the batch evaluator forces the scalar path; the stream
-        # contract makes both paths produce the same replicate values
-        loss = squared_loss_two_sample(2, 2, Mode.FLOAT)
-        scalar_loss = dataclasses.replace(loss, batch_evaluator=None)
+        # the batch path gives the report of a reference that draws one
+        # replicate at a time (size first, then items) and calls the scalar
+        # evaluator: the stream contract makes both see the same histograms
+        from properloss.sampling import (
+            STREAM_MODEL,
+            STREAM_MODEL_SIZES,
+            STREAM_TARGET,
+            STREAM_TARGET_SIZES,
+            _poisson_size,
+        )
+
         model = InternalSource(Distribution.floating([0.25, 0.75]))
         target = InternalSource(HALF_F)
-        fast = estimate_loss(model, target, loss, 2000, seed=7)
-        slow = estimate_loss(model, target, scalar_loss, 2000, seed=7)
-        assert fast == slow
+        seed, replicates = 7, 2000
+
+        def draw(src, scheme, item_stream, size_stream):
+            item_rng, size_rng = stream_rng(seed, item_stream), stream_rng(seed, size_stream)
+            for _ in range(replicates):
+                n = scheme.n if hasattr(scheme, "n") else _poisson_size(float(size_rng.random()), scheme.rate)
+                yield src.draw(n, item_rng)
+
+        for loss in (squared_loss_two_sample(2, 2, Mode.FLOAT), cross_entropy_poisson(6.0, 6.0)):
+            pairs = zip(
+                draw(model, loss.scheme_p, STREAM_MODEL, STREAM_MODEL_SIZES),
+                draw(target, loss.scheme_q, STREAM_TARGET, STREAM_TARGET_SIZES),
+            )
+            values = np.array([float(loss.evaluator(h, g)) for h, g in pairs])
+            report = estimate_loss(model, target, loss, replicates, seed=seed)
+            assert report.mean == float(np.mean(values))
+            assert report.std_error == float(np.std(values, ddof=1)) / math.sqrt(replicates)
+
+    def test_poisson_batch_of_zero_sizes_sends_no_request(self):
+        from properloss.sampling import STREAM_MODEL_SIZES, _poisson_size
+
+        loss = cross_entropy_poisson(1e-6, 8.0)
+        assert not _poisson_size(stream_rng(3, STREAM_MODEL_SIZES).random(10), 1e-6).any()
+        src = SubprocessSource([sys.executable, "-c", ALTERNATING_CHILD], AB)
+        report = estimate_loss(src, InternalSource(HALF_F, AB), loss, 10, seed=3)
+        assert report.mean == 0.0  # S(0) = 0 on every row
+        assert src.draw(3).counts == (2, 1)  # the generator is still serving requests
+        src.close()
+
+    def test_one_row_chunks_give_the_same_report(self, monkeypatch, tmp_path):
+        import properloss.sampling as sampling
+        from properloss import entropy_poisson, kl_poisson
+
+        path = tmp_path / "tokens.txt"
+        path.write_text("a\nb\na\n" * 2000, encoding="utf-8")
+        model = InternalSource(Distribution.floating([0.25, 0.75]), AB)
+        target = InternalSource(HALF_F, AB)
+        cases = [
+            (squared_loss_two_sample(2, 2, Mode.FLOAT), model, target),
+            (cross_entropy_poisson(6.0, 4.0), model, target),
+            (kl_poisson(6.0, 4.0), model, target),
+            (entropy_poisson(4.0), None, target),
+            (squared_loss_two_sample(2, 3, Mode.FLOAT), lambda: FileSource(str(path), AB), target),
+        ]
+
+        def reports():
+            out = []
+            for loss, p, q in cases:
+                src = p() if callable(p) else p
+                out.append(estimate_loss(src, q, loss, 300, seed=5))
+                if src is not None:
+                    src.close()
+            return out
+
+        whole = reports()
+        monkeypatch.setattr(sampling, "CHUNK_BYTES", 1)
+        assert reports() == whole
+
+    def test_chunks_bound_the_count_matrices_at_large_domains(self):
+        import properloss.sampling as sampling
+
+        d, replicates = 50_000, 200
+        shapes = []
+
+        class Recording(InternalSource):
+            def draw_batch(self, sizes, rng=None):
+                counts = super().draw_batch(sizes, rng)
+                shapes.append(counts.shape)
+                return counts
+
+        src = Recording(Distribution.uniform(d, Mode.FLOAT))
+        estimate_loss(src, src, squared_loss_two_sample(2, 2, Mode.FLOAT), replicates, seed=0)
+        assert sum(rows for rows, _ in shapes) == 2 * replicates
+        assert all(2 * rows * d * 8 <= sampling.CHUNK_BYTES for rows, _ in shapes)
 
     def test_ci_covers_the_exact_value(self):
         loss = squared_loss_two_sample(2, 2, Mode.FLOAT)
