@@ -173,18 +173,25 @@ def _build_source(args: argparse.Namespace, side: str, domain: Optional[Domain],
         return InternalSource(dist, domain if domain is not None else Domain.of_size(dist.dim)), domain
     if path is not None:
         if domain is None:
-            raise ValueError(f"--{side}-file needs --labels to map tokens to outcomes")
+            raise ValueError(f"--{side}-file needs --labels or --labels-file to map tokens to outcomes")
         if not os.path.exists(path):
             raise ValueError(f"sample file {path!r} does not exist")
         return FileSource(path, domain), domain
     if cmd is not None:
         if domain is None:
-            raise ValueError(f"--{side}-cmd needs --labels to map tokens to outcomes")
+            raise ValueError(f"--{side}-cmd needs --labels or --labels-file to map tokens to outcomes")
         return SubprocessSource(cmd, domain), domain
     return None, domain
 
 
 def _resolve_domain(args: argparse.Namespace) -> Optional[Domain]:
+    if args.labels is not None and args.labels_file is not None:
+        raise ValueError("give at most one of --labels / --labels-file")
+    if args.labels_file is not None:
+        if not os.path.exists(args.labels_file):
+            raise ValueError(f"labels file {args.labels_file!r} does not exist")
+        with open(args.labels_file, encoding="utf-8") as handle:
+            return Domain(tuple(line.strip() for line in handle if line.strip()))
     if args.labels:
         return Domain(tuple(tok.strip() for tok in args.labels.split(",")))
     for side in ("model", "target"):
@@ -256,7 +263,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         ("scheme", loss.provenance),
         ("model", _describe_source(args, "model")),
         ("target", _describe_source(args, "target")),
-        ("labels", args.labels or "-"),
+        ("labels", args.labels or (f"file:{args.labels_file}" if args.labels_file else "-")),
         ("replicates", str(report.replicates)),
         ("seed", str(report.seed)),
         ("mode", args.mode),
@@ -689,6 +696,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="Monte Carlo estimate of a loss between two sample sources")
     p_eval.add_argument("--divergence", required=True, help="l2 | lk:K | brier | cross-entropy | kl | entropy | spec file")
     p_eval.add_argument("--labels", help="comma-separated domain labels (required for file/cmd sources)")
+    p_eval.add_argument("--labels-file", help="file with one domain label per line, in place of --labels")
     p_eval.add_argument("--n", type=int, help="model sample size per replicate (fixed-size schemes)")
     p_eval.add_argument("--m", type=int, help="target sample size per replicate (fixed-size schemes)")
     p_eval.add_argument("--alpha", type=float, help="model-side Poisson rate")

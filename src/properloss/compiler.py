@@ -23,7 +23,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, reduce
+from functools import cache, lru_cache, reduce
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -152,8 +152,9 @@ def compile_known_target(divergence: PolyDivergence, n: int, mode: Mode = Mode.E
     the divergence.
 
     At call time the divergence is partially evaluated at the given target,
-    and each model monomial is replaced by its unbiased estimator.  Requires
-    ``n >= deg_p``; below that no unbiased loss exists at all.
+    and each model monomial is replaced by its unbiased estimator; the result
+    is cached per target probability tuple, so a repeated target costs one
+    lookup.  Requires ``n >= deg_p``; below that no unbiased loss exists at all.
     """
     if n < divergence.deg_p:
         raise DegreeGateError(divergence.deg_p)
@@ -162,12 +163,17 @@ def compile_known_target(divergence: PolyDivergence, n: int, mode: Mode = Mode.E
     d = divergence.dim
     no_q = ExponentVector.zero(d)
 
+    @lru_cache(maxsize=64)
+    def estimator_for(qv: tuple, kinds: tuple) -> _Estimator:
+        # ``kinds`` keeps 1/2 and 0.5 apart: they hash alike but give exact and float weights
+        return _Estimator(((coeff, j, no_q) for j, coeff in divergence.partial_q(qv).items()), n, 0, mode)
+
     def evaluator(h: Histogram, q) -> object:
         if h.dim != d:
             raise DimensionMismatchError(f"histogram dimension {h.dim}, divergence needs {d}")
         _check_fixed_total(h, n, "model")
-        estimator = _Estimator(((coeff, j, no_q) for j, coeff in divergence.partial_q(q).items()), n, 0, mode)
-        return estimator.scalar(h.counts, h.support)
+        qv = q.probs if isinstance(q, Distribution) else tuple(q)
+        return estimator_for(qv, tuple(map(type, qv))).scalar(h.counts, h.support)
 
     return KnownTargetLoss(
         evaluator=evaluator,
@@ -300,6 +306,12 @@ def _log_series(rate, mode: Mode) -> Callable[[int], object]:
     return cache(lambda t: poisson_power_series(t, coeffs, r))
 
 
+def _series_pair(rate, mode: Mode) -> tuple:
+    """A loss's series in ``mode`` and the float series of its batch evaluator, built once per loss."""
+    series = _log_series(rate, mode)
+    return series, series if mode is Mode.FLOAT else _log_series(rate, Mode.FLOAT)
+
+
 def _series_loss(series, scale, weights: Histogram, h: Histogram):
     """sum over x observed in ``weights`` of (weights[x] / scale) * series(count of h outside x)."""
     acc = 0
@@ -308,13 +320,13 @@ def _series_loss(series, scale, weights: Histogram, h: Histogram):
     return acc
 
 
-def _series_batch(rate, scale, weights: np.ndarray, h: np.ndarray) -> np.ndarray:
+def _series_batch(series, scale, weights: np.ndarray, h: np.ndarray) -> np.ndarray:
     """:func:`_series_loss` in float over (R, d) count matrices, equal to the float scalar row by row.
 
-    S is evaluated once per count that occurs; a cumulative sum adds terms in index order."""
+    ``series`` is a float-mode :func:`_log_series`, whose memo carries over
+    from call to call; a cumulative sum adds terms in index order."""
     observed = weights > 0
     counts, inverse = np.unique((h.sum(axis=1, keepdims=True) - h)[observed], return_inverse=True)
-    series = _log_series(rate, Mode.FLOAT)
     terms = np.zeros(weights.shape)
     terms[observed] = weights[observed] / float(scale) * np.array([series(int(t)) for t in counts])[inverse]
     return np.cumsum(terms, axis=1)[:, -1]
@@ -328,7 +340,7 @@ def cross_entropy_poisson(alpha: float, beta: float, mode: Mode = Mode.FLOAT) ->
     everything except ``x``.  The inner sum self-truncates, so the loss is
     finite on every histogram pair even when the divergence itself is +inf.
     """
-    series = _log_series(alpha, mode)
+    series, float_series = _series_pair(alpha, mode)
     beta_val = Fraction(beta) if mode is Mode.EXACT else float(beta)
 
     def evaluator(h_p: Histogram, h_q: Histogram) -> object:
@@ -341,7 +353,7 @@ def cross_entropy_poisson(alpha: float, beta: float, mode: Mode = Mode.FLOAT) ->
         scheme_p=Poisson(float(alpha)),
         scheme_q=Poisson(float(beta)),
         provenance=f"cross-entropy power-series loss, rates ({alpha}, {beta})",
-        batch_evaluator=lambda hp, hq: _series_batch(alpha, beta, hq, hp),
+        batch_evaluator=lambda hp, hq: _series_batch(float_series, beta, hq, hp),
     )
 
 
@@ -353,7 +365,7 @@ def cross_entropy_poisson_fixed_target(alpha: float, m: int, mode: Mode = Mode.F
     """
     if m < 1:
         raise ValueError("target sample size must be >= 1")
-    series = _log_series(alpha, mode)
+    series, float_series = _series_pair(alpha, mode)
     m_val = Fraction(m) if mode is Mode.EXACT else float(m)
 
     def evaluator(h_p: Histogram, h_q: Histogram) -> object:
@@ -367,7 +379,7 @@ def cross_entropy_poisson_fixed_target(alpha: float, m: int, mode: Mode = Mode.F
         scheme_p=Poisson(float(alpha)),
         scheme_q=FixedSize(m),
         provenance=f"cross-entropy power-series loss, rate {alpha}, fixed target size {m}",
-        batch_evaluator=lambda hp, hq: _series_batch(alpha, m, hq, hp),
+        batch_evaluator=lambda hp, hq: _series_batch(float_series, m, hq, hp),
     )
 
 
@@ -379,7 +391,7 @@ def entropy_poisson(beta: float, mode: Mode = Mode.FLOAT) -> CompiledLoss:
     S_beta(h_q minus x)`` has expectation ``sum_x q_x * (-ln q_x) >= 0``.
     The model histogram is ignored (``scheme_p`` is ``None``).
     """
-    series = _log_series(beta, mode)
+    series, float_series = _series_pair(beta, mode)
     beta_val = Fraction(beta) if mode is Mode.EXACT else float(beta)
 
     def evaluator(h_p, h_q: Histogram) -> object:
@@ -390,7 +402,7 @@ def entropy_poisson(beta: float, mode: Mode = Mode.FLOAT) -> CompiledLoss:
         scheme_p=None,
         scheme_q=Poisson(float(beta)),
         provenance=f"Shannon-entropy power-series loss, rate {beta}",
-        batch_evaluator=lambda hp, hq: _series_batch(beta, beta, hq, hq),
+        batch_evaluator=lambda hp, hq: _series_batch(float_series, beta, hq, hq),
     )
 
 

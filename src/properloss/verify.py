@@ -6,7 +6,10 @@ add up.  With exact-mode distributions the arithmetic is rational end to end,
 so implementation claims ("the expectation of this loss IS that divergence")
 are checked as literal equalities with zero tolerance.  Poisson schemes have
 unbounded support, so their oracle truncates at a quantile and reports the
-truncation honestly.
+truncation honestly.  The truncated oracle is float by nature: it keeps each
+side as a count matrix with weights and scores blocks of (model, target)
+pairs with the loss's float batch evaluator, while the fixed-size oracles
+keep the exact scalar evaluators.
 """
 
 from __future__ import annotations
@@ -137,7 +140,10 @@ class PoissonExpectation:
 
     ``tail_bound`` adds the omitted probability mass times the largest loss
     magnitude seen on the evaluated support to the last extension increment;
-    it is reported, never folded into the value.
+    it is reported, never folded into the value.  ``items_model`` and
+    ``items_target`` count the histograms with nonzero weight kept on each
+    side (``items_model`` is ``None`` for a target-only loss), and ``pairs``
+    the (model, target) histogram pairs scored.
     """
 
     value: float
@@ -145,9 +151,22 @@ class PoissonExpectation:
     omitted_mass: float
     truncation_model: Optional[int]
     truncation_target: Optional[int]
+    items_model: Optional[int]
+    items_target: int
+    pairs: int
 
 
-def _poisson_items(dist: Distribution, rate: float, size_from: int, size_to: int) -> list:
+#: Pairs scored per batch-evaluator call; bounds the oracle's pair matrices.
+_PAIR_BLOCK = 4096
+
+
+def _item_arrays(items: list, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(h, w)`` items as an (N, d) int64 count matrix and a float weight vector."""
+    counts = np.array([h.counts for h, _ in items], dtype=np.int64).reshape(len(items), d)
+    return counts, np.array([w for _, w in items], dtype=float)
+
+
+def _poisson_items(dist: Distribution, rate: float, size_from: int, size_to: int) -> tuple[np.ndarray, np.ndarray]:
     d = dist.dim
     total_hists = sum(math.comb(size + d - 1, d - 1) for size in range(size_from, size_to + 1))
     if total_hists > ENUMERATION_CAP:
@@ -157,7 +176,7 @@ def _poisson_items(dist: Distribution, rate: float, size_from: int, size_to: int
     items = []
     for size in range(size_from, size_to + 1):
         items.extend(_weighted_histograms(dist, size, _poisson_size_weight(rate, size)))
-    return items
+    return _item_arrays(items, d)
 
 
 def poisson_expected_loss(
@@ -181,35 +200,52 @@ def poisson_expected_loss(
 
     Divergent expectations never converge here; the item budget stops the
     chase and the large reported ``tail_bound`` flags the result as unusable.
+
+    Every side is an int64 count matrix with a float weight vector (the model
+    side of a target-only loss has no counts and one unit weight), and each
+    block of left rows is scored against the whole right side with one call
+    of the loss's float batch evaluator, whatever the loss's mode.  Sums run
+    in the order of a row-by-row double loop, so a float-mode loss whose
+    batch evaluator equals its scalar one gives the same result bit for bit.
     """
     if loss.scheme_p is not None and p is None:
         raise ValueError("the loss consumes a model sample, so a model distribution is required")
+    if loss.scheme_p is not None and p.dim != q.dim:
+        raise DimensionMismatchError(f"model dimension {p.dim} != target dimension {q.dim}")
     poisson_sides = sum(1 for s in (loss.scheme_p, loss.scheme_q) if isinstance(s, Poisson))
     per_side = tail_eps / poisson_sides if poisson_sides else tail_eps
-    evaluator = loss.evaluator
+    evaluator = loss.batch_evaluator
     sup_loss = 0.0
+    pairs = 0
+    no_items = (None, np.zeros(0))
 
-    def cross(left: list, right: list) -> float:
-        nonlocal sup_loss
+    def cross(left: tuple, right: tuple) -> float:
+        nonlocal sup_loss, pairs
+        (left_counts, left_w), (right_counts, right_w) = left, right
         acc = 0.0
-        for h, wp in left:
-            inner = 0.0
-            for g, wq in right:
-                v = float(evaluator(h, g))
-                inner += wq * v
-                a = abs(v)
-                if a > sup_loss:
-                    sup_loss = a
-            acc += wp * inner
+        if not len(left_w) or not len(right_w):
+            return acc
+        rows = max(1, _PAIR_BLOCK // len(right_w))
+        for start in range(0, len(left_w), rows):
+            w = left_w[start : start + rows]
+            hp = None if left_counts is None else np.repeat(left_counts[start : start + rows], len(right_w), axis=0)
+            v = evaluator(hp, np.tile(right_counts, (len(w), 1))).reshape(len(w), len(right_w))
+            sup_loss = float(np.fmax.reduce(np.abs(v), axis=None, initial=sup_loss))  # NaN losses are skipped
+            inner = np.cumsum(right_w * v, axis=1)[:, -1]
+            acc = float(np.cumsum(np.concatenate(([acc], w * inner)))[-1])
+            pairs += v.size
         return acc
 
     def side(scheme, dist: Distribution) -> tuple:
         if scheme is None:
-            return [(None, 1.0)], None, None
+            return (None, np.ones(1)), None, None
         if isinstance(scheme, Poisson):
             trunc = _poisson_mass_truncation(scheme.rate, per_side)
             return _poisson_items(dist, scheme.rate, 0, trunc), trunc, scheme.rate
-        return _weighted_histograms(dist, scheme.n, 1.0), None, None
+        return _item_arrays(_weighted_histograms(dist, scheme.n, 1.0), dist.dim), None, None
+
+    def grown(items: tuple, new: tuple) -> tuple:
+        return tuple(np.concatenate((old, extra)) for old, extra in zip(items, new))
 
     model_side, trunc_p, rate_p = side(loss.scheme_p, p)
     target_side, trunc_q, rate_q = side(loss.scheme_q, q)
@@ -221,22 +257,22 @@ def poisson_expected_loss(
     calm_p = 0 if rate_p is not None else 2
     calm_q = 0 if rate_q is not None else 2
     while calm_p < 2 or calm_q < 2:
-        grow_p = calm_p < 2 and len(model_side) < max_items_per_side
-        grow_q = calm_q < 2 and len(target_side) < max_items_per_side
+        grow_p = calm_p < 2 and len(model_side[1]) < max_items_per_side
+        grow_q = calm_q < 2 and len(target_side[1]) < max_items_per_side
         if not grow_p and not grow_q:
             break
-        new_p = _poisson_items(p, rate_p, trunc_p + 1, trunc_p + step) if grow_p else []
-        new_q = _poisson_items(q, rate_q, trunc_q + 1, trunc_q + step) if grow_q else []
-        if grow_p:
-            trunc_p += step
-        if grow_q:
-            trunc_q += step
+        new_p = _poisson_items(p, rate_p, trunc_p + 1, trunc_p + step) if grow_p else no_items
+        new_q = _poisson_items(q, rate_q, trunc_q + 1, trunc_q + step) if grow_q else no_items
         delta_p = cross(new_p, target_side)
         delta_q = cross(model_side, new_q)
         delta_pq = cross(new_p, new_q)
         value += delta_p + delta_q + delta_pq
-        model_side.extend(new_p)
-        target_side.extend(new_q)
+        if grow_p:
+            trunc_p += step
+            model_side = grown(model_side, new_p)
+        if grow_q:
+            trunc_q += step
+            target_side = grown(target_side, new_q)
         last_delta = abs(delta_p) + abs(delta_q) + abs(delta_pq)
         threshold = value_tol * max(1.0, abs(value))
         if grow_p:
@@ -246,15 +282,18 @@ def poisson_expected_loss(
 
     omitted = 0.0
     if rate_p is not None:
-        omitted += max(0.0, 1.0 - sum(w for _, w in model_side))
+        omitted += max(0.0, 1.0 - sum(model_side[1].tolist()))
     if rate_q is not None:
-        omitted += max(0.0, 1.0 - sum(w for _, w in target_side))
+        omitted += max(0.0, 1.0 - sum(target_side[1].tolist()))
     return PoissonExpectation(
         value=value,
         tail_bound=omitted * sup_loss + last_delta,
         omitted_mass=omitted,
         truncation_model=trunc_p,
         truncation_target=trunc_q,
+        items_model=None if loss.scheme_p is None else len(model_side[1]),
+        items_target=len(target_side[1]),
+        pairs=pairs,
     )
 
 

@@ -1,6 +1,8 @@
 import json
 import sys
 
+import numpy as np
+
 from properloss.cli import main, parse_machine, render_machine
 
 
@@ -272,6 +274,53 @@ class TestEval:
         _, record = parse_machine(out)
         mean, se = float(record["mean"]), float(record["std_error"])
         assert abs(mean - 0.6931471805599453) <= 5 * se
+
+    def test_labels_file_scores_a_large_domain_like_labels(self, capsys, tmp_path):
+        # 50,000 labels take 339 KB as one --labels argument, past Linux's 128 KiB per-argument cap
+        labels = [f"t{i}" for i in range(50_000)]
+        labels_file = tmp_path / "labels.txt"
+        labels_file.write_text("".join(f"{lab}\n" for lab in labels), encoding="utf-8")
+        rng = np.random.default_rng(0)
+        model = tmp_path / "model.txt"
+        target = tmp_path / "target.txt"
+        model.write_text("".join(f"t{i}\n" for i in rng.integers(0, 40, 400)), encoding="utf-8")
+        target.write_text("".join(f"t{i}\n" for i in rng.integers(10, 50, 400)), encoding="utf-8")
+        common = (
+            "eval", "--divergence", "l2", "--n", "2", "--m", "2",
+            "--model-file", str(model), "--target-file", str(target),
+            "--replicates", "200", "--format", "machine",
+        )
+        code, out, _ = run(capsys, *common, "--labels-file", str(labels_file))
+        assert code == 0
+        by_file = parse_machine(out)[1]
+        code, out, _ = run(capsys, *common, "--labels", ",".join(labels))
+        assert code == 0
+        by_argument = parse_machine(out)[1]
+        assert by_file["labels"] == f"file:{labels_file}"
+        for key in ("mean", "std_error", "ci_low", "ci_high", "scheme", "replicates"):
+            assert by_file[key] == by_argument[key]
+
+    def test_labels_file_and_labels_together_exit_2(self, capsys, tmp_path):
+        labels_file = tmp_path / "labels.txt"
+        labels_file.write_text("a\nb\n", encoding="utf-8")
+        code, _, err = run(
+            capsys,
+            "eval", "--divergence", "l2", "--n", "2", "--m", "2",
+            "--labels", "a,b", "--labels-file", str(labels_file),
+            "--model-probs", "0.5,0.5", "--target-probs", "0.5,0.5",
+        )
+        assert code == 2
+        assert "at most one of --labels / --labels-file" in err
+
+    def test_missing_labels_file_exits_2(self, capsys, tmp_path):
+        code, _, err = run(
+            capsys,
+            "eval", "--divergence", "l2", "--n", "2", "--m", "2",
+            "--labels-file", str(tmp_path / "absent.txt"),
+            "--model-probs", "0.5,0.5", "--target-probs", "0.5,0.5",
+        )
+        assert code == 2
+        assert "does not exist" in err
 
     def test_entropy_eval_needs_no_model(self, capsys):
         code, out, _ = run(

@@ -95,6 +95,38 @@ class TestCompileKnownTarget:
         assert exc.value.n_required == 2
         assert exc.value.m_required is None
 
+    def test_partial_evaluation_runs_once_per_target(self, monkeypatch):
+        calls = []
+        partial_q = PolyDivergence.partial_q
+
+        def counted(self, q):
+            calls.append(tuple(q))
+            return partial_q(self, q)
+
+        monkeypatch.setattr(PolyDivergence, "partial_q", counted)
+        div = builtin_l2(3)
+        loss = compile_known_target(div, 2)
+        closed = squared_loss_known_target(2)
+        third = Distribution.exact([Fraction(1, 3)] * 3)
+        targets = [third, (Fraction(1, 2), Fraction(1, 2), Fraction(0)), third.probs, [Fraction(1), 0, 0]]
+        hists = enumerate_histograms(3, 2)
+        for _ in range(3):
+            for q in targets:
+                for h in hists:
+                    value = loss.evaluator(h, q)
+                    assert isinstance(value, Fraction)
+                    assert value == closed.evaluator(h, q)
+        assert len(calls) == 3  # `third` and `third.probs` are one target
+
+    def test_float_and_exact_targets_are_cached_apart(self):
+        loss = compile_known_target(builtin_l2(2), 2)
+        h = Histogram((1, 1))
+        assert type(loss.evaluator(h, HALF)) is Fraction
+        floating = loss.evaluator(h, (0.5, 0.5))  # equal to HALF.probs and hashed alike
+        assert type(floating) is type(compile_known_target(builtin_l2(2), 2).evaluator(h, (0.5, 0.5)))
+        assert type(floating) is float
+        assert type(loss.evaluator(h, HALF)) is Fraction
+
 
 class TestSquaredLossKnownTarget:
     def test_hand_values(self):

@@ -26,8 +26,11 @@ from properloss import (
     squared_loss_two_sample,
     stream_rng,
 )
+from properloss import poisson_expected_loss
 from properloss.divergences import Monomial, PolyDivergence
+from properloss.domain import Poisson
 from properloss.estimators import ExponentVector, poisson_power_series
+from properloss.verify import _poisson_mass_truncation, _poisson_size_weight, _weighted_histograms
 
 MAX_DEG = 3
 
@@ -175,3 +178,131 @@ def test_float_log_series_tracks_the_exact_series(t, rate):
     assume(exact < Fraction(np.finfo(float).max) / max(t, 1))
     value = poisson_power_series(t, lambda k: 1.0 / k, float(rate))
     assert math.isclose(value, float(exact), rel_tol=1e-12)
+
+
+def scalar_poisson_expectation(loss, p, q, tail_eps, value_tol, max_items_per_side):
+    """The truncated Poisson oracle as a pair-by-pair loop over the scalar evaluator, summed sequentially."""
+    poisson_sides = sum(1 for s in (loss.scheme_p, loss.scheme_q) if isinstance(s, Poisson))
+    per_side = tail_eps / poisson_sides if poisson_sides else tail_eps
+    sup_loss = 0.0
+    pairs = 0
+
+    def items(dist, rate, size_from, size_to):
+        return [
+            item
+            for size in range(size_from, size_to + 1)
+            for item in _weighted_histograms(dist, size, _poisson_size_weight(rate, size))
+        ]
+
+    def cross(left, right):
+        nonlocal sup_loss, pairs
+        acc = 0.0
+        for h, wp in left:
+            inner = 0.0
+            for g, wq in right:
+                v = float(loss.evaluator(h, g))
+                inner += wq * v
+                sup_loss = max(sup_loss, abs(v))
+                pairs += 1
+            acc += wp * inner
+        return acc
+
+    def side(scheme, dist):
+        if scheme is None:
+            return [(None, 1.0)], None, None
+        if isinstance(scheme, Poisson):
+            trunc = _poisson_mass_truncation(scheme.rate, per_side)
+            return items(dist, scheme.rate, 0, trunc), trunc, scheme.rate
+        return _weighted_histograms(dist, scheme.n, 1.0), None, None
+
+    model_side, trunc_p, rate_p = side(loss.scheme_p, p)
+    target_side, trunc_q, rate_q = side(loss.scheme_q, q)
+    value = cross(model_side, target_side)
+    last_delta = 0.0
+    calm_p = 0 if rate_p is not None else 2
+    calm_q = 0 if rate_q is not None else 2
+    while calm_p < 2 or calm_q < 2:
+        grow_p = calm_p < 2 and len(model_side) < max_items_per_side
+        grow_q = calm_q < 2 and len(target_side) < max_items_per_side
+        if not grow_p and not grow_q:
+            break
+        new_p = items(p, rate_p, trunc_p + 1, trunc_p + 4) if grow_p else []
+        new_q = items(q, rate_q, trunc_q + 1, trunc_q + 4) if grow_q else []
+        trunc_p = trunc_p + 4 if grow_p else trunc_p
+        trunc_q = trunc_q + 4 if grow_q else trunc_q
+        delta_p = cross(new_p, target_side)
+        delta_q = cross(model_side, new_q)
+        delta_pq = cross(new_p, new_q)
+        value += delta_p + delta_q + delta_pq
+        model_side.extend(new_p)
+        target_side.extend(new_q)
+        last_delta = abs(delta_p) + abs(delta_q) + abs(delta_pq)
+        threshold = value_tol * max(1.0, abs(value))
+        if grow_p:
+            calm_p = calm_p + 1 if abs(delta_p) + abs(delta_pq) <= threshold else 0
+        if grow_q:
+            calm_q = calm_q + 1 if abs(delta_q) + abs(delta_pq) <= threshold else 0
+
+    omitted = 0.0
+    for rate, kept in ((rate_p, model_side), (rate_q, target_side)):
+        if rate is not None:
+            omitted += max(0.0, 1.0 - sum(w for _, w in kept))
+    return dict(
+        value=value,
+        tail_bound=omitted * sup_loss + last_delta,
+        omitted_mass=omitted,
+        truncation_model=trunc_p,
+        truncation_target=trunc_q,
+        items_model=None if loss.scheme_p is None else len(model_side),
+        items_target=len(target_side),
+        pairs=pairs,
+    )
+
+
+@st.composite
+def exact_distributions(draw, d: int):
+    weights = draw(st.lists(st.integers(0, 4), min_size=d, max_size=d).filter(any))
+    return Distribution.exact([Fraction(w, sum(weights)) for w in weights])
+
+
+# small sides keep the scalar reference affordable; the extension loop still runs
+ORACLE_ARGS = dict(tail_eps=1e-2, value_tol=1e-5, max_items_per_side=60)
+
+
+@settings(deadline=None, max_examples=20)
+@given(st.data())
+def test_batched_poisson_oracle_equals_the_scalar_loop_bit_for_bit(data):
+    d = data.draw(st.integers(1, 3))
+    p = data.draw(exact_distributions(d))
+    q = data.draw(exact_distributions(d))
+    alpha = data.draw(st.floats(2.0, 8.0))
+    beta = data.draw(st.floats(2.0, 8.0))
+    m = data.draw(st.integers(1, 3))
+    args = dict(ORACLE_ARGS, tail_eps=data.draw(st.sampled_from([1e-2, 1e-3])))
+    for loss in (
+        cross_entropy_poisson(alpha, beta),
+        kl_poisson(alpha, beta),
+        entropy_poisson(beta),
+        cross_entropy_poisson_fixed_target(alpha, m),
+    ):
+        model = None if loss.scheme_p is None else p
+        batched = poisson_expected_loss(loss, model, q, **args)
+        reference = scalar_poisson_expectation(loss, model, q, **args)
+        # repr tells every float apart except NaNs, which an overflowing series can produce on both sides
+        assert {k: repr(v) for k, v in vars(batched).items()} == {k: repr(v) for k, v in reference.items()}
+
+
+def test_an_exact_mode_poisson_loss_is_scored_in_float():
+    p = Distribution.exact([Fraction(1, 4), Fraction(3, 4)])
+    q = Distribution.exact([Fraction(1, 2), Fraction(1, 2)])
+    for exact, floating in (
+        (cross_entropy_poisson(6.0, 6.0, Mode.EXACT), cross_entropy_poisson(6.0, 6.0)),
+        (kl_poisson(4.0, 5.0, Mode.EXACT), kl_poisson(4.0, 5.0)),
+        (entropy_poisson(3.0, Mode.EXACT), entropy_poisson(3.0)),
+        (cross_entropy_poisson_fixed_target(6.0, 2, Mode.EXACT), cross_entropy_poisson_fixed_target(6.0, 2)),
+    ):
+        model = None if exact.scheme_p is None else p
+        value = poisson_expected_loss(exact, model, q, **ORACLE_ARGS).value
+        assert isinstance(value, float)
+        reference = scalar_poisson_expectation(floating, model, q, **ORACLE_ARGS)["value"]
+        assert math.isclose(value, reference, rel_tol=1e-12)

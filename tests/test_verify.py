@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from properloss import (
+    DimensionMismatchError,
     Distribution,
     EnumerationTooLargeError,
     Histogram,
@@ -14,12 +15,14 @@ from properloss import (
     check_implements,
     compile_two_sample,
     cross_entropy_poisson,
+    cross_entropy_poisson_fixed_target,
     degree_gate_bypass_exists,
     entropy_poisson,
     enumerate_histograms,
     exact_expected_known_target,
     exact_expected_two_sample,
     gradient_check,
+    kl_poisson,
     multinomial_pmf,
     naive_plugin_bias_demo,
     naive_plugin_loss,
@@ -30,6 +33,7 @@ from properloss import (
     squared_norm_gradient,
     squared_norm_polynomial,
 )
+from properloss import verify
 from properloss.divergences import Monomial, PolyDivergence
 from properloss.estimators import ExponentVector
 
@@ -132,6 +136,40 @@ class TestPoissonExpectedLoss:
     def test_missing_model_distribution_rejected(self):
         with pytest.raises(ValueError):
             poisson_expected_loss(cross_entropy_poisson(4.0, 4.0), None, HALF)
+
+    def test_mismatched_dimensions_rejected(self):
+        third = Distribution.exact([Fraction(1, 3)] * 3)
+        with pytest.raises(DimensionMismatchError):
+            poisson_expected_loss(cross_entropy_poisson(4.0, 4.0), third, HALF)
+
+    def test_one_pair_blocks_give_the_same_result(self, monkeypatch):
+        skew = Distribution.exact([Fraction(1, 4), Fraction(3, 4)])
+        cases = [
+            (cross_entropy_poisson(4.0, 5.0), skew, HALF),
+            (kl_poisson(4.0, 4.0), skew, HALF),
+            (entropy_poisson(4.0), None, skew),
+            (cross_entropy_poisson_fixed_target(4.0, 2), skew, HALF),
+        ]
+        default = [poisson_expected_loss(loss, p, q, tail_eps=1e-6) for loss, p, q in cases]
+        monkeypatch.setattr(verify, "_PAIR_BLOCK", 1)
+        assert [poisson_expected_loss(loss, p, q, tail_eps=1e-6) for loss, p, q in cases] == default
+
+    def test_item_and_pair_counts(self):
+        # with full support every histogram of sizes 0..T is kept: C(T + d, d) of them
+        est = poisson_expected_loss(cross_entropy_poisson(4.0, 5.0), HALF, HALF, tail_eps=1e-6)
+        assert est.items_model == math.comb(est.truncation_model + 2, 2)
+        assert est.items_target == math.comb(est.truncation_target + 2, 2)
+        assert est.pairs == est.items_model * est.items_target
+
+        ent = poisson_expected_loss(entropy_poisson(4.0), None, HALF, tail_eps=1e-6)
+        assert ent.items_model is None
+        assert ent.items_target == math.comb(ent.truncation_target + 2, 2)
+        assert ent.pairs == ent.items_target
+
+        fixed = poisson_expected_loss(cross_entropy_poisson_fixed_target(4.0, 3), HALF, HALF, tail_eps=1e-6)
+        assert fixed.items_model == math.comb(fixed.truncation_model + 2, 2)
+        assert fixed.items_target == math.comb(3 + 1, 1)  # the three-draw histograms over two outcomes
+        assert fixed.pairs == fixed.items_model * fixed.items_target
 
 
 class TestCheckImplementsInputs:
