@@ -28,7 +28,7 @@ import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .compiler import (
     CompiledLoss,
@@ -289,12 +289,16 @@ class CheckResult:
     detail: str = ""
 
 
+#: What a check body returns: (passed, gap, detail).
+Outcome = tuple[bool, str, str]
+
+
 def _grid_pairs(d: int, denominator: int) -> list:
     points = simplex_grid(d, denominator)
     return [(p, q) for p in points for q in points]
 
 
-def _check_plugin_bias(seed: int) -> CheckResult:
+def _check_plugin_bias(seed: int) -> Outcome:
     q = Distribution.exact([Fraction(1, 10), Fraction(9, 10)])
     below = True
     for n in range(2, 21):
@@ -304,14 +308,11 @@ def _check_plugin_bias(seed: int) -> CheckResult:
     agree = abs(float(demo10.closed_form) - demo10.grid_argmin) <= 1e-4
     exact_value = demo10.closed_form == Fraction(1, 18)
     ok = below and agree and exact_value
-    return CheckResult(
-        "plugin-bias", ok, "exact",
-        gap=f"{abs(float(demo10.closed_form) - demo10.grid_argmin):.2e}",
-        detail=f"optimum at n=10 is {demo10.closed_form} (grid {demo10.grid_argmin:.4f}), below 1/10 for n=2..20",
-    )
+    detail = f"optimum at n=10 is {demo10.closed_form} (grid {demo10.grid_argmin:.4f}), below 1/10 for n=2..20"
+    return ok, f"{abs(float(demo10.closed_form) - demo10.grid_argmin):.2e}", detail
 
 
-def _check_plugin_improper(seed: int) -> CheckResult:
+def _check_plugin_improper(seed: int) -> Outcome:
     q = Distribution.exact([Fraction(1, 10), Fraction(9, 10)])
     n = 10
     loss = naive_plugin_loss(n)
@@ -322,14 +323,11 @@ def _check_plugin_improper(seed: int) -> CheckResult:
     expected_gap = all(
         r.gap == 2 * p.probs[0] * (1 - p.probs[0]) / n for r, (p, _) in zip(reports, points)
     )
-    return CheckResult(
-        "plugin-improper", all_failed and expected_gap, "exact",
-        gap="summed-frequency-variance",
-        detail=f"{len(reports)} interior models all show a positive exact gap",
-    )
+    detail = f"{len(reports)} interior models all show a positive exact gap"
+    return all_failed and expected_gap, "summed-frequency-variance", detail
 
 
-def _check_squared_known_target(seed: int) -> CheckResult:
+def _check_squared_known_target(seed: int) -> Outcome:
     worst = Fraction(0)
     count = 0
     for d, denom in ((2, 8), (3, 4)):
@@ -340,13 +338,10 @@ def _check_squared_known_target(seed: int) -> CheckResult:
             count += len(reports)
             if any(not r.passed for r in reports):
                 worst = max(worst, max(r.gap for r in reports))
-    return CheckResult(
-        "squared-known-target", worst == 0, "exact", gap=str(worst),
-        detail=f"{count} (model, target, n) combinations, exact equality",
-    )
+    return worst == 0, str(worst), f"{count} (model, target, n) combinations, exact equality"
 
 
-def _check_squared_two_sample(seed: int) -> CheckResult:
+def _check_squared_two_sample(seed: int) -> Outcome:
     worst = Fraction(0)
     count = 0
     for d, denom in ((2, 8), (3, 4)):
@@ -358,13 +353,10 @@ def _check_squared_two_sample(seed: int) -> CheckResult:
                 count += len(reports)
                 if any(not r.passed for r in reports):
                     worst = max(worst, max(r.gap for r in reports))
-    return CheckResult(
-        "squared-two-sample", worst == 0, "exact", gap=str(worst),
-        detail=f"{count} (model, target, n, m) combinations, exact equality",
-    )
+    return worst == 0, str(worst), f"{count} (model, target, n, m) combinations, exact equality"
 
 
-def _check_compiler_exact(seed: int) -> CheckResult:
+def _check_compiler_exact(seed: int) -> Outcome:
     cases = [
         ("l2", builtin_l2(2), 2, 2),
         ("lk:4", builtin_lk_even(2, 4), 4, 4),
@@ -377,13 +369,10 @@ def _check_compiler_exact(seed: int) -> CheckResult:
         reports = check_implements(loss, divergence, pairs)
         if any(not r.passed for r in reports):
             worst = max(worst, max(r.gap for r in reports))
-    return CheckResult(
-        "compiler-exact", worst == 0, "exact", gap=str(worst),
-        detail="l2, lk:4, brier compiled at their degrees match exactly on the grid",
-    )
+    return worst == 0, str(worst), "l2, lk:4, brier compiled at their degrees match exactly on the grid"
 
 
-def _check_compiler_gates(seed: int) -> CheckResult:
+def _check_compiler_gates(seed: int) -> Outcome:
     cases = [
         (builtin_l2(2), 2, 2),
         (builtin_lk_even(2, 4), 4, 4),
@@ -403,10 +392,7 @@ def _check_compiler_gates(seed: int) -> CheckResult:
             ok = False
         except DegreeGateError:
             pass
-    return CheckResult(
-        "compiler-gates", ok, "exact", gap="0",
-        detail="compilation succeeds at the degree boundary and refuses one draw below it",
-    )
+    return ok, "0", "compilation succeeds at the degree boundary and refuses one draw below it"
 
 
 def _inner_product_divergence(d: int) -> PolyDivergence:
@@ -418,7 +404,7 @@ def _inner_product_divergence(d: int) -> PolyDivergence:
     )
 
 
-def _check_degree_one_affine(seed: int) -> CheckResult:
+def _check_degree_one_affine(seed: int) -> Outcome:
     loss = compile_two_sample(_inner_product_divergence(2), 1, 1)
     grid = simplex_grid(2, 8)
     ok = True
@@ -429,13 +415,11 @@ def _check_degree_one_affine(seed: int) -> CheckResult:
         ok = ok and all(s == 0 for s in seconds)
     uniform_vals = [exact_expected_two_sample(loss, p, Distribution.uniform(2)) for p in grid]
     constant = max(uniform_vals) - min(uniform_vals) == 0
-    return CheckResult(
-        "degree-one-affine", ok and constant, "exact", gap=str(max(uniform_vals) - min(uniform_vals)),
-        detail="one-draw expected losses are affine in the model; constant under a uniform target",
-    )
+    detail = "one-draw expected losses are affine in the model; constant under a uniform target"
+    return ok and constant, str(max(uniform_vals) - min(uniform_vals)), detail
 
 
-def _check_single_draw_infeasible(seed: int) -> CheckResult:
+def _check_single_draw_infeasible(seed: int) -> Outcome:
     q = Distribution.uniform(2)
     points = [
         Distribution.exact([1, 0]),
@@ -443,13 +427,11 @@ def _check_single_draw_infeasible(seed: int) -> CheckResult:
         Distribution.exact([0, 1]),
     ]
     bypass = degree_gate_bypass_exists(builtin_l2(2), q, points)
-    return CheckResult(
-        "single-draw-infeasible", not bypass, "exact", gap="0",
-        detail="no single-draw loss of ANY form matches the squared distance on three collinear models",
-    )
+    detail = "no single-draw loss of ANY form matches the squared distance on three collinear models"
+    return not bypass, "0", detail
 
 
-def _check_bregman(seed: int) -> CheckResult:
+def _check_bregman(seed: int) -> Outcome:
     ok = True
     potential = squared_norm_polynomial(2)
     gradient = squared_norm_gradient(2)
@@ -473,13 +455,11 @@ def _check_bregman(seed: int) -> CheckResult:
             expected = sum(px * (1 - px) for px in p.probs) / n
             if gap != expected:
                 ok = False
-    return CheckResult(
-        "bregman", ok, "exact", gap="0",
-        detail="Bregman loss equals the closed squared-loss form pointwise; mean-vs-truth gap is the summed variance",
-    )
+    detail = "Bregman loss equals the closed squared-loss form pointwise; mean-vs-truth gap is the summed variance"
+    return ok, "0", detail
 
 
-def _check_cross_entropy(seed: int) -> CheckResult:
+def _check_cross_entropy(seed: int) -> Outcome:
     loss = cross_entropy_poisson(6.0, 6.0)
     half = Distribution.exact([Fraction(1, 2), Fraction(1, 2)])
     est1 = poisson_expected_loss(loss, half, half, tail_eps=1e-10)
@@ -491,13 +471,11 @@ def _check_cross_entropy(seed: int) -> CheckResult:
     # the loss itself stays finite even where the divergence is infinite
     finite = math.isfinite(float(loss.evaluator(Histogram((0, 4)), Histogram((3, 0)))))
     ok = gap1 <= 1e-4 and gap2 <= 1e-4 and finite
-    return CheckResult(
-        "cross-entropy", ok, "truncated", gap=f"{max(gap1, gap2):.2e}",
-        detail=f"truncated expectations match -sum q ln p at two points (tail {est1.omitted_mass:.1e})",
-    )
+    detail = f"truncated expectations match -sum q ln p at two points (tail {est1.omitted_mass:.1e})"
+    return ok, f"{max(gap1, gap2):.2e}", detail
 
 
-def _check_entropy_kl(seed: int) -> CheckResult:
+def _check_entropy_kl(seed: int) -> Outcome:
     half = Distribution.exact([Fraction(1, 2), Fraction(1, 2)])
     skew = Distribution.exact([Fraction(1, 4), Fraction(3, 4)])
     ent = poisson_expected_loss(entropy_poisson(6.0), None, half, tail_eps=1e-10)
@@ -506,10 +484,7 @@ def _check_entropy_kl(seed: int) -> CheckResult:
     target_kl = 0.5 * math.log(2) + 0.5 * math.log(2.0 / 3.0)
     gap_kl = abs(kl.value - target_kl)
     ok = gap_ent <= 1e-4 and gap_kl <= 1e-3
-    return CheckResult(
-        "entropy-kl", ok, "truncated", gap=f"{max(gap_ent, gap_kl):.2e}",
-        detail="entropy matches -sum q ln q; KL matches sum q ln(q/p)",
-    )
+    return ok, f"{max(gap_ent, gap_kl):.2e}", "entropy matches -sum q ln q; KL matches sum q ln(q/p)"
 
 
 def _enumerate_two_point_pairs(w: Fraction):
@@ -521,7 +496,7 @@ def _enumerate_two_point_pairs(w: Fraction):
     ]
 
 
-def _check_cramer_energy(seed: int) -> CheckResult:
+def _check_cramer_energy(seed: int) -> Outcome:
     ok = True
     ok = ok and cramer_loss(RealSample((0, 1)), RealSample((0, 1))) == Fraction(-1, 2)
     ok = ok and crps(RealSample((0, 1)), 0) == 0
@@ -534,13 +509,10 @@ def _check_cramer_energy(seed: int) -> CheckResult:
                 mean_cramer += ps * pu * cramer_loss(s, u)
                 mean_energy += ps * pu * energy_loss(s, u)
         ok = ok and mean_cramer == truth and mean_energy == 2 * truth
-    return CheckResult(
-        "cramer-energy", ok, "exact", gap="0",
-        detail="two-draw enumeration: E[cramer] equals the CDF-distance oracle, E[energy] is exactly twice it",
-    )
+    return ok, "0", "two-draw enumeration: E[cramer] equals the CDF-distance oracle, E[energy] is exactly twice it"
 
 
-def _check_mc_sanity(seed: int) -> CheckResult:
+def _check_mc_sanity(seed: int) -> Outcome:
     loss = squared_loss_two_sample(2, 2, Mode.FLOAT)
     model = InternalSource(Distribution.floating((0.25, 0.75)))
     target = InternalSource(Distribution.floating((0.5, 0.5)))
@@ -548,37 +520,46 @@ def _check_mc_sanity(seed: int) -> CheckResult:
     report = estimate_loss(model, target, loss, 20000, seed)
     gap = abs(report.mean - truth)
     ok = gap <= 5 * report.std_error
-    return CheckResult(
-        "mc-sanity", ok, "truncated", gap=f"{gap:.2e}",
-        detail=f"Monte Carlo mean within 5 standard errors of {truth} (se {report.std_error:.2e})",
-    )
+    return ok, f"{gap:.2e}", f"Monte Carlo mean within 5 standard errors of {truth} (se {report.std_error:.2e})"
 
 
+def _check(name: str, tag: str, body: Callable[[int], Outcome]) -> tuple:
+    """A ``CHECKS`` row: the name, a run that turns the body's outcome into a :class:`CheckResult`, the tag."""
+
+    def run(seed: int) -> CheckResult:
+        passed, gap, detail = body(seed)
+        return CheckResult(name, passed, tag, gap, detail)
+
+    return name, run, tag
+
+
+#: ``(name, run, tag)`` per check, in output order; ``cmd_verify`` reads each tag before any check runs.
 CHECKS = [
-    ("plugin-bias", _check_plugin_bias, True),
-    ("plugin-improper", _check_plugin_improper, True),
-    ("squared-known-target", _check_squared_known_target, True),
-    ("squared-two-sample", _check_squared_two_sample, True),
-    ("compiler-exact", _check_compiler_exact, True),
-    ("compiler-gates", _check_compiler_gates, True),
-    ("degree-one-affine", _check_degree_one_affine, True),
-    ("single-draw-infeasible", _check_single_draw_infeasible, True),
-    ("bregman", _check_bregman, True),
-    ("cross-entropy", _check_cross_entropy, False),
-    ("entropy-kl", _check_entropy_kl, False),
-    ("cramer-energy", _check_cramer_energy, True),
-    ("mc-sanity", _check_mc_sanity, False),
+    _check("plugin-bias", "exact", _check_plugin_bias),
+    _check("plugin-improper", "exact", _check_plugin_improper),
+    _check("squared-known-target", "exact", _check_squared_known_target),
+    _check("squared-two-sample", "exact", _check_squared_two_sample),
+    _check("compiler-exact", "exact", _check_compiler_exact),
+    _check("compiler-gates", "exact", _check_compiler_gates),
+    _check("degree-one-affine", "exact", _check_degree_one_affine),
+    _check("single-draw-infeasible", "exact", _check_single_draw_infeasible),
+    _check("bregman", "exact", _check_bregman),
+    _check("cross-entropy", "truncated", _check_cross_entropy),
+    _check("entropy-kl", "truncated", _check_entropy_kl),
+    _check("cramer-energy", "exact", _check_cramer_energy),
+    _check("mc-sanity", "truncated", _check_mc_sanity),
 ]
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    selected = [(name, fn, needs_exact) for name, fn, needs_exact in CHECKS if not args.only or name in args.only]
-    if not selected:
-        known = ", ".join(name for name, _, _ in CHECKS)
-        raise ValueError(f"no such check; known checks: {known}")
-    if args.mode == "float" and any(needs_exact for _, _, needs_exact in selected):
+    known = [name for name, _, _ in CHECKS]
+    unknown = [name for name in args.only or () if name not in known]
+    if unknown:
+        raise ValueError(f"no such check: {', '.join(unknown)}; known checks: {', '.join(known)}")
+    selected = [(run, tag) for name, run, tag in CHECKS if not args.only or name in args.only]
+    if args.mode == "float" and any(tag == "exact" for _, tag in selected):
         raise ValueError("exact checks require exact mode; drop --mode float or restrict --only to truncated checks")
-    results = [fn(args.seed) for _, fn, _ in selected]
+    results = [run(args.seed) for run, _ in selected]
     pairs: list[tuple[str, str]] = [("command", "verify"), ("seed", str(args.seed))]
     for r in results:
         status = "PASS" if r.passed else "FAIL"

@@ -1,19 +1,21 @@
 """Exact and tail-bounded expectation oracles.
 
 Everything here computes expected losses the literal way: enumerate every
-histogram the sampling scheme can produce, weight it by its probability, and
-add up.  With exact-mode distributions the arithmetic is rational end to end,
-so implementation claims ("the expectation of this loss IS that divergence")
-are checked as literal equalities with zero tolerance.  Poisson schemes have
-unbounded support, so their oracle truncates at a quantile and reports the
-truncation honestly.  The truncated oracle is float by nature: it keeps each
-side as a count matrix with weights and scores blocks of (model, target)
-pairs with the loss's float batch evaluator, while the fixed-size oracles
-keep the exact scalar evaluators.
+histogram in the support that the sampling scheme can produce, weight it by
+its probability, and add up.  ``_FixedSizeOracle``, behind
+``check_implements`` and both ``exact_expected_*`` functions, is the one exact
+fixed-size core: with exact-mode distributions its arithmetic is rational end
+to end, so implementation claims ("the expectation of this loss IS that
+divergence") are checked as literal equalities with zero tolerance.
+``poisson_expected_loss`` is the one truncated core: Poisson schemes have
+unbounded support, so it truncates at a quantile, reports the truncation
+honestly, and scores blocks of (model, target) pairs with the loss's float
+batch evaluator.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -68,17 +70,85 @@ def _require_exact(dist: Distribution, name: str) -> None:
         raise ValueError(f"exact verification requires an exact-mode {name} distribution")
 
 
-def _weighted_histograms(dist: Distribution, size: int, scale=1) -> list:
+def _support_histograms(support: tuple, d: int, size: int) -> list[Histogram]:
+    """Every histogram of ``size`` draws over ``d`` outcomes that is zero off ``support``, in enumeration order.
+
+    Fixed zero coordinates do not alter the lexicographically descending order of compositions.
+    """
+    hists = enumerate_histograms(len(support), size)
+    if len(support) == d:
+        return hists
+    return [Histogram(tuple(dict(zip(support, h.counts)).get(i, 0) for i in range(d))) for h in hists]
+
+
+def _weighted_histograms(dist: Distribution, size: int, scale=None, histograms=_support_histograms) -> list:
     """``(h, scale * P[H = h])`` for every histogram of ``size`` draws from ``dist`` with a nonzero weight.
 
-    A float ``scale`` gives float weights; the default keeps them exact.
+    Only the support is enumerated.  A float ``scale`` gives float weights; without one they are the exact pmf.
     """
     items = []
-    for h in enumerate_histograms(dist.dim, size):
-        w = scale * multinomial_pmf(h, size, dist)
+    for h in histograms(tuple(i for i, prob in enumerate(dist.probs) if prob != 0), dist.dim, size):
+        w = multinomial_pmf(h, size, dist)
+        if scale is not None:
+            w = scale * w
         if w != 0:
             items.append((h, w))
     return items
+
+
+def _is_fixed_size(loss: CompiledLoss) -> bool:
+    return isinstance(loss.scheme_p, FixedSize) and isinstance(loss.scheme_q, FixedSize)
+
+
+class _FixedSizeOracle:
+    """E[L] over fixed-size sides: a double sum over weighted target items t and weighted model histograms h.
+
+    A two-sample loss's target items are the target histograms; a known target is one item of weight 1,
+    the target itself.  ``loss`` is a ``KnownTargetLoss``, a fixed-size ``CompiledLoss``, or a raw callable
+    with its sizes given.  Enumerations, weighted sides and loss values are memoized, so a sweep over many
+    points evaluates each loss value once.
+    """
+
+    def __init__(self, loss, two_sample: bool, n: int | None = None, m: int | None = None):
+        if two_sample and isinstance(loss, CompiledLoss):
+            if not _is_fixed_size(loss):
+                raise ValueError("this oracle handles fixed-size schemes; use poisson_expected_loss otherwise")
+            loss, n, m = loss.evaluator, loss.scheme_p.n, loss.scheme_q.n
+        elif not two_sample and isinstance(loss, KnownTargetLoss):
+            loss, n = loss.evaluator, loss.scheme.n
+        elif n is None or (two_sample and m is None):
+            need = "explicit sample sizes n and m" if two_sample else "an explicit sample size n"
+            raise ValueError(f"a raw callable loss needs {need}")
+        self.evaluator, self.two_sample, self.n, self.m = loss, two_sample, n, m
+        self._histograms = functools.lru_cache(maxsize=None)(_support_histograms)
+        self._sides: dict = {}  # (probabilities, size) -> weighted histograms
+        self._values: dict = {}  # target item key -> loss values by model counts
+
+    def _side(self, dist: Distribution, size: int) -> list:
+        items = self._sides.get((dist.probs, size))
+        if items is None:
+            items = self._sides[dist.probs, size] = _weighted_histograms(dist, size, histograms=self._histograms)
+        return items
+
+    def expect(self, p: Distribution, q):
+        _require_exact(p, "model")
+        if self.two_sample:
+            _require_exact(q, "target")
+            items = [(g, w, self._values.setdefault(g.counts, {})) for g, w in self._side(q, self.m)]
+        else:
+            key = q.probs if isinstance(q, Distribution) else () if q is None else tuple(q)
+            items = [(q, 1, self._values.setdefault(key, {}))]
+        model = self._side(p, self.n)
+        total = 0
+        for t, wt, values in items:
+            inner = 0
+            for h, wp in model:
+                value = values.get(h.counts)
+                if value is None:
+                    value = values[h.counts] = self.evaluator(h, t)
+                inner += wp * value
+            total += wt * inner
+        return total
 
 
 def exact_expected_known_target(loss, p: Distribution, q, n: int | None = None):
@@ -88,34 +158,12 @@ def exact_expected_known_target(loss, p: Distribution, q, n: int | None = None):
     taken from its scheme) or a raw callable ``(h, q) -> value`` with ``n``
     given explicitly.
     """
-    _require_exact(p, "model")
-    if isinstance(loss, KnownTargetLoss):
-        n = loss.scheme.n
-        evaluator = loss.evaluator
-    else:
-        if n is None:
-            raise ValueError("a raw callable loss needs an explicit sample size n")
-        evaluator = loss
-    return sum(w * evaluator(h, q) for h, w in _weighted_histograms(p, n))
+    return _FixedSizeOracle(loss, False, n).expect(p, q)
 
 
 def exact_expected_two_sample(loss, p: Distribution, q: Distribution, n: int | None = None, m: int | None = None):
     """E over independent (model, target) histogram pairs, by double enumeration."""
-    _require_exact(p, "model")
-    _require_exact(q, "target")
-    if isinstance(loss, CompiledLoss):
-        if not (isinstance(loss.scheme_p, FixedSize) and isinstance(loss.scheme_q, FixedSize)):
-            raise ValueError("this oracle handles fixed-size schemes; use poisson_expected_loss otherwise")
-        n = loss.scheme_p.n
-        m = loss.scheme_q.n
-        evaluator = loss.evaluator
-    else:
-        if n is None or m is None:
-            raise ValueError("a raw callable loss needs explicit sample sizes n and m")
-        evaluator = loss
-    model_side = _weighted_histograms(p, n)
-    target_side = _weighted_histograms(q, m)
-    return sum(wp * sum(wq * evaluator(h, g) for g, wq in target_side) for h, wp in model_side)
+    return _FixedSizeOracle(loss, True, n, m).expect(p, q)
 
 
 def _poisson_mass_truncation(rate: float, eps: float) -> int:
@@ -167,8 +215,8 @@ def _item_arrays(items: list, d: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _poisson_items(dist: Distribution, rate: float, size_from: int, size_to: int) -> tuple[np.ndarray, np.ndarray]:
-    d = dist.dim
-    total_hists = sum(math.comb(size + d - 1, d - 1) for size in range(size_from, size_to + 1))
+    k = sum(1 for prob in dist.probs if prob != 0)  # only the support is enumerated
+    total_hists = sum(math.comb(size + k - 1, k - 1) for size in range(size_from, size_to + 1))
     if total_hists > ENUMERATION_CAP:
         raise EnumerationTooLargeError(
             f"{total_hists} histograms needed below the Poisson truncation point exceed the cap"
@@ -176,7 +224,7 @@ def _poisson_items(dist: Distribution, rate: float, size_from: int, size_to: int
     items = []
     for size in range(size_from, size_to + 1):
         items.extend(_weighted_histograms(dist, size, _poisson_size_weight(rate, size)))
-    return _item_arrays(items, d)
+    return _item_arrays(items, dist.dim)
 
 
 def poisson_expected_loss(
@@ -320,49 +368,11 @@ def check_implements(loss, divergence, points: Sequence[tuple], tol=0, tail_eps:
     if not points:
         raise ValueError("need at least one (model, target) point to check")
     reports: list[VerificationReport] = []
-
-    if isinstance(loss, KnownTargetLoss):
-        n = loss.scheme.n
-        d = points[0][0].dim
-        hists = enumerate_histograms(d, n)
-        pmf_cache: dict[tuple, list] = {}
-        loss_cache: dict[tuple, list] = {}
+    if not isinstance(loss, CompiledLoss) or _is_fixed_size(loss):
+        # fixed-size sides, or a known target: one exact oracle for every point
+        oracle = _FixedSizeOracle(loss, isinstance(loss, CompiledLoss))
         for p, q in points:
-            _require_exact(p, "model")
-            if p.probs not in pmf_cache:
-                pmf_cache[p.probs] = [multinomial_pmf(h, n, p) for h in hists]
-            qkey = q.probs if isinstance(q, Distribution) else tuple(q)
-            if qkey not in loss_cache:
-                loss_cache[qkey] = [loss.evaluator(h, q) for h in hists]
-            value = sum(w * v for w, v in zip(pmf_cache[p.probs], loss_cache[qkey]) if w != 0)
-            target = eval_divergence(divergence, p, q)
-            gap = abs(target - value)
-            reports.append(VerificationReport(target, value, gap, "exact", None, gap <= tol))
-        return reports
-
-    if isinstance(loss, CompiledLoss) and isinstance(loss.scheme_p, FixedSize) and isinstance(loss.scheme_q, FixedSize):
-        n, m = loss.scheme_p.n, loss.scheme_q.n
-        d = points[0][0].dim
-        hp_list = enumerate_histograms(d, n)
-        hq_list = enumerate_histograms(d, m)
-        table = [[loss.evaluator(h, g) for g in hq_list] for h in hp_list]
-        pmf_p: dict[tuple, list] = {}
-        pmf_q: dict[tuple, list] = {}
-        for p, q in points:
-            _require_exact(p, "model")
-            _require_exact(q, "target")
-            if p.probs not in pmf_p:
-                pmf_p[p.probs] = [multinomial_pmf(h, n, p) for h in hp_list]
-            if q.probs not in pmf_q:
-                pmf_q[q.probs] = [multinomial_pmf(g, m, q) for g in hq_list]
-            wp = pmf_p[p.probs]
-            wq = pmf_q[q.probs]
-            value = 0
-            for i, w in enumerate(wp):
-                if w == 0:
-                    continue
-                row = table[i]
-                value = value + w * sum(u * v for u, v in zip(wq, row) if u != 0)
+            value = oracle.expect(p, q)
             target = eval_divergence(divergence, p, q)
             gap = abs(target - value)
             reports.append(VerificationReport(target, value, gap, "exact", None, gap <= tol))

@@ -384,6 +384,23 @@ class TestVerify:
         assert code == 2
         assert "known checks" in err
 
+    def test_an_unknown_name_next_to_a_known_one_exits_2(self, capsys):
+        code, out, err = run(capsys, "verify", "--only", "plugin-bias", "--only", "no-such-check")
+        assert code == 2
+        assert "no-such-check" in err and "known checks" in err
+        assert out == ""
+
+    def test_float_mode_reads_the_tag_before_running_a_check(self, capsys, monkeypatch):
+        import properloss.cli as cli_mod
+
+        def must_not_run(seed):
+            raise AssertionError("an exact check ran under --mode float")
+
+        monkeypatch.setattr(cli_mod, "CHECKS", [cli_mod._check("exact-only", "exact", must_not_run)])
+        code, _, err = run(capsys, "verify", "--mode", "float")
+        assert code == 2
+        assert "exact checks require exact mode" in err
+
     def test_full_suite_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--format", "machine")
         assert code == 0

@@ -1,6 +1,7 @@
-"""Property tests tying the float fast paths to their exact twins."""
+"""Property tests tying the float fast paths to their exact twins, and the exact oracles to brute force."""
 
 import functools
+import itertools
 import math
 import os
 import tempfile
@@ -17,12 +18,20 @@ from properloss import (
     Histogram,
     InternalSource,
     Mode,
+    builtin_brier,
     builtin_l2,
+    check_implements,
+    compile_known_target,
     compile_two_sample,
     cross_entropy_poisson,
     cross_entropy_poisson_fixed_target,
     entropy_poisson,
+    exact_expected_known_target,
+    exact_expected_two_sample,
     kl_poisson,
+    multinomial_pmf,
+    naive_plugin_loss,
+    squared_loss_known_target,
     squared_loss_two_sample,
     stream_rng,
 )
@@ -306,3 +315,47 @@ def test_an_exact_mode_poisson_loss_is_scored_in_float():
         assert isinstance(value, float)
         reference = scalar_poisson_expectation(floating, model, q, **ORACLE_ARGS)["value"]
         assert math.isclose(value, reference, rel_tol=1e-12)
+
+
+def brute_force_expectation(evaluator, p, q, n, m=None):
+    """E[L] over every composition of all d coordinates, zero weights included; a known target when m is None."""
+
+    def side(dist, size):
+        hists = [Histogram(c) for c in itertools.product(range(size + 1), repeat=dist.dim) if sum(c) == size]
+        return [(h, multinomial_pmf(h, size, dist)) for h in hists]
+
+    targets = [(q, 1)] if m is None else side(q, m)
+    return sum(wp * wq * evaluator(h, g) for h, wp in side(p, n) for g, wq in targets)
+
+
+def raw_known_target(h, q):
+    return sum(Fraction(c * c, 1 + i) * x for i, (c, x) in enumerate(zip(h.counts, q.probs))) - h.counts[0]
+
+
+def raw_two_sample(h, g):
+    return Fraction(sum(i * c for i, c in enumerate(h.counts)) - g.counts[0] ** 2, 1 + h.counts[-1])
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.data())
+def test_the_fixed_size_oracle_equals_brute_force_enumeration(data):
+    d = data.draw(st.integers(1, 3))
+    points = [(data.draw(exact_distributions(d)), data.draw(exact_distributions(d))) for _ in range(3)]
+    n = data.draw(st.integers(2, 3))
+    m = data.draw(st.integers(2, 3))
+    cases = [(loss, (n,), exact_expected_known_target)
+             for loss in (squared_loss_known_target(n), compile_known_target(builtin_l2(d), n), naive_plugin_loss(n))]
+    cases += [(loss, (n, m), exact_expected_two_sample)
+              for loss in (squared_loss_two_sample(n, m), compile_two_sample(builtin_brier(d), n, m))]
+    for loss, sizes, one_point in cases:
+        # a sweep shares the oracle's memos across points; each one-point call builds its own
+        estimates = [r.estimate for r in check_implements(loss, builtin_l2(d), points)]
+        for (p, q), estimate in zip(points, estimates):
+            expected = brute_force_expectation(loss.evaluator, p, q, *sizes)
+            assert isinstance(estimate, Fraction) and estimate == expected
+            assert one_point(loss, p, q) == expected
+    for p, q in points:
+        assert exact_expected_known_target(raw_known_target, p, q, n) == brute_force_expectation(
+            raw_known_target, p, q, n)
+        assert exact_expected_two_sample(raw_two_sample, p, q, n, m) == brute_force_expectation(
+            raw_two_sample, p, q, n, m)

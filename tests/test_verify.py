@@ -71,6 +71,20 @@ class TestMultinomialPmf:
             multinomial_pmf(Histogram((1, 1)), 3, HALF)
 
 
+class TestWeightedHistograms:
+    def test_a_sparse_support_gives_the_filtered_full_enumeration(self):
+        for probs in ([Fraction(1, 2), 0, Fraction(1, 2)], [0, 0, 1], [0, Fraction(1, 4), Fraction(3, 4)]):
+            dist = Distribution.exact(probs)
+            for size in (0, 1, 3):
+                full = [(h, multinomial_pmf(h, size, dist)) for h in enumerate_histograms(3, size)]
+                assert verify._weighted_histograms(dist, size) == [(h, w) for h, w in full if w != 0]
+
+    def test_a_float_scale_gives_the_filtered_full_enumeration(self):
+        dist = Distribution.floating([0.25, 0.0, 0.75, 0.0])
+        full = [(h, 0.5 * multinomial_pmf(h, 4, dist)) for h in enumerate_histograms(4, 4)]
+        assert verify._weighted_histograms(dist, 4, 0.5) == [(h, w) for h, w in full if w != 0]
+
+
 class TestExactExpectedKnownTarget:
     def test_squared_loss_at_identity(self):
         assert exact_expected_known_target(squared_loss_known_target(2), HALF, HALF) == 0
@@ -141,6 +155,23 @@ class TestPoissonExpectedLoss:
         third = Distribution.exact([Fraction(1, 3)] * 3)
         with pytest.raises(DimensionMismatchError):
             poisson_expected_loss(cross_entropy_poisson(4.0, 4.0), third, HALF)
+
+    def test_entropy_on_a_sparse_support_of_a_large_domain(self):
+        # only the two-outcome support is enumerated; over all 30 coordinates
+        # the histograms below the truncation point would exceed the cap
+        sparse = Distribution.exact([Fraction(1, 2), Fraction(1, 2)] + [0] * 28)
+        est = poisson_expected_loss(entropy_poisson(4.0), None, sparse)
+        assert abs(est.value - math.log(2)) <= 1e-9
+        dense = poisson_expected_loss(entropy_poisson(4.0), None, HALF)
+        assert (est.value, est.truncation_target, est.items_target) == (
+            dense.value, dense.truncation_target, dense.items_target)
+
+    def test_point_masses_keep_one_histogram_per_size(self):
+        p = Distribution.exact([1, 0, 0])
+        q = Distribution.exact([0, 0, 1])
+        est = poisson_expected_loss(cross_entropy_poisson(8.0, 8.0), p, q, tail_eps=1e-2, max_items_per_side=300)
+        assert est.items_model == est.truncation_model + 1
+        assert est.items_target == est.truncation_target + 1
 
     def test_one_pair_blocks_give_the_same_result(self, monkeypatch):
         skew = Distribution.exact([Fraction(1, 4), Fraction(3, 4)])
