@@ -4,9 +4,13 @@ Everything here computes expected losses the literal way: enumerate every
 histogram in the support that the sampling scheme can produce, weight it by
 its probability, and add up.  ``_FixedSizeOracle``, behind
 ``check_implements`` and both ``exact_expected_*`` functions, is the one exact
-fixed-size core: with exact-mode distributions its arithmetic is rational end
-to end, so implementation claims ("the expectation of this loss IS that
-divergence") are checked as literal equalities with zero tolerance.
+fixed-size core.  It needs exact-mode distributions and rational loss values,
+and sums in integers: each side's pmf is a list of integer numerators over
+``D**size`` (``D`` the lcm of the probability denominators), each target
+item's loss values are integer numerators over their lcm, and one Fraction
+is built per expectation.  So implementation claims ("the expectation of
+this loss IS that divergence") are checked as literal equalities with zero
+tolerance.  ``multinomial_pmf`` stays the public reference for the pmf.
 ``poisson_expected_loss`` is the one truncated core: Poisson schemes have
 unbounded support, so it truncates at a quantile, reports the truncation
 honestly, and scores blocks of (model, target) pairs with the loss's float
@@ -17,6 +21,8 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -81,13 +87,13 @@ def _support_histograms(support: tuple, d: int, size: int) -> list[Histogram]:
     return [Histogram(tuple(dict(zip(support, h.counts)).get(i, 0) for i in range(d))) for h in hists]
 
 
-def _weighted_histograms(dist: Distribution, size: int, scale=None, histograms=_support_histograms) -> list:
+def _weighted_histograms(dist: Distribution, size: int, scale=None) -> list:
     """``(h, scale * P[H = h])`` for every histogram of ``size`` draws from ``dist`` with a nonzero weight.
 
     Only the support is enumerated.  A float ``scale`` gives float weights; without one they are the exact pmf.
     """
     items = []
-    for h in histograms(tuple(i for i, prob in enumerate(dist.probs) if prob != 0), dist.dim, size):
+    for h in _support_histograms(tuple(i for i, prob in enumerate(dist.probs) if prob != 0), dist.dim, size):
         w = multinomial_pmf(h, size, dist)
         if scale is not None:
             w = scale * w
@@ -96,17 +102,43 @@ def _weighted_histograms(dist: Distribution, size: int, scale=None, histograms=_
     return items
 
 
+def _pmf_numerators(dist: Distribution, size: int, histograms=_support_histograms) -> tuple:
+    """``(support, histograms, numerators, D**size)`` for ``size`` draws from an exact ``dist``.
+
+    ``D`` is the lcm of the probability denominators and ``a_x = p_x * D``, so ``P[H = h]`` is the integer
+    multinomial coefficient times ``prod a_x**h_x``, over ``D**size``.  Histograms are the support's, in
+    enumeration order, and every numerator is positive.
+    """
+    support = tuple(i for i, prob in enumerate(dist.probs) if prob != 0)
+    scale = math.lcm(*(prob.denominator for prob in dist.probs))
+    scaled = [(x, dist.probs[x].numerator * (scale // dist.probs[x].denominator)) for x in support]
+    hists = histograms(support, dist.dim, size)
+    numerators = []
+    for h in hists:
+        coef = math.factorial(size)
+        power = 1
+        for x, a in scaled:
+            c = h.counts[x]
+            coef //= math.factorial(c)
+            power *= a**c
+        numerators.append(coef * power)
+    return support, hists, numerators, scale**size
+
+
 def _is_fixed_size(loss: CompiledLoss) -> bool:
     return isinstance(loss.scheme_p, FixedSize) and isinstance(loss.scheme_q, FixedSize)
 
 
 class _FixedSizeOracle:
-    """E[L] over fixed-size sides: a double sum over weighted target items t and weighted model histograms h.
+    """E[L] over fixed-size sides, in integer numerators: a sum over weighted target items t of dot products.
 
     A two-sample loss's target items are the target histograms; a known target is one item of weight 1,
     the target itself.  ``loss`` is a ``KnownTargetLoss``, a fixed-size ``CompiledLoss``, or a raw callable
-    with its sizes given.  Enumerations, weighted sides and loss values are memoized, so a sweep over many
-    points evaluates each loss value once.
+    with its sizes given.  Each exact side is its support histograms with integer pmf numerators over one
+    denominator ``D**size`` (:func:`_pmf_numerators`).  Loss values must be rational: each target item keeps
+    one memo of values by model counts, and each (target item, model support) an integer table built from
+    that memo, the values' numerators over their lcm.  ``expect`` adds integer dot products and divides
+    once, so its Fraction is exact, and a sweep over many points evaluates each loss value once.
     """
 
     def __init__(self, loss, two_sample: bool, n: int | None = None, m: int | None = None):
@@ -121,34 +153,54 @@ class _FixedSizeOracle:
             raise ValueError(f"a raw callable loss needs {need}")
         self.evaluator, self.two_sample, self.n, self.m = loss, two_sample, n, m
         self._histograms = functools.lru_cache(maxsize=None)(_support_histograms)
-        self._sides: dict = {}  # (probabilities, size) -> weighted histograms
+        self._sides: dict = {}  # (probabilities, size) -> _pmf_numerators
         self._values: dict = {}  # target item key -> loss values by model counts
+        self._tables: dict = {}  # (target item key, model support, d) -> (value numerators, their lcm)
 
-    def _side(self, dist: Distribution, size: int) -> list:
-        items = self._sides.get((dist.probs, size))
-        if items is None:
-            items = self._sides[dist.probs, size] = _weighted_histograms(dist, size, histograms=self._histograms)
-        return items
+    def _side(self, dist: Distribution, size: int) -> tuple:
+        side = self._sides.get((dist.probs, size))
+        if side is None:
+            side = self._sides[dist.probs, size] = _pmf_numerators(dist, size, self._histograms)
+        return side
 
-    def expect(self, p: Distribution, q):
+    def _table(self, key, t, support: tuple, d: int) -> tuple:
+        table = self._tables.get((key, support, d))
+        if table is None:
+            values = self._values.setdefault(key, {})
+            row = []
+            for h in self._histograms(support, d, self.n):
+                value = values.get(h.counts)
+                if value is None:
+                    value = self.evaluator(h, t)
+                    if not isinstance(value, numbers.Rational):
+                        raise ValueError(f"exact verification needs rational loss values, got {value!r} at {h.counts}")
+                    values[h.counts] = value
+                row.append(value)
+            lcm = math.lcm(*(v.denominator for v in row))
+            table = self._tables[key, support, d] = ([v.numerator * (lcm // v.denominator) for v in row], lcm)
+        return table
+
+    def expect(self, p: Distribution, q) -> Fraction:
         _require_exact(p, "model")
         if self.two_sample:
             _require_exact(q, "target")
-            items = [(g, w, self._values.setdefault(g.counts, {})) for g, w in self._side(q, self.m)]
+            _, targets, weights, target_scale = self._side(q, self.m)
+            items = [(g.counts, g, w) for g, w in zip(targets, weights)]
         else:
-            key = q.probs if isinstance(q, Distribution) else () if q is None else tuple(q)
-            items = [(q, 1, self._values.setdefault(key, {}))]
-        model = self._side(p, self.n)
-        total = 0
-        for t, wt, values in items:
-            inner = 0
-            for h, wp in model:
-                value = values.get(h.counts)
-                if value is None:
-                    value = values[h.counts] = self.evaluator(h, t)
-                inner += wp * value
-            total += wt * inner
-        return total
+            if isinstance(q, Distribution):
+                _require_exact(q, "target")  # a float target equal to an exact one must not share its values
+            key = q if isinstance(q, Distribution) else () if q is None else tuple(q)
+            items, target_scale = [(key, q, 1)], 1
+        support, _, pmf, scale = self._side(p, self.n)
+        total, lcm = 0, 1
+        for key, t, w in items:
+            values, den = self._table(key, t, support, p.dim)
+            if lcm % den:
+                grown = math.lcm(lcm, den)
+                total *= grown // lcm
+                lcm = grown
+            total += w * sum(map(operator.mul, pmf, values)) * (lcm // den)
+        return Fraction(total, scale * target_scale * lcm)
 
 
 def exact_expected_known_target(loss, p: Distribution, q, n: int | None = None):
@@ -360,10 +412,12 @@ class VerificationReport:
 def check_implements(loss, divergence, points: Sequence[tuple], tol=0, tail_eps: float = 1e-10) -> list[VerificationReport]:
     """Check E[loss] == divergence at every (p, q) pair.
 
-    Exact-mode checks demand literal equality (``tol`` defaults to zero);
-    truncated checks pass when the gap is within ``tail_bound + tol``.
-    Histogram enumerations and loss tables are shared across points, so grid
-    sweeps stay cheap.
+    Fixed-size losses and known targets are checked exactly: the
+    distributions must be exact-mode, the loss values rational (a float value
+    raises ``ValueError``), and equality is literal (``tol`` defaults to
+    zero).  Truncated checks pass when the gap is within ``tail_bound + tol``.
+    Histogram enumerations, pmf numerators and loss tables are shared across
+    points, so grid sweeps evaluate each loss value once.
     """
     if not points:
         raise ValueError("need at least one (model, target) point to check")

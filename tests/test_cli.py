@@ -4,6 +4,7 @@ import sys
 import numpy as np
 
 from properloss.cli import main, parse_machine, render_machine
+from properloss.divergences import PolyDivergence
 
 
 def run(capsys, *argv):
@@ -495,3 +496,21 @@ class TestCramerCommand:
         model.write_text("0\n1\n", encoding="utf-8")
         code, _, err = run(capsys, "cramer", "--model-file", str(model))
         assert code == 2
+
+
+class TestVerifyDivergenceEvaluations:
+    def test_each_squared_check_evaluates_each_grid_point_once(self, capsys, monkeypatch):
+        calls = []
+        evaluate = PolyDivergence.evaluate
+
+        def counted(self, p, q):
+            calls.append((p, q))
+            return evaluate(self, p, q)
+
+        monkeypatch.setattr(PolyDivergence, "evaluate", counted)
+        for check in ("squared-known-target", "squared-two-sample"):
+            calls.clear()
+            code, _, _ = run(capsys, "verify", "--only", check)
+            assert code == 0
+            # (model, target) pairs on the d=2, step 1/8 grid (9 points) and the d=3, step 1/4 grid (15 points)
+            assert len(calls) == len(set(calls)) == 9**2 + 15**2

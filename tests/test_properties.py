@@ -26,6 +26,7 @@ from properloss import (
     cross_entropy_poisson,
     cross_entropy_poisson_fixed_target,
     entropy_poisson,
+    enumerate_histograms,
     exact_expected_known_target,
     exact_expected_two_sample,
     kl_poisson,
@@ -39,7 +40,7 @@ from properloss import poisson_expected_loss
 from properloss.divergences import Monomial, PolyDivergence
 from properloss.domain import Poisson
 from properloss.estimators import ExponentVector, poisson_power_series
-from properloss.verify import _poisson_mass_truncation, _poisson_size_weight, _weighted_histograms
+from properloss.verify import _pmf_numerators, _poisson_mass_truncation, _poisson_size_weight, _weighted_histograms
 
 MAX_DEG = 3
 
@@ -336,11 +337,36 @@ def raw_two_sample(h, g):
     return Fraction(sum(i * c for i, c in enumerate(h.counts)) - g.counts[0] ** 2, 1 + h.counts[-1])
 
 
+def raw_negative_known_target(h, q):
+    return -Fraction(1 + h.counts[0] * 2, 3 + h.counts[-1]) * (1 + q.probs[-1])
+
+
+def raw_negative_two_sample(h, g):
+    # the denominator varies with the target item, so the oracle merges the items' lcms
+    return Fraction(-1 - h.counts[0] * g.counts[-1], 1 + 2 * g.counts[0])
+
+
+def raw_zero(h, t):
+    return 0
+
+
+@st.composite
+def mixed_denominator_distributions(draw, d: int):
+    """Coordinates with their own denominators, such as (1/3, 1/6, 1/2); the last takes what is left."""
+    probs, left = [], Fraction(1)
+    for _ in range(d - 1):
+        den = draw(st.sampled_from((2, 3, 4, 6, 7)))
+        probs.append(min(left, Fraction(draw(st.integers(0, den)), den)))
+        left -= probs[-1]
+    return Distribution.exact(probs + [left])
+
+
 @settings(deadline=None, max_examples=40)
 @given(st.data())
 def test_the_fixed_size_oracle_equals_brute_force_enumeration(data):
     d = data.draw(st.integers(1, 3))
-    points = [(data.draw(exact_distributions(d)), data.draw(exact_distributions(d))) for _ in range(3)]
+    dists = st.one_of(exact_distributions(d), mixed_denominator_distributions(d))
+    points = [(data.draw(dists), data.draw(dists)) for _ in range(3)]
     n = data.draw(st.integers(2, 3))
     m = data.draw(st.integers(2, 3))
     cases = [(loss, (n,), exact_expected_known_target)
@@ -355,7 +381,16 @@ def test_the_fixed_size_oracle_equals_brute_force_enumeration(data):
             assert isinstance(estimate, Fraction) and estimate == expected
             assert one_point(loss, p, q) == expected
     for p, q in points:
-        assert exact_expected_known_target(raw_known_target, p, q, n) == brute_force_expectation(
-            raw_known_target, p, q, n)
-        assert exact_expected_two_sample(raw_two_sample, p, q, n, m) == brute_force_expectation(
-            raw_two_sample, p, q, n, m)
+        for raw in (raw_known_target, raw_negative_known_target, raw_zero):
+            estimate = exact_expected_known_target(raw, p, q, n)
+            assert isinstance(estimate, Fraction) and estimate == brute_force_expectation(raw, p, q, n)
+        for raw in (raw_two_sample, raw_negative_two_sample, raw_zero):
+            estimate = exact_expected_two_sample(raw, p, q, n, m)
+            assert isinstance(estimate, Fraction) and estimate == brute_force_expectation(raw, p, q, n, m)
+        for dist in (p, q):
+            # the kernel's integer pmf numerators over D**size are the reference pmf on the support
+            for size in (0, n, m):
+                _, hists, numerators, denominator = _pmf_numerators(dist, size)
+                full = [(h, multinomial_pmf(h, size, dist)) for h in enumerate_histograms(dist.dim, size)]
+                assert [(h, Fraction(num, denominator)) for h, num in zip(hists, numerators)] == [
+                    (h, w) for h, w in full if w != 0]

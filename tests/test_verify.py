@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -34,7 +35,9 @@ from properloss import (
     squared_norm_polynomial,
 )
 from properloss import verify
+from properloss.compiler import KnownTargetLoss
 from properloss.divergences import Monomial, PolyDivergence
+from properloss.domain import FixedSize
 from properloss.estimators import ExponentVector
 
 HALF = Distribution.exact([Fraction(1, 2), Fraction(1, 2)])
@@ -243,6 +246,76 @@ class TestCheckImplements:
         reports = check_implements(cross_entropy_poisson(4.0, 4.0), ce_div, [(p, HALF)])
         assert not reports[0].passed
         assert math.isinf(reports[0].gap)
+
+
+class TestFixedSizeOracleKernel:
+    P = Distribution.exact([Fraction(1, 3), Fraction(2, 3)])
+
+    @pytest.mark.parametrize("float_first", [True, False])
+    def test_a_float_known_target_never_shares_an_equal_exact_targets_values(self, float_first):
+        exact, floating = HALF, Distribution.floating([0.5, 0.5])
+        points = [(self.P, floating), (self.P, exact)] if float_first else [(self.P, exact), (self.P, floating)]
+        with pytest.raises(ValueError, match="exact-mode target"):
+            check_implements(squared_loss_known_target(2), builtin_l2(2), points)
+        [report] = check_implements(squared_loss_known_target(2), builtin_l2(2), [(self.P, exact)])
+        assert isinstance(report.estimate, Fraction) and report.estimate == Fraction(1, 18) and report.passed
+
+    def test_a_float_loss_value_is_rejected_by_name(self):
+        def known_target(h, q):
+            return Fraction(1, 3) if h.counts[0] == 2 else 0.25
+
+        def two_sample(h, g):
+            return -Fraction(h.counts[0], 3) if g.counts[0] else 0.25
+
+        with pytest.raises(ValueError, match="rational loss values, got 0.25"):
+            exact_expected_known_target(known_target, self.P, HALF, 2)
+        with pytest.raises(ValueError, match="rational loss values, got 0.25"):
+            exact_expected_two_sample(two_sample, self.P, HALF, 2, 2)
+
+    def test_pmf_numerators_are_over_the_lcm_of_every_denominator(self):
+        # the largest denominator, 15, is not a multiple of the others
+        dist = Distribution.exact([Fraction(1, 6), Fraction(1, 10), Fraction(11, 15)])
+        support, hists, numerators, denominator = verify._pmf_numerators(dist, 2)
+        assert support == (0, 1, 2) and denominator == 30**2 and sum(numerators) == denominator
+        assert [Fraction(num, denominator) for num in numerators] == [multinomial_pmf(h, 2, dist) for h in hists]
+
+    def test_a_sweep_evaluates_each_target_item_and_model_histogram_once(self):
+        # models on overlapping supports share histograms such as (2, 0, 0)
+        models = [
+            Distribution.exact(v)
+            for v in ([Fraction(1, 2), Fraction(1, 2), 0], [Fraction(1, 4), Fraction(3, 4), 0], [1, 0, 0],
+                      [Fraction(1, 3), Fraction(1, 6), Fraction(1, 2)], [0, Fraction(1, 2), Fraction(1, 2)])
+        ]
+        targets = [Distribution.exact([Fraction(1, 3)] * 3), Distribution.exact([0, Fraction(1, 4), Fraction(3, 4)])]
+        points = [(p, q) for q in targets for p in models]
+
+        def support(dist, size):
+            return [h for h in enumerate_histograms(dist.dim, size) if multinomial_pmf(h, size, dist) != 0]
+
+        calls = []
+        known = squared_loss_known_target(2)
+
+        def counted_known(h, q):
+            calls.append((q, h.counts))
+            return known.evaluator(h, q)
+
+        reports = check_implements(KnownTargetLoss(counted_known, FixedSize(2), "counted"), builtin_l2(3), points)
+        assert all(r.passed for r in reports)
+        assert len(calls) == len(set(calls))
+        assert set(calls) == {(q, h.counts) for p, q in points for h in support(p, 2)}
+
+        calls.clear()
+        two_sample = squared_loss_two_sample(2, 3)
+
+        def counted_two_sample(h, g):
+            calls.append((g.counts, h.counts))
+            return two_sample.evaluator(h, g)
+
+        loss = dataclasses.replace(two_sample, evaluator=counted_two_sample)
+        reports = check_implements(loss, builtin_l2(3), points)
+        assert all(r.passed for r in reports)
+        assert len(calls) == len(set(calls))
+        assert set(calls) == {(g.counts, h.counts) for p, q in points for g in support(q, 3) for h in support(p, 2)}
 
 
 class TestNaivePluginBiasDemo:
