@@ -588,6 +588,8 @@ def cmd_demo_bias(args: argparse.Namespace) -> int:
     q1 = Fraction(args.q1)
     if not 0 <= q1 <= 1:
         raise ValueError("--q1 must lie in [0, 1]")
+    if args.n_min > args.n_max:
+        raise ValueError(f"--n-min {args.n_min} exceeds --n-max {args.n_max}: the table would be empty")
     q = Distribution.exact([q1, 1 - q1])
     pairs: list[tuple[str, str]] = [
         ("command", "demo-bias"),
@@ -623,8 +625,14 @@ def cmd_compile_info(args: argparse.Namespace) -> int:
         pairs.append(("deg_target", str(divergence.deg_q)))
         pairs.append(("monomials", str(len(divergence.monomials))))
         pairs.append(("minimal_sizes", f"n>={divergence.deg_p}, m>={divergence.deg_q}"))
-        if args.n is not None and args.m is not None:
-            loss = compile_two_sample(divergence, args.n, args.m)  # raises DegreeGateError when below
+        if args.m is not None and args.n is None:
+            raise ValueError("--m needs --n: a target sample size alone compiles nothing")
+        if args.n is not None:
+            # both raise DegreeGateError below the degrees; without --m the target is known
+            if args.m is None:
+                loss = compile_known_target(divergence, args.n)
+            else:
+                loss = compile_two_sample(divergence, args.n, args.m)
             pairs.append(("compiled", loss.provenance))
     else:
         pairs.append(("family", "power-series"))

@@ -29,7 +29,16 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .divergences import PolyDivergence, simplex_grid
-from .domain import Distribution, FixedSize, Histogram, Mode, Poisson, SamplingScheme, empirical
+from .domain import (
+    Distribution,
+    FixedSize,
+    Histogram,
+    Mode,
+    Poisson,
+    SamplingScheme,
+    empirical,
+    over_common_denominator,
+)
 from .errors import (
     DegreeGateError,
     DimensionMismatchError,
@@ -223,9 +232,16 @@ def compile_two_sample(divergence: PolyDivergence, n: int, m: int, mode: Mode = 
 def squared_loss_known_target(n: int, mode: Mode = Mode.EXACT) -> KnownTargetLoss:
     """Closed-form unbiased squared-distance loss against a known target.
 
-    ``L(h, q) = ||phat - q||^2 - sum_x s2_n(phat_x)``: the plug-in squared
-    distance minus an unbiased estimate of its own sampling variance.  Equals
-    the compiled squared loss pointwise; expectation is ``||p - q||^2``.
+    ``L(h, q) = ||phat - q||^2 - sum_x phat_x (1 - phat_x) / (n - 1)``: the
+    plug-in squared distance minus an unbiased estimate of its own sampling
+    variance.  Equals the compiled squared loss pointwise; expectation is
+    ``||p - q||^2``.  In exact mode with a rational target the loss is one
+    integer numerator over ``n^2 (n-1) D^2``, ``D`` the lcm of the target's
+    denominators and ``b_x = q_x D``:
+    ``sum_x (n-1)(h_x D - n b_x)^2 - D^2 h_x (n - h_x)``.  Otherwise
+    (float mode, or a target with a float entry) the frequencies come from
+    :func:`~properloss.domain.empirical` and the correction from
+    :func:`~properloss.estimators.variance_mvue`.
     """
     if n < 2:
         raise SampleTooSmallError("the variance correction needs n >= 2")
@@ -235,6 +251,11 @@ def squared_loss_known_target(n: int, mode: Mode = Mode.EXACT) -> KnownTargetLos
         if h.dim != len(qv):
             raise DimensionMismatchError(f"histogram dimension {h.dim}, target dimension {len(qv)}")
         _check_fixed_total(h, n, "model")
+        scaled = over_common_denominator(qv) if mode is Mode.EXACT else None
+        if scaled is not None:
+            target, den = scaled
+            num = sum((n - 1) * (c * den - n * b) ** 2 - den * den * c * (n - c) for c, b in zip(h.counts, target))
+            return Fraction(num, n * n * (n - 1) * den * den)
         phat = empirical(h, mode).probs
         acc = 0
         for a, b in zip(phat, qv):
@@ -253,25 +274,29 @@ def squared_loss_two_sample(n: int, m: int, mode: Mode = Mode.EXACT) -> Compiled
 
     Per coordinate: ``ff(h_p, 2)/ff(n, 2) - 2 h_p h_q/(n m) + ff(h_q, 2)/ff(m, 2)``.
     Only coordinates observed in either sample contribute, so evaluation
-    touches at most ``n + m`` coordinates however large the domain is.
+    touches at most ``n + m`` coordinates however large the domain is.  Exact
+    mode sums one integer numerator over ``n(n-1) m(m-1)``; float mode adds
+    the three quotients per coordinate.
     """
     if n < 2 or m < 2:
         raise SampleTooSmallError("the unbiased squared loss needs n >= 2 and m >= 2")
     den_p = n * (n - 1)
     den_q = m * (m - 1)
     den_cross = n * m
-    div = Fraction if mode is Mode.EXACT else operator.truediv
+    cross = 2 * (n - 1) * (m - 1)  # 2 / (n m) over n(n-1) m(m-1)
 
     def evaluator(h_p: Histogram, h_q: Histogram) -> object:
         if h_p.dim != h_q.dim:
             raise DimensionMismatchError(f"histogram dimensions {h_p.dim} != {h_q.dim}")
         _check_fixed_total(h_p, n, "model")
         _check_fixed_total(h_q, m, "target")
+        pairs = [(h_p.counts[x], h_q.counts[x]) for x in set(h_p.support).union(h_q.support)]
+        if mode is Mode.EXACT:
+            num = sum(a * (a - 1) * den_q - cross * a * b + b * (b - 1) * den_p for a, b in pairs)
+            return Fraction(num, den_p * den_q)
         acc = 0
-        for x in set(h_p.support).union(h_q.support):
-            a = h_p.counts[x]
-            b = h_q.counts[x]
-            acc = acc + div(a * (a - 1), den_p) - div(2 * a * b, den_cross) + div(b * (b - 1), den_q)
+        for a, b in pairs:
+            acc = acc + a * (a - 1) / den_p - 2 * a * b / den_cross + b * (b - 1) / den_q
         return acc
 
     def batch_evaluator(hp: np.ndarray, hq: np.ndarray) -> np.ndarray:

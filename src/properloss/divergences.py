@@ -15,9 +15,9 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Sequence
+from typing import Optional, Sequence
 
-from .domain import Distribution, compositions
+from .domain import Distribution, compositions, over_common_denominator
 from .errors import DimensionMismatchError, DomainTooLargeError, OddExponentError
 from .estimators import ExponentVector
 
@@ -61,6 +61,7 @@ class PolyDivergence:
     monomials: tuple[Monomial, ...]
     deg_p: int = field(init=False)
     deg_q: int = field(init=False)
+    _coeffs: Optional[tuple] = field(init=False, repr=False, compare=False)  # the coefficients over one denominator
 
     def __post_init__(self):
         monomials = tuple(self.monomials)
@@ -75,21 +76,39 @@ class PolyDivergence:
         object.__setattr__(self, "monomials", monomials)
         object.__setattr__(self, "deg_p", max(m.p_exps.degree for m in monomials))
         object.__setattr__(self, "deg_q", max(m.q_exps.degree for m in monomials))
+        object.__setattr__(self, "_coeffs", over_common_denominator([m.coeff for m in monomials]))
 
     @property
     def dim(self) -> int:
         return self.monomials[0].p_exps.dim
 
     def evaluate(self, p, q):
+        """The sum of the monomials at ``(p, q)``.
+
+        When every entry and coefficient is rational, the sum runs in integers: coefficients and entries
+        become numerators over common denominators ``C``, ``Dp`` and ``Dq``, each monomial is scaled up to
+        degrees ``(deg_p, deg_q)``, and one Fraction over ``C * Dp**deg_p * Dq**deg_q`` is returned.
+        Otherwise the same loop runs on the values themselves over 1, with the float arithmetic of a plain
+        monomial sum.
+        """
         pv, qv = _probs(p), _probs(q)
         if len(pv) != self.dim or len(qv) != self.dim:
             raise DimensionMismatchError(
                 f"divergence over dimension {self.dim} evaluated at dimensions {len(pv)}, {len(qv)}"
             )
+        scaled = (self._coeffs, over_common_denominator(pv), over_common_denominator(qv))
+        exact = None not in scaled
+        if exact:
+            (coeffs, cden), (pv, dp), (qv, dq) = scaled
+        else:
+            coeffs, cden, dp, dq = [m.coeff for m in self.monomials], 1, 1, 1
         acc = 0
-        for m in self.monomials:
-            acc = acc + m.coeff * _power_product(pv, m.p_exps) * _power_product(qv, m.q_exps)
-        return acc
+        for c, m in zip(coeffs, self.monomials):
+            acc = acc + (
+                c * _power_product(pv, m.p_exps) * dp ** (self.deg_p - m.p_exps.degree)
+                * _power_product(qv, m.q_exps) * dq ** (self.deg_q - m.q_exps.degree)
+            )
+        return Fraction(acc, cden * dp**self.deg_p * dq**self.deg_q) if exact else acc
 
     def partial_q(self, q) -> dict[ExponentVector, object]:
         """Substitute a known target, leaving a polynomial in ``p`` alone.

@@ -14,10 +14,11 @@ Carlo throughput.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     EmptyHistogramError,
@@ -130,6 +131,15 @@ class Distribution:
         if mode is Mode.EXACT:
             return cls.exact([Fraction(1, d)] * d)
         return cls.floating([1.0 / d] * d)
+
+    def __hash__(self) -> int:
+        # Computed once: the oracles key their memos on distributions, and Fraction entries are slow to hash.
+        # Equal distributions have equal entries, so the mode may stay out; numeric hashes are the same in
+        # every process, so the cached value survives a pickle.
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            cached = self.__dict__["_hash"] = hash(self.probs)
+        return cached
 
     @property
     def dim(self) -> int:
@@ -247,6 +257,17 @@ def empirical(h: Histogram, mode: Mode = Mode.EXACT) -> Distribution:
     if mode is Mode.EXACT:
         return Distribution.exact([Fraction(c, h.total) for c in h.counts])
     return Distribution.floating([c / h.total for c in h.counts])
+
+
+def over_common_denominator(values: Sequence) -> Optional[tuple[list[int], int]]:
+    """``(numerators, D)`` with ``values[i] == numerators[i] / D`` and ``D`` the lcm of the denominators,
+    or ``None`` when some value is not rational (a float, say).
+
+    The exact paths sum these integer numerators and build one Fraction at the end."""
+    if not all(isinstance(v, numbers.Rational) for v in values):
+        return None
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def indicator(x: int, d: int, mode: Mode = Mode.EXACT) -> Distribution:

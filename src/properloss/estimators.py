@@ -1,6 +1,6 @@
 """Minimum-variance unbiased building blocks for sample-only losses.
 
-Every loss in this package is assembled from four estimators:
+The package's losses are built from these four estimators:
 
 * ``binom_mvue(t, m, k)``  -- unbiased for ``alpha**k`` when ``T ~ Binomial(m, alpha)``,
 * ``multinomial_monomial_mvue(h, n, j)`` -- unbiased for ``prod_x p_x**j_x`` when
@@ -11,6 +11,11 @@ Every loss in this package is assembled from four estimators:
 
 All are falling-factorial ratios, computed with integer arithmetic before the
 final division so exact mode stays exact and float mode rounds only once.
+Some losses inline them: the compiler's estimator core multiplies
+``ff_product`` terms by precomputed weights, and the exact closed-form squared
+losses sum one integer numerator in which ``variance_mvue`` reduces to
+``h (n - h) / (n^2 (n - 1))``; float mode and the continuous losses call
+``variance_mvue`` itself.
 """
 
 from __future__ import annotations

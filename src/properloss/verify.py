@@ -8,13 +8,16 @@ fixed-size core.  It needs exact-mode distributions and rational loss values,
 and sums in integers: each side's pmf is a list of integer numerators over
 ``D**size`` (``D`` the lcm of the probability denominators), each target
 item's loss values are integer numerators over their lcm, and one Fraction
-is built per expectation.  So implementation claims ("the expectation of
+is built per expectation.  The values it consumes are built the same way:
+the closed-form squared losses and ``PolyDivergence.evaluate`` sum integer
+numerators and divide once.  So implementation claims ("the expectation of
 this loss IS that divergence") are checked as literal equalities with zero
-tolerance.  ``multinomial_pmf`` stays the public reference for the pmf.
-``poisson_expected_loss`` is the one truncated core: Poisson schemes have
-unbounded support, so it truncates at a quantile, reports the truncation
-honestly, and scores blocks of (model, target) pairs with the loss's float
-batch evaluator.
+tolerance.  ``multinomial_pmf`` stays the public reference for the pmf and
+weighs float-mode sides.  ``poisson_expected_loss`` is the one truncated
+core: Poisson schemes have unbounded support, so it truncates at a
+quantile, reports the truncation honestly, and scores blocks of (model,
+target) pairs with the loss's float batch evaluator; exact sides are
+weighted from the same integer pmf numerators.
 """
 
 from __future__ import annotations
@@ -31,7 +34,17 @@ import numpy as np
 
 from .compiler import CompiledLoss, KnownTargetLoss
 from .divergences import eval_divergence
-from .domain import Distribution, FixedSize, Histogram, Mode, Poisson, compositions, empirical, poisson_cdf
+from .domain import (
+    Distribution,
+    FixedSize,
+    Histogram,
+    Mode,
+    Poisson,
+    compositions,
+    empirical,
+    over_common_denominator,
+    poisson_cdf,
+)
 from .errors import (
     DimensionMismatchError,
     EnumerationTooLargeError,
@@ -91,15 +104,17 @@ def _weighted_histograms(dist: Distribution, size: int, scale=None) -> list:
     """``(h, scale * P[H = h])`` for every histogram of ``size`` draws from ``dist`` with a nonzero weight.
 
     Only the support is enumerated.  A float ``scale`` gives float weights; without one they are the exact pmf.
+    An exact ``dist`` is weighted from :func:`_pmf_numerators`: ``num / D**size`` rounds the pmf once, as
+    ``float(multinomial_pmf(...))`` does, so the weights equal ``scale * multinomial_pmf(...)`` bit for bit.
     """
-    items = []
-    for h in _support_histograms(tuple(i for i, prob in enumerate(dist.probs) if prob != 0), dist.dim, size):
-        w = multinomial_pmf(h, size, dist)
-        if scale is not None:
-            w = scale * w
-        if w != 0:
-            items.append((h, w))
-    return items
+    if dist.mode is Mode.EXACT:
+        _, hists, numerators, den = _pmf_numerators(dist, size)
+        pmf = [Fraction(num, den) if scale is None else num / den for num in numerators]
+    else:
+        hists = _support_histograms(tuple(i for i, prob in enumerate(dist.probs) if prob != 0), dist.dim, size)
+        pmf = [multinomial_pmf(h, size, dist) for h in hists]
+    weights = pmf if scale is None else [scale * w for w in pmf]
+    return [(h, w) for h, w in zip(hists, weights) if w != 0]
 
 
 def _pmf_numerators(dist: Distribution, size: int, histograms=_support_histograms) -> tuple:
@@ -110,8 +125,8 @@ def _pmf_numerators(dist: Distribution, size: int, histograms=_support_histogram
     enumeration order, and every numerator is positive.
     """
     support = tuple(i for i, prob in enumerate(dist.probs) if prob != 0)
-    scale = math.lcm(*(prob.denominator for prob in dist.probs))
-    scaled = [(x, dist.probs[x].numerator * (scale // dist.probs[x].denominator)) for x in support]
+    numerators, scale = over_common_denominator(dist.probs)
+    scaled = [(x, numerators[x]) for x in support]
     hists = histograms(support, dist.dim, size)
     numerators = []
     for h in hists:
@@ -153,14 +168,14 @@ class _FixedSizeOracle:
             raise ValueError(f"a raw callable loss needs {need}")
         self.evaluator, self.two_sample, self.n, self.m = loss, two_sample, n, m
         self._histograms = functools.lru_cache(maxsize=None)(_support_histograms)
-        self._sides: dict = {}  # (probabilities, size) -> _pmf_numerators
+        self._sides: dict = {}  # (distribution, size) -> _pmf_numerators
         self._values: dict = {}  # target item key -> loss values by model counts
         self._tables: dict = {}  # (target item key, model support, d) -> (value numerators, their lcm)
 
     def _side(self, dist: Distribution, size: int) -> tuple:
-        side = self._sides.get((dist.probs, size))
+        side = self._sides.get((dist, size))
         if side is None:
-            side = self._sides[dist.probs, size] = _pmf_numerators(dist, size, self._histograms)
+            side = self._sides[dist, size] = _pmf_numerators(dist, size, self._histograms)
         return side
 
     def _table(self, key, t, support: tuple, d: int) -> tuple:
@@ -176,8 +191,7 @@ class _FixedSizeOracle:
                         raise ValueError(f"exact verification needs rational loss values, got {value!r} at {h.counts}")
                     values[h.counts] = value
                 row.append(value)
-            lcm = math.lcm(*(v.denominator for v in row))
-            table = self._tables[key, support, d] = ([v.numerator * (lcm // v.denominator) for v in row], lcm)
+            table = self._tables[key, support, d] = over_common_denominator(row)
         return table
 
     def expect(self, p: Distribution, q) -> Fraction:

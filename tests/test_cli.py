@@ -52,6 +52,19 @@ class TestCompileInfo:
         assert code == 2
         assert ">= 2" in err
 
+    def test_n_alone_is_gated_as_a_known_target_compile(self, capsys):
+        code, _, err = run(capsys, "compile-info", "--divergence", "l2", "--n", "1")
+        assert code == 2
+        assert "model sample of size >= 2" in err
+        code, out, _ = run(capsys, "compile-info", "--divergence", "l2", "--n", "2", "--format", "machine")
+        assert code == 0
+        assert "known target" in parse_machine(out)[1]["compiled"]
+
+    def test_m_alone_exits_2_naming_the_missing_n(self, capsys):
+        code, out, err = run(capsys, "compile-info", "--divergence", "l2", "--m", "2")
+        assert code == 2 and out == ""
+        assert "--n" in err
+
     def test_unknown_divergence(self, capsys):
         code, _, err = run(capsys, "compile-info", "--divergence", "nonsense")
         assert code == 2
@@ -439,6 +452,11 @@ class TestDemoBias:
         assert code == 0
         _, record = parse_machine(out)
         assert "flag=affine" in record["argmin.n1"]
+
+    def test_an_empty_size_range_exits_2(self, capsys):
+        code, out, err = run(capsys, "demo-bias", "--n-min", "5", "--n-max", "2")
+        assert code == 2 and out == ""
+        assert "--n-min 5 exceeds --n-max 2" in err
 
 
 class TestModuleEntryPoint:

@@ -34,9 +34,36 @@ from properloss import (
     squared_norm_polynomial,
 )
 from properloss.divergences import Monomial, PolyDivergence
-from properloss.estimators import ExponentVector
+from properloss.domain import empirical
+from properloss.estimators import ExponentVector, variance_mvue
 
 HALF = Distribution.exact([Fraction(1, 2), Fraction(1, 2)])
+
+#: Known targets with mixed denominators (the lcm of 6, 10, 15 is 30, not 15) and zero coordinates.
+SQUARED_TARGETS = {
+    1: [(Fraction(1),)],
+    2: [(Fraction(1, 3), Fraction(2, 3)), (Fraction(0), Fraction(1)), (Fraction(3, 7), Fraction(4, 7))],
+    3: [(Fraction(1, 6), Fraction(1, 10), Fraction(11, 15)), (Fraction(0), Fraction(1, 4), Fraction(3, 4)),
+        (Fraction(1), Fraction(0), Fraction(0)), (Fraction(1, 2), Fraction(0), Fraction(1, 2))],
+}
+
+
+def fraction_squared_known_target(h, qv, n, mode):
+    """The closed form's frequency formula: empirical frequencies and the variance estimator, per coordinate."""
+    acc = 0
+    for a, b in zip(empirical(h, mode).probs, qv):
+        acc = acc + (a - b) ** 2 - variance_mvue(a, n)
+    return acc
+
+
+def fraction_squared_two_sample(h, g, n, m, mode):
+    """The closed form's per-coordinate quotients over the observed coordinates, Fractions in exact mode."""
+    div = Fraction if mode is Mode.EXACT else lambda a, b: a / b
+    acc = 0
+    for x in set(h.support).union(g.support):
+        a, b = h.counts[x], g.counts[x]
+        acc = acc + div(a * (a - 1), n * (n - 1)) - div(2 * a * b, n * m) + div(b * (b - 1), m * (m - 1))
+    return acc
 
 
 class TestCompileTwoSample:
@@ -153,6 +180,24 @@ class TestSquaredLossKnownTarget:
                         assert closed.evaluator(h, q) == compiled.evaluator(h, q)
 
 
+    def test_the_integer_numerator_equals_the_frequency_formula(self):
+        for d, targets in SQUARED_TARGETS.items():
+            for n in range(2, 6):
+                exact = squared_loss_known_target(n)
+                floating = squared_loss_known_target(n, Mode.FLOAT)
+                for h in enumerate_histograms(d, n):
+                    for qv in targets:
+                        value = exact.evaluator(h, Distribution.exact(qv))
+                        assert isinstance(value, Fraction)
+                        assert value == exact.evaluator(h, qv) == fraction_squared_known_target(h, qv, n, Mode.EXACT)
+                        fq = Distribution.floating(qv)
+                        assert repr(floating.evaluator(h, fq)) == repr(
+                            fraction_squared_known_target(h, fq.probs, n, Mode.FLOAT))
+                        # exact frequencies against a float target keep the frequency formula's float arithmetic
+                        assert repr(exact.evaluator(h, fq.probs)) == repr(
+                            fraction_squared_known_target(h, fq.probs, n, Mode.EXACT))
+
+
 class TestSquaredLossTwoSample:
     def test_hand_values(self):
         loss = squared_loss_two_sample(2, 2)
@@ -175,6 +220,20 @@ class TestSquaredLossTwoSample:
                     for h in enumerate_histograms(d, n):
                         for g in enumerate_histograms(d, m):
                             assert closed.evaluator(h, g) == compiled.evaluator(h, g)
+
+    def test_the_integer_numerator_equals_the_per_coordinate_fractions(self):
+        for d in (1, 2, 3):
+            for n in range(2, 6):
+                for m in range(2, 6):
+                    exact = squared_loss_two_sample(n, m)
+                    floating = squared_loss_two_sample(n, m, Mode.FLOAT)
+                    for h in enumerate_histograms(d, n):
+                        for g in enumerate_histograms(d, m):
+                            value = exact.evaluator(h, g)
+                            assert isinstance(value, Fraction)
+                            assert value == fraction_squared_two_sample(h, g, n, m, Mode.EXACT)
+                            assert repr(floating.evaluator(h, g)) == repr(
+                                fraction_squared_two_sample(h, g, n, m, Mode.FLOAT))
 
     def test_sparse_evaluation_cost_is_domain_free(self):
         # a domain of 10^5 outcomes with 4 observed ones evaluates instantly

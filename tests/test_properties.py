@@ -190,6 +190,12 @@ def test_float_log_series_tracks_the_exact_series(t, rate):
     assert math.isclose(value, float(exact), rel_tol=1e-12)
 
 
+def pmf_weighted_histograms(dist, size, scale):
+    """``(h, scale * multinomial_pmf(h))`` over the full enumeration, zero weights dropped."""
+    weighted = ((h, scale * multinomial_pmf(h, size, dist)) for h in enumerate_histograms(dist.dim, size))
+    return [(h, w) for h, w in weighted if w != 0]
+
+
 def scalar_poisson_expectation(loss, p, q, tail_eps, value_tol, max_items_per_side):
     """The truncated Poisson oracle as a pair-by-pair loop over the scalar evaluator, summed sequentially."""
     poisson_sides = sum(1 for s in (loss.scheme_p, loss.scheme_q) if isinstance(s, Poisson))
@@ -201,7 +207,7 @@ def scalar_poisson_expectation(loss, p, q, tail_eps, value_tol, max_items_per_si
         return [
             item
             for size in range(size_from, size_to + 1)
-            for item in _weighted_histograms(dist, size, _poisson_size_weight(rate, size))
+            for item in pmf_weighted_histograms(dist, size, _poisson_size_weight(rate, size))
         ]
 
     def cross(left, right):
@@ -223,7 +229,7 @@ def scalar_poisson_expectation(loss, p, q, tail_eps, value_tol, max_items_per_si
         if isinstance(scheme, Poisson):
             trunc = _poisson_mass_truncation(scheme.rate, per_side)
             return items(dist, scheme.rate, 0, trunc), trunc, scheme.rate
-        return _weighted_histograms(dist, scheme.n, 1.0), None, None
+        return pmf_weighted_histograms(dist, scheme.n, 1.0), None, None
 
     model_side, trunc_p, rate_p = side(loss.scheme_p, p)
     target_side, trunc_q, rate_q = side(loss.scheme_q, q)
@@ -289,6 +295,9 @@ def test_batched_poisson_oracle_equals_the_scalar_loop_bit_for_bit(data):
     beta = data.draw(st.floats(2.0, 8.0))
     m = data.draw(st.integers(1, 3))
     args = dict(ORACLE_ARGS, tail_eps=data.draw(st.sampled_from([1e-2, 1e-3])))
+    if data.draw(st.booleans()):
+        # exact sides are weighted from integer pmf numerators, float sides by multinomial_pmf
+        p, q = Distribution.floating(p.as_floats()), Distribution.floating(q.as_floats())
     for loss in (
         cross_entropy_poisson(alpha, beta),
         kl_poisson(alpha, beta),
@@ -394,3 +403,65 @@ def test_the_fixed_size_oracle_equals_brute_force_enumeration(data):
                 full = [(h, multinomial_pmf(h, size, dist)) for h in enumerate_histograms(dist.dim, size)]
                 assert [(h, Fraction(num, denominator)) for h, num in zip(hists, numerators)] == [
                     (h, w) for h, w in full if w != 0]
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_exact_side_weights_equal_the_scaled_reference_pmf_bit_for_bit(data):
+    d = data.draw(st.integers(1, 3))
+    dist = data.draw(st.one_of(exact_distributions(d), mixed_denominator_distributions(d)))
+    size = data.draw(st.integers(0, 8))
+    scale = data.draw(st.one_of(st.just(1.0), st.floats(1e-300, 1e3), st.builds(_poisson_size_weight,
+                                                                             st.floats(0.5, 700.0), st.just(size))))
+    weights = _weighted_histograms(dist, size, scale)
+    assert [(h, repr(w)) for h, w in weights] == [(h, repr(w)) for h, w in pmf_weighted_histograms(dist, size, scale)]
+
+
+def monomial_loop(div, p, q):
+    """A divergence's value as the plain monomial sum, in the arithmetic of its coefficients and entries."""
+
+    def power_product(values, exps):
+        out = 1
+        for x, e in exps.pairs:
+            out = out * values[x] ** e
+            if out == 0:
+                break
+        return out
+
+    pv, qv = (x.probs if isinstance(x, Distribution) else tuple(x) for x in (p, q))
+    acc = 0
+    for mono in div.monomials:
+        acc = acc + mono.coeff * power_product(pv, mono.p_exps) * power_product(qv, mono.q_exps)
+    return acc
+
+
+@st.composite
+def mixed_polynomials(draw, d: int, coefficients):
+    keys = draw(st.lists(st.tuples(exponent_vectors(d), exponent_vectors(d)), min_size=1, max_size=8, unique=True))
+    return PolyDivergence(tuple(Monomial(draw(coefficients), a, b) for a, b in keys))
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.data())
+def test_divergence_evaluation_equals_the_monomial_loop(data):
+    d = data.draw(st.integers(1, 4))
+    rational = st.one_of(st.integers(-5, 5), st.fractions(-5, 5, max_denominator=12)).filter(lambda c: c != 0)
+    floating = st.floats(-5, 5, allow_subnormal=False).filter(lambda c: c != 0)
+    exact_points = st.one_of(exact_distributions(d), mixed_denominator_distributions(d),
+                             st.lists(st.integers(-2, 3), min_size=d, max_size=d))
+    float_points = st.one_of(exact_distributions(d).map(lambda dist: Distribution.floating(dist.as_floats())),
+                             st.lists(st.floats(-2, 2), min_size=d, max_size=d))
+    exact_div = data.draw(mixed_polynomials(d, rational))
+    for _ in range(3):
+        p, q = data.draw(exact_points), data.draw(exact_points)
+        value = exact_div.evaluate(p, q)
+        assert isinstance(value, Fraction) and value == monomial_loop(exact_div, p, q)
+    # a float coefficient or a float entry anywhere keeps the loop's float arithmetic, bit for bit
+    float_div = data.draw(mixed_polynomials(d, st.one_of(rational, floating)))
+    for points in ((exact_points, float_points), (float_points, exact_points), (float_points, float_points),
+                   (exact_points, exact_points)):
+        p, q = (data.draw(points_of) for points_of in points)
+        for div in (exact_div, float_div):
+            value = div.evaluate(p, q)
+            reference = monomial_loop(div, p, q)
+            assert repr(value) == repr(reference) if isinstance(reference, float) else value == reference
