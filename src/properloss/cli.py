@@ -207,12 +207,21 @@ def _resolve_domain(args: argparse.Namespace) -> Optional[Domain]:
 # eval
 # ----------------------------------------------------------------------
 
+def _reject_series_sizes(args: argparse.Namespace, kind: SeriesKind) -> None:
+    """A series divergence takes no ``--n``; only cross-entropy takes ``--m`` (its fixed-size target)."""
+    if args.n is not None:
+        raise ValueError(f"--n does not apply to {args.divergence}: power-series losses draw Poisson-size samples")
+    if args.m is not None and kind is not SeriesKind.CROSS_ENTROPY:
+        raise ValueError(f"--m does not apply to {args.divergence}: only cross-entropy takes a fixed target size")
+
+
 def _build_loss(args: argparse.Namespace, divergence, dim: int, mode: Mode) -> CompiledLoss:
     if isinstance(divergence, PolyDivergence):
         if args.n is None or args.m is None:
             raise ValueError("polynomial divergences need --n and --m")
         return compile_two_sample(divergence, args.n, args.m, mode)
     kind = divergence.kind
+    _reject_series_sizes(args, kind)
     if kind is SeriesKind.CROSS_ENTROPY:
         if args.alpha is None:
             raise ValueError("cross-entropy needs --alpha")
@@ -635,10 +644,15 @@ def cmd_compile_info(args: argparse.Namespace) -> int:
                 loss = compile_two_sample(divergence, args.n, args.m)
             pairs.append(("compiled", loss.provenance))
     else:
+        _reject_series_sizes(args, divergence.kind)
         pairs.append(("family", "power-series"))
         pairs.append(("minimal_sizes", "not implementable at any fixed sizes; use Poisson-size sampling (any rates > 0)"))
         if divergence.kind is SeriesKind.CROSS_ENTROPY:
             pairs.append(("fixed_target_variant", "target side may instead use any fixed size m >= 1"))
+            if args.m is not None:
+                if args.m < 1:
+                    raise ValueError(f"--m {args.m}: the fixed-target cross-entropy loss needs m >= 1")
+                pairs.append(("compiled", f"cross-entropy power-series loss, Poisson model, fixed target size {args.m}"))
     _emit(pairs, args.format)
     return EXIT_OK
 

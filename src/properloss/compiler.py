@@ -345,16 +345,37 @@ def _series_loss(series, scale, weights: Histogram, h: Histogram):
     return acc
 
 
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    """Row totals of a 2-d matrix, adding its columns left to right.
+
+    These are the adds of ``np.cumsum(a, axis=1)[:, -1]``, so the result equals
+    it bit for bit, NaN, inf and -0.0 included (``a.sum(axis=1)`` adds pairwise
+    and may differ).  A matrix with at least as many rows as columns loops
+    over its columns, a few vectorized adds in place of cumsum's fixed cost; a
+    wide one keeps cumsum, since the loop costs one Python iteration per
+    column.  Cumsum also keeps bools and narrow integers, which it widens.
+    """
+    rows, cols = a.shape
+    if rows < cols or cols < 2 or (a.dtype.kind in "biu" and a.dtype.itemsize < 8):
+        return np.cumsum(a, axis=1)[:, -1]
+    acc = a[:, 0] + a[:, 1]
+    for j in range(2, cols):
+        acc += a[:, j]
+    return acc
+
+
 def _series_batch(series, scale, weights: np.ndarray, h: np.ndarray) -> np.ndarray:
     """:func:`_series_loss` in float over (R, d) count matrices, equal to the float scalar row by row.
 
     ``series`` is a float-mode :func:`_log_series`, whose memo carries over
-    from call to call; a cumulative sum adds terms in index order."""
-    observed = weights > 0
-    counts, inverse = np.unique((h.sum(axis=1, keepdims=True) - h)[observed], return_inverse=True)
-    terms = np.zeros(weights.shape)
-    terms[observed] = weights[observed] / float(scale) * np.array([series(int(t)) for t in counts])[inverse]
-    return np.cumsum(terms, axis=1)[:, -1]
+    from call to call.  Complements at observed coordinates index a dense
+    table of S(0), ..., S(largest such complement); every other coordinate
+    looks up S(0) = 0, so it adds exactly 0 even where its own S would
+    overflow to inf.  Each row adds its terms column by column in index
+    order (:func:`_row_sums`), the scalar's order."""
+    complements = np.where(weights > 0, _row_sums(h)[:, None] - h, 0)
+    table = np.array([series(t) for t in range(int(complements.max(initial=0)) + 1)], dtype=float)
+    return _row_sums(weights / float(scale) * table[complements])
 
 
 def cross_entropy_poisson(alpha: float, beta: float, mode: Mode = Mode.FLOAT) -> CompiledLoss:

@@ -33,6 +33,8 @@ from __future__ import annotations
 import math
 import shlex
 import subprocess
+import sys
+import tempfile
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -54,6 +56,9 @@ CHUNK_BYTES = 16 * 2**20
 
 #: Seconds a generator may take to exit after the ``0`` request before it is killed.
 CLOSE_TIMEOUT_S = 10.0
+
+#: Characters of a failed generator's stderr quoted in the error, from its end.
+STDERR_TAIL_CHARS = 2000
 
 STREAM_MODEL = 0
 STREAM_TARGET = 1
@@ -146,26 +151,47 @@ class FileSource(SampleSource):
 
 
 class SubprocessSource(SampleSource):
-    """A child process generator speaking the count-request line protocol."""
+    """A child process generator speaking the count-request line protocol.
+
+    The child's stderr goes to a temporary file, not a pipe, so a chatty child
+    cannot block on it.  Every failure after the start quotes the end of it,
+    and a clean close copies it to our stderr.
+    """
 
     def __init__(self, command: str | Sequence[str], domain: Domain):
         self.command = shlex.split(command) if isinstance(command, str) else list(command)
         self.domain = domain
         self._proc: Optional[subprocess.Popen] = None
+        self._stderr = None
 
     def _ensure(self) -> subprocess.Popen:
         if self._proc is None:
+            stderr = tempfile.TemporaryFile()
             try:
                 self._proc = subprocess.Popen(
                     self.command,
                     stdin=subprocess.PIPE,
                     stdout=subprocess.PIPE,
+                    stderr=stderr,
                     text=True,
                     bufsize=1,
                 )
             except OSError as exc:
+                stderr.close()
                 raise SubprocessFailureError(f"could not start {self.command!r}: {exc}") from exc
+            self._stderr = stderr
         return self._proc
+
+    def _child_stderr(self) -> str:
+        self._stderr.seek(0)
+        return self._stderr.read().decode("utf-8", errors="replace")
+
+    def _failure(self, message: str) -> SubprocessFailureError:
+        """``message`` followed by the last :data:`STDERR_TAIL_CHARS` characters of the child's stderr, if any."""
+        text = self._child_stderr().strip()
+        if len(text) > STDERR_TAIL_CHARS:
+            text = "..." + text[-STDERR_TAIL_CHARS:]
+        return SubprocessFailureError(f"{message}; its stderr: {text}" if text else message)
 
     def draw_batch(self, sizes: Sequence[int], rng: Optional[np.random.Generator] = None) -> np.ndarray:
         """One count request for the whole batch; none when it asks for no draws (``0`` would end the child)."""
@@ -177,12 +203,10 @@ class SubprocessSource(SampleSource):
             proc.stdin.write(f"{total}\n")
             proc.stdin.flush()
         except (BrokenPipeError, OSError) as exc:
-            raise SubprocessFailureError(f"generator {self.command!r} closed its input") from exc
+            raise self._failure(f"generator {self.command!r} closed its input") from exc
         idx = _read_indices(proc.stdout, total, self.domain)
         if len(idx) < total:
-            raise SubprocessFailureError(
-                f"generator {self.command!r} ended after {len(idx)} of {total} requested tokens"
-            )
+            raise self._failure(f"generator {self.command!r} ended after {len(idx)} of {total} requested tokens")
         return _count_rows(idx, sizes, self.domain.size)
 
     def close(self) -> None:
@@ -191,21 +215,26 @@ class SubprocessSource(SampleSource):
             return
         proc, self._proc = self._proc, None
         try:
-            proc.stdin.write("0\n")
-            proc.stdin.flush()
-            proc.stdin.close()
-        except (BrokenPipeError, OSError):
-            pass
-        try:
-            code = proc.wait(timeout=CLOSE_TIMEOUT_S)
-        except subprocess.TimeoutExpired:
-            proc.kill()
-            proc.wait()
-            raise SubprocessFailureError(
-                f"generator {self.command!r} did not exit within {CLOSE_TIMEOUT_S} s of the 0 request; killed it"
-            ) from None
-        if code != 0:
-            raise SubprocessFailureError(f"generator exited with code {code}")
+            try:
+                proc.stdin.write("0\n")
+                proc.stdin.flush()
+                proc.stdin.close()
+            except (BrokenPipeError, OSError):
+                pass
+            try:
+                code = proc.wait(timeout=CLOSE_TIMEOUT_S)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                proc.wait()
+                raise self._failure(
+                    f"generator {self.command!r} did not exit within {CLOSE_TIMEOUT_S} s of the 0 request; killed it"
+                ) from None
+            if code != 0:
+                raise self._failure(f"generator exited with code {code}")
+            sys.stderr.write(self._child_stderr())
+        finally:
+            self._stderr.close()
+            self._stderr = None
 
 
 def _poisson_size(u, rate: float):

@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .compiler import CompiledLoss, KnownTargetLoss
+from .compiler import CompiledLoss, KnownTargetLoss, _row_sums
 from .divergences import eval_divergence
 from .domain import (
     Distribution,
@@ -345,7 +345,7 @@ def poisson_expected_loss(
             hp = None if left_counts is None else np.repeat(left_counts[start : start + rows], len(right_w), axis=0)
             v = evaluator(hp, np.tile(right_counts, (len(w), 1))).reshape(len(w), len(right_w))
             sup_loss = float(np.fmax.reduce(np.abs(v), axis=None, initial=sup_loss))  # NaN losses are skipped
-            inner = np.cumsum(right_w * v, axis=1)[:, -1]
+            inner = _row_sums(right_w * v)
             acc = float(np.cumsum(np.concatenate(([acc], w * inner)))[-1])
             pairs += v.size
         return acc

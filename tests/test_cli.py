@@ -65,6 +65,28 @@ class TestCompileInfo:
         assert code == 2 and out == ""
         assert "--n" in err
 
+    def test_n_with_a_series_divergence_exits_2_naming_it(self, capsys):
+        for divergence in ("cross-entropy", "kl", "entropy"):
+            code, out, err = run(capsys, "compile-info", "--divergence", divergence, "--n", "1", "--m", "0")
+            assert code == 2 and out == ""
+            assert err.startswith(f"error: --n does not apply to {divergence}")
+
+    def test_m_with_kl_or_entropy_exits_2_naming_it(self, capsys):
+        for divergence in ("kl", "entropy"):
+            code, out, err = run(capsys, "compile-info", "--divergence", divergence, "--m", "2")
+            assert code == 2 and out == ""
+            assert err.startswith(f"error: --m does not apply to {divergence}")
+
+    def test_cross_entropy_m_below_1_exits_2(self, capsys):
+        code, out, err = run(capsys, "compile-info", "--divergence", "cross-entropy", "--m", "0")
+        assert code == 2 and out == ""
+        assert "--m 0" in err and "m >= 1" in err
+
+    def test_cross_entropy_m_compiles_the_fixed_target_variant(self, capsys):
+        code, out, _ = run(capsys, "compile-info", "--divergence", "cross-entropy", "--m", "3", "--format", "machine")
+        assert code == 0
+        assert parse_machine(out)[1]["compiled"] == "cross-entropy power-series loss, Poisson model, fixed target size 3"
+
     def test_unknown_divergence(self, capsys):
         code, _, err = run(capsys, "compile-info", "--divergence", "nonsense")
         assert code == 2
@@ -335,6 +357,48 @@ class TestEval:
         )
         assert code == 2
         assert "does not exist" in err
+
+    def test_n_with_a_series_divergence_exits_2_naming_it(self, capsys):
+        code, out, err = run(
+            capsys,
+            "eval",
+            "--divergence", "cross-entropy",
+            "--alpha", "8", "--beta", "8", "--n", "2",
+            "--model-probs", "0.5,0.5",
+            "--target-probs", "0.5,0.5",
+            "--replicates", "10",
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: --n does not apply to cross-entropy")
+
+    def test_m_with_kl_or_entropy_exits_2_naming_it(self, capsys):
+        for divergence in ("kl", "entropy"):
+            code, out, err = run(
+                capsys,
+                "eval",
+                "--divergence", divergence,
+                "--alpha", "8", "--beta", "8", "--m", "2",
+                "--model-probs", "0.5,0.5",
+                "--target-probs", "0.5,0.5",
+                "--replicates", "10",
+            )
+            assert code == 2 and out == ""
+            assert err.startswith(f"error: --m does not apply to {divergence}")
+
+    def test_generator_stderr_is_in_the_error(self, capsys):
+        child = "import sys\nsys.stderr.write('bad weights\\n')\nsys.exit(3)\n"
+        code, out, err = run(
+            capsys,
+            "eval",
+            "--divergence", "l2",
+            "--n", "2", "--m", "2",
+            "--labels", "a,b",
+            "--model-cmd", f'{sys.executable} -c "{child}"',
+            "--target-probs", "0.5,0.5",
+            "--replicates", "4",
+        )
+        assert code == 4 and out == ""
+        assert "bad weights" in err
 
     def test_entropy_eval_needs_no_model(self, capsys):
         code, out, _ = run(

@@ -33,6 +33,7 @@ from properloss import (
     squared_norm_gradient,
     squared_norm_polynomial,
 )
+from properloss.compiler import _row_sums
 from properloss.divergences import Monomial, PolyDivergence
 from properloss.domain import empirical
 from properloss.estimators import ExponentVector, variance_mvue
@@ -315,6 +316,59 @@ class TestCrossEntropyLosses:
         loss = cross_entropy_poisson(Fraction(4), Fraction(2), Mode.EXACT)
         value = loss.evaluator(Histogram((3, 1)), Histogram((1, 1)))
         assert value == Fraction(39, 64)
+
+
+def order_sensitive_rows(rows: int, cols: int) -> np.ndarray:
+    """Rows like ``[1e16, 1.0, -1e16, 1.0, ...]``, whose total depends on the order of the adds."""
+    pattern = np.array([1e16, 1.0, -1e16, 1.0, 0.5, -3.0, 1e-3])  # 7 columns: out of step with pairwise blocks of 8
+    return np.array([np.roll(np.resize(pattern, cols), r) for r in range(rows)]).reshape(rows, cols)
+
+
+SPECIAL = np.array([-0.0, -0.0, 0.0, np.inf, 1.0, -np.inf, np.nan, -0.0, 2.5, np.inf])
+
+
+class TestRowSums:
+    """``_row_sums`` makes the adds of ``np.cumsum(a, axis=1)[:, -1]``, so it gives the same bits."""
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            order_sensitive_rows(40, 16),  # tall: the column loop
+            order_sensitive_rows(3, 20),  # wide: cumsum
+            order_sensitive_rows(17, 17),  # square: the column loop
+            order_sensitive_rows(1, 64),
+            order_sensitive_rows(24, 1),
+            order_sensitive_rows(0, 5),
+            order_sensitive_rows(0, 1),
+            np.array([[-0.0, -0.0], [-0.0, 0.0], [np.inf, -np.inf], [np.nan, 1.0], [1.0, np.inf]]),
+            np.array([[-0.0], [np.nan], [-np.inf]]),
+            np.array([np.roll(SPECIAL, r) for r in range(12)]),  # NaN, inf and -0.0 at every column
+            np.array([np.roll(SPECIAL, r) for r in range(12)]).T.copy(),
+            np.arange(-60, 60, dtype=np.int64).reshape(40, 3),
+            np.arange(60, dtype=np.int64).reshape(3, 20),
+            np.array([[2**62, 2**62, -(2**62), -(2**62)]] * 5, dtype=np.int64),
+            np.arange(12, dtype=np.int32).reshape(6, 2),  # cumsum widens narrow integers
+            np.asfortranarray(order_sensitive_rows(30, 18)),
+        ],
+    )
+    def test_equals_the_last_cumsum_column_bit_for_bit(self, a):
+        with np.errstate(invalid="ignore"):  # inf - inf rows
+            expected = np.cumsum(a, axis=1)[:, -1]
+            got = _row_sums(a)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert repr(got.tolist()) == repr(expected.tolist())
+
+    @pytest.mark.parametrize("shape", [(40, 16), (3, 20), (17, 17), (1, 64)])
+    def test_order_matters_on_these_rows(self, shape):
+        # so the fixtures above catch a pairwise sum such as ``a.sum(axis=1)``
+        a = order_sensitive_rows(*shape)
+        assert repr(a.sum(axis=1).tolist()) != repr(np.cumsum(a, axis=1)[:, -1].tolist())
+
+    def test_leaves_its_input_unchanged(self):
+        a = order_sensitive_rows(40, 16)
+        before = a.copy()
+        _row_sums(a)
+        assert np.array_equal(a, before)
 
 
 class TestEntropyAndKl:

@@ -144,14 +144,26 @@ def poisson_counts(d: int):
     return st.lists(st.integers(0, 12), min_size=d, max_size=d)
 
 
+@st.composite
+def spiked_counts(draw, d: int):
+    """Counts up to 12 with one coordinate raised to up to 400, where the float series at rate 0.5 overflows."""
+    counts = draw(poisson_counts(d))
+    counts[draw(st.integers(0, d - 1))] = draw(st.integers(0, 400))
+    return counts
+
+
 @settings(deadline=None)
 @given(st.data())
 def test_power_series_batch_evaluators_equal_their_scalar_evaluators(data):
     d = data.draw(st.integers(1, 12))
     m = data.draw(st.integers(1, 6))
-    alpha = data.draw(st.sampled_from([0.5, 4.0, 6.0, 8.0]))
-    beta = data.draw(st.sampled_from([0.5, 4.0, 6.0, 8.0]))
-    rows = data.draw(st.lists(st.tuples(poisson_counts(d), poisson_counts(d)), min_size=1, max_size=6))
+    # spiked rows put inf terms next to unobserved coordinates, which must still add exactly 0
+    spiked = data.draw(st.booleans())
+    counts = spiked_counts(d) if spiked else poisson_counts(d)
+    alpha = data.draw(st.sampled_from([0.5] if spiked else [0.5, 4.0, 6.0, 8.0]))
+    beta = data.draw(st.sampled_from([0.5] if spiked else [0.5, 4.0, 6.0, 8.0]))
+    # up to 40 rows, so that rows >= d (the column-loop row sums) is common
+    rows = data.draw(st.lists(st.tuples(counts, counts), min_size=1, max_size=40))
     fixed_rows = [(h, list(data.draw(histograms(d, m)).counts)) for h, _ in rows]
 
     def cases(mode):
@@ -166,13 +178,15 @@ def test_power_series_batch_evaluators_equal_their_scalar_evaluators(data):
         hp = np.array([h for h, _ in pairs], dtype=np.int64)
         hq = np.array([g for _, g in pairs], dtype=np.int64)
         args = (None if loss.scheme_p is None else hp, hq)
-        batch = loss.batch_evaluator(*args)
+        with np.errstate(invalid="ignore"):  # KL's inf - inf
+            batch, exact_batch = loss.batch_evaluator(*args), exact.batch_evaluator(*args)
         assert batch.shape == (len(pairs),)
-        assert batch.tolist() == exact.batch_evaluator(*args).tolist()  # float in every mode
-        for value, (h, g) in zip(batch, pairs):
+        # by repr, so that NaN rows match too
+        assert repr(batch.tolist()) == repr(exact_batch.tolist())  # float in every mode
+        for value, (h, g) in zip(batch.tolist(), pairs):
             # bit for bit, not only within 1e-12: rows add their terms in the
             # scalar's order, so Monte Carlo means match a per-replicate loop
-            assert value == float(loss.evaluator(Histogram(h), Histogram(g)))
+            assert repr(value) == repr(float(loss.evaluator(Histogram(h), Histogram(g))))
 
 
 @functools.lru_cache(maxsize=None)

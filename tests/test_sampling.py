@@ -217,6 +217,42 @@ class TestSubprocessShutdown:
             src.close()
         assert proc.returncode is not None  # killed and reaped, not left running
 
+    def test_failures_quote_the_childs_stderr(self):
+        child = "import sys\nsys.stderr.write('bad weights\\n')\nsys.exit(3)\n"
+        src = SubprocessSource([sys.executable, "-c", child], AB)
+        with pytest.raises(SubprocessFailureError, match="ended after 0 of 2 requested tokens; its stderr: bad weights$"):
+            src.draw(2)
+        with pytest.raises(SubprocessFailureError, match="exited with code 3; its stderr: bad weights$"):
+            src.close()
+
+    def test_a_long_stderr_is_quoted_from_its_end(self, monkeypatch):
+        import properloss.sampling as sampling
+
+        monkeypatch.setattr(sampling, "STDERR_TAIL_CHARS", 10)
+        # 1 MB, far more than a pipe buffer: the child must not block on it
+        child = "import sys\nsys.stderr.write('x' * 10**6 + 'last words')\nsys.exit(3)\n"
+        src = SubprocessSource([sys.executable, "-c", child], AB)
+        with pytest.raises(SubprocessFailureError) as info:
+            src.draw(2)
+        assert str(info.value).endswith("; its stderr: ...last words")
+        with pytest.raises(SubprocessFailureError):
+            src.close()
+
+    def test_a_clean_close_passes_the_childs_stderr_on(self, capsys):
+        child = (
+            "import sys\n"
+            "sys.stderr.write('loading\\n')\n"
+            "for line in sys.stdin:\n"
+            "    if int(line) == 0:\n"
+            "        break\n"
+            "    sys.stdout.write('a\\n' * int(line))\n"
+            "    sys.stdout.flush()\n"
+        )
+        src = SubprocessSource([sys.executable, "-c", child], AB)
+        assert src.draw(3).counts == (3, 0)
+        src.close()
+        assert capsys.readouterr().err == "loading\n"
+
 
 class TestEstimateReport:
     @pytest.mark.parametrize("field", ["mean", "std_error"])
