@@ -215,8 +215,15 @@ def _reject_series_sizes(args: argparse.Namespace, kind: SeriesKind) -> None:
         raise ValueError(f"--m does not apply to {args.divergence}: only cross-entropy takes a fixed target size")
 
 
+def _reject_rates(args: argparse.Namespace, names: Sequence[str], reason: str) -> None:
+    for name in names:
+        if getattr(args, name) is not None:
+            raise ValueError(f"--{name} does not apply to {args.divergence}: {reason}")
+
+
 def _build_loss(args: argparse.Namespace, divergence, dim: int, mode: Mode) -> CompiledLoss:
     if isinstance(divergence, PolyDivergence):
+        _reject_rates(args, ("alpha", "beta"), "polynomial divergences draw fixed-size samples (--n, --m)")
         if args.n is None or args.m is None:
             raise ValueError("polynomial divergences need --n and --m")
         return compile_two_sample(divergence, args.n, args.m, mode)
@@ -226,6 +233,7 @@ def _build_loss(args: argparse.Namespace, divergence, dim: int, mode: Mode) -> C
         if args.alpha is None:
             raise ValueError("cross-entropy needs --alpha")
         if args.m is not None:
+            _reject_rates(args, ("beta",), f"with --m {args.m} the target draws a fixed-size sample")
             return cross_entropy_poisson_fixed_target(args.alpha, args.m, mode)
         if args.beta is None:
             raise ValueError("cross-entropy needs --beta (or --m for a fixed-size target)")
@@ -234,6 +242,7 @@ def _build_loss(args: argparse.Namespace, divergence, dim: int, mode: Mode) -> C
         if args.alpha is None or args.beta is None:
             raise ValueError("kl needs --alpha and --beta")
         return kl_poisson(args.alpha, args.beta, mode)
+    _reject_rates(args, ("alpha",), "entropy scores the target alone, with no model sample")
     if args.beta is None:
         raise ValueError("entropy needs --beta")
     return entropy_poisson(args.beta, mode)
@@ -261,12 +270,20 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if model is None and loss.scheme_p is not None:
         raise ValueError("a model source is required (--model-probs / --model-file / --model-cmd)")
 
+    sources = [src for src in (model, target) if src is not None]
     try:
         report = estimate_loss(model, target, loss, args.replicates, args.seed)
-    finally:
-        for src in (model, target):
-            if src is not None:
+    except BaseException as first:
+        # the failure that stopped the estimate is the one reported; a source
+        # that then fails to close (a child exiting nonzero, say) adds a note
+        for src in sources:
+            try:
                 src.close()
+            except SubprocessFailureError as late:
+                first.add_note(f"closing a source afterwards also failed: {late}")
+        raise
+    for src in sources:
+        src.close()
 
     pairs = [
         ("command", "eval"),
@@ -661,6 +678,13 @@ def cmd_compile_info(args: argparse.Namespace) -> int:
 # cramer
 # ----------------------------------------------------------------------
 
+def _finite(name: str, value: float) -> str:
+    """``repr(value)``, or a ValueError naming the statistic when it is inf or nan."""
+    if not math.isfinite(value):
+        raise ValueError(f"the {name} statistic is {value!r}: the sample values exceed float range")
+    return repr(value)
+
+
 def cmd_cramer(args: argparse.Namespace) -> int:
     pairs: list[tuple[str, str]] = [
         ("command", "cramer"),
@@ -669,19 +693,21 @@ def cmd_cramer(args: argparse.Namespace) -> int:
         ("seed", str(args.seed)),
     ]
     if args.vectors:
+        if args.target_file is None:
+            raise ValueError("--vectors needs --target-file: the projected loss compares two samples")
         s = load_vector_sample(args.model_file)
         u = load_vector_sample(args.target_file)
-        value = projected_cramer_loss(s, u, args.seed)
-        pairs.append(("projected_cramer", repr(value)))
+        pairs.append(("projected_cramer", _finite("projected_cramer", projected_cramer_loss(s, u, args.seed))))
     else:
         s = load_real_sample(args.model_file)
         if args.crps is not None:
-            pairs.append(("crps", repr(float(crps(s, args.crps)))))
+            pairs.append(("crps", _finite("crps", float(crps(s, args.crps)))))
         if args.target_file is not None:
             u = load_real_sample(args.target_file)
-            pairs.append(("cramer", repr(float(cramer_loss(s, u)))))
+            pairs.append(("cramer", _finite("cramer", float(cramer_loss(s, u)))))
             if args.energy:
-                pairs.append(("energy", repr(float(energy_loss(s, u)))))
+                # an exact value beyond float range raises OverflowError here
+                pairs.append(("energy", _finite("energy", float(energy_loss(s, u)))))
         elif args.crps is None:
             raise ValueError("give --target-file, or --crps Y for a single-draw score")
     _emit(pairs, args.format)
@@ -759,19 +785,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_error(message: str, exc: BaseException) -> None:
+    print(f"error: {message}", file=sys.stderr)
+    for note in getattr(exc, "__notes__", ()):
+        print(f"note: {note}", file=sys.stderr)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
     except (TokenUnknownError, SourceExhaustedError, SubprocessFailureError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _print_error(str(exc), exc)
         return EXIT_SOURCE
     except (ProperLossError, ValueError, OSError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _print_error(str(exc), exc)
         return EXIT_CONFIG
     except ArithmeticError as exc:
-        print(f"error: numeric failure ({type(exc).__name__}: {exc})", file=sys.stderr)
+        _print_error(f"numeric failure ({type(exc).__name__}: {exc})", exc)
         return EXIT_CONFIG
 
 

@@ -2,6 +2,7 @@ import json
 import sys
 
 import numpy as np
+import pytest
 
 from properloss.cli import main, parse_machine, render_machine
 from properloss.divergences import PolyDivergence
@@ -400,6 +401,47 @@ class TestEval:
         assert code == 4 and out == ""
         assert "bad weights" in err
 
+    def test_first_generator_failure_is_the_one_reported(self, capsys):
+        # the child reads its request, then fails: the short read is the error,
+        # and its nonzero exit, found while closing, only adds a note
+        child = "import sys\nsys.stdin.readline()\nsys.stderr.write('bad weights\\n')\nsys.exit(3)\n"
+        code, out, err = run(
+            capsys,
+            "eval",
+            "--divergence", "l2",
+            "--n", "2", "--m", "2",
+            "--labels", "a,b",
+            "--model-cmd", f'{sys.executable} -c "{child}"',
+            "--target-probs", "0.5,0.5",
+            "--replicates", "4",
+        )
+        assert code == 4 and out == ""
+        first, note = err.splitlines()
+        assert first.startswith("error: generator ")
+        assert "ended after 0 of 8 requested tokens; its stderr: bad weights" in first
+        assert note.startswith("note: closing a source afterwards also failed: generator exited with code 3")
+
+    @pytest.mark.parametrize(
+        "divergence, sizes, rates, ignored",
+        [
+            ("cross-entropy", ("--m", "3"), ("--alpha", "8", "--beta", "8"), "beta"),
+            ("l2", ("--n", "2", "--m", "2"), ("--alpha", "8"), "alpha"),
+            ("l2", ("--n", "2", "--m", "2"), ("--beta", "8"), "beta"),
+            ("entropy", (), ("--alpha", "8", "--beta", "8"), "alpha"),
+        ],
+    )
+    def test_a_rate_the_loss_does_not_use_exits_2_naming_it(self, capsys, divergence, sizes, rates, ignored):
+        code, out, err = run(
+            capsys,
+            "eval",
+            "--divergence", divergence, *sizes, *rates,
+            "--model-probs", "0.5,0.5",
+            "--target-probs", "0.5,0.5",
+            "--replicates", "10",
+        )
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: --{ignored} does not apply to {divergence}")
+
     def test_entropy_eval_needs_no_model(self, capsys):
         code, out, _ = run(
             capsys,
@@ -578,6 +620,47 @@ class TestCramerCommand:
         model.write_text("0\n1\n", encoding="utf-8")
         code, _, err = run(capsys, "cramer", "--model-file", str(model))
         assert code == 2
+
+    def test_vectors_without_a_target_exit_2(self, capsys, tmp_path):
+        model = tmp_path / "model.txt"
+        model.write_text("0,0\n1,2\n", encoding="utf-8")
+        code, out, err = run(capsys, "cramer", "--vectors", "--model-file", str(model))
+        assert code == 2 and out == ""
+        assert err == "error: --vectors needs --target-file: the projected loss compares two samples\n"
+
+    @pytest.mark.parametrize(
+        "name, model, target, extra",
+        [
+            # the merged breakpoints 3.4e308 apart give an infinite gap
+            ("cramer", "1.7e308\n-1.7e308\n", "1.6e308\n-1.6e308\n", ("--energy",)),
+            ("crps", "1.7e308\n-1.7e308\n", None, ("--crps", "1.7e308")),
+            # in one dimension the seeded direction is +-1, so the gap stays infinite
+            ("projected_cramer", "1.7e308\n-1.7e308\n", "1.6e308\n-1.6e308\n", ("--vectors",)),
+        ],
+    )
+    def test_a_statistic_beyond_float_range_exits_2_naming_it(self, capsys, tmp_path, name, model, target, extra):
+        model_file = tmp_path / "model.txt"
+        model_file.write_text(model, encoding="utf-8")
+        argv = ["cramer", "--model-file", str(model_file), *extra]
+        if target is not None:
+            target_file = tmp_path / "target.txt"
+            target_file.write_text(target, encoding="utf-8")
+            argv += ["--target-file", str(target_file)]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: the {name} statistic is ")
+        assert "Traceback" not in err
+
+    def test_an_exact_energy_beyond_float_range_exits_2(self, capsys, tmp_path):
+        # cramer is 1.2e308; the energy statistic 4 * 6e307 = 2.4e308 is not a float
+        model = tmp_path / "model.txt"
+        target = tmp_path / "target.txt"
+        model.write_text("-6e307\n-6e307\n", encoding="utf-8")
+        target.write_text("6e307\n6e307\n", encoding="utf-8")
+        code, out, err = run(capsys, "cramer", "--model-file", str(model), "--target-file", str(target), "--energy")
+        assert code == 2 and out == ""
+        assert err.startswith("error: numeric failure (OverflowError: ")
+        assert "Traceback" not in err
 
 
 class TestVerifyDivergenceEvaluations:

@@ -220,6 +220,25 @@ class TestEnergyLoss:
         with pytest.raises(SampleTooSmallError):
             energy_loss(RealSample((0.0,)), RealSample((0.0, 1.0)))
 
+    def test_large_samples_match_a_sorted_prefix_sum_reference(self):
+        # 4e8 pairs: out of reach of a pairwise loop in a unit test
+        rng = np.random.default_rng(20_000)
+        x, y = rng.normal(0.0, 1.0, 20_000), rng.normal(0.3, 1.2, 20_000)
+
+        def within(v):
+            v = np.sort(v)
+            return np.sum(v * (2 * np.arange(len(v)) - len(v) + 1))
+
+        ys = np.sort(y)
+        prefix = np.concatenate([[0.0], np.cumsum(ys)])
+        k = np.searchsorted(ys, x, side="right")
+        cross = np.sum((x * k - prefix[k]) + (prefix[-1] - prefix[k] - x * (len(y) - k)))
+        n, m = len(x), len(y)
+        reference = 2 * cross / (n * m) - 2 * within(x) / (n * (n - 1)) - 2 * within(y) / (m * (m - 1))
+        value = energy_loss(RealSample(tuple(x.tolist())), RealSample(tuple(y.tolist())))
+        assert type(value) is float
+        assert abs(value - reference) <= 1e-12 * abs(reference)
+
 
 class TestProjectedCramerLoss:
     def test_dimension_mismatch(self):

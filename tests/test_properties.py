@@ -18,6 +18,7 @@ from properloss import (
     Histogram,
     InternalSource,
     Mode,
+    RealSample,
     builtin_brier,
     builtin_l2,
     check_implements,
@@ -25,6 +26,7 @@ from properloss import (
     compile_two_sample,
     cross_entropy_poisson,
     cross_entropy_poisson_fixed_target,
+    energy_loss,
     entropy_poisson,
     enumerate_histograms,
     exact_expected_known_target,
@@ -479,3 +481,63 @@ def test_divergence_evaluation_equals_the_monomial_loop(data):
             value = div.evaluate(p, q)
             reference = monomial_loop(div, p, q)
             assert repr(value) == repr(reference) if isinstance(reference, float) else value == reference
+
+
+def double_loop_energy(s_values, u_values):
+    """The O(n^2) energy statistic: every pair's |difference|, summed in the inputs' own arithmetic."""
+    cross = 0
+    for a in s_values:
+        for b in u_values:
+            cross = cross + abs(a - b)
+    within = []
+    for values in (s_values, u_values):
+        acc = 0
+        for i, a in enumerate(values):
+            for b in values[i + 1 :]:
+                acc = acc + abs(a - b)
+        within.append(acc)
+    n, m = len(s_values), len(u_values)
+    return (
+        2 * cross * Fraction(1, n * m)
+        - 2 * within[0] * Fraction(1, n * (n - 1))
+        - 2 * within[1] * Fraction(1, m * (m - 1))
+    )
+
+
+# few distinct small values, so that ties within and across samples are common
+rational_values = st.one_of(st.integers(-6, 6), st.fractions(-6, 6, max_denominator=7))
+float_values = st.one_of(st.floats(-1e6, 1e6), st.sampled_from([0.0, -0.0, 0.5, 1.0, 5e-324]))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(rational_values, min_size=2, max_size=40), st.lists(rational_values, min_size=2, max_size=40))
+def test_rational_energy_equals_the_double_loop(s_values, u_values):
+    value = energy_loss(RealSample(tuple(s_values)), RealSample(tuple(u_values)))
+    assert isinstance(value, Fraction)
+    assert value == double_loop_energy(s_values, u_values)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_float_energy_is_the_exact_statistic_rounded_once(data):
+    s_values = data.draw(st.lists(float_values, min_size=2, max_size=40))
+    u_values = data.draw(st.lists(float_values, min_size=2, max_size=40))
+    value = energy_loss(RealSample(tuple(s_values)), RealSample(tuple(u_values)))
+    exact = double_loop_energy([Fraction(v) for v in s_values], [Fraction(v) for v in u_values])
+    assert type(value) is float and repr(value) == repr(float(exact))
+    shuffled_s, shuffled_u = data.draw(st.permutations(s_values)), data.draw(st.permutations(u_values))
+    assert repr(energy_loss(RealSample(tuple(shuffled_s)), RealSample(tuple(u_values)))) == repr(value)
+    assert repr(energy_loss(RealSample(tuple(s_values)), RealSample(tuple(shuffled_u)))) == repr(value)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_a_float_in_either_sample_gives_a_float(data):
+    s_values = data.draw(st.lists(rational_values, min_size=2, max_size=8))
+    u_values = data.draw(st.lists(rational_values, min_size=2, max_size=8))
+    side = data.draw(st.sampled_from((s_values, u_values)))
+    side.insert(data.draw(st.integers(0, len(side))), data.draw(float_values))
+    value = energy_loss(RealSample(tuple(s_values)), RealSample(tuple(u_values)))
+    assert type(value) is float
+    exact = double_loop_energy([Fraction(v) for v in s_values], [Fraction(v) for v in u_values])
+    assert repr(value) == repr(float(exact))
