@@ -36,6 +36,7 @@ from .divergences import (
     Monomial,
     PolyDivergence,
     PropernessAudit,
+    Separable,
     SeriesDivergence,
     SeriesKind,
     builtin_brier,

@@ -718,8 +718,13 @@ def cmd_cramer(args: argparse.Namespace) -> int:
 # parser and dispatch
 # ----------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    default_seed = int(os.environ.get("PROPERLOSS_SEED", "0"))
+    """The argument parser, built once per process and shared by every call, so callers must not modify it.
+
+    ``--seed`` parses to ``None`` when absent; :func:`main` then reads ``PROPERLOSS_SEED``, so the
+    environment at each call counts, not the one the parser was built in.
+    """
     parser = argparse.ArgumentParser(
         prog="properloss",
         description="Build, estimate, and verify sample-only proper losses for black-box generative models.",
@@ -729,8 +734,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--format", choices=("human", "machine"), default="human",
                        help="machine: key=value lines plus a final JSON record")
-        p.add_argument("--seed", type=int, default=default_seed,
-                       help="random seed (default from PROPERLOSS_SEED, else 0)")
+        p.add_argument("--seed", type=int, help="random seed (default from PROPERLOSS_SEED, else 0)")
 
     p_eval = sub.add_parser("eval", help="Monte Carlo estimate of a loss between two sample sources")
     p_eval.add_argument("--divergence", required=True, help="l2 | lk:K | brier | cross-entropy | kl | entropy | spec file")
@@ -791,10 +795,19 @@ def _print_error(message: str, exc: BaseException) -> None:
         print(f"note: {note}", file=sys.stderr)
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def _default_seed() -> int:
+    text = os.environ.get("PROPERLOSS_SEED", "0")
     try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"PROPERLOSS_SEED={text!r} is not an integer seed") from None
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    args = build_parser().parse_args(argv)
+    try:
+        if args.seed is None:
+            args.seed = _default_seed()
         return args.func(args)
     except (TokenUnknownError, SourceExhaustedError, SubprocessFailureError) as exc:
         _print_error(str(exc), exc)

@@ -86,6 +86,26 @@ def _check_fixed_total(h: Histogram, n: int, side: str) -> None:
         raise TotalMismatchError(f"{side} histogram has total {h.total}, scheme requires exactly {n}")
 
 
+class _Files(dict):
+    """An estimator's terms by coordinate, ``x -> [(weight, p pairs, q pairs), ...]``.
+
+    Dense terms are filed when the estimator is built, and a coordinate without
+    terms reads as empty.  A separable ``template`` of ``(weight, i, j)`` terms
+    holds for every coordinate; its file at ``x`` is written out the first time
+    ``x`` is looked up, so building costs O(1) whatever the domain size.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.template: list = []
+
+    def __missing__(self, x: int) -> list:
+        if not self.template:
+            return []
+        file = self[x] = [(w, ((x, i),) if i else (), ((x, j),) if j else ()) for w, i, j in self.template]
+        return file
+
+
 class _Estimator:
     """Estimator substitution for a sum of terms ``coeff * p**a * q**b`` on a histogram pair.
 
@@ -93,21 +113,25 @@ class _Estimator:
     vanishes unless every factor's count reaches its power, so terms are
     filed under their first model coordinate (or, with no model factor, their
     first target coordinate) and only the files of observed coordinates are
-    opened.  Weights are exact in exact mode and floats in float mode.
+    opened.  ``terms`` holds ``(coeff, a, b)`` with exponent vectors, or with
+    ``separable`` set a divergence template's ``(coeff, i, j)``, filed once per
+    side (:class:`_Files`).  Weights are exact in exact mode and floats in float mode.
     """
 
-    def __init__(self, terms, n: int, m: int, mode: Mode):
+    def __init__(self, terms, n: int, m: int, mode: Mode, separable: bool = False):
         self.constant = 0.0 if mode is Mode.FLOAT else Fraction(0)
-        self.by_p: dict[int, list] = {}
-        self.by_q: dict[int, list] = {}
+        self.by_p, self.by_q = _Files(), _Files()
         weights: dict[tuple, object] = {}
         for coeff, a, b in terms:
-            key = (type(coeff), coeff, a.degree, b.degree)  # 1 and 1.0 differ: a float coefficient keeps a float weight
+            degrees = (a, b) if separable else (a.degree, b.degree)
+            key = (type(coeff), coeff, *degrees)  # 1 and 1.0 differ: a float coefficient keeps a float weight
             if key not in weights:
-                w = coeff * Fraction(1, falling_factorial(n, a.degree) * falling_factorial(m, b.degree))
+                w = coeff * Fraction(1, falling_factorial(n, degrees[0]) * falling_factorial(m, degrees[1]))
                 weights[key] = float(w) if mode is Mode.FLOAT else w
             w = weights[key]
-            if a.pairs:
+            if separable:
+                (self.by_p if a else self.by_q).template.append((w, a, b))
+            elif a.pairs:
                 self.by_p.setdefault(a.pairs[0][0], []).append((w, a.pairs, b.pairs))
             elif b.pairs:
                 self.by_q.setdefault(b.pairs[0][0], []).append((w, a.pairs, b.pairs))
@@ -118,7 +142,7 @@ class _Estimator:
         acc = self.constant
         for index, support in ((self.by_p, support_p), (self.by_q, support_q)):
             for x in support:
-                for w, a, b in index.get(x, ()):
+                for w, a, b in index[x]:
                     num = ff_product(counts_p, a) * ff_product(counts_q, b)
                     if num:
                         acc = acc + w * num
@@ -134,8 +158,10 @@ class _Estimator:
         sides = (np.asarray(hp), np.asarray(hq))
         files: dict[int, list] = {}
         for index, side in zip((self.by_p, self.by_q), sides):
-            for x in index.keys() & set(np.flatnonzero(side.any(axis=0)).tolist()):
-                files.setdefault(x, []).extend(index[x])
+            for x in np.flatnonzero(side.any(axis=0)).tolist():
+                file = index[x]
+                if file:
+                    files.setdefault(x, []).extend(file)
         out = np.full(len(sides[0]), float(self.constant))
         for x in sorted(files):
             columns: dict[tuple, np.ndarray] = {}
@@ -206,9 +232,13 @@ def compile_two_sample(divergence: PolyDivergence, n: int, m: int, mode: Mode = 
     if n < 1 or m < 1:
         raise ValueError("sample sizes must be >= 1")
     d = divergence.dim
-    terms = [(mono.coeff, mono.p_exps, mono.q_exps) for mono in divergence.monomials]
-    scalar = _Estimator(terms, n, m, mode)
-    batch = scalar if mode is Mode.FLOAT else _Estimator(terms, n, m, Mode.FLOAT)
+    separable = divergence.template is not None
+    if separable:
+        terms = divergence.template.terms
+    else:
+        terms = [(mono.coeff, mono.p_exps, mono.q_exps) for mono in divergence.monomials]
+    scalar = _Estimator(terms, n, m, mode, separable)
+    batch = scalar if mode is Mode.FLOAT else _Estimator(terms, n, m, Mode.FLOAT, separable)
 
     def evaluator(h_p: Histogram, h_q: Histogram) -> object:
         if h_p.dim != d or h_q.dim != d:
@@ -251,7 +281,7 @@ def squared_loss_known_target(n: int, mode: Mode = Mode.EXACT) -> KnownTargetLos
         if h.dim != len(qv):
             raise DimensionMismatchError(f"histogram dimension {h.dim}, target dimension {len(qv)}")
         _check_fixed_total(h, n, "model")
-        scaled = over_common_denominator(qv) if mode is Mode.EXACT else None
+        scaled = over_common_denominator(q if isinstance(q, Distribution) else qv) if mode is Mode.EXACT else None
         if scaled is not None:
             target, den = scaled
             num = sum((n - 1) * (c * den - n * b) ** 2 - den * den * c * (n - c) for c, b in zip(h.counts, target))
@@ -482,11 +512,12 @@ def convexity_audit(potential: PolyDivergence, denominator: int = 8) -> bool:
     d = potential.dim
     if d > 4:
         raise DomainTooLargeError(f"convexity audit supports d <= 4, got {d}")
-    points = [g.probs for g in simplex_grid(d, denominator)]
+    points = simplex_grid(d, denominator)
+    values = [potential.evaluate(a, a) for a in points]  # each grid point once, not once per pair
     for i, a in enumerate(points):
-        for b in points[i + 1 :]:
-            mid = tuple((u + v) / 2 for u, v in zip(a, b))
-            if potential.evaluate(mid, mid) * 2 > potential.evaluate(a, a) + potential.evaluate(b, b):
+        for j in range(i + 1, len(points)):
+            mid = tuple((u + v) / 2 for u, v in zip(a.probs, points[j].probs))
+            if potential.evaluate(mid, mid) * 2 > values[i] + values[j]:
                 return False
     return True
 

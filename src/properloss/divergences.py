@@ -1,7 +1,9 @@
 """Proper divergences: the compiler's input and the verifier's ground truth.
 
 A :class:`PolyDivergence` is a sparse sum of monomials in the model vector
-``p`` and the target vector ``q``.  The log family (cross-entropy, KL,
+``p`` and the target vector ``q``, written out or, for the separable builtins
+(l2, lk:K, brier, the squared norm), held as one :class:`Separable` template
+of terms applied to every coordinate.  The log family (cross-entropy, KL,
 Shannon entropy) is represented separately by :class:`SeriesDivergence`
 because it is not polynomial and may evaluate to ``+inf``.
 
@@ -12,10 +14,11 @@ on a simplex grid, never assumed: compilation does not require it.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from .domain import Distribution, compositions, over_common_denominator
 from .errors import DimensionMismatchError, DomainTooLargeError, OddExponentError
@@ -50,64 +53,148 @@ def _power_product(values: Sequence, exps: ExponentVector):
     return out
 
 
+class Separable(Sequence):
+    """The monomials of ``sum_x sum_(coeff, i, j) coeff * p_x**i * q_x**j``: one template of terms, every coordinate.
+
+    A sequence of :class:`Monomial` in coordinate-major, then term order, the order of the written-out sum.
+    Its length is known at once; monomials are built only when iterated or indexed, so a builtin over a
+    large domain costs its few terms, not ``d`` times them.  Equality and hashing are a tuple's.
+    """
+
+    __slots__ = ("dim", "terms")
+
+    def __init__(self, dim: int, terms):
+        terms = tuple((c, int(i), int(j)) for c, i, j in terms)
+        if dim < 1:
+            raise ValueError("domain size must be >= 1")
+        if not terms:
+            raise ValueError("a polynomial divergence needs at least one monomial")
+        if any(c == 0 for c, _, _ in terms):
+            raise ValueError("monomial coefficients must be nonzero")
+        if any(i < 0 or j < 0 or i + j == 0 for _, i, j in terms):
+            raise ValueError("a separable term needs non-negative powers, at least one of them positive")
+        if len({(i, j) for _, i, j in terms}) != len(terms):
+            raise ValueError("monomial exponent pairs must be pairwise distinct")
+        self.dim, self.terms = dim, terms
+
+    def __len__(self) -> int:
+        return self.dim * len(self.terms)
+
+    def _monomial(self, x: int, term: tuple) -> Monomial:
+        c, i, j = term
+        return Monomial(c, ExponentVector.unit(self.dim, x, i), ExponentVector.unit(self.dim, x, j))
+
+    def __iter__(self):
+        return (self._monomial(x, term) for x in range(self.dim) for term in self.terms)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(self[i] for i in range(*k.indices(len(self))))
+        if not -len(self) <= k < len(self):
+            raise IndexError("monomial index out of range")
+        x, t = divmod(k % len(self), len(self.terms))
+        return self._monomial(x, self.terms[t])
+
+    def __eq__(self, other):
+        if isinstance(other, Separable):
+            return (self.dim, self.terms) == (other.dim, other.terms)
+        return tuple(self) == other if isinstance(other, tuple) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"Separable(dim={self.dim}, terms={self.terms!r})"
+
+
 @dataclass(frozen=True)
 class PolyDivergence:
     """A finite sum of monomials with pairwise-distinct exponent pairs.
 
-    Degree metadata is recomputed from the monomials on construction and
-    never trusted from input.
+    ``monomials`` is a tuple of :class:`Monomial`, or a :class:`Separable` template applied to every
+    coordinate; ``template`` is that template or ``None``.  Evaluation, substitution and the compiler read a
+    template's terms directly, so they never build its monomials.  Degree metadata is recomputed from the
+    monomials or the template on construction and never trusted from input.
     """
 
-    monomials: tuple[Monomial, ...]
+    monomials: Sequence[Monomial]
     deg_p: int = field(init=False)
     deg_q: int = field(init=False)
+    template: Optional[Separable] = field(init=False, repr=False, compare=False)
     _coeffs: Optional[tuple] = field(init=False, repr=False, compare=False)  # the coefficients over one denominator
 
     def __post_init__(self):
-        monomials = tuple(self.monomials)
-        if len(monomials) == 0:
-            raise ValueError("a polynomial divergence needs at least one monomial")
-        dims = {m.p_exps.dim for m in monomials}
-        if len(dims) != 1:
-            raise DimensionMismatchError("all monomials must share one domain dimension")
-        keys = {(m.p_exps, m.q_exps) for m in monomials}
-        if len(keys) != len(monomials):
-            raise ValueError("monomial exponent pairs must be pairwise distinct")
-        object.__setattr__(self, "monomials", monomials)
-        object.__setattr__(self, "deg_p", max(m.p_exps.degree for m in monomials))
-        object.__setattr__(self, "deg_q", max(m.q_exps.degree for m in monomials))
-        object.__setattr__(self, "_coeffs", over_common_denominator([m.coeff for m in monomials]))
+        if isinstance(self.monomials, Separable):
+            template = self.monomials
+            coeffs = [c for c, _, _ in template.terms]
+            object.__setattr__(self, "deg_p", max(i for _, i, _ in template.terms))
+            object.__setattr__(self, "deg_q", max(j for _, _, j in template.terms))
+        else:
+            template = None
+            monomials = tuple(self.monomials)
+            if len(monomials) == 0:
+                raise ValueError("a polynomial divergence needs at least one monomial")
+            dims = {m.p_exps.dim for m in monomials}
+            if len(dims) != 1:
+                raise DimensionMismatchError("all monomials must share one domain dimension")
+            keys = {(m.p_exps, m.q_exps) for m in monomials}
+            if len(keys) != len(monomials):
+                raise ValueError("monomial exponent pairs must be pairwise distinct")
+            coeffs = [m.coeff for m in monomials]
+            object.__setattr__(self, "monomials", monomials)
+            object.__setattr__(self, "deg_p", max(m.p_exps.degree for m in monomials))
+            object.__setattr__(self, "deg_q", max(m.q_exps.degree for m in monomials))
+        object.__setattr__(self, "template", template)
+        object.__setattr__(self, "_coeffs", over_common_denominator(coeffs))
 
     @property
     def dim(self) -> int:
-        return self.monomials[0].p_exps.dim
+        return self.template.dim if self.template is not None else self.monomials[0].p_exps.dim
 
     def evaluate(self, p, q):
         """The sum of the monomials at ``(p, q)``.
 
         When every entry and coefficient is rational, the sum runs in integers: coefficients and entries
-        become numerators over common denominators ``C``, ``Dp`` and ``Dq``, each monomial is scaled up to
-        degrees ``(deg_p, deg_q)``, and one Fraction over ``C * Dp**deg_p * Dq**deg_q`` is returned.
-        Otherwise the same loop runs on the values themselves over 1, with the float arithmetic of a plain
-        monomial sum.
+        become numerators over common denominators ``C``, ``Dp`` and ``Dq`` (a :class:`Distribution` keeps
+        its own), each monomial is scaled up to degrees ``(deg_p, deg_q)``, and one Fraction over
+        ``C * Dp**deg_p * Dq**deg_q`` is returned.  Otherwise the same loop runs on the values themselves
+        over 1, with the float arithmetic of a plain monomial sum.  A template is summed coordinate by
+        coordinate, term by term, in the order and with the products of its written-out monomials.
         """
         pv, qv = _probs(p), _probs(q)
         if len(pv) != self.dim or len(qv) != self.dim:
             raise DimensionMismatchError(
                 f"divergence over dimension {self.dim} evaluated at dimensions {len(pv)}, {len(qv)}"
             )
-        scaled = (self._coeffs, over_common_denominator(pv), over_common_denominator(qv))
+        scaled = (
+            self._coeffs,
+            over_common_denominator(p if isinstance(p, Distribution) else pv),
+            over_common_denominator(q if isinstance(q, Distribution) else qv),
+        )
         exact = None not in scaled
         if exact:
             (coeffs, cden), (pv, dp), (qv, dq) = scaled
         else:
-            coeffs, cden, dp, dq = [m.coeff for m in self.monomials], 1, 1, 1
+            cden, dp, dq = 1, 1, 1
+            if self.template is not None:
+                coeffs = [c for c, _, _ in self.template.terms]
+            else:
+                coeffs = [m.coeff for m in self.monomials]
         acc = 0
-        for c, m in zip(coeffs, self.monomials):
-            acc = acc + (
-                c * _power_product(pv, m.p_exps) * dp ** (self.deg_p - m.p_exps.degree)
-                * _power_product(qv, m.q_exps) * dq ** (self.deg_q - m.q_exps.degree)
-            )
+        if self.template is not None:
+            terms = [
+                (c, i, dp ** (self.deg_p - i), j, dq ** (self.deg_q - j))
+                for c, (_, i, j) in zip(coeffs, self.template.terms)
+            ]
+            for a, b in zip(pv, qv):
+                for c, i, sp, j, sq in terms:
+                    acc = acc + c * (a**i if i else 1) * sp * (b**j if j else 1) * sq
+        else:
+            for c, m in zip(coeffs, self.monomials):
+                acc = acc + (
+                    c * _power_product(pv, m.p_exps) * dp ** (self.deg_p - m.p_exps.degree)
+                    * _power_product(qv, m.q_exps) * dq ** (self.deg_q - m.q_exps.degree)
+                )
         return Fraction(acc, cden * dp**self.deg_p * dq**self.deg_q) if exact else acc
 
     def partial_q(self, q) -> dict[ExponentVector, object]:
@@ -120,11 +207,20 @@ class PolyDivergence:
         if len(qv) != self.dim:
             raise DimensionMismatchError(f"target has dimension {len(qv)}, divergence needs {self.dim}")
         grouped: dict[ExponentVector, object] = {}
-        for m in self.monomials:
-            factor = _power_product(qv, m.q_exps)
-            if factor == 0:
-                continue
-            grouped[m.p_exps] = grouped.get(m.p_exps, 0) + m.coeff * factor
+        if self.template is not None:
+            for x, b in enumerate(qv):
+                for c, i, j in self.template.terms:
+                    factor = b**j if j else 1
+                    if factor == 0:
+                        continue
+                    key = ExponentVector.unit(self.dim, x, i)
+                    grouped[key] = grouped.get(key, 0) + c * factor
+        else:
+            for m in self.monomials:
+                factor = _power_product(qv, m.q_exps)
+                if factor == 0:
+                    continue
+                grouped[m.p_exps] = grouped.get(m.p_exps, 0) + m.coeff * factor
         return {j: c for j, c in grouped.items() if c != 0}
 
 
@@ -160,15 +256,12 @@ class SeriesDivergence:
 
 
 def _coordinatewise(d: int, terms) -> PolyDivergence:
-    """sum over x of ``coeff * p_x**i * q_x**j`` for each ``(coeff, i, j)`` in ``terms``."""
-    if d < 1:
-        raise ValueError("domain size must be >= 1")
-    unit = ExponentVector.unit
-    return PolyDivergence(tuple(Monomial(c, unit(d, x, i), unit(d, x, j)) for x in range(d) for c, i, j in terms))
+    """sum over x of ``coeff * p_x**i * q_x**j`` for each ``(coeff, i, j)`` in ``terms``, as a template."""
+    return PolyDivergence(Separable(d, terms))
 
 
 def builtin_l2(d: int) -> PolyDivergence:
-    """Squared distance sum_x (p_x - q_x)^2, expanded per coordinate."""
+    """Squared distance sum_x (p_x - q_x)^2, as a template of three terms per coordinate."""
     return _coordinatewise(d, ((1, 2, 0), (-2, 1, 1), (1, 0, 2)))
 
 

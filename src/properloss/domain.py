@@ -141,6 +141,14 @@ class Distribution:
             cached = self.__dict__["_hash"] = hash(self.probs)
         return cached
 
+    def over_common_denominator(self) -> Optional[tuple[tuple[int, ...], int]]:
+        """:func:`over_common_denominator` of the entries, computed once like the hash; ``None`` in float mode.
+
+        The exact paths read it for the same grid points over and over."""
+        if "_scaled" not in self.__dict__:
+            self.__dict__["_scaled"] = over_common_denominator(self.probs)
+        return self.__dict__["_scaled"]
+
     @property
     def dim(self) -> int:
         return len(self.probs)
@@ -259,15 +267,18 @@ def empirical(h: Histogram, mode: Mode = Mode.EXACT) -> Distribution:
     return Distribution.floating([c / h.total for c in h.counts])
 
 
-def over_common_denominator(values: Sequence) -> Optional[tuple[list[int], int]]:
+def over_common_denominator(values: Sequence) -> Optional[tuple[tuple[int, ...], int]]:
     """``(numerators, D)`` with ``values[i] == numerators[i] / D`` and ``D`` the lcm of the denominators,
     or ``None`` when some value is not rational (a float, say).
 
-    The exact paths sum these integer numerators and build one Fraction at the end."""
+    The exact paths sum these integer numerators and build one Fraction at the end.  A
+    :class:`Distribution` returns its cached value (:meth:`Distribution.over_common_denominator`)."""
+    if isinstance(values, Distribution):
+        return values.over_common_denominator()
     if not all(isinstance(v, numbers.Rational) for v in values):
         return None
     den = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
+    return tuple(v.numerator * (den // v.denominator) for v in values), den
 
 
 def indicator(x: int, d: int, mode: Mode = Mode.EXACT) -> Distribution:

@@ -14,9 +14,10 @@ Three kinds of black box can be scored:
 
 Each source implements ``draw_batch(sizes, rng)``: a count matrix whose row i
 holds the next ``sizes[i]`` draws; a subprocess gets one count per batch.
-Every emitted token must map to a domain label; unknown tokens are a hard
-error.  File and subprocess sources are sequential streams and must not be
-read from two replicates concurrently.
+Tokens are UTF-8 text, and every emitted token must map to a domain label;
+an unknown token or an undecodable byte is a hard error, and the latter
+names the file or the generator command.  File and subprocess sources are
+sequential streams and must not be read from two replicates concurrently.
 
 Randomness
 ----------
@@ -46,6 +47,7 @@ from .errors import (
     SampleTooSmallError,
     SourceExhaustedError,
     SubprocessFailureError,
+    TokenUnknownError,
 )
 
 #: 97.5% standard-normal quantile: half-width of the nominal 95% interval.
@@ -106,6 +108,10 @@ def _read_indices(lines, total: int, domain: Domain) -> np.ndarray:
     return np.fromiter((domain.index(line.strip()) for _, line in zip(range(total), lines)), dtype=np.int64)
 
 
+def _not_utf8(exc: UnicodeDecodeError) -> str:
+    return f"byte 0x{exc.object[exc.start]:02x} is not UTF-8 ({exc.reason})"
+
+
 class InternalSource(SampleSource):
     """A known distribution used as a sample source (for simulation and tests)."""
 
@@ -139,7 +145,11 @@ class FileSource(SampleSource):
 
     def draw_batch(self, sizes: Sequence[int], rng: Optional[np.random.Generator] = None) -> np.ndarray:
         total = int(np.sum(sizes))
-        idx = _read_indices(self._lines(), total, self.domain)
+        try:
+            idx = _read_indices(self._lines(), total, self.domain)
+        except UnicodeDecodeError as exc:
+            message = f"sample file {self.path!r} holds a token that is not text: {_not_utf8(exc)}"
+            raise TokenUnknownError(message) from None
         if len(idx) < total:
             raise SourceExhaustedError(f"{self.path} ran out of tokens")
         return _count_rows(idx, sizes, self.domain.size)
@@ -173,7 +183,7 @@ class SubprocessSource(SampleSource):
                     stdin=subprocess.PIPE,
                     stdout=subprocess.PIPE,
                     stderr=stderr,
-                    text=True,
+                    encoding="utf-8",
                     bufsize=1,
                 )
             except OSError as exc:
@@ -204,7 +214,11 @@ class SubprocessSource(SampleSource):
             proc.stdin.flush()
         except (BrokenPipeError, OSError) as exc:
             raise self._failure(f"generator {self.command!r} closed its input") from exc
-        idx = _read_indices(proc.stdout, total, self.domain)
+        try:
+            idx = _read_indices(proc.stdout, total, self.domain)
+        except UnicodeDecodeError as exc:
+            message = f"generator {self.command!r} wrote a token that is not text: {_not_utf8(exc)}"
+            raise self._failure(message) from None
         if len(idx) < total:
             raise self._failure(f"generator {self.command!r} ended after {len(idx)} of {total} requested tokens")
         return _count_rows(idx, sizes, self.domain.size)

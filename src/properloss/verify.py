@@ -125,7 +125,7 @@ def _pmf_numerators(dist: Distribution, size: int, histograms=_support_histogram
     enumeration order, and every numerator is positive.
     """
     support = tuple(i for i, prob in enumerate(dist.probs) if prob != 0)
-    numerators, scale = over_common_denominator(dist.probs)
+    numerators, scale = over_common_denominator(dist)
     scaled = [(x, numerators[x]) for x in support]
     hists = histograms(support, dist.dim, size)
     numerators = []

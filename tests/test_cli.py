@@ -224,6 +224,48 @@ class TestEval:
         )
         assert code == 0
 
+    def test_a_token_file_that_is_not_utf8_exits_4_naming_the_file(self, capsys, tmp_path):
+        tokens = tmp_path / "tokens.txt"
+        tokens.write_bytes(b"a\nb\n\xff\na\n")
+        code, out, err = run(
+            capsys,
+            "eval",
+            "--divergence", "l2",
+            "--n", "2", "--m", "2",
+            "--labels", "a,b",
+            "--model-probs", "0.5,0.5",
+            "--target-file", str(tokens),
+            "--replicates", "2",
+        )
+        assert code == 4 and out == ""
+        assert err == (f"error: sample file {str(tokens)!r} holds a token that is not text: "
+                       "byte 0xff is not UTF-8 (invalid start byte)\n")
+
+    def test_a_generator_writing_bytes_that_are_not_utf8_exits_4_naming_the_command(self, capsys):
+        child = (
+            "import sys\n"
+            "for line in sys.stdin:\n"
+            "    if int(line) == 0:\n"
+            "        break\n"
+            "    sys.stdout.buffer.write(b'a\\n\\xff\\n')\n"
+            "    sys.stdout.flush()\n"
+        )
+        command = f'{sys.executable} -c "{child}"'
+        code, out, err = run(
+            capsys,
+            "eval",
+            "--divergence", "l2",
+            "--n", "2", "--m", "2",
+            "--labels", "a,b",
+            "--model-cmd", command,
+            "--target-probs", "0.5,0.5",
+            "--replicates", "2",
+        )
+        assert code == 4 and out == ""
+        assert err.startswith("error: generator [")
+        assert f"{child!r}] wrote a token that is not text: byte 0xff is not UTF-8 (invalid start byte)" in err
+        assert "Traceback" not in err
+
     def test_float_overflow_in_the_log_series_exits_2(self, capsys):
         code, _, err = run(
             capsys,
@@ -477,6 +519,35 @@ class TestVerify:
         assert code == 0
         _, record = parse_machine(out)
         assert record["seed"] == "123"
+
+    def test_a_seed_env_var_that_is_not_an_integer_exits_2_naming_it(self, capsys, monkeypatch):
+        monkeypatch.setenv("PROPERLOSS_SEED", "abc")
+        code, out, err = run(capsys, "verify", "--only", "plugin-bias")
+        assert code == 2 and out == ""
+        assert err == "error: PROPERLOSS_SEED='abc' is not an integer seed\n"
+
+    def test_an_explicit_seed_does_not_read_the_env_var(self, capsys, monkeypatch):
+        monkeypatch.setenv("PROPERLOSS_SEED", "abc")
+        code, out, _ = run(capsys, "verify", "--only", "plugin-bias", "--seed", "4", "--format", "machine")
+        assert code == 0
+        assert parse_machine(out)[1]["seed"] == "4"
+
+    def test_the_seed_env_var_is_read_at_each_call(self, capsys, monkeypatch):
+        seeds = []
+        for value in ("11", "12"):
+            monkeypatch.setenv("PROPERLOSS_SEED", value)
+            code, out, _ = run(capsys, "verify", "--only", "plugin-bias", "--format", "machine")
+            assert code == 0
+            seeds.append(parse_machine(out)[1]["seed"])
+        monkeypatch.delenv("PROPERLOSS_SEED")
+        code, out, _ = run(capsys, "verify", "--only", "plugin-bias", "--format", "machine")
+        seeds.append(parse_machine(out)[1]["seed"])
+        assert seeds == ["11", "12", "0"]
+
+    def test_the_parser_is_built_once(self):
+        from properloss.cli import build_parser
+
+        assert build_parser() is build_parser()
 
     def test_single_check_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--only", "plugin-bias", "--format", "machine")

@@ -426,6 +426,28 @@ class TestBregman:
     def test_convexity_audit_accepts_the_squared_norm(self):
         assert convexity_audit(squared_norm_polynomial(3))
 
+    @pytest.mark.parametrize("sign, convex", [(1, True), (-1, False)])
+    def test_convexity_audit_evaluates_each_grid_point_once(self, monkeypatch, sign, convex):
+        d = 2
+        potential = PolyDivergence(
+            tuple(Monomial(sign, ExponentVector.unit(d, x, 2), ExponentVector.zero(d)) for x in range(d))
+        )
+        calls = []
+        evaluate = PolyDivergence.evaluate
+
+        def counted(self, p, q):
+            calls.append(tuple(p.probs if isinstance(p, Distribution) else p))
+            return evaluate(self, p, q)
+
+        monkeypatch.setattr(PolyDivergence, "evaluate", counted)
+        assert convexity_audit(potential, 8) is convex
+        grid = [g.probs for g in simplex_grid(d, 8)]
+        assert calls[: len(grid)] == grid  # 9 grid points, each once
+        if convex:
+            assert len(calls) == 9 + 9 * 8 // 2  # plus one midpoint per pair
+        else:
+            assert len(calls) == 9 + 1  # the first pair already fails
+
 
 def random_divergence(rng, d=2, max_deg=3, terms=4) -> PolyDivergence:
     """Random sparse polynomial with small rational coefficients."""

@@ -11,6 +11,7 @@ from properloss import (
     Monomial,
     OddExponentError,
     PolyDivergence,
+    Separable,
     SeriesDivergence,
     SeriesKind,
     builtin_brier,
@@ -53,6 +54,39 @@ class TestPolyDivergence:
         assert grouped[ExponentVector((2, 0))] == 1
         assert grouped[ExponentVector((1, 0))] == -1  # -2 * 1/2
         assert grouped[ExponentVector((0, 0))] == Fraction(1, 2)  # q_0^2 + q_1^2
+
+
+class TestSeparable:
+    def test_length_is_known_without_building_monomials(self):
+        div = builtin_l2(4)
+        assert len(div.monomials) == 12 and (div.deg_p, div.deg_q) == (2, 2)
+        assert list(div.monomials) == [
+            Monomial(c, ExponentVector.unit(4, x, i), ExponentVector.unit(4, x, j))
+            for x in range(4) for c, i, j in ((1, 2, 0), (-2, 1, 1), (1, 0, 2))
+        ]
+        assert div.monomials[4] == div.monomials[-8] == list(div.monomials)[4]
+        assert div.monomials[1:3] == tuple(div.monomials)[1:3]
+        with pytest.raises(IndexError):
+            div.monomials[12]
+
+    def test_a_template_equals_its_expansion(self):
+        div = builtin_brier(3)
+        dense = PolyDivergence(tuple(div.monomials))
+        assert dense.template is None and div.template is not None
+        assert div == dense and dense == div and hash(div) == hash(dense)
+        assert div != builtin_l2(3)
+
+    @pytest.mark.parametrize("d, terms", [
+        (0, ((1, 2, 0),)),
+        (2, ()),
+        (2, ((0, 2, 0),)),
+        (2, ((1, 0, 0),)),
+        (2, ((1, -1, 2),)),
+        (2, ((1, 2, 0), (3, 2, 0))),
+    ])
+    def test_invalid_templates_rejected(self, d, terms):
+        with pytest.raises(ValueError):
+            PolyDivergence(Separable(d, terms))
 
 
 class TestBuiltinL2:

@@ -44,6 +44,14 @@ class TestDomain:
 
 
 class TestDistribution:
+    def test_an_exact_distribution_keeps_its_common_denominator(self):
+        from properloss.domain import over_common_denominator
+
+        dist = Distribution.exact([Fraction(1, 3), Fraction(1, 6), Fraction(1, 2)])
+        assert dist.over_common_denominator() == ((2, 1, 3), 6) == over_common_denominator(dist.probs)
+        assert over_common_denominator(dist) is dist.over_common_denominator() is dist.over_common_denominator()
+        assert Distribution.floating([0.5, 0.5]).over_common_denominator() is None
+
     def test_exact_sum_enforced(self):
         with pytest.raises(ValueError):
             Distribution.exact([Fraction(1, 2), Fraction(1, 3)])

@@ -21,6 +21,7 @@ from properloss import (
     RealSample,
     builtin_brier,
     builtin_l2,
+    builtin_lk_even,
     check_implements,
     compile_known_target,
     compile_two_sample,
@@ -36,6 +37,7 @@ from properloss import (
     naive_plugin_loss,
     squared_loss_known_target,
     squared_loss_two_sample,
+    squared_norm_polynomial,
     stream_rng,
 )
 from properloss import poisson_expected_loss
@@ -541,3 +543,70 @@ def test_a_float_in_either_sample_gives_a_float(data):
     assert type(value) is float
     exact = double_loop_energy([Fraction(v) for v in s_values], [Fraction(v) for v in u_values])
     assert repr(value) == repr(float(exact))
+
+
+@st.composite
+def template_divergences(draw):
+    """The builtin separable divergences at one d <= 6, each with its expansion into plain monomials."""
+    d = draw(st.integers(1, 6))
+    builtins = (builtin_l2(d), builtin_brier(d), squared_norm_polynomial(d),
+                builtin_lk_even(d, draw(st.sampled_from((2, 4, 6)))))
+    assert all(div.template is not None for div in builtins)
+    return [(div, PolyDivergence(tuple(div.monomials))) for div in builtins]
+
+
+def float_points(d: int):
+    return st.one_of(exact_distributions(d).map(lambda dist: Distribution.floating(dist.as_floats())),
+                     st.lists(st.floats(-2, 2), min_size=d, max_size=d))
+
+
+def rational_points(d: int):
+    return st.one_of(exact_distributions(d), mixed_denominator_distributions(d),
+                     st.lists(st.integers(-2, 3), min_size=d, max_size=d))
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.data())
+def test_a_template_evaluates_as_its_expanded_monomials(data):
+    for div, dense in data.draw(template_divergences()):
+        assert len(div.monomials) == len(dense.monomials)
+        assert (div.deg_p, div.deg_q) == (dense.deg_p, dense.deg_q) and div == dense
+        d = div.dim
+        for p_points, q_points in ((rational_points(d), rational_points(d)), (rational_points(d), float_points(d)),
+                                   (float_points(d), rational_points(d)), (float_points(d), float_points(d))):
+            p, q = data.draw(p_points), data.draw(q_points)
+            value, reference = div.evaluate(p, q), dense.evaluate(p, q)
+            assert type(value) is type(reference) and repr(value) == repr(reference)
+            substituted, expected = div.partial_q(q), dense.partial_q(q)
+            assert [(j, repr(c)) for j, c in substituted.items()] == [(j, repr(c)) for j, c in expected.items()]
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.data())
+def test_a_template_compiles_as_its_expanded_monomials(data):
+    for div, dense in data.draw(template_divergences()):
+        d = div.dim
+        n = max(1, div.deg_p) + data.draw(st.integers(0, 2))
+        m = max(1, div.deg_q) + data.draw(st.integers(0, 2))
+        rows = data.draw(st.lists(st.tuples(histograms(d, n), histograms(d, m)), min_size=1, max_size=6))
+        q = data.draw(st.one_of(rational_points(d), float_points(d)))
+        hp, hq = np.array([h.counts for h, _ in rows]), np.array([g.counts for _, g in rows])
+        for mode in (Mode.EXACT, Mode.FLOAT):
+            loss, reference = compile_two_sample(div, n, m, mode), compile_two_sample(dense, n, m, mode)
+            known, known_reference = compile_known_target(div, n, mode), compile_known_target(dense, n, mode)
+            for h, g in rows:
+                value, expected = loss.evaluator(h, g), reference.evaluator(h, g)
+                assert type(value) is type(expected) and repr(value) == repr(expected)
+                assert repr(known.evaluator(h, q)) == repr(known_reference.evaluator(h, q))
+            assert loss.batch_evaluator(hp, hq).tobytes() == reference.batch_evaluator(hp, hq).tobytes()
+
+
+def test_a_builtin_over_a_million_outcomes_builds_no_exponent_vector(monkeypatch):
+    fills = []
+    fill = ExponentVector._fill
+    monkeypatch.setattr(ExponentVector, "_fill", lambda self, *args: fills.append(1) or fill(self, *args))
+    div = builtin_l2(10**6)
+    assert (div.deg_p, div.deg_q, len(div.monomials)) == (2, 2, 3 * 10**6)
+    assert fills == []
+    compile_two_sample(div, 2, 2)
+    assert fills == []
