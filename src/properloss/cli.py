@@ -164,6 +164,7 @@ def _parse_probs(text: str, mode: Mode) -> Distribution:
 
 
 def _build_source(args: argparse.Namespace, side: str, domain: Optional[Domain], mode: Mode):
+    """The source ``side`` names, or ``None``; a ``--*-cmd`` child is started here."""
     probs = getattr(args, f"{side}_probs")
     path = getattr(args, f"{side}_file")
     cmd = getattr(args, f"{side}_cmd")
@@ -172,18 +173,18 @@ def _build_source(args: argparse.Namespace, side: str, domain: Optional[Domain],
         raise ValueError(f"give at most one of --{side}-probs / --{side}-file / --{side}-cmd")
     if probs is not None:
         dist = _parse_probs(probs, mode)
-        return InternalSource(dist, domain if domain is not None else Domain.of_size(dist.dim)), domain
+        return InternalSource(dist, domain if domain is not None else Domain.of_size(dist.dim))
     if path is not None:
         if domain is None:
             raise ValueError(f"--{side}-file needs --labels or --labels-file to map tokens to outcomes")
         if not os.path.exists(path):
             raise ValueError(f"sample file {path!r} does not exist")
-        return FileSource(path, domain), domain
+        return FileSource(path, domain)
     if cmd is not None:
         if domain is None:
             raise ValueError(f"--{side}-cmd needs --labels or --labels-file to map tokens to outcomes")
-        return SubprocessSource(cmd, domain), domain
-    return None, domain
+        return SubprocessSource(cmd, domain)
+    return None
 
 
 def _resolve_domain(args: argparse.Namespace) -> Optional[Domain]:
@@ -263,27 +264,35 @@ def cmd_eval(args: argparse.Namespace) -> int:
     divergence = parse_divergence(args.divergence, divergence_dim)
     loss = _build_loss(args, divergence, divergence_dim, mode)
 
-    target, domain = _build_source(args, "target", domain, mode)
-    model, domain = _build_source(args, "model", domain, mode)
-    if target is None:
-        raise ValueError("a target source is required (--target-probs / --target-file / --target-cmd)")
-    if model is None and loss.scheme_p is not None:
-        raise ValueError("a model source is required (--model-probs / --model-file / --model-cmd)")
-
-    sources = [src for src in (model, target) if src is not None]
+    # every source built is closed on every path: a child started for one
+    # side must not outlive a configuration error found on the other
+    sources = []
+    failure = None
     try:
+        for side in ("target", "model"):
+            sources.append(_build_source(args, side, domain, mode))
+        target, model = sources
+        if target is None:
+            raise ValueError("a target source is required (--target-probs / --target-file / --target-cmd)")
+        if model is None and loss.scheme_p is not None:
+            raise ValueError("a model source is required (--model-probs / --model-file / --model-cmd)")
         report = estimate_loss(model, target, loss, args.replicates, args.seed)
-    except BaseException as first:
-        # the failure that stopped the estimate is the one reported; a source
-        # that then fails to close (a child exiting nonzero, say) adds a note
-        for src in sources:
-            try:
-                src.close()
-            except SubprocessFailureError as late:
-                first.add_note(f"closing a source afterwards also failed: {late}")
-        raise
+    except BaseException as exc:
+        failure = exc
     for src in sources:
-        src.close()
+        if src is None:
+            continue
+        try:
+            src.close()
+        except SubprocessFailureError as late:
+            # the first failure is the one reported; a later one (a child
+            # exiting nonzero after a short read, say) adds a note
+            if failure is None:
+                failure = late
+            else:
+                failure.add_note(f"closing a source afterwards also failed: {late}")
+    if failure is not None:
+        raise failure
 
     pairs = [
         ("command", "eval"),

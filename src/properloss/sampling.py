@@ -6,18 +6,22 @@ Three kinds of black box can be scored:
 
 * :class:`InternalSource` -- a known distribution, sampled by inverse-CDF
   over the ordered domain (deterministic given a generator state),
-* :class:`FileSource` -- a UTF-8 file with one token per line,
-* :class:`SubprocessSource` -- a child process speaking a line protocol:
-  the harness writes a decimal count followed by a newline, the child
-  replies with exactly that many token lines; ``0``, sent only by ``close``,
-  asks the child to exit cleanly (exit code 0).
+* :class:`FileSource` -- a UTF-8 file with one token per line, opened when
+  the source is built,
+* :class:`SubprocessSource` -- a child process speaking a line protocol,
+  started when the source is built: the harness writes a decimal count
+  followed by a newline, the child replies with exactly that many token
+  lines; ``0``, sent only by ``close``, asks the child to exit cleanly
+  (exit code 0).  ``close`` discards whatever the child writes after the
+  last read and waits for its exit, not for the end of its output.
 
 Each source implements ``draw_batch(sizes, rng)``: a count matrix whose row i
 holds the next ``sizes[i]`` draws; a subprocess gets one count per batch.
 Tokens are UTF-8 text, and every emitted token must map to a domain label;
-an unknown token or an undecodable byte is a hard error, and the latter
-names the file or the generator command.  File and subprocess sources are
-sequential streams and must not be read from two replicates concurrently.
+an unknown token or an undecodable byte is a hard error that names the file
+or the generator command.  File and subprocess sources are sequential
+streams: they must not be read from two replicates concurrently, and a draw
+after ``close`` is an error rather than a restart of the stream.
 
 Randomness
 ----------
@@ -31,11 +35,15 @@ are consumed in replicate-major order, so for fixed-size schemes replicate
 
 from __future__ import annotations
 
+import itertools
 import math
+import os
+import selectors
 import shlex
 import subprocess
 import sys
 import tempfile
+import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -103,9 +111,16 @@ def _count_rows(indices: np.ndarray, sizes: np.ndarray, d: int) -> np.ndarray:
     return np.bincount(rows * d + indices, minlength=len(sizes) * d).reshape(len(sizes), d)
 
 
-def _read_indices(lines, total: int, domain: Domain) -> np.ndarray:
-    """Domain indices of the next ``total`` lines; fewer if the lines end first."""
-    return np.fromiter((domain.index(line.strip()) for _, line in zip(range(total), lines)), dtype=np.int64)
+def _read_indices(lines, total: int, domain: Domain, source: str) -> np.ndarray:
+    """Domain indices of the next ``total`` lines; fewer if the lines end first.
+
+    An unknown token raises :class:`TokenUnknownError` naming ``source``.
+    """
+    tokens = map(str.strip, itertools.islice(lines, total))
+    try:
+        return np.fromiter(map(domain._index.__getitem__, tokens), dtype=np.int64)
+    except KeyError as exc:
+        raise TokenUnknownError(f"{source}: token {exc.args[0]!r} is not a label of this domain") from None
 
 
 def _not_utf8(exc: UnicodeDecodeError) -> str:
@@ -136,17 +151,14 @@ class FileSource(SampleSource):
     def __init__(self, path: str, domain: Domain):
         self.path = path
         self.domain = domain
-        self._handle = None
-
-    def _lines(self):
-        if self._handle is None:
-            self._handle = open(self.path, "r", encoding="utf-8")
-        return self._handle
+        self._handle = open(path, "r", encoding="utf-8")
 
     def draw_batch(self, sizes: Sequence[int], rng: Optional[np.random.Generator] = None) -> np.ndarray:
+        if self._handle.closed:
+            raise ValueError(f"sample file {self.path!r} is closed: its stream cannot be drawn from again")
         total = int(np.sum(sizes))
         try:
-            idx = _read_indices(self._lines(), total, self.domain)
+            idx = _read_indices(self._handle, total, self.domain, f"sample file {self.path!r}")
         except UnicodeDecodeError as exc:
             message = f"sample file {self.path!r} holds a token that is not text: {_not_utf8(exc)}"
             raise TokenUnknownError(message) from None
@@ -155,42 +167,34 @@ class FileSource(SampleSource):
         return _count_rows(idx, sizes, self.domain.size)
 
     def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
+        self._handle.close()
 
 
 class SubprocessSource(SampleSource):
     """A child process generator speaking the count-request line protocol.
 
-    The child's stderr goes to a temporary file, not a pipe, so a chatty child
-    cannot block on it.  Every failure after the start quotes the end of it,
-    and a clean close copies it to our stderr.
+    The child starts when the source is built, so it boots while the caller
+    does other work.  Its stderr goes to a temporary file, not a pipe, so a
+    chatty child cannot block on it.  Every failure after the start quotes
+    the end of it, and a clean close copies it to our stderr.
     """
 
     def __init__(self, command: str | Sequence[str], domain: Domain):
         self.command = shlex.split(command) if isinstance(command, str) else list(command)
         self.domain = domain
-        self._proc: Optional[subprocess.Popen] = None
-        self._stderr = None
-
-    def _ensure(self) -> subprocess.Popen:
-        if self._proc is None:
-            stderr = tempfile.TemporaryFile()
-            try:
-                self._proc = subprocess.Popen(
-                    self.command,
-                    stdin=subprocess.PIPE,
-                    stdout=subprocess.PIPE,
-                    stderr=stderr,
-                    encoding="utf-8",
-                    bufsize=1,
-                )
-            except OSError as exc:
-                stderr.close()
-                raise SubprocessFailureError(f"could not start {self.command!r}: {exc}") from exc
-            self._stderr = stderr
-        return self._proc
+        self._stderr = tempfile.TemporaryFile()
+        try:
+            self._proc = subprocess.Popen(
+                self.command,
+                stdin=subprocess.PIPE,
+                stdout=subprocess.PIPE,
+                stderr=self._stderr,
+                encoding="utf-8",
+                bufsize=1,
+            )
+        except OSError as exc:
+            self._stderr.close()
+            raise SubprocessFailureError(f"could not start {self.command!r}: {exc}") from exc
 
     def _child_stderr(self) -> str:
         self._stderr.seek(0)
@@ -205,17 +209,19 @@ class SubprocessSource(SampleSource):
 
     def draw_batch(self, sizes: Sequence[int], rng: Optional[np.random.Generator] = None) -> np.ndarray:
         """One count request for the whole batch; none when it asks for no draws (``0`` would end the child)."""
+        proc = self._proc
+        if proc.stdout.closed:
+            raise ValueError(f"generator {self.command!r} is closed: its stream cannot be drawn from again")
         total = int(np.sum(sizes))
         if total == 0:
             return np.zeros((len(sizes), self.domain.size), dtype=np.int64)
-        proc = self._ensure()
         try:
             proc.stdin.write(f"{total}\n")
             proc.stdin.flush()
         except (BrokenPipeError, OSError) as exc:
             raise self._failure(f"generator {self.command!r} closed its input") from exc
         try:
-            idx = _read_indices(proc.stdout, total, self.domain)
+            idx = _read_indices(proc.stdout, total, self.domain, f"generator {self.command!r}")
         except UnicodeDecodeError as exc:
             message = f"generator {self.command!r} wrote a token that is not text: {_not_utf8(exc)}"
             raise self._failure(message) from None
@@ -223,32 +229,63 @@ class SubprocessSource(SampleSource):
             raise self._failure(f"generator {self.command!r} ended after {len(idx)} of {total} requested tokens")
         return _count_rows(idx, sizes, self.domain.size)
 
+    def _wait(self) -> Optional[int]:
+        """The child's exit code, or ``None`` if it is still running after :data:`CLOSE_TIMEOUT_S`.
+
+        Where pidfds exist (Linux) the wait wakes on the child's pidfd, and
+        whatever the child writes meanwhile is read and discarded, so a child
+        blocked on a full stdout pipe can still reach its exit.  A helper that
+        inherited the pipe cannot hold the wait up: the wait ends at the
+        child's exit, not at end of file.  Elsewhere it is ``Popen.wait``.
+        """
+        proc = self._proc
+        try:
+            pidfd = os.pidfd_open(proc.pid)
+        except (AttributeError, OSError):  # no pidfds on this platform or kernel
+            try:
+                return proc.wait(timeout=CLOSE_TIMEOUT_S)
+            except subprocess.TimeoutExpired:
+                return None
+        out = proc.stdout.fileno()
+        try:
+            with selectors.DefaultSelector() as selector:
+                selector.register(pidfd, selectors.EVENT_READ)
+                selector.register(out, selectors.EVENT_READ)
+                deadline = time.monotonic() + CLOSE_TIMEOUT_S
+                while (left := deadline - time.monotonic()) > 0:
+                    for key, _ in selector.select(left):
+                        if key.fd == pidfd:
+                            return proc.wait()
+                        if not os.read(out, 65536):  # end of file: only the exit is left to wait for
+                            selector.unregister(out)
+                return None
+        finally:
+            os.close(pidfd)
+
     def close(self) -> None:
-        """Send the zero sentinel and require a clean exit."""
-        if self._proc is None:
+        """Send the zero sentinel and require a clean exit; a second call does nothing."""
+        proc = self._proc
+        if proc.stdout.closed:
             return
-        proc, self._proc = self._proc, None
         try:
             try:
-                proc.stdin.write("0\n")
-                proc.stdin.flush()
-                proc.stdin.close()
-            except (BrokenPipeError, OSError):
+                with proc.stdin:  # closed even when the write fails
+                    proc.stdin.write("0\n")
+            except OSError:  # the child has closed its input
                 pass
-            try:
-                code = proc.wait(timeout=CLOSE_TIMEOUT_S)
-            except subprocess.TimeoutExpired:
+            code = self._wait()
+            if code is None:
                 proc.kill()
                 proc.wait()
                 raise self._failure(
                     f"generator {self.command!r} did not exit within {CLOSE_TIMEOUT_S} s of the 0 request; killed it"
-                ) from None
+                )
             if code != 0:
                 raise self._failure(f"generator exited with code {code}")
             sys.stderr.write(self._child_stderr())
         finally:
+            proc.stdout.close()
             self._stderr.close()
-            self._stderr = None
 
 
 def _poisson_size(u, rate: float):
@@ -339,8 +376,10 @@ def estimate_loss(
     values = np.empty(replicates)
     for start in range(0, replicates, chunk):
         rows = slice(start, start + chunk)
+        # the target first: a token file is read while a generator child boots
+        hq = target.draw_batch(sizes_q[rows], target_rng)
         hp = None if sizes_p is None else model.draw_batch(sizes_p[rows], model_rng)
-        values[rows] = loss.batch_evaluator(hp, target.draw_batch(sizes_q[rows], target_rng))
+        values[rows] = loss.batch_evaluator(hp, hq)
 
     with np.errstate(over="ignore", invalid="ignore"):  # EstimateReport names a non-finite result
         mean = float(np.mean(values))

@@ -1,5 +1,7 @@
 import json
+import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -265,6 +267,104 @@ class TestEval:
         assert err.startswith("error: generator [")
         assert f"{child!r}] wrote a token that is not text: byte 0xff is not UTF-8 (invalid start byte)" in err
         assert "Traceback" not in err
+
+    def test_an_unknown_token_in_a_file_exits_4_naming_the_file(self, capsys, tmp_path):
+        tokens = tmp_path / "tokens.txt"
+        tokens.write_text("a\nb\nzzz\na\n", encoding="utf-8")
+        code, out, err = run(
+            capsys,
+            "eval",
+            "--divergence", "l2",
+            "--n", "2", "--m", "2",
+            "--labels", "a,b",
+            "--model-probs", "0.5,0.5",
+            "--target-file", str(tokens),
+            "--replicates", "2",
+        )
+        assert code == 4 and out == ""
+        assert err == f"error: sample file {str(tokens)!r}: token 'zzz' is not a label of this domain\n"
+
+    def test_an_unknown_token_at_the_head_of_a_large_batch_exits_4_naming_the_command(self, capsys):
+        # 40,000 requested tokens overfill the pipe: the child is still
+        # writing when the bad first token is read, and must not be left
+        # blocked on its write until the close deadline kills it
+        child = (
+            "import sys\n"
+            "for line in sys.stdin:\n"
+            "    n = int(line)\n"
+            "    if n == 0:\n"
+            "        break\n"
+            "    sys.stdout.write('zzz\\n' + 'a\\n' * (n - 1))\n"
+            "    sys.stdout.flush()\n"
+        )
+        start = time.monotonic()
+        code, out, err = run(
+            capsys,
+            "eval",
+            "--divergence", "l2",
+            "--n", "2", "--m", "2",
+            "--labels", "a,b",
+            "--model-cmd", f'{sys.executable} -c "{child}"',
+            "--target-probs", "0.5,0.5",
+            "--replicates", "20000",
+        )
+        elapsed = time.monotonic() - start
+        assert code == 4 and out == ""
+        assert err.startswith("error: generator [")
+        assert f"{child!r}]: token 'zzz' is not a label of this domain\n" in err
+        assert "did not exit" not in err
+        assert elapsed < 2.0
+
+    def test_a_helper_holding_the_generators_output_open_does_not_hold_eval_up(self, capsys):
+        # the close waits for the child's exit, not for the end of its output
+        child = (
+            "import subprocess, sys\n"
+            "subprocess.Popen([sys.executable, '-c', 'import time; time.sleep(3)'])\n"
+            "for line in sys.stdin:\n"
+            "    n = int(line)\n"
+            "    if n == 0:\n"
+            "        break\n"
+            "    sys.stdout.write('a\\n' * n)\n"
+            "    sys.stdout.flush()\n"
+        )
+        start = time.monotonic()
+        code, _, _ = run(
+            capsys,
+            "eval",
+            "--divergence", "l2",
+            "--n", "2", "--m", "2",
+            "--labels", "a,b",
+            "--model-cmd", f'{sys.executable} -c "{child}"',
+            "--target-probs", "0.5,0.5",
+            "--replicates", "4",
+        )
+        assert code == 0
+        assert time.monotonic() - start < 1.0
+
+    def test_a_configuration_error_after_a_generator_started_stops_it(self, capsys, monkeypatch, tmp_path):
+        started = []
+
+        class RecordedPopen(subprocess.Popen):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                started.append(self)
+
+        monkeypatch.setattr(subprocess, "Popen", RecordedPopen)
+        child = "import sys\nfor line in sys.stdin:\n    if int(line) == 0:\n        break\n"
+        code, out, err = run(
+            capsys,
+            "eval",
+            "--divergence", "l2",
+            "--n", "2", "--m", "2",
+            "--labels", "a,b",
+            "--target-cmd", f'{sys.executable} -c "{child}"',
+            "--model-file", str(tmp_path / "absent.txt"),
+            "--replicates", "4",
+        )
+        assert code == 2 and out == ""
+        assert "does not exist" in err
+        assert len(started) == 1
+        assert all(proc.returncode is not None for proc in started)
 
     def test_float_overflow_in_the_log_series_exits_2(self, capsys):
         code, _, err = run(

@@ -1,5 +1,7 @@
 import math
+import os
 import sys
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -158,6 +160,16 @@ class TestFileSource:
         with FileSource(str(ordered), AB) as s1, FileSource(str(shuffled), AB) as s2:
             assert s1.draw(5) == s2.draw(5)
 
+    def test_a_draw_after_close_is_an_error(self, tmp_path):
+        # it must not reopen the file and replay it from line 1
+        path = tmp_path / "sample.txt"
+        path.write_text("a\nb\n", encoding="utf-8")
+        src = FileSource(str(path), AB)
+        assert src.draw(1).counts == (1, 0)
+        src.close()
+        with pytest.raises(ValueError, match=f"sample file {str(path)!r} is closed"):
+            src.draw(1)
+
 
 class TestSubprocessSource:
     def test_protocol_round_trip(self):
@@ -182,6 +194,8 @@ class TestSubprocessSource:
         src = SubprocessSource([sys.executable, "-c", child], AB)
         with pytest.raises(SubprocessFailureError):
             src.draw(3)
+        with pytest.raises(SubprocessFailureError, match="exited with code 1"):
+            src.close()
 
     def test_unknown_token_from_child(self):
         child = (
@@ -196,6 +210,16 @@ class TestSubprocessSource:
         src = SubprocessSource([sys.executable, "-c", child], AB)
         with pytest.raises(TokenUnknownError):
             src.draw(1)
+        src.close()
+
+    def test_a_draw_after_close_is_an_error(self):
+        # it must not start a new child, which would replay the stream from its first token
+        src = SubprocessSource([sys.executable, "-c", ALTERNATING_CHILD], AB)
+        assert src.draw(1).counts == (1, 0)
+        src.close()
+        with pytest.raises(ValueError, match=r"generator \[.*\] is closed"):
+            src.draw(1)
+        src.close()  # a second close does nothing
 
 
 class TestSubprocessShutdown:
@@ -216,6 +240,20 @@ class TestSubprocessShutdown:
         with pytest.raises(SubprocessFailureError, match="did not exit within 0.2 s"):
             src.close()
         assert proc.returncode is not None  # killed and reaped, not left running
+
+    def test_without_pidfds_close_waits_with_popen_wait(self, monkeypatch):
+        import properloss.sampling as sampling
+
+        monkeypatch.delattr(os, "pidfd_open", raising=False)
+        src = SubprocessSource([sys.executable, "-c", ALTERNATING_CHILD], AB)
+        assert src.draw(3).counts == (2, 1)
+        src.close()
+        monkeypatch.setattr(sampling, "CLOSE_TIMEOUT_S", 0.2)
+        src = SubprocessSource([sys.executable, "-c", "import sys, time\nsys.stdin.read()\ntime.sleep(60)\n"], AB)
+        proc = src._proc
+        with pytest.raises(SubprocessFailureError, match="did not exit within 0.2 s"):
+            src.close()
+        assert proc.returncode is not None
 
     def test_failures_quote_the_childs_stderr(self):
         child = "import sys\nsys.stderr.write('bad weights\\n')\nsys.exit(3)\n"
@@ -252,6 +290,19 @@ class TestSubprocessShutdown:
         assert src.draw(3).counts == (3, 0)
         src.close()
         assert capsys.readouterr().err == "loading\n"
+
+    @pytest.mark.skipif(not hasattr(os, "pidfd_open"), reason="the exit is awaited on a pidfd only where one exists")
+    def test_a_clean_close_wakes_on_the_exit_without_polling(self, monkeypatch):
+        src = SubprocessSource([sys.executable, "-c", ALTERNATING_CHILD], AB)
+        assert src.draw(3).counts == (2, 1)
+
+        def no_sleep(seconds):
+            raise AssertionError(f"close slept {seconds} s")
+
+        monkeypatch.setattr(time, "sleep", no_sleep)
+        proc = src._proc
+        src.close()
+        assert proc.returncode == 0
 
 
 class TestEstimateReport:
@@ -352,6 +403,42 @@ class TestEstimateLoss:
         whole = reports()
         monkeypatch.setattr(sampling, "CHUNK_BYTES", 1)
         assert reports() == whole
+
+    @pytest.mark.parametrize("chunk_bytes", [None, 1])
+    def test_a_generator_model_gives_the_report_of_model_side_first_draws(self, monkeypatch, tmp_path, chunk_bytes):
+        # estimate_loss reads each chunk's target rows before its model rows;
+        # each side has its own stream, so the histograms are those drawn
+        # with the model side first and in one piece
+        import properloss.sampling as sampling
+        from properloss import kl_poisson
+        from properloss.sampling import STREAM_MODEL, STREAM_MODEL_SIZES, STREAM_TARGET, STREAM_TARGET_SIZES
+
+        if chunk_bytes is not None:
+            monkeypatch.setattr(sampling, "CHUNK_BYTES", chunk_bytes)
+        child = (
+            "import random, sys\n"
+            "rng = random.Random(11)\n"
+            "for line in sys.stdin:\n"
+            "    n = int(line)\n"
+            "    if n == 0:\n"
+            "        break\n"
+            "    sys.stdout.write(''.join(rng.choice('aab') + '\\n' for _ in range(n)))\n"
+            "    sys.stdout.flush()\n"
+        )
+        path = tmp_path / "target.txt"
+        path.write_text("".join(np.random.default_rng(4).choice(["a\n", "b\n"], 8000)), encoding="utf-8")
+        seed, replicates = 8, 60
+        for loss in (squared_loss_two_sample(2, 3, Mode.FLOAT), kl_poisson(6.0, 4.0)):
+            with SubprocessSource([sys.executable, "-c", child], AB) as model, FileSource(str(path), AB) as target:
+                report = estimate_loss(model, target, loss, replicates, seed=seed)
+            sizes_p = sampling._size_vector(loss.scheme_p, replicates, stream_rng(seed, STREAM_MODEL_SIZES))
+            sizes_q = sampling._size_vector(loss.scheme_q, replicates, stream_rng(seed, STREAM_TARGET_SIZES))
+            with SubprocessSource([sys.executable, "-c", child], AB) as model, FileSource(str(path), AB) as target:
+                hp = model.draw_batch(sizes_p, stream_rng(seed, STREAM_MODEL))
+                hq = target.draw_batch(sizes_q, stream_rng(seed, STREAM_TARGET))
+            values = loss.batch_evaluator(hp, hq)
+            assert report.mean == float(np.mean(values))
+            assert report.std_error == float(np.std(values, ddof=1)) / math.sqrt(replicates)
 
     def test_chunks_bound_the_count_matrices_at_large_domains(self):
         import properloss.sampling as sampling
