@@ -17,8 +17,6 @@ from .compiler import (
     cross_entropy_poisson_fixed_target,
     entropy_poisson,
     kl_poisson,
-    squared_loss_known_target,
-    squared_loss_two_sample,
 )
 from .continuous import (
     RealSample,
@@ -42,7 +40,6 @@ from .divergences import (
     builtin_brier,
     builtin_l2,
     builtin_lk_even,
-    eval_divergence,
     properness_audit,
     simplex_grid,
     squared_norm_gradient,

@@ -41,8 +41,6 @@ from .compiler import (
     cross_entropy_poisson_fixed_target,
     entropy_poisson,
     kl_poisson,
-    squared_loss_known_target,
-    squared_loss_two_sample,
 )
 from .continuous import RealSample, cramer_distance_oracle, cramer_loss, crps, energy_loss, load_real_sample, load_vector_sample, projected_cramer_loss
 from .divergences import (
@@ -53,7 +51,6 @@ from .divergences import (
     builtin_brier,
     builtin_l2,
     builtin_lk_even,
-    eval_divergence,
     simplex_grid,
     squared_norm_gradient,
     squared_norm_polynomial,
@@ -335,14 +332,6 @@ def _grid_pairs(d: int, denominator: int) -> list:
     return [(p, q) for p in points for q in points]
 
 
-def _evaluated_once(divergence) -> SimpleNamespace:
-    """``divergence`` whose ``evaluate`` runs once per (p, q) pair, for a check that revisits its grid.
-
-    ``Distribution`` equality includes the mode, so exact and float points never share a value.
-    """
-    return SimpleNamespace(evaluate=functools.lru_cache(maxsize=None)(divergence.evaluate))
-
-
 def _check_plugin_bias(seed: int) -> Outcome:
     q = Distribution.exact([Fraction(1, 10), Fraction(9, 10)])
     below = True
@@ -372,33 +361,29 @@ def _check_plugin_improper(seed: int) -> Outcome:
     return all_failed and expected_gap, "summed-frequency-variance", detail
 
 
-def _check_squared_known_target(seed: int) -> Outcome:
+def _check_compiled_l2(compile_l2: Callable, sizes: Sequence[tuple], combination: str) -> Outcome:
+    """The l2 loss compiled at each of ``sizes`` against the squared distance on a d=2 and a d=3 grid, exactly."""
     worst = Fraction(0)
     count = 0
     for d, denom in ((2, 8), (3, 4)):
         pairs = _grid_pairs(d, denom)
-        divergence = _evaluated_once(builtin_l2(d))
-        for n in (2, 3, 4, 5):
-            reports = check_implements(squared_loss_known_target(n), divergence, pairs)
+        l2 = builtin_l2(d)
+        # every size revisits the grid, so each (p, q) pair is evaluated once
+        divergence = SimpleNamespace(evaluate=functools.lru_cache(maxsize=None)(l2.evaluate))
+        for size in sizes:
+            reports = check_implements(compile_l2(l2, *size), divergence, pairs)
             count += len(reports)
             if any(not r.passed for r in reports):
                 worst = max(worst, max(r.gap for r in reports))
-    return worst == 0, str(worst), f"{count} (model, target, n) combinations, exact equality"
+    return worst == 0, str(worst), f"{count} ({combination}) combinations, exact equality"
+
+
+def _check_squared_known_target(seed: int) -> Outcome:
+    return _check_compiled_l2(compile_known_target, [(n,) for n in (2, 3, 4, 5)], "model, target, n")
 
 
 def _check_squared_two_sample(seed: int) -> Outcome:
-    worst = Fraction(0)
-    count = 0
-    for d, denom in ((2, 8), (3, 4)):
-        pairs = _grid_pairs(d, denom)
-        divergence = _evaluated_once(builtin_l2(d))
-        for n in (2, 3):
-            for m in (2, 3):
-                reports = check_implements(squared_loss_two_sample(n, m), divergence, pairs)
-                count += len(reports)
-                if any(not r.passed for r in reports):
-                    worst = max(worst, max(r.gap for r in reports))
-    return worst == 0, str(worst), f"{count} (model, target, n, m) combinations, exact equality"
+    return _check_compiled_l2(compile_two_sample, [(n, m) for n in (2, 3) for m in (2, 3)], "model, target, n, m")
 
 
 def _check_compiler_exact(seed: int) -> Outcome:
@@ -484,10 +469,10 @@ def _check_bregman(seed: int) -> Outcome:
     ok = ok and grad_err < 1e-5
     for n in (2, 3):
         bloss = bregman_known_target(potential, gradient, n)
-        closed = squared_loss_known_target(n)
+        squared = compile_known_target(builtin_l2(2), n)
         for h in enumerate_histograms(2, n):
             for q in simplex_grid(2, 4):
-                if bloss.evaluator(h, q) != closed.evaluator(h, q):
+                if bloss.evaluator(h, q) != squared.evaluator(h, q):
                     ok = False
     # mean of the potential at the empirical distribution exceeds the potential
     # at the truth by exactly the summed frequency variance
@@ -558,10 +543,10 @@ def _check_cramer_energy(seed: int) -> Outcome:
 
 
 def _check_mc_sanity(seed: int) -> Outcome:
-    loss = squared_loss_two_sample(2, 2, Mode.FLOAT)
+    loss = compile_two_sample(builtin_l2(2), 2, 2, Mode.FLOAT)
     model = InternalSource(Distribution.floating((0.25, 0.75)))
     target = InternalSource(Distribution.floating((0.5, 0.5)))
-    truth = float(eval_divergence(builtin_l2(2), model.dist, target.dist))
+    truth = float(builtin_l2(2).evaluate(model.dist, target.dist))
     report = estimate_loss(model, target, loss, 20000, seed)
     gap = abs(report.mean - truth)
     ok = gap <= 5 * report.std_error

@@ -11,7 +11,8 @@ scores a pair of histograms, one drawn from the model and one from the
 target.  Fixed-size schemes admit polynomial divergences up to the sample
 sizes' degrees; Poisson-size schemes additionally admit power series, which
 is how the log family (cross-entropy, KL, Shannon entropy) becomes
-implementable.
+implementable.  Every polynomial loss, the squared distance included, is
+compiled: there is no separate closed form to keep in step.
 
 Compilation refuses sample sizes below the divergence's degrees
 (:class:`~properloss.errors.DegreeGateError`): that boundary is tight, not a
@@ -24,6 +25,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache, reduce
+from math import perm  # perm(c, e) is the falling factorial ff(c, e), 0 when c < e
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -43,10 +45,9 @@ from .errors import (
     DegreeGateError,
     DimensionMismatchError,
     DomainTooLargeError,
-    SampleTooSmallError,
     TotalMismatchError,
 )
-from .estimators import ExponentVector, falling_factorial, ff_product, poisson_power_series, variance_mvue
+from .estimators import ExponentVector, falling_factorial, poisson_power_series
 
 
 @dataclass(frozen=True)
@@ -86,80 +87,83 @@ def _check_fixed_total(h: Histogram, n: int, side: str) -> None:
         raise TotalMismatchError(f"{side} histogram has total {h.total}, scheme requires exactly {n}")
 
 
-class _Files(dict):
-    """An estimator's terms by coordinate, ``x -> [(weight, p pairs, q pairs), ...]``.
-
-    Dense terms are filed when the estimator is built, and a coordinate without
-    terms reads as empty.  A separable ``template`` of ``(weight, i, j)`` terms
-    holds for every coordinate; its file at ``x`` is written out the first time
-    ``x`` is looked up, so building costs O(1) whatever the domain size.
-    """
-
-    def __init__(self):
-        super().__init__()
-        self.template: list = []
-
-    def __missing__(self, x: int) -> list:
-        if not self.template:
-            return []
-        file = self[x] = [(w, ((x, i),) if i else (), ((x, j),) if j else ()) for w, i, j in self.template]
-        return file
-
-
 class _Estimator:
     """Estimator substitution for a sum of terms ``coeff * p**a * q**b`` on a histogram pair.
 
     Each term's estimate ``coeff * ff(h_p; a) * ff(h_q; b) / (ff(n, |a|) ff(m, |b|))``
-    vanishes unless every factor's count reaches its power, so terms are
-    filed under their first model coordinate (or, with no model factor, their
-    first target coordinate) and only the files of observed coordinates are
-    opened.  ``terms`` holds ``(coeff, a, b)`` with exponent vectors, or with
-    ``separable`` set a divergence template's ``(coeff, i, j)``, filed once per
-    side (:class:`_Files`).  Weights are exact in exact mode and floats in float mode.
+    vanishes unless every factor's count reaches its power, so terms are filed under their first model
+    coordinate (or, with no model factor, their first target coordinate) and only observed coordinates are
+    visited.  ``terms`` holds ``(coeff, a, b)`` with exponent vectors, or with ``separable`` set a divergence
+    template's ``(coeff, i, j)``, read at every observed coordinate, so building costs O(1) whatever d.
+    Exact mode with rational coefficients sums integer weights over one denominator ``C ff(n, deg_a)
+    ff(m, deg_b)`` and divides once; otherwise the weights are the quotients, summed over 1.
     """
 
     def __init__(self, terms, n: int, m: int, mode: Mode, separable: bool = False):
-        self.constant = 0.0 if mode is Mode.FLOAT else Fraction(0)
-        self.by_p, self.by_q = _Files(), _Files()
-        weights: dict[tuple, object] = {}
-        for coeff, a, b in terms:
-            degrees = (a, b) if separable else (a.degree, b.degree)
-            key = (type(coeff), coeff, *degrees)  # 1 and 1.0 differ: a float coefficient keeps a float weight
-            if key not in weights:
-                w = coeff * Fraction(1, falling_factorial(n, degrees[0]) * falling_factorial(m, degrees[1]))
-                weights[key] = float(w) if mode is Mode.FLOAT else w
-            w = weights[key]
+        terms = list(terms)
+        degrees = [(a, b) if separable else (a.degree, b.degree) for _, a, b in terms]
+        deg_a, deg_b = max((i for i, _ in degrees), default=0), max((j for _, j in degrees), default=0)
+        scaled = over_common_denominator([c for c, _, _ in terms]) if mode is Mode.EXACT else None
+        if scaled is not None:
+            nums, den = scaled
+            self.den, self.constant = den * falling_factorial(n, deg_a) * falling_factorial(m, deg_b), 0
+            weights = [c * falling_factorial(n - i, deg_a - i) * falling_factorial(m - j, deg_b - j)
+                       for c, (i, j) in zip(nums, degrees)]
+        else:
+            self.den, self.constant = None, 0.0 if mode is Mode.FLOAT else Fraction(0)
+            weights, memo = [], {}
+            for (c, _, _), (i, j) in zip(terms, degrees):
+                key = (type(c), c, i, j)  # 1 and 1.0 differ: a float coefficient keeps a float weight
+                if key not in memo:
+                    w = c * Fraction(1, falling_factorial(n, i) * falling_factorial(m, j))
+                    memo[key] = float(w) if mode is Mode.FLOAT else w
+                weights.append(memo[key])
+        self.separable = separable
+        self.files: tuple = ([], []) if separable else ({}, {})
+        for w, (_, a, b) in zip(weights, terms):
             if separable:
-                (self.by_p if a else self.by_q).template.append((w, a, b))
-            elif a.pairs:
-                self.by_p.setdefault(a.pairs[0][0], []).append((w, a.pairs, b.pairs))
-            elif b.pairs:
-                self.by_q.setdefault(b.pairs[0][0], []).append((w, a.pairs, b.pairs))
+                self.files[0 if a else 1].append((w, a, b))
+            elif a.pairs or b.pairs:
+                side = 0 if a.pairs else 1
+                self.files[side].setdefault((a.pairs or b.pairs)[0][0], []).append((w, a.pairs, b.pairs))
             else:
                 self.constant += w
 
     def scalar(self, counts_p, support_p, counts_q=(), support_q=()):
         acc = self.constant
-        for index, support in ((self.by_p, support_p), (self.by_q, support_q)):
+        for side, support in ((0, support_p), (1, support_q)):
             for x in support:
-                for w, a, b in index[x]:
-                    num = ff_product(counts_p, a) * ff_product(counts_q, b)
+                if self.separable:  # each (weight, i, j) at x; a target-only term has i = 0, and perm(c, 0) = 1
+                    for w, i, j in self.files[side]:
+                        num = perm(counts_p[x], i) * perm(counts_q[x], j)
+                        if num:
+                            acc = acc + w * num
+                    continue
+                for w, a, b in self.files[side].get(x, ()):
+                    num = 1
+                    for y, e in a:
+                        num *= perm(counts_p[y], e)
+                    for y, e in b:
+                        num *= perm(counts_q[y], e)
                     if num:
                         acc = acc + w * num
-        return acc
+        return acc if self.den is None else Fraction(acc, self.den)
 
     def batch(self, hp: np.ndarray, hq: np.ndarray) -> np.ndarray:
-        """Row-wise float estimates over two (R, d) count matrices.
+        """Row-wise float estimates over two (R, d) count matrices, from a float-mode estimator.
 
-        Only the files of coordinates observed in some row are opened.
+        Only the terms of coordinates observed in some row are visited.
         Falling-factorial columns are kept only while one coordinate's terms
         are summed, so memory stays at a few columns whatever d and the degrees.
         """
         sides = (np.asarray(hp), np.asarray(hq))
         files: dict[int, list] = {}
-        for index, side in zip((self.by_p, self.by_q), sides):
-            for x in np.flatnonzero(side.any(axis=0)).tolist():
-                file = index[x]
+        for side, counts in enumerate(sides):
+            for x in np.flatnonzero(counts.any(axis=0)).tolist():
+                if self.separable:
+                    file = [(w, ((x, i),) if i else (), ((x, j),) if j else ()) for w, i, j in self.files[side]]
+                else:
+                    file = self.files[side].get(x, ())
                 if file:
                     files.setdefault(x, []).extend(file)
         out = np.full(len(sides[0]), float(self.constant))
@@ -169,6 +173,31 @@ class _Estimator:
                 factors = [_ff_column(sides, side, y, e, columns) for side, pairs in ((0, a), (1, b)) for y, e in pairs]
                 out += w * reduce(operator.mul, factors)
         return out
+
+
+class _TargetTemplate:
+    """A separable template against a rational known target, scored over a histogram's observed coordinates.
+
+    With coefficients ``c_t / C`` and target entries ``b_x / D``, every term is an integer numerator over
+    ``C D**deg_q ff(n, deg_p)``; the target-only terms, summed over every coordinate, are one constant built here.
+    """
+
+    def __init__(self, divergence: PolyDivergence, target: tuple, n: int):
+        (nums, cden), (self.b, den) = divergence._coeffs, target
+        deg_p, deg_q = divergence.deg_p, divergence.deg_q
+        self.den = cden * den**deg_q * falling_factorial(n, deg_p)
+        scaled = [(c * den ** (deg_q - j) * falling_factorial(n - i, deg_p - i), i, j)
+                  for c, (_, i, j) in zip(nums, divergence.template.terms)]
+        self.terms = [t for t in scaled if t[1]]
+        self.constant = sum(w * sum(b**j for b in self.b) for w, i, j in scaled if not i)
+
+    def scalar(self, counts, support) -> Fraction:
+        acc = self.constant
+        for x in support:
+            c, b = counts[x], self.b[x]
+            for w, i, j in self.terms:
+                acc += w * perm(c, i) * b**j
+        return Fraction(acc, self.den)
 
 
 def _ff_column(sides, side: int, y: int, e: int, columns: dict) -> np.ndarray:
@@ -186,29 +215,42 @@ def compile_known_target(divergence: PolyDivergence, n: int, mode: Mode = Mode.E
     """Loss against a known target whose expectation over model samples equals
     the divergence.
 
-    At call time the divergence is partially evaluated at the given target,
-    and each model monomial is replaced by its unbiased estimator; the result
-    is cached per target probability tuple, so a repeated target costs one
-    lookup.  Requires ``n >= deg_p``; below that no unbiased loss exists at all.
+    At call time the divergence is partially evaluated at the given target: in exact mode a template with
+    rational coefficients and target is scored over the observed coordinates (:class:`_TargetTemplate`),
+    otherwise ``partial_q`` substitutes the target (O(d) for a template) and each model monomial is replaced
+    by its unbiased estimator.  That state is cached per target, a ``Distribution`` by its cached hash and a
+    sequence by its values and their types.  Requires ``n >= deg_p``; below that no unbiased loss exists.
     """
     if n < divergence.deg_p:
         raise DegreeGateError(divergence.deg_p)
     if n < 1:
         raise ValueError("sample size must be >= 1")
     d = divergence.dim
-    no_q = ExponentVector.zero(d)
 
     @lru_cache(maxsize=64)
-    def estimator_for(qv: tuple, kinds: tuple) -> _Estimator:
+    def by_values(qv: tuple, kinds: tuple):
         # ``kinds`` keeps 1/2 and 0.5 apart: they hash alike but give exact and float weights
+        if len(qv) != d:
+            raise DimensionMismatchError(f"target has dimension {len(qv)}, divergence needs {d}")
+        direct = mode is Mode.EXACT and divergence.template is not None and divergence._coeffs is not None
+        target = over_common_denominator(qv) if direct else None
+        if target is not None:
+            return _TargetTemplate(divergence, target, n)
+        no_q = ExponentVector.zero(d)
         return _Estimator(((coeff, j, no_q) for j, coeff in divergence.partial_q(qv).items()), n, 0, mode)
+
+    @lru_cache(maxsize=64)
+    def by_distribution(q: Distribution):
+        return by_values(q.probs, tuple(map(type, q.probs)))  # so a Distribution and its tuple share one state
 
     def evaluator(h: Histogram, q) -> object:
         if h.dim != d:
             raise DimensionMismatchError(f"histogram dimension {h.dim}, divergence needs {d}")
         _check_fixed_total(h, n, "model")
-        qv = q.probs if isinstance(q, Distribution) else tuple(q)
-        return estimator_for(qv, tuple(map(type, qv))).scalar(h.counts, h.support)
+        if isinstance(q, Distribution):
+            return by_distribution(q).scalar(h.counts, h.support)
+        qv = tuple(q)
+        return by_values(qv, tuple(map(type, qv))).scalar(h.counts, h.support)
 
     return KnownTargetLoss(
         evaluator=evaluator,
@@ -256,90 +298,6 @@ def compile_two_sample(divergence: PolyDivergence, n: int, m: int, mode: Mode = 
             f"n={n}, m={m}"
         ),
         batch_evaluator=batch.batch,
-    )
-
-
-def squared_loss_known_target(n: int, mode: Mode = Mode.EXACT) -> KnownTargetLoss:
-    """Closed-form unbiased squared-distance loss against a known target.
-
-    ``L(h, q) = ||phat - q||^2 - sum_x phat_x (1 - phat_x) / (n - 1)``: the
-    plug-in squared distance minus an unbiased estimate of its own sampling
-    variance.  Equals the compiled squared loss pointwise; expectation is
-    ``||p - q||^2``.  In exact mode with a rational target the loss is one
-    integer numerator over ``n^2 (n-1) D^2``, ``D`` the lcm of the target's
-    denominators and ``b_x = q_x D``:
-    ``sum_x (n-1)(h_x D - n b_x)^2 - D^2 h_x (n - h_x)``.  Otherwise
-    (float mode, or a target with a float entry) the frequencies come from
-    :func:`~properloss.domain.empirical` and the correction from
-    :func:`~properloss.estimators.variance_mvue`.
-    """
-    if n < 2:
-        raise SampleTooSmallError("the variance correction needs n >= 2")
-
-    def evaluator(h: Histogram, q) -> object:
-        qv = q.probs if isinstance(q, Distribution) else tuple(q)
-        if h.dim != len(qv):
-            raise DimensionMismatchError(f"histogram dimension {h.dim}, target dimension {len(qv)}")
-        _check_fixed_total(h, n, "model")
-        scaled = over_common_denominator(q if isinstance(q, Distribution) else qv) if mode is Mode.EXACT else None
-        if scaled is not None:
-            target, den = scaled
-            num = sum((n - 1) * (c * den - n * b) ** 2 - den * den * c * (n - c) for c, b in zip(h.counts, target))
-            return Fraction(num, n * n * (n - 1) * den * den)
-        phat = empirical(h, mode).probs
-        acc = 0
-        for a, b in zip(phat, qv):
-            acc = acc + (a - b) ** 2 - variance_mvue(a, n)
-        return acc
-
-    return KnownTargetLoss(
-        evaluator=evaluator,
-        scheme=FixedSize(n),
-        provenance=f"closed-form squared loss with variance correction, n={n}",
-    )
-
-
-def squared_loss_two_sample(n: int, m: int, mode: Mode = Mode.EXACT) -> CompiledLoss:
-    """Closed-form unbiased squared-distance loss over two sample histograms.
-
-    Per coordinate: ``ff(h_p, 2)/ff(n, 2) - 2 h_p h_q/(n m) + ff(h_q, 2)/ff(m, 2)``.
-    Only coordinates observed in either sample contribute, so evaluation
-    touches at most ``n + m`` coordinates however large the domain is.  Exact
-    mode sums one integer numerator over ``n(n-1) m(m-1)``; float mode adds
-    the three quotients per coordinate.
-    """
-    if n < 2 or m < 2:
-        raise SampleTooSmallError("the unbiased squared loss needs n >= 2 and m >= 2")
-    den_p = n * (n - 1)
-    den_q = m * (m - 1)
-    den_cross = n * m
-    cross = 2 * (n - 1) * (m - 1)  # 2 / (n m) over n(n-1) m(m-1)
-
-    def evaluator(h_p: Histogram, h_q: Histogram) -> object:
-        if h_p.dim != h_q.dim:
-            raise DimensionMismatchError(f"histogram dimensions {h_p.dim} != {h_q.dim}")
-        _check_fixed_total(h_p, n, "model")
-        _check_fixed_total(h_q, m, "target")
-        pairs = [(h_p.counts[x], h_q.counts[x]) for x in set(h_p.support).union(h_q.support)]
-        if mode is Mode.EXACT:
-            num = sum(a * (a - 1) * den_q - cross * a * b + b * (b - 1) * den_p for a, b in pairs)
-            return Fraction(num, den_p * den_q)
-        acc = 0
-        for a, b in pairs:
-            acc = acc + a * (a - 1) / den_p - 2 * a * b / den_cross + b * (b - 1) / den_q
-        return acc
-
-    def batch_evaluator(hp: np.ndarray, hq: np.ndarray) -> np.ndarray:
-        hp = np.asarray(hp, dtype=float)
-        hq = np.asarray(hq, dtype=float)
-        return (hp * (hp - 1) / den_p - 2 * hp * hq / den_cross + hq * (hq - 1) / den_q).sum(axis=1)
-
-    return CompiledLoss(
-        evaluator=evaluator,
-        scheme_p=FixedSize(n),
-        scheme_q=FixedSize(m),
-        provenance=f"closed-form two-sample squared loss, n={n}, m={m}",
-        batch_evaluator=batch_evaluator,
     )
 
 

@@ -297,11 +297,6 @@ def squared_norm_gradient(d: int) -> tuple[PolyDivergence, ...]:
     )
 
 
-def eval_divergence(divergence, p, q):
-    """Direct evaluation of a polynomial or series divergence at (p, q)."""
-    return divergence.evaluate(p, q)
-
-
 def simplex_grid(d: int, denominator: int) -> list[Distribution]:
     """All exact distributions with entries in {0, 1/denominator, ..., 1}."""
     if d < 1 or denominator < 1:
@@ -335,11 +330,11 @@ def properness_audit(divergence, q: Distribution, grid_step) -> PropernessAudit:
     if d > 4:
         raise DomainTooLargeError(f"grid audit supports d <= 4, got {d}")
     denominator = int(round(1 / float(grid_step)))
-    reference = eval_divergence(divergence, q, q)
+    reference = divergence.evaluate(q, q)
     best_p = None
     best_val = None
     for p in simplex_grid(d, denominator):
-        val = eval_divergence(divergence, p, q)
+        val = divergence.evaluate(p, q)
         if best_val is None or val < best_val:
             best_val = val
             best_p = p.probs

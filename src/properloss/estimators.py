@@ -11,15 +11,14 @@ The package's losses are built from these four estimators:
 
 All are falling-factorial ratios, computed with integer arithmetic before the
 final division so exact mode stays exact and float mode rounds only once.
-Some losses inline them: the compiler's estimator core multiplies
-``ff_product`` terms by precomputed weights, and the exact closed-form squared
-losses sum one integer numerator in which ``variance_mvue`` reduces to
-``h (n - h) / (n^2 (n - 1))``; float mode and the continuous losses call
-``variance_mvue`` itself.
+The compiler inlines the monomial estimators: it multiplies falling factorials
+(``math.perm``) by precomputed weights, integer numerators over one denominator
+in exact mode.  The continuous losses call ``variance_mvue``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable
@@ -94,16 +93,6 @@ class ExponentVector:
         return tuple(powers.get(i, 0) for i in range(self.dim))
 
 
-def ff_product(counts, pairs) -> int:
-    """prod over ``(x, e)`` in ``pairs`` of ff(counts[x], e); 0 once a count is below its power."""
-    out = 1
-    for x, e in pairs:
-        out *= falling_factorial(counts[x], e)
-        if not out:
-            break
-    return out
-
-
 def binom_mvue(t: int, m: int, k: int, mode: Mode = Mode.EXACT):
     """Unbiased estimate of ``alpha**k`` from a single Binomial(m, alpha) count.
 
@@ -134,7 +123,7 @@ def multinomial_monomial_mvue(h: Histogram, n: int, j: ExponentVector, mode: Mod
         raise TotalMismatchError(f"histogram total {h.total} != declared sample size {n}")
     if j.degree > n:
         raise DegreeExceedsSampleError(f"monomial degree {j.degree} is not estimable from {n} draws")
-    num = ff_product(h.counts, j.pairs)
+    num = math.prod(falling_factorial(h.counts[x], e) for x, e in j.pairs)
     den = falling_factorial(n, j.degree)
     if mode is Mode.EXACT:
         return Fraction(num, den)

@@ -9,15 +9,15 @@ and sums in integers: each side's pmf is a list of integer numerators over
 ``D**size`` (``D`` the lcm of the probability denominators), each target
 item's loss values are integer numerators over their lcm, and one Fraction
 is built per expectation.  The values it consumes are built the same way:
-the closed-form squared losses and ``PolyDivergence.evaluate`` sum integer
-numerators and divide once.  So implementation claims ("the expectation of
-this loss IS that divergence") are checked as literal equalities with zero
-tolerance.  ``multinomial_pmf`` stays the public reference for the pmf and
-weighs float-mode sides.  ``poisson_expected_loss`` is the one truncated
-core: Poisson schemes have unbounded support, so it truncates at a
-quantile, reports the truncation honestly, and scores blocks of (model,
-target) pairs with the loss's float batch evaluator; exact sides are
-weighted from the same integer pmf numerators.
+the compiled losses' exact scalar path and ``PolyDivergence.evaluate`` sum
+integer numerators and divide once.  So implementation claims ("the
+expectation of this loss IS that divergence") are checked as literal
+equalities with zero tolerance.  ``multinomial_pmf`` stays the public
+reference for the pmf and weighs float-mode sides.  ``poisson_expected_loss``
+is the one truncated core: Poisson schemes have unbounded support, so it
+truncates at a quantile, reports the truncation honestly, and scores blocks
+of (model, target) pairs with the loss's float batch evaluator; exact sides
+are weighted from the same integer pmf numerators.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .compiler import CompiledLoss, KnownTargetLoss, _row_sums
-from .divergences import eval_divergence
 from .domain import (
     Distribution,
     FixedSize,
@@ -441,14 +440,14 @@ def check_implements(loss, divergence, points: Sequence[tuple], tol=0, tail_eps:
         oracle = _FixedSizeOracle(loss, isinstance(loss, CompiledLoss))
         for p, q in points:
             value = oracle.expect(p, q)
-            target = eval_divergence(divergence, p, q)
+            target = divergence.evaluate(p, q)
             gap = abs(target - value)
             reports.append(VerificationReport(target, value, gap, "exact", None, gap <= tol))
         return reports
 
     # At least one Poisson (or absent) side: truncated oracle per point.
     for p, q in points:
-        target = eval_divergence(divergence, p, q)
+        target = divergence.evaluate(p, q)
         if math.isinf(target):
             # a truncated sum can never witness an infinite expectation
             reports.append(VerificationReport(target, math.nan, math.inf, "truncated", None, False))
@@ -550,7 +549,7 @@ def degree_gate_bypass_exists(divergence, q: Distribution, points: Sequence[Dist
     rows = []
     for p in points:
         _require_exact(p, "model")
-        rows.append(list(p.probs) + [eval_divergence(divergence, p, q)])
+        rows.append(list(p.probs) + [divergence.evaluate(p, q)])
     return _exact_system_consistent(rows)
 
 

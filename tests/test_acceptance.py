@@ -27,6 +27,7 @@ from properloss import (
     builtin_l2,
     builtin_lk_even,
     check_implements,
+    compile_known_target,
     compile_two_sample,
     cramer_distance_oracle,
     cramer_loss,
@@ -39,7 +40,6 @@ from properloss import (
     entropy_poisson,
     enumerate_histograms,
     estimate_loss,
-    eval_divergence,
     exact_expected_two_sample,
     kl_poisson,
     multinomial_monomial_mvue,
@@ -49,8 +49,6 @@ from properloss import (
     poisson_expected_loss,
     poisson_factorial,
     simplex_grid,
-    squared_loss_known_target,
-    squared_loss_two_sample,
     squared_norm_gradient,
     squared_norm_polynomial,
     variance_mvue,
@@ -80,7 +78,7 @@ def test_c01_squared_known_target_exactness():
         divergence = builtin_l2(d)
         pairs = grid_pairs(d, denom)
         for n in (2, 3, 4, 5):
-            reports = check_implements(squared_loss_known_target(n), divergence, pairs)
+            reports = check_implements(compile_known_target(divergence, n), divergence, pairs)
             ok = ok and all(r.passed and r.gap == 0 for r in reports)
     elapsed = time.perf_counter() - t0
     report(1, "known-target squared loss is exactly unbiased", ok and elapsed < 10, elapsed,
@@ -95,7 +93,7 @@ def test_c02_squared_two_sample_exactness():
         pairs = grid_pairs(d, denom)
         for n in (2, 3):
             for m in (2, 3):
-                reports = check_implements(squared_loss_two_sample(n, m), divergence, pairs)
+                reports = check_implements(compile_two_sample(divergence, n, m), divergence, pairs)
                 ok = ok and all(r.passed and r.gap == 0 for r in reports)
     elapsed = time.perf_counter() - t0
     report(2, "two-sample squared loss is exactly unbiased", ok and elapsed < 30, elapsed,
@@ -203,10 +201,10 @@ def test_c08_bregman_construction():
     pointwise_ok = True
     for n in (2, 3, 4):
         bloss = bregman_known_target(potential, gradient, n)
-        closed = squared_loss_known_target(n)
+        squared = compile_known_target(builtin_l2(2), n)
         for h in enumerate_histograms(2, n):
             for q in simplex_grid(2, 4):
-                pointwise_ok = pointwise_ok and bloss.evaluator(h, q) == closed.evaluator(h, q)
+                pointwise_ok = pointwise_ok and bloss.evaluator(h, q) == squared.evaluator(h, q)
     elapsed = time.perf_counter() - t0
     report(8, "Bregman loss reproduces the squared loss; mean-vs-truth gap is the summed variance",
            identity_ok and pointwise_ok, elapsed, "exact for n in {2,3,4}")
@@ -253,8 +251,8 @@ def test_c09_continuous_losses():
 
 def test_c10_monte_carlo_calibration_and_block_averaging():
     t0 = time.perf_counter()
-    truth = float(eval_divergence(builtin_l2(2), SKEW, HALF))  # recomputed, = 0.125
-    loss = squared_loss_two_sample(2, 2, Mode.FLOAT)
+    truth = float(builtin_l2(2).evaluate(SKEW, HALF))  # recomputed, = 0.125
+    loss = compile_two_sample(builtin_l2(2), 2, 2, Mode.FLOAT)
     model = InternalSource(Distribution.floating([0.25, 0.75]))
     target = InternalSource(Distribution.floating([0.5, 0.5]))
     covered = 0
@@ -265,7 +263,7 @@ def test_c10_monte_carlo_calibration_and_block_averaging():
             covered += 1
     coverage = covered / runs
 
-    known = squared_loss_known_target(2, Mode.FLOAT)
+    known = compile_known_target(builtin_l2(2), 2, Mode.FLOAT)
     q = Distribution.floating([0.5, 0.5])
     src = InternalSource(q)
     singles = np.empty(10**4)

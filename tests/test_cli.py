@@ -738,12 +738,19 @@ class TestDemoBias:
 
 class TestModuleEntryPoint:
     def test_python_dash_m_invocation(self):
+        import os
         import subprocess
 
+        import properloss
+
+        # the child imports the package this suite imported, installed or not
+        package_root = os.path.dirname(os.path.dirname(os.path.abspath(properloss.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH")))))
         out = subprocess.run(
             [sys.executable, "-m", "properloss", "compile-info", "--divergence", "l2", "--format", "machine"],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert out.returncode == 0
         _, record = parse_machine(out.stdout)

@@ -12,7 +12,6 @@ from properloss import (
     Histogram,
     Mode,
     Poisson,
-    SampleTooSmallError,
     TotalMismatchError,
     bregman_known_target,
     builtin_brier,
@@ -28,8 +27,6 @@ from properloss import (
     exact_expected_known_target,
     kl_poisson,
     simplex_grid,
-    squared_loss_known_target,
-    squared_loss_two_sample,
     squared_norm_gradient,
     squared_norm_polynomial,
 )
@@ -132,9 +129,8 @@ class TestCompileKnownTarget:
             return partial_q(self, q)
 
         monkeypatch.setattr(PolyDivergence, "partial_q", counted)
-        div = builtin_l2(3)
+        div = PolyDivergence(tuple(builtin_l2(3).monomials))  # written out, so substituted through partial_q
         loss = compile_known_target(div, 2)
-        closed = squared_loss_known_target(2)
         third = Distribution.exact([Fraction(1, 3)] * 3)
         targets = [third, (Fraction(1, 2), Fraction(1, 2), Fraction(0)), third.probs, [Fraction(1), 0, 0]]
         hists = enumerate_histograms(3, 2)
@@ -143,7 +139,27 @@ class TestCompileKnownTarget:
                 for h in hists:
                     value = loss.evaluator(h, q)
                     assert isinstance(value, Fraction)
-                    assert value == closed.evaluator(h, q)
+                    assert value == fraction_squared_known_target(h, q, 2, Mode.EXACT)
+        assert len(calls) == 3  # `third` and `third.probs` are one target
+
+    def test_a_template_is_substituted_once_per_target(self, monkeypatch):
+        import properloss.compiler as compiler
+
+        calls = []
+
+        class Counted(compiler._TargetTemplate):
+            def __init__(self, divergence, target, n):
+                calls.append(target)
+                super().__init__(divergence, target, n)
+
+        monkeypatch.setattr(compiler, "_TargetTemplate", Counted)
+        loss = compile_known_target(builtin_l2(3), 2)
+        third = Distribution.exact([Fraction(1, 3)] * 3)
+        targets = [third, (Fraction(1, 2), Fraction(1, 2), Fraction(0)), third.probs, [Fraction(1), 0, 0]]
+        for _ in range(3):
+            for q in targets:
+                for h in enumerate_histograms(3, 2):
+                    assert loss.evaluator(h, q) == fraction_squared_known_target(h, q, 2, Mode.EXACT)
         assert len(calls) == 3  # `third` and `third.probs` are one target
 
     def test_float_and_exact_targets_are_cached_apart(self):
@@ -157,84 +173,71 @@ class TestCompileKnownTarget:
 
 
 class TestSquaredLossKnownTarget:
+    """The compiled l2 against a known target, and the frequency formula as its witness."""
+
     def test_hand_values(self):
-        loss = squared_loss_known_target(2)
+        loss = compile_known_target(builtin_l2(2), 2)
         assert loss.evaluator(Histogram((1, 1)), HALF) == Fraction(-1, 2)
         assert loss.evaluator(Histogram((2, 0)), Distribution.exact([1, 0])) == 0
         assert loss.evaluator(Histogram((2, 0)), HALF) == Fraction(1, 2)
 
-    def test_needs_two_draws(self):
-        with pytest.raises(SampleTooSmallError):
-            squared_loss_known_target(1)
-
     def test_agrees_with_the_compiler_everywhere(self):
-        # closed form vs estimator substitution: pointwise equality over every
-        # histogram and a rational grid of targets, d <= 3, n <= 5
+        # frequency formula vs estimator substitution: pointwise equality over
+        # every histogram and a rational grid of targets, d <= 3, n <= 5
         for d in (2, 3):
             div = builtin_l2(d)
             targets = simplex_grid(d, 4)
             for n in range(2, 6):
-                closed = squared_loss_known_target(n)
                 compiled = compile_known_target(div, n)
                 for h in enumerate_histograms(d, n):
                     for q in targets:
-                        assert closed.evaluator(h, q) == compiled.evaluator(h, q)
-
+                        assert compiled.evaluator(h, q) == fraction_squared_known_target(h, q, n, Mode.EXACT)
 
     def test_the_integer_numerator_equals_the_frequency_formula(self):
         for d, targets in SQUARED_TARGETS.items():
             for n in range(2, 6):
-                exact = squared_loss_known_target(n)
-                floating = squared_loss_known_target(n, Mode.FLOAT)
+                exact = compile_known_target(builtin_l2(d), n)
+                floating = compile_known_target(builtin_l2(d), n, Mode.FLOAT)
                 for h in enumerate_histograms(d, n):
                     for qv in targets:
                         value = exact.evaluator(h, Distribution.exact(qv))
                         assert isinstance(value, Fraction)
                         assert value == exact.evaluator(h, qv) == fraction_squared_known_target(h, qv, n, Mode.EXACT)
                         fq = Distribution.floating(qv)
-                        assert repr(floating.evaluator(h, fq)) == repr(
-                            fraction_squared_known_target(h, fq.probs, n, Mode.FLOAT))
-                        # exact frequencies against a float target keep the frequency formula's float arithmetic
-                        assert repr(exact.evaluator(h, fq.probs)) == repr(
-                            fraction_squared_known_target(h, fq.probs, n, Mode.EXACT))
+                        assert floating.evaluator(h, fq) == pytest.approx(float(value), abs=1e-14)
+                        assert type(exact.evaluator(h, fq.probs)) is float  # a float target gives a float
 
 
 class TestSquaredLossTwoSample:
+    """The compiled l2 over two samples, and the per-coordinate quotients as its witness."""
+
     def test_hand_values(self):
-        loss = squared_loss_two_sample(2, 2)
+        loss = compile_two_sample(builtin_l2(2), 2, 2)
         assert loss.evaluator(Histogram((2, 0)), Histogram((0, 2))) == 2
         assert loss.evaluator(Histogram((1, 1)), Histogram((1, 1))) == -1
-
-    def test_needs_two_draws_each(self):
-        with pytest.raises(SampleTooSmallError):
-            squared_loss_two_sample(1, 2)
-        with pytest.raises(SampleTooSmallError):
-            squared_loss_two_sample(2, 1)
 
     def test_agrees_with_the_compiler_everywhere(self):
         for d in (2, 3):
             div = builtin_l2(d)
             for n in (2, 3):
                 for m in (2, 3):
-                    closed = squared_loss_two_sample(n, m)
                     compiled = compile_two_sample(div, n, m)
                     for h in enumerate_histograms(d, n):
                         for g in enumerate_histograms(d, m):
-                            assert closed.evaluator(h, g) == compiled.evaluator(h, g)
+                            assert compiled.evaluator(h, g) == fraction_squared_two_sample(h, g, n, m, Mode.EXACT)
 
     def test_the_integer_numerator_equals_the_per_coordinate_fractions(self):
         for d in (1, 2, 3):
             for n in range(2, 6):
                 for m in range(2, 6):
-                    exact = squared_loss_two_sample(n, m)
-                    floating = squared_loss_two_sample(n, m, Mode.FLOAT)
+                    exact = compile_two_sample(builtin_l2(d), n, m)
+                    floating = compile_two_sample(builtin_l2(d), n, m, Mode.FLOAT)
                     for h in enumerate_histograms(d, n):
                         for g in enumerate_histograms(d, m):
                             value = exact.evaluator(h, g)
                             assert isinstance(value, Fraction)
                             assert value == fraction_squared_two_sample(h, g, n, m, Mode.EXACT)
-                            assert repr(floating.evaluator(h, g)) == repr(
-                                fraction_squared_two_sample(h, g, n, m, Mode.FLOAT))
+                            assert floating.evaluator(h, g) == pytest.approx(float(value), abs=1e-14)
 
     def test_sparse_evaluation_cost_is_domain_free(self):
         # a domain of 10^5 outcomes with 4 observed ones evaluates instantly
@@ -246,11 +249,11 @@ class TestSquaredLossTwoSample:
         hq[90000] = 2
         big = (Histogram(tuple(hp)), Histogram(tuple(hq)))
         small = (Histogram((2, 0)), Histogram((0, 2)))
-        loss = squared_loss_two_sample(2, 2)
+        loss = compile_two_sample(builtin_l2(d), 2, 2)
         t0 = time.perf_counter()
         value = loss.evaluator(*big)
         elapsed = time.perf_counter() - t0
-        assert value == loss.evaluator(*small) == 2
+        assert value == compile_two_sample(builtin_l2(2), 2, 2).evaluator(*small) == 2
         assert elapsed < 0.01
 
     def test_support_union_is_at_most_n_plus_m(self):
@@ -261,7 +264,7 @@ class TestSquaredLossTwoSample:
             assert len(set(hp.support) | set(hq.support)) <= 3 + 4
 
     def test_batch_matches_scalar(self):
-        loss = squared_loss_two_sample(2, 2, Mode.FLOAT)
+        loss = compile_two_sample(builtin_l2(2), 2, 2, Mode.FLOAT)
         rng = np.random.default_rng(2)
         hp = rng.multinomial(2, [0.25, 0.75], size=100)
         hq = rng.multinomial(2, [0.5, 0.5], size=100)
@@ -270,8 +273,8 @@ class TestSquaredLossTwoSample:
         assert batch == pytest.approx(scalar, abs=1e-12)
 
     def test_float_mode_tracks_exact_mode(self):
-        exact = squared_loss_two_sample(3, 2)
-        floating = squared_loss_two_sample(3, 2, Mode.FLOAT)
+        exact = compile_two_sample(builtin_l2(2), 3, 2)
+        floating = compile_two_sample(builtin_l2(2), 3, 2, Mode.FLOAT)
         for h in enumerate_histograms(2, 3):
             for g in enumerate_histograms(2, 2):
                 assert floating.evaluator(h, g) == pytest.approx(float(exact.evaluator(h, g)), abs=1e-14)
@@ -397,10 +400,10 @@ class TestBregman:
     def test_recovers_the_squared_loss_pointwise(self):
         for n in (2, 3):
             bloss = bregman_known_target(squared_norm_polynomial(2), squared_norm_gradient(2), n)
-            closed = squared_loss_known_target(n)
+            squared = compile_known_target(builtin_l2(2), n)
             for h in enumerate_histograms(2, n):
                 for q in simplex_grid(2, 4):
-                    assert bloss.evaluator(h, q) == closed.evaluator(h, q)
+                    assert bloss.evaluator(h, q) == squared.evaluator(h, q)
 
     def test_identity_expectation_is_zero(self):
         bloss = bregman_known_target(squared_norm_polynomial(2), squared_norm_gradient(2), 2)

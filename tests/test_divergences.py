@@ -17,7 +17,6 @@ from properloss import (
     builtin_brier,
     builtin_l2,
     builtin_lk_even,
-    eval_divergence,
     properness_audit,
     simplex_grid,
 )
@@ -96,23 +95,23 @@ class TestBuiltinL2:
         assert (div.deg_p, div.deg_q) == (2, 2)
 
     def test_identity_is_zero(self):
-        assert eval_divergence(builtin_l2(2), HALF, HALF) == 0
+        assert builtin_l2(2).evaluate(HALF, HALF) == 0
 
     def test_point_masses(self):
         p = Distribution.exact([1, 0])
         q = Distribution.exact([0, 1])
-        assert eval_divergence(builtin_l2(2), p, q) == 2
+        assert builtin_l2(2).evaluate(p, q) == 2
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            eval_divergence(builtin_l2(3), HALF, HALF)
+            builtin_l2(3).evaluate(HALF, HALF)
 
 
 class TestBuiltinLkEven:
     def test_point_masses_fourth_power(self):
         p = Distribution.exact([1, 0])
         q = Distribution.exact([0, 1])
-        assert eval_divergence(builtin_lk_even(2, 4), p, q) == 2
+        assert builtin_lk_even(2, 4).evaluate(p, q) == 2
 
     def test_k2_has_the_same_monomials_as_l2(self):
         assert set(builtin_lk_even(2, 2).monomials) == set(builtin_l2(2).monomials)
@@ -122,7 +121,7 @@ class TestBuiltinLkEven:
         l2 = builtin_l2(2)
         for p in simplex_grid(2, 8):
             for q in simplex_grid(2, 8):
-                assert eval_divergence(lk, p, q) == eval_divergence(l2, p, q)
+                assert lk.evaluate(p, q) == l2.evaluate(p, q)
 
     def test_odd_exponent_rejected(self):
         with pytest.raises(OddExponentError):
@@ -131,9 +130,9 @@ class TestBuiltinLkEven:
 
 class TestBuiltinBrier:
     def test_hand_values(self):
-        assert eval_divergence(builtin_brier(2), HALF, HALF) == Fraction(-1, 2)
+        assert builtin_brier(2).evaluate(HALF, HALF) == Fraction(-1, 2)
         one = Distribution.exact([1, 0])
-        assert eval_divergence(builtin_brier(2), one, one) == -1
+        assert builtin_brier(2).evaluate(one, one) == -1
 
     def test_degrees(self):
         div = builtin_brier(3)
@@ -143,16 +142,16 @@ class TestBuiltinBrier:
 class TestSeriesDivergences:
     def test_cross_entropy_at_uniform(self):
         ce = SeriesDivergence(SeriesKind.CROSS_ENTROPY)
-        assert eval_divergence(ce, HALF, HALF) == pytest.approx(math.log(2), abs=1e-12)
+        assert ce.evaluate(HALF, HALF) == pytest.approx(math.log(2), abs=1e-12)
 
     def test_cross_entropy_support_mismatch_is_infinite(self):
         ce = SeriesDivergence(SeriesKind.CROSS_ENTROPY)
         p = Distribution.exact([0, 1])
-        assert eval_divergence(ce, p, HALF) == math.inf
+        assert ce.evaluate(p, HALF) == math.inf
 
     def test_kl_identity_is_zero(self):
         kl = SeriesDivergence(SeriesKind.KL)
-        assert eval_divergence(kl, HALF, HALF) == 0
+        assert kl.evaluate(HALF, HALF) == 0
 
     def test_kl_decomposes_into_cross_entropy_minus_entropy(self):
         kl = SeriesDivergence(SeriesKind.KL)
@@ -162,14 +161,14 @@ class TestSeriesDivergences:
             for q in simplex_grid(2, 8):
                 if 0 in p.probs:
                     continue
-                lhs = eval_divergence(kl, p, q)
-                rhs = eval_divergence(ce, p, q) - eval_divergence(ent, p, q)
+                lhs = kl.evaluate(p, q)
+                rhs = ce.evaluate(p, q) - ent.evaluate(p, q)
                 assert lhs == pytest.approx(rhs, abs=1e-12)
 
     def test_entropy_ignores_model(self):
         ent = SeriesDivergence(SeriesKind.SHANNON_ENTROPY)
         p = Distribution.exact([1, 0])
-        assert eval_divergence(ent, p, HALF) == eval_divergence(ent, HALF, HALF)
+        assert ent.evaluate(p, HALF) == ent.evaluate(HALF, HALF)
 
 
 class TestPropernessAudit:
@@ -207,14 +206,14 @@ class TestPropernessInvariant:
         polys = [builtin_l2(2), builtin_lk_even(2, 4), builtin_brier(2)]
         for div in polys:
             for q in grid:
-                ref = eval_divergence(div, q, q)
+                ref = div.evaluate(q, q)
                 for p in grid:
-                    assert eval_divergence(div, p, q) >= ref
+                    assert div.evaluate(p, q) >= ref
         ce = SeriesDivergence(SeriesKind.CROSS_ENTROPY)
         kl = SeriesDivergence(SeriesKind.KL)
         for q in grid:
-            ref_ce = eval_divergence(ce, q, q)
-            ref_kl = eval_divergence(kl, q, q)
+            ref_ce = ce.evaluate(q, q)
+            ref_kl = kl.evaluate(q, q)
             for p in grid:
-                assert eval_divergence(ce, p, q) >= ref_ce - 1e-12
-                assert eval_divergence(kl, p, q) >= ref_kl - 1e-12
+                assert ce.evaluate(p, q) >= ref_ce - 1e-12
+                assert kl.evaluate(p, q) >= ref_kl - 1e-12

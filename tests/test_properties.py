@@ -35,8 +35,6 @@ from properloss import (
     kl_poisson,
     multinomial_pmf,
     naive_plugin_loss,
-    squared_loss_known_target,
-    squared_loss_two_sample,
     squared_norm_polynomial,
     stream_rng,
 )
@@ -89,18 +87,26 @@ def test_batch_evaluator_equals_the_scalar_evaluator_row_by_row(data):
             assert math.isclose(value, float(exact.evaluator(h, g)), rel_tol=1e-12, abs_tol=1e-12)
 
 
+def fraction_squared_two_sample(h, g, n, m):
+    """The two-sample squared loss as per-coordinate quotients over the observed coordinates, in Fractions."""
+    acc = 0
+    for x in set(h.support).union(g.support):
+        a, b = h.counts[x], g.counts[x]
+        acc += Fraction(a * (a - 1), n * (n - 1)) - Fraction(2 * a * b, n * m) + Fraction(b * (b - 1), m * (m - 1))
+    return acc
+
+
 @functools.lru_cache(maxsize=None)
-def large_domain_losses():
-    return compile_two_sample(builtin_l2(20_000), 2, 2), squared_loss_two_sample(2, 2)
+def large_domain_l2():
+    return compile_two_sample(builtin_l2(20_000), 2, 2)
 
 
 @settings(deadline=None, max_examples=50)
 @given(histograms(20_000, 2), histograms(20_000, 2))
 def test_compiled_l2_equals_the_closed_form_on_a_large_domain(h, g):
-    compiled, closed = large_domain_losses()
-    value = compiled.evaluator(h, g)
+    value = large_domain_l2().evaluator(h, g)
     assert isinstance(value, Fraction)
-    assert value == closed.evaluator(h, g)
+    assert value == fraction_squared_two_sample(h, g, 2, 2)
 
 
 @given(st.lists(st.integers(0, 4) | st.just(0), max_size=12))
@@ -397,9 +403,10 @@ def test_the_fixed_size_oracle_equals_brute_force_enumeration(data):
     n = data.draw(st.integers(2, 3))
     m = data.draw(st.integers(2, 3))
     cases = [(loss, (n,), exact_expected_known_target)
-             for loss in (squared_loss_known_target(n), compile_known_target(builtin_l2(d), n), naive_plugin_loss(n))]
+             for loss in (compile_known_target(PolyDivergence(tuple(builtin_l2(d).monomials)), n),
+                          compile_known_target(builtin_l2(d), n), naive_plugin_loss(n))]
     cases += [(loss, (n, m), exact_expected_two_sample)
-              for loss in (squared_loss_two_sample(n, m), compile_two_sample(builtin_brier(d), n, m))]
+              for loss in (compile_two_sample(builtin_l2(d), n, m), compile_two_sample(builtin_brier(d), n, m))]
     for loss, sizes, one_point in cases:
         # a sweep shares the oracle's memos across points; each one-point call builds its own
         estimates = [r.estimate for r in check_implements(loss, builtin_l2(d), points)]

@@ -21,14 +21,13 @@ from properloss import (
     TokenUnknownError,
     block_average,
     builtin_l2,
+    compile_known_target,
+    compile_two_sample,
     cross_entropy_poisson,
     draw_fixed,
     draw_poisson,
     estimate_loss,
-    eval_divergence,
     exact_expected_two_sample,
-    squared_loss_known_target,
-    squared_loss_two_sample,
     stream_rng,
 )
 
@@ -319,13 +318,13 @@ class TestEstimateReport:
 
 class TestEstimateLoss:
     def test_needs_two_replicates(self):
-        loss = squared_loss_two_sample(2, 2, Mode.FLOAT)
+        loss = compile_two_sample(builtin_l2(2), 2, 2, Mode.FLOAT)
         src = InternalSource(HALF_F)
         with pytest.raises(ValueError):
             estimate_loss(src, src, loss, 1, seed=0)
 
     def test_bit_identical_reports(self):
-        loss = squared_loss_two_sample(2, 2, Mode.FLOAT)
+        loss = compile_two_sample(builtin_l2(2), 2, 2, Mode.FLOAT)
         model = InternalSource(Distribution.floating([0.25, 0.75]))
         target = InternalSource(HALF_F)
         a = estimate_loss(model, target, loss, 5000, seed=42)
@@ -354,7 +353,7 @@ class TestEstimateLoss:
                 n = scheme.n if hasattr(scheme, "n") else _poisson_size(float(size_rng.random()), scheme.rate)
                 yield src.draw(n, item_rng)
 
-        for loss in (squared_loss_two_sample(2, 2, Mode.FLOAT), cross_entropy_poisson(6.0, 6.0)):
+        for loss in (compile_two_sample(builtin_l2(2), 2, 2, Mode.FLOAT), cross_entropy_poisson(6.0, 6.0)):
             pairs = zip(
                 draw(model, loss.scheme_p, STREAM_MODEL, STREAM_MODEL_SIZES),
                 draw(target, loss.scheme_q, STREAM_TARGET, STREAM_TARGET_SIZES),
@@ -384,11 +383,11 @@ class TestEstimateLoss:
         model = InternalSource(Distribution.floating([0.25, 0.75]), AB)
         target = InternalSource(HALF_F, AB)
         cases = [
-            (squared_loss_two_sample(2, 2, Mode.FLOAT), model, target),
+            (compile_two_sample(builtin_l2(2), 2, 2, Mode.FLOAT), model, target),
             (cross_entropy_poisson(6.0, 4.0), model, target),
             (kl_poisson(6.0, 4.0), model, target),
             (entropy_poisson(4.0), None, target),
-            (squared_loss_two_sample(2, 3, Mode.FLOAT), lambda: FileSource(str(path), AB), target),
+            (compile_two_sample(builtin_l2(2), 2, 3, Mode.FLOAT), lambda: FileSource(str(path), AB), target),
         ]
 
         def reports():
@@ -428,7 +427,7 @@ class TestEstimateLoss:
         path = tmp_path / "target.txt"
         path.write_text("".join(np.random.default_rng(4).choice(["a\n", "b\n"], 8000)), encoding="utf-8")
         seed, replicates = 8, 60
-        for loss in (squared_loss_two_sample(2, 3, Mode.FLOAT), kl_poisson(6.0, 4.0)):
+        for loss in (compile_two_sample(builtin_l2(2), 2, 3, Mode.FLOAT), kl_poisson(6.0, 4.0)):
             with SubprocessSource([sys.executable, "-c", child], AB) as model, FileSource(str(path), AB) as target:
                 report = estimate_loss(model, target, loss, replicates, seed=seed)
             sizes_p = sampling._size_vector(loss.scheme_p, replicates, stream_rng(seed, STREAM_MODEL_SIZES))
@@ -453,12 +452,12 @@ class TestEstimateLoss:
                 return counts
 
         src = Recording(Distribution.uniform(d, Mode.FLOAT))
-        estimate_loss(src, src, squared_loss_two_sample(2, 2, Mode.FLOAT), replicates, seed=0)
+        estimate_loss(src, src, compile_two_sample(builtin_l2(d), 2, 2, Mode.FLOAT), replicates, seed=0)
         assert sum(rows for rows, _ in shapes) == 2 * replicates
         assert all(2 * rows * d * 8 <= sampling.CHUNK_BYTES for rows, _ in shapes)
 
     def test_ci_covers_the_exact_value(self):
-        loss = squared_loss_two_sample(2, 2, Mode.FLOAT)
+        loss = compile_two_sample(builtin_l2(2), 2, 2, Mode.FLOAT)
         model = InternalSource(Distribution.floating([0.25, 0.75]))
         target = InternalSource(HALF_F)
         report = estimate_loss(model, target, loss, 20000, seed=1)
@@ -474,10 +473,10 @@ class TestEstimateLoss:
         assert abs(report.mean - math.log(2)) <= 4 * report.std_error
 
     def test_grand_mean_converges_to_the_oracle(self):
-        loss = squared_loss_two_sample(2, 2, Mode.FLOAT)
+        loss = compile_two_sample(builtin_l2(2), 2, 2, Mode.FLOAT)
         p = Distribution.exact([Fraction(1, 4), Fraction(3, 4)])
         q = Distribution.exact([Fraction(1, 2), Fraction(1, 2)])
-        truth = float(exact_expected_two_sample(squared_loss_two_sample(2, 2), p, q))
+        truth = float(exact_expected_two_sample(compile_two_sample(builtin_l2(2), 2, 2), p, q))
         model = InternalSource(Distribution.floating([0.25, 0.75]))
         target = InternalSource(HALF_F)
         means = []
@@ -493,7 +492,7 @@ class TestEstimateLoss:
     def test_file_sources_run_out_cleanly(self, tmp_path):
         path = tmp_path / "few.txt"
         path.write_text("a\nb\n" * 3, encoding="utf-8")
-        loss = squared_loss_two_sample(2, 2, Mode.FLOAT)
+        loss = compile_two_sample(builtin_l2(2), 2, 2, Mode.FLOAT)
         with FileSource(str(path), AB) as model:
             with pytest.raises(SourceExhaustedError):
                 estimate_loss(model, InternalSource(HALF_F, AB), loss, 10, seed=0)
@@ -501,13 +500,13 @@ class TestEstimateLoss:
 
 class TestBlockAverage:
     def test_single_block_is_a_single_evaluation(self):
-        loss = squared_loss_known_target(2)
+        loss = compile_known_target(builtin_l2(2), 2)
         q = Distribution.exact([Fraction(1, 2), Fraction(1, 2)])
         h = Histogram((1, 1))
         assert block_average(h, 2, loss, q=q, seed=0) == float(loss.evaluator(h, q))
 
     def test_floor_rule_discards_leftovers(self):
-        loss = squared_loss_known_target(2)
+        loss = compile_known_target(builtin_l2(2), 2)
         q = Distribution.exact([Fraction(1, 2), Fraction(1, 2)])
         h = Histogram((2, 1))  # N=3, one block of 2, one draw dropped
         value = block_average(h, 2, loss, q=q, seed=4)
@@ -515,21 +514,21 @@ class TestBlockAverage:
         assert value in possible
 
     def test_block_size_must_match_the_loss(self):
-        loss = squared_loss_known_target(2)
+        loss = compile_known_target(builtin_l2(2), 2)
         with pytest.raises(ValueError):
             block_average(Histogram((4, 4)), 4, loss, q=HALF_F, seed=0)
 
     def test_known_target_needs_q(self):
         with pytest.raises(ValueError):
-            block_average(Histogram((2, 2)), 2, squared_loss_known_target(2), seed=0)
+            block_average(Histogram((2, 2)), 2, compile_known_target(builtin_l2(2), 2), seed=0)
 
     def test_sample_too_small(self):
-        loss = squared_loss_known_target(2)
+        loss = compile_known_target(builtin_l2(2), 2)
         with pytest.raises(SampleTooSmallError):
             block_average(Histogram((1, 0)), 2, loss, q=HALF_F, seed=0)
 
     def test_two_sample_blocks(self):
-        loss = squared_loss_two_sample(2, 2, Mode.FLOAT)
+        loss = compile_two_sample(builtin_l2(2), 2, 2, Mode.FLOAT)
         value = block_average(
             Histogram((4, 4)), 2, loss, target_sample=Histogram((3, 5)), seed=1
         )
@@ -537,7 +536,7 @@ class TestBlockAverage:
 
     def test_averaging_reduces_variance(self):
         # four blocks of the minimal size beat one block, trial for trial
-        loss = squared_loss_known_target(2, Mode.FLOAT)
+        loss = compile_known_target(builtin_l2(2), 2, Mode.FLOAT)
         q = HALF_F
         src = InternalSource(HALF_F)
         singles = []
@@ -550,10 +549,10 @@ class TestBlockAverage:
         assert np.var(averaged) < np.var(singles)
 
     def test_unbiased_at_the_harness_level(self):
-        loss = squared_loss_known_target(2, Mode.FLOAT)
+        loss = compile_known_target(builtin_l2(2), 2, Mode.FLOAT)
         q = HALF_F
         src = InternalSource(Distribution.floating([0.25, 0.75]))
-        truth = float(eval_divergence(builtin_l2(2), (0.25, 0.75), (0.5, 0.5)))
+        truth = float(builtin_l2(2).evaluate((0.25, 0.75), (0.5, 0.5)))
         values = [
             block_average(draw_fixed(src, 8, seed=s), 2, loss, q=q, seed=s) for s in range(4000)
         ]

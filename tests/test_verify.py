@@ -14,6 +14,7 @@ from properloss import (
     builtin_l2,
     builtin_lk_even,
     check_implements,
+    compile_known_target,
     compile_two_sample,
     cross_entropy_poisson,
     cross_entropy_poisson_fixed_target,
@@ -29,8 +30,6 @@ from properloss import (
     naive_plugin_loss,
     poisson_expected_loss,
     simplex_grid,
-    squared_loss_known_target,
-    squared_loss_two_sample,
     squared_norm_gradient,
     squared_norm_polynomial,
 )
@@ -90,12 +89,12 @@ class TestWeightedHistograms:
 
 class TestExactExpectedKnownTarget:
     def test_squared_loss_at_identity(self):
-        assert exact_expected_known_target(squared_loss_known_target(2), HALF, HALF) == 0
+        assert exact_expected_known_target(compile_known_target(builtin_l2(2), 2), HALF, HALF) == 0
 
     def test_squared_loss_at_opposite_corners(self):
         p = Distribution.exact([1, 0])
         q = Distribution.exact([0, 1])
-        assert exact_expected_known_target(squared_loss_known_target(2), p, q) == 2
+        assert exact_expected_known_target(compile_known_target(builtin_l2(2), 2), p, q) == 2
 
     def test_plugin_loss_shows_the_variance_term(self):
         # the uncorrected plug-in loss overshoots by the summed frequency
@@ -104,17 +103,17 @@ class TestExactExpectedKnownTarget:
 
     def test_float_model_rejected(self):
         with pytest.raises(ValueError):
-            exact_expected_known_target(squared_loss_known_target(2), Distribution.floating([0.5, 0.5]), HALF)
+            exact_expected_known_target(compile_known_target(builtin_l2(2), 2), Distribution.floating([0.5, 0.5]), HALF)
 
 
 class TestExactExpectedTwoSample:
     def test_squared_loss_at_identity(self):
-        assert exact_expected_two_sample(squared_loss_two_sample(2, 2), HALF, HALF) == 0
+        assert exact_expected_two_sample(compile_two_sample(builtin_l2(2), 2, 2), HALF, HALF) == 0
 
     def test_squared_loss_at_opposite_corners(self):
         p = Distribution.exact([1, 0])
         q = Distribution.exact([0, 1])
-        assert exact_expected_two_sample(squared_loss_two_sample(2, 2), p, q) == 2
+        assert exact_expected_two_sample(compile_two_sample(builtin_l2(2), 2, 2), p, q) == 2
 
     def test_compiled_brier_matches_direct_formula(self):
         p = Distribution.exact([Fraction(1, 4), Fraction(3, 4)])
@@ -209,13 +208,13 @@ class TestPoissonExpectedLoss:
 class TestCheckImplementsInputs:
     def test_empty_points_rejected(self):
         with pytest.raises(ValueError):
-            check_implements(squared_loss_two_sample(2, 2), builtin_l2(2), [])
+            check_implements(compile_two_sample(builtin_l2(2), 2, 2), builtin_l2(2), [])
 
 
 class TestCheckImplements:
     def test_squared_two_sample_passes_on_the_grid(self):
         points = [(p, q) for p in simplex_grid(2, 4) for q in simplex_grid(2, 4)]
-        reports = check_implements(squared_loss_two_sample(2, 2), builtin_l2(2), points)
+        reports = check_implements(compile_two_sample(builtin_l2(2), 2, 2), builtin_l2(2), points)
         assert all(r.passed and r.gap == 0 and r.mode == "exact" for r in reports)
 
     def test_plugin_loss_fails_at_every_interior_model(self):
@@ -256,8 +255,8 @@ class TestFixedSizeOracleKernel:
         exact, floating = HALF, Distribution.floating([0.5, 0.5])
         points = [(self.P, floating), (self.P, exact)] if float_first else [(self.P, exact), (self.P, floating)]
         with pytest.raises(ValueError, match="exact-mode target"):
-            check_implements(squared_loss_known_target(2), builtin_l2(2), points)
-        [report] = check_implements(squared_loss_known_target(2), builtin_l2(2), [(self.P, exact)])
+            check_implements(compile_known_target(builtin_l2(2), 2), builtin_l2(2), points)
+        [report] = check_implements(compile_known_target(builtin_l2(2), 2), builtin_l2(2), [(self.P, exact)])
         assert isinstance(report.estimate, Fraction) and report.estimate == Fraction(1, 18) and report.passed
 
     def test_a_float_loss_value_is_rejected_by_name(self):
@@ -293,7 +292,7 @@ class TestFixedSizeOracleKernel:
             return [h for h in enumerate_histograms(dist.dim, size) if multinomial_pmf(h, size, dist) != 0]
 
         calls = []
-        known = squared_loss_known_target(2)
+        known = compile_known_target(builtin_l2(3), 2)
 
         def counted_known(h, q):
             calls.append((q, h.counts))
@@ -305,7 +304,7 @@ class TestFixedSizeOracleKernel:
         assert set(calls) == {(q, h.counts) for p, q in points for h in support(p, 2)}
 
         calls.clear()
-        two_sample = squared_loss_two_sample(2, 3)
+        two_sample = compile_two_sample(builtin_l2(3), 2, 3)
 
         def counted_two_sample(h, g):
             calls.append((g.counts, h.counts))
