@@ -47,7 +47,7 @@ from .errors import (
     DomainTooLargeError,
     TotalMismatchError,
 )
-from .estimators import ExponentVector, falling_factorial, poisson_power_series
+from .estimators import falling_factorial, poisson_power_series
 
 
 @dataclass(frozen=True)
@@ -88,37 +88,49 @@ def _check_fixed_total(h: Histogram, n: int, side: str) -> None:
 
 
 class _Estimator:
-    """Estimator substitution for a sum of terms ``coeff * p**a * q**b`` on a histogram pair.
+    """Estimator substitution for a divergence's terms ``coeff * p**a * q**b`` on a model histogram and a target side.
 
-    Each term's estimate ``coeff * ff(h_p; a) * ff(h_q; b) / (ff(n, |a|) ff(m, |b|))``
-    vanishes unless every factor's count reaches its power, so terms are filed under their first model
-    coordinate (or, with no model factor, their first target coordinate) and only observed coordinates are
-    visited.  ``terms`` holds ``(coeff, a, b)`` with exponent vectors, or with ``separable`` set a divergence
-    template's ``(coeff, i, j)``, read at every observed coordinate, so building costs O(1) whatever d.
-    Exact mode with rational coefficients sums integer weights over one denominator ``C ff(n, deg_a)
-    ff(m, deg_b)`` and divides once; otherwise the weights are the quotients, summed over 1.
+    The target side is a sample of ``m``, where ``q**b`` becomes ``ff(h_q; b) / ff(m, |b|)``, or a known target,
+    where ``q**b`` stays.  A term vanishes unless every count reaches its power, so terms are filed under their first
+    model coordinate (or, with no model factor, their first target coordinate) and only observed coordinates are
+    visited; a known target's target-only terms are summed here, once, over the target's support.  A template's
+    ``(coeff, i, j)`` terms are read at every observed coordinate, so building costs O(1) whatever d.  Exact mode
+    with rational coefficients sums integer weights over one denominator ``C ff(n, deg_a) ff(m, deg_b)``, or
+    ``C ff(n, deg_a) D**deg_b`` against a target of numerators over ``D``, and divides once; otherwise the weights
+    are the quotients, and a known target's values (floats in float mode) are used over 1.
     """
 
-    def __init__(self, terms, n: int, m: int, mode: Mode, separable: bool = False):
-        terms = list(terms)
-        degrees = [(a, b) if separable else (a.degree, b.degree) for _, a, b in terms]
-        deg_a, deg_b = max((i for i, _ in degrees), default=0), max((j for _, j in degrees), default=0)
-        scaled = over_common_denominator([c for c, _, _ in terms]) if mode is Mode.EXACT else None
-        if scaled is not None:
-            nums, den = scaled
-            self.den, self.constant = den * falling_factorial(n, deg_a) * falling_factorial(m, deg_b), 0
-            weights = [c * falling_factorial(n - i, deg_a - i) * falling_factorial(m - j, deg_b - j)
-                       for c, (i, j) in zip(nums, degrees)]
+    def __init__(self, divergence: PolyDivergence, n: int, mode: Mode, m: int = 0, target: Optional[tuple] = None):
+        self.separable = separable = divergence.template is not None
+        monomials = divergence.monomials
+        terms = divergence.template.terms if separable else [(t.coeff, t.p_exps, t.q_exps) for t in monomials]
+        degrees = terms if separable else [(c, a.degree, b.degree) for c, a, b in terms]  # (coeff, |a|, |b|)
+        deg_a, deg_b = divergence.deg_p, divergence.deg_q
+        scaled = divergence._coeffs if mode is Mode.EXACT else None
+        self.target = target
+        if target is not None:
+            known = over_common_denominator(target) if scaled is not None else None
+            if known is None:
+                scaled, self.target = None, tuple(map(float, target)) if mode is Mode.FLOAT else target
+            else:
+                self.target, tden = known
+        if scaled is not None:  # the target side's share of each weight, by degree j
+            nums, cden = scaled
+            if target is None:
+                share = [falling_factorial(m - j, deg_b - j) for j in range(deg_b + 1)]
+            else:
+                share = [tden ** (deg_b - j) for j in range(deg_b + 1)]
+            den, self.constant = cden * falling_factorial(n, deg_a) * share[0], 0
+            weights = [c * falling_factorial(n - i, deg_a - i) * share[j] for c, (_, i, j) in zip(nums, degrees)]
         else:
-            self.den, self.constant = None, 0.0 if mode is Mode.FLOAT else Fraction(0)
+            den, self.constant = None, 0.0 if mode is Mode.FLOAT else Fraction(0)
             weights, memo = [], {}
-            for (c, _, _), (i, j) in zip(terms, degrees):
+            for c, i, j in degrees:
                 key = (type(c), c, i, j)  # 1 and 1.0 differ: a float coefficient keeps a float weight
                 if key not in memo:
-                    w = c * Fraction(1, falling_factorial(n, i) * falling_factorial(m, j))
+                    w = c * Fraction(1, falling_factorial(n, i) * (falling_factorial(m, j) if target is None else 1))
                     memo[key] = float(w) if mode is Mode.FLOAT else w
                 weights.append(memo[key])
-        self.separable = separable
         self.files: tuple = ([], []) if separable else ({}, {})
         for w, (_, a, b) in zip(weights, terms):
             if separable:
@@ -128,29 +140,39 @@ class _Estimator:
                 self.files[side].setdefault((a.pairs or b.pairs)[0][0], []).append((w, a.pairs, b.pairs))
             else:
                 self.constant += w
+        self.den = None  # unset while a known target's constant is summed, so that it stays a numerator
+        if target is not None:
+            self.constant = self.scalar((), (), self.target, [x for x, v in enumerate(self.target) if v])
+        self.den = den
 
-    def scalar(self, counts_p, support_p, counts_q=(), support_q=()):
-        acc = self.constant
+    def scalar(self, counts_p, support_p, counts_q=None, support_q=()):
+        """The estimate at a model and a target histogram, or, with ``counts_q`` left ``None``, at the known target."""
+        acc, power = self.constant, perm if self.target is None else pow  # a j = 0 factor stays the integer 1
+        if counts_q is None:
+            counts_q = self.target
         for side, support in ((0, support_p), (1, support_q)):
-            for x in support:
-                if self.separable:  # each (weight, i, j) at x; a target-only term has i = 0, and perm(c, 0) = 1
-                    for w, i, j in self.files[side]:
-                        num = perm(counts_p[x], i) * perm(counts_q[x], j)
+            file = self.files[side]
+            if self.separable:  # each (weight, i, j) at every x; a target-only term has i = 0, and perm(0, 0) = 1
+                for x in support:
+                    c, v = counts_p[x] if side == 0 else 0, counts_q[x]
+                    for w, i, j in file:
+                        num = perm(c, i) * (power(v, j) if j else 1)
                         if num:
                             acc = acc + w * num
-                    continue
-                for w, a, b in self.files[side].get(x, ()):
+                continue
+            for x in support:
+                for w, a, b in file.get(x, ()):
                     num = 1
                     for y, e in a:
                         num *= perm(counts_p[y], e)
                     for y, e in b:
-                        num *= perm(counts_q[y], e)
+                        num *= power(counts_q[y], e)
                     if num:
                         acc = acc + w * num
         return acc if self.den is None else Fraction(acc, self.den)
 
     def batch(self, hp: np.ndarray, hq: np.ndarray) -> np.ndarray:
-        """Row-wise float estimates over two (R, d) count matrices, from a float-mode estimator.
+        """Row-wise float estimates over two (R, d) count matrices, from a float-mode two-sample estimator.
 
         Only the terms of coordinates observed in some row are visited.
         Falling-factorial columns are kept only while one coordinate's terms
@@ -175,31 +197,6 @@ class _Estimator:
         return out
 
 
-class _TargetTemplate:
-    """A separable template against a rational known target, scored over a histogram's observed coordinates.
-
-    With coefficients ``c_t / C`` and target entries ``b_x / D``, every term is an integer numerator over
-    ``C D**deg_q ff(n, deg_p)``; the target-only terms, summed over every coordinate, are one constant built here.
-    """
-
-    def __init__(self, divergence: PolyDivergence, target: tuple, n: int):
-        (nums, cden), (self.b, den) = divergence._coeffs, target
-        deg_p, deg_q = divergence.deg_p, divergence.deg_q
-        self.den = cden * den**deg_q * falling_factorial(n, deg_p)
-        scaled = [(c * den ** (deg_q - j) * falling_factorial(n - i, deg_p - i), i, j)
-                  for c, (_, i, j) in zip(nums, divergence.template.terms)]
-        self.terms = [t for t in scaled if t[1]]
-        self.constant = sum(w * sum(b**j for b in self.b) for w, i, j in scaled if not i)
-
-    def scalar(self, counts, support) -> Fraction:
-        acc = self.constant
-        for x in support:
-            c, b = counts[x], self.b[x]
-            for w, i, j in self.terms:
-                acc += w * perm(c, i) * b**j
-        return Fraction(acc, self.den)
-
-
 def _ff_column(sides, side: int, y: int, e: int, columns: dict) -> np.ndarray:
     """Float column ff(counts[:, y], e) of one side, memoized in ``columns`` with the lower powers it builds on."""
     key = (side, y, e)
@@ -215,11 +212,12 @@ def compile_known_target(divergence: PolyDivergence, n: int, mode: Mode = Mode.E
     """Loss against a known target whose expectation over model samples equals
     the divergence.
 
-    At call time the divergence is partially evaluated at the given target: in exact mode a template with
-    rational coefficients and target is scored over the observed coordinates (:class:`_TargetTemplate`),
-    otherwise ``partial_q`` substitutes the target (O(d) for a template) and each model monomial is replaced
-    by its unbiased estimator.  That state is cached per target, a ``Distribution`` by its cached hash and a
-    sequence by its values and their types.  Requires ``n >= deg_p``; below that no unbiased loss exists.
+    At call time the known target takes the place of the target sample in estimator substitution: each term's
+    target factor is ``q**b`` itself, and each model monomial is replaced by its unbiased estimator
+    (:class:`_Estimator`).  The first call on a target reads its entries once and sums its target-only terms over
+    its support; each later one costs O(observed coordinates).  That state is cached per target, a
+    ``Distribution`` by its cached hash and a sequence by its values and their types.  Requires ``n >= deg_p``;
+    below that no unbiased loss exists.
     """
     if n < divergence.deg_p:
         raise DegreeGateError(divergence.deg_p)
@@ -232,12 +230,7 @@ def compile_known_target(divergence: PolyDivergence, n: int, mode: Mode = Mode.E
         # ``kinds`` keeps 1/2 and 0.5 apart: they hash alike but give exact and float weights
         if len(qv) != d:
             raise DimensionMismatchError(f"target has dimension {len(qv)}, divergence needs {d}")
-        direct = mode is Mode.EXACT and divergence.template is not None and divergence._coeffs is not None
-        target = over_common_denominator(qv) if direct else None
-        if target is not None:
-            return _TargetTemplate(divergence, target, n)
-        no_q = ExponentVector.zero(d)
-        return _Estimator(((coeff, j, no_q) for j, coeff in divergence.partial_q(qv).items()), n, 0, mode)
+        return _Estimator(divergence, n, mode, target=qv)
 
     @lru_cache(maxsize=64)
     def by_distribution(q: Distribution):
@@ -274,13 +267,8 @@ def compile_two_sample(divergence: PolyDivergence, n: int, m: int, mode: Mode = 
     if n < 1 or m < 1:
         raise ValueError("sample sizes must be >= 1")
     d = divergence.dim
-    separable = divergence.template is not None
-    if separable:
-        terms = divergence.template.terms
-    else:
-        terms = [(mono.coeff, mono.p_exps, mono.q_exps) for mono in divergence.monomials]
-    scalar = _Estimator(terms, n, m, mode, separable)
-    batch = scalar if mode is Mode.FLOAT else _Estimator(terms, n, m, Mode.FLOAT, separable)
+    scalar = _Estimator(divergence, n, mode, m)
+    batch = scalar if mode is Mode.FLOAT else _Estimator(divergence, n, Mode.FLOAT, m)
 
     def evaluator(h_p: Histogram, h_q: Histogram) -> object:
         if h_p.dim != d or h_q.dim != d:
@@ -317,12 +305,6 @@ def _log_series(rate, mode: Mode) -> Callable[[int], object]:
         r = float(rate)
         coeffs = lambda k: 1.0 / k
     return cache(lambda t: poisson_power_series(t, coeffs, r))
-
-
-def _series_pair(rate, mode: Mode) -> tuple:
-    """A loss's series in ``mode`` and the float series of its batch evaluator, built once per loss."""
-    series = _log_series(rate, mode)
-    return series, series if mode is Mode.FLOAT else _log_series(rate, Mode.FLOAT)
 
 
 def _series_loss(series, scale, weights: Histogram, h: Histogram):
@@ -366,6 +348,36 @@ def _series_batch(series, scale, weights: np.ndarray, h: np.ndarray) -> np.ndarr
     return _row_sums(weights / float(scale) * table[complements])
 
 
+def _series_compiled(rate, scale, mode: Mode, provenance: str, fixed: bool = False,
+                     target_only: bool = False) -> CompiledLoss:
+    """The Poisson series loss ``sum_x (h_q[x] / scale) * S_rate(count of h_p outside x)``.
+
+    Its target sample has Poisson(scale) size, or exactly ``scale`` draws when ``fixed``; a ``target_only`` loss
+    reads ``h_q`` in place of ``h_p`` and has no model scheme.  The float series of the batch evaluator is built
+    once per loss.
+    """
+    series = _log_series(rate, mode)
+    float_series = series if mode is Mode.FLOAT else _log_series(rate, Mode.FLOAT)
+    scale_val = Fraction(scale) if mode is Mode.EXACT else float(scale)
+
+    def evaluator(h_p: Histogram, h_q: Histogram) -> object:
+        if target_only:
+            h_p = h_q
+        elif h_p.dim != h_q.dim:
+            raise DimensionMismatchError(f"histogram dimensions {h_p.dim} != {h_q.dim}")
+        if fixed:
+            _check_fixed_total(h_q, scale, "target")
+        return _series_loss(series, scale_val, h_q, h_p)
+
+    return CompiledLoss(
+        evaluator=evaluator,
+        scheme_p=None if target_only else Poisson(float(rate)),
+        scheme_q=FixedSize(scale) if fixed else Poisson(float(scale)),
+        provenance=provenance,
+        batch_evaluator=lambda hp, hq: _series_batch(float_series, scale, hq, hq if target_only else hp),
+    )
+
+
 def cross_entropy_poisson(alpha: float, beta: float, mode: Mode = Mode.FLOAT) -> CompiledLoss:
     """Poisson-size loss whose expectation is the cross-entropy -sum_x q_x ln p_x.
 
@@ -374,21 +386,7 @@ def cross_entropy_poisson(alpha: float, beta: float, mode: Mode = Mode.FLOAT) ->
     everything except ``x``.  The inner sum self-truncates, so the loss is
     finite on every histogram pair even when the divergence itself is +inf.
     """
-    series, float_series = _series_pair(alpha, mode)
-    beta_val = Fraction(beta) if mode is Mode.EXACT else float(beta)
-
-    def evaluator(h_p: Histogram, h_q: Histogram) -> object:
-        if h_p.dim != h_q.dim:
-            raise DimensionMismatchError(f"histogram dimensions {h_p.dim} != {h_q.dim}")
-        return _series_loss(series, beta_val, h_q, h_p)
-
-    return CompiledLoss(
-        evaluator=evaluator,
-        scheme_p=Poisson(float(alpha)),
-        scheme_q=Poisson(float(beta)),
-        provenance=f"cross-entropy power-series loss, rates ({alpha}, {beta})",
-        batch_evaluator=lambda hp, hq: _series_batch(float_series, beta, hq, hp),
-    )
+    return _series_compiled(alpha, beta, mode, f"cross-entropy power-series loss, rates ({alpha}, {beta})")
 
 
 def cross_entropy_poisson_fixed_target(alpha: float, m: int, mode: Mode = Mode.FLOAT) -> CompiledLoss:
@@ -399,22 +397,8 @@ def cross_entropy_poisson_fixed_target(alpha: float, m: int, mode: Mode = Mode.F
     """
     if m < 1:
         raise ValueError("target sample size must be >= 1")
-    series, float_series = _series_pair(alpha, mode)
-    m_val = Fraction(m) if mode is Mode.EXACT else float(m)
-
-    def evaluator(h_p: Histogram, h_q: Histogram) -> object:
-        if h_p.dim != h_q.dim:
-            raise DimensionMismatchError(f"histogram dimensions {h_p.dim} != {h_q.dim}")
-        _check_fixed_total(h_q, m, "target")
-        return _series_loss(series, m_val, h_q, h_p)
-
-    return CompiledLoss(
-        evaluator=evaluator,
-        scheme_p=Poisson(float(alpha)),
-        scheme_q=FixedSize(m),
-        provenance=f"cross-entropy power-series loss, rate {alpha}, fixed target size {m}",
-        batch_evaluator=lambda hp, hq: _series_batch(float_series, m, hq, hp),
-    )
+    return _series_compiled(alpha, m, mode, f"cross-entropy power-series loss, rate {alpha}, fixed target size {m}",
+                            fixed=True)
 
 
 def entropy_poisson(beta: float, mode: Mode = Mode.FLOAT) -> CompiledLoss:
@@ -425,19 +409,7 @@ def entropy_poisson(beta: float, mode: Mode = Mode.FLOAT) -> CompiledLoss:
     S_beta(h_q minus x)`` has expectation ``sum_x q_x * (-ln q_x) >= 0``.
     The model histogram is ignored (``scheme_p`` is ``None``).
     """
-    series, float_series = _series_pair(beta, mode)
-    beta_val = Fraction(beta) if mode is Mode.EXACT else float(beta)
-
-    def evaluator(h_p, h_q: Histogram) -> object:
-        return _series_loss(series, beta_val, h_q, h_q)
-
-    return CompiledLoss(
-        evaluator=evaluator,
-        scheme_p=None,
-        scheme_q=Poisson(float(beta)),
-        provenance=f"Shannon-entropy power-series loss, rate {beta}",
-        batch_evaluator=lambda hp, hq: _series_batch(float_series, beta, hq, hq),
-    )
+    return _series_compiled(beta, beta, mode, f"Shannon-entropy power-series loss, rate {beta}", target_only=True)
 
 
 def kl_poisson(alpha: float, beta: float, mode: Mode = Mode.FLOAT) -> CompiledLoss:

@@ -112,9 +112,9 @@ class PolyDivergence:
     """A finite sum of monomials with pairwise-distinct exponent pairs.
 
     ``monomials`` is a tuple of :class:`Monomial`, or a :class:`Separable` template applied to every
-    coordinate; ``template`` is that template or ``None``.  Evaluation, substitution and the compiler read a
-    template's terms directly, so they never build its monomials.  Degree metadata is recomputed from the
-    monomials or the template on construction and never trusted from input.
+    coordinate; ``template`` is that template or ``None``.  Evaluation and the compiler read a template's terms
+    directly, so they never build its monomials.  Degree metadata is recomputed from the monomials or the
+    template on construction and never trusted from input.
     """
 
     monomials: Sequence[Monomial]
@@ -196,32 +196,6 @@ class PolyDivergence:
                     * _power_product(qv, m.q_exps) * dq ** (self.deg_q - m.q_exps.degree)
                 )
         return Fraction(acc, cden * dp**self.deg_p * dq**self.deg_q) if exact else acc
-
-    def partial_q(self, q) -> dict[ExponentVector, object]:
-        """Substitute a known target, leaving a polynomial in ``p`` alone.
-
-        Returns a map from p-exponent vectors to collected coefficients;
-        exactly cancelled terms are dropped.
-        """
-        qv = _probs(q)
-        if len(qv) != self.dim:
-            raise DimensionMismatchError(f"target has dimension {len(qv)}, divergence needs {self.dim}")
-        grouped: dict[ExponentVector, object] = {}
-        if self.template is not None:
-            for x, b in enumerate(qv):
-                for c, i, j in self.template.terms:
-                    factor = b**j if j else 1
-                    if factor == 0:
-                        continue
-                    key = ExponentVector.unit(self.dim, x, i)
-                    grouped[key] = grouped.get(key, 0) + c * factor
-        else:
-            for m in self.monomials:
-                factor = _power_product(qv, m.q_exps)
-                if factor == 0:
-                    continue
-                grouped[m.p_exps] = grouped.get(m.p_exps, 0) + m.coeff * factor
-        return {j: c for j, c in grouped.items() if c != 0}
 
 
 class SeriesKind(Enum):

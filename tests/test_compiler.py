@@ -40,7 +40,8 @@ HALF = Distribution.exact([Fraction(1, 2), Fraction(1, 2)])
 #: Known targets with mixed denominators (the lcm of 6, 10, 15 is 30, not 15) and zero coordinates.
 SQUARED_TARGETS = {
     1: [(Fraction(1),)],
-    2: [(Fraction(1, 3), Fraction(2, 3)), (Fraction(0), Fraction(1)), (Fraction(3, 7), Fraction(4, 7))],
+    2: [(Fraction(1, 3), Fraction(2, 3)), (Fraction(0), Fraction(1)), (Fraction(3, 7), Fraction(4, 7)),
+        (Fraction(1, 3**400), 1 - Fraction(1, 3**400))],
     3: [(Fraction(1, 6), Fraction(1, 10), Fraction(11, 15)), (Fraction(0), Fraction(1, 4), Fraction(3, 4)),
         (Fraction(1), Fraction(0), Fraction(0)), (Fraction(1, 2), Fraction(0), Fraction(1, 2))],
 }
@@ -120,16 +121,20 @@ class TestCompileKnownTarget:
         assert exc.value.n_required == 2
         assert exc.value.m_required is None
 
-    def test_partial_evaluation_runs_once_per_target(self, monkeypatch):
+    @pytest.mark.parametrize("div", [builtin_l2(3), PolyDivergence(tuple(builtin_l2(3).monomials))],
+                             ids=["template", "written-out"])
+    def test_an_estimator_is_built_once_per_target(self, monkeypatch, div):
+        import properloss.compiler as compiler
+
         calls = []
-        partial_q = PolyDivergence.partial_q
 
-        def counted(self, q):
-            calls.append(tuple(q))
-            return partial_q(self, q)
+        class Counted(compiler._Estimator):
+            def __init__(self, *args, target=None, **kwargs):
+                if target is not None:
+                    calls.append(target)
+                super().__init__(*args, target=target, **kwargs)
 
-        monkeypatch.setattr(PolyDivergence, "partial_q", counted)
-        div = PolyDivergence(tuple(builtin_l2(3).monomials))  # written out, so substituted through partial_q
+        monkeypatch.setattr(compiler, "_Estimator", Counted)
         loss = compile_known_target(div, 2)
         third = Distribution.exact([Fraction(1, 3)] * 3)
         targets = [third, (Fraction(1, 2), Fraction(1, 2), Fraction(0)), third.probs, [Fraction(1), 0, 0]]
@@ -140,26 +145,6 @@ class TestCompileKnownTarget:
                     value = loss.evaluator(h, q)
                     assert isinstance(value, Fraction)
                     assert value == fraction_squared_known_target(h, q, 2, Mode.EXACT)
-        assert len(calls) == 3  # `third` and `third.probs` are one target
-
-    def test_a_template_is_substituted_once_per_target(self, monkeypatch):
-        import properloss.compiler as compiler
-
-        calls = []
-
-        class Counted(compiler._TargetTemplate):
-            def __init__(self, divergence, target, n):
-                calls.append(target)
-                super().__init__(divergence, target, n)
-
-        monkeypatch.setattr(compiler, "_TargetTemplate", Counted)
-        loss = compile_known_target(builtin_l2(3), 2)
-        third = Distribution.exact([Fraction(1, 3)] * 3)
-        targets = [third, (Fraction(1, 2), Fraction(1, 2), Fraction(0)), third.probs, [Fraction(1), 0, 0]]
-        for _ in range(3):
-            for q in targets:
-                for h in enumerate_histograms(3, 2):
-                    assert loss.evaluator(h, q) == fraction_squared_known_target(h, q, 2, Mode.EXACT)
         assert len(calls) == 3  # `third` and `third.probs` are one target
 
     def test_float_and_exact_targets_are_cached_apart(self):

@@ -45,15 +45,6 @@ class TestPolyDivergence:
         with pytest.raises(ValueError):
             Monomial(0, ExponentVector((1,)), ExponentVector((0,)))
 
-    def test_partial_q_groups_by_model_exponents(self):
-        div = builtin_l2(2)
-        grouped = div.partial_q(HALF)
-        # per coordinate: p_x^2 with coefficient 1, p_x with -2 q_x, plus a
-        # collected constant sum q_x^2
-        assert grouped[ExponentVector((2, 0))] == 1
-        assert grouped[ExponentVector((1, 0))] == -1  # -2 * 1/2
-        assert grouped[ExponentVector((0, 0))] == Fraction(1, 2)  # q_0^2 + q_1^2
-
 
 class TestSeparable:
     def test_length_is_known_without_building_monomials(self):

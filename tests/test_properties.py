@@ -584,8 +584,6 @@ def test_a_template_evaluates_as_its_expanded_monomials(data):
             p, q = data.draw(p_points), data.draw(q_points)
             value, reference = div.evaluate(p, q), dense.evaluate(p, q)
             assert type(value) is type(reference) and repr(value) == repr(reference)
-            substituted, expected = div.partial_q(q), dense.partial_q(q)
-            assert [(j, repr(c)) for j, c in substituted.items()] == [(j, repr(c)) for j, c in expected.items()]
 
 
 @settings(deadline=None, max_examples=40)
@@ -606,6 +604,12 @@ def test_a_template_compiles_as_its_expanded_monomials(data):
                 assert type(value) is type(expected) and repr(value) == repr(expected)
                 assert repr(known.evaluator(h, q)) == repr(known_reference.evaluator(h, q))
             assert loss.batch_evaluator(hp, hq).tobytes() == reference.batch_evaluator(hp, hq).tobytes()
+        if all(isinstance(v, (int, Fraction)) for v in q):  # the float path tracks its exact twin
+            exact, floating = compile_known_target(div, n), compile_known_target(div, n, Mode.FLOAT)
+            for h, _ in rows:
+                value = exact.evaluator(h, q)
+                assert type(value) is Fraction
+                assert math.isclose(floating.evaluator(h, q), value, rel_tol=1e-12, abs_tol=1e-12)
 
 
 def test_a_builtin_over_a_million_outcomes_builds_no_exponent_vector(monkeypatch):
@@ -616,4 +620,10 @@ def test_a_builtin_over_a_million_outcomes_builds_no_exponent_vector(monkeypatch
     assert (div.deg_p, div.deg_q, len(div.monomials)) == (2, 2, 3 * 10**6)
     assert fills == []
     compile_two_sample(div, 2, 2)
+    assert fills == []
+    d = 10**5
+    q = Distribution.floating([2.0**-16] * 2**16 + [0.0] * (d - 2**16))  # sums to 1 exactly
+    h = Histogram.from_indices((3, 70_000), d)
+    for mode in (Mode.EXACT, Mode.FLOAT):  # a float target's first call
+        assert type(compile_known_target(builtin_l2(d), 2, mode).evaluator(h, q)) is float
     assert fills == []
