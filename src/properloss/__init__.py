@@ -46,6 +46,7 @@ from .divergences import (
     squared_norm_polynomial,
 )
 from .domain import (
+    CountRows,
     Distribution,
     Domain,
     FixedSize,

@@ -32,6 +32,7 @@ import numpy as np
 
 from .divergences import PolyDivergence, simplex_grid
 from .domain import (
+    CountRows,
     Distribution,
     FixedSize,
     Histogram,
@@ -40,6 +41,7 @@ from .domain import (
     SamplingScheme,
     empirical,
     over_common_denominator,
+    run_starts,
 )
 from .errors import (
     DegreeGateError,
@@ -67,16 +69,21 @@ class CompiledLoss:
     """A loss L(h_p, h_q) over a pair of sample histograms.
 
     ``scheme_p`` is ``None`` for target-only losses (the evaluator ignores its
-    first argument).  ``batch_evaluator`` maps two (R, d) count matrices to R
-    float loss values in any mode; Monte Carlo estimation uses it.  Evaluators
-    are pure apart from internal memoization and safe to call concurrently.
+    first argument).  ``batch_evaluator`` maps two sides' :class:`CountRows`
+    (the model side ``None`` for a target-only loss) to R float loss values in
+    any mode; Monte Carlo estimation and the Poisson oracle use it.  It scores
+    rows over a domain small against their draws as dense count columns and
+    other rows over each row's observed coordinates only
+    (:meth:`CountRows.dense_scoring`), with the same bits either way.
+    Evaluators are pure apart from internal memoization and safe to call
+    concurrently.
     """
 
     evaluator: Callable[[Optional[Histogram], Histogram], object]
     scheme_p: Optional[SamplingScheme]
     scheme_q: SamplingScheme
     provenance: str
-    batch_evaluator: Callable[[Optional[np.ndarray], np.ndarray], np.ndarray]
+    batch_evaluator: Callable[[Optional[CountRows], CountRows], np.ndarray]
 
     def evaluate(self, h_p: Optional[Histogram], h_q: Histogram):
         return self.evaluator(h_p, h_q)
@@ -111,7 +118,7 @@ class _Estimator:
         if target is not None:
             known = over_common_denominator(target) if scaled is not None else None
             if known is None:
-                scaled, self.target = None, tuple(map(float, target)) if mode is Mode.FLOAT else target
+                scaled, self.target = None, tuple(map(float, target)) if mode is Mode.FLOAT else tuple(target)
             else:
                 self.target, tden = known
         if scaled is not None:  # the target side's share of each weight, by degree j
@@ -142,7 +149,12 @@ class _Estimator:
                 self.constant += w
         self.den = None  # unset while a known target's constant is summed, so that it stays a numerator
         if target is not None:
-            self.constant = self.scalar((), (), self.target, [x for x, v in enumerate(self.target) if v])
+            files, support = self.files, [x for x, v in enumerate(self.target) if v]
+            if den is None and mode is Mode.EXACT and all(type(self.target[x]) is float for x in support):
+                # a Fraction weight times a float entry is float(weight) times it, so convert each weight once
+                self.files = (files[0], _float_weights(files[1]))
+            self.constant = self.scalar((), (), self.target, support)
+            self.files = files
         self.den = den
 
     def scalar(self, counts_p, support_p, counts_q=None, support_q=()):
@@ -171,41 +183,129 @@ class _Estimator:
                         acc = acc + w * num
         return acc if self.den is None else Fraction(acc, self.den)
 
-    def batch(self, hp: np.ndarray, hq: np.ndarray) -> np.ndarray:
-        """Row-wise float estimates over two (R, d) count matrices, from a float-mode two-sample estimator.
+    def batch(self, hp: CountRows, hq: CountRows) -> np.ndarray:
+        """Row-wise float estimates over two sides' count rows, from a float-mode two-sample estimator.
 
-        Only the terms of coordinates observed in some row are visited.
-        Falling-factorial columns are kept only while one coordinate's terms
-        are summed, so memory stays at a few columns whatever d and the degrees.
+        Each row adds the constant, then its terms coordinate by coordinate ascending and in file order within
+        one, as the scalar does.  Rows over a domain small against their draws (:meth:`CountRows.dense_scoring`)
+        are scored as dense count columns, one coordinate observed in some row at a time; falling-factorial
+        columns are kept only while one coordinate's terms are summed.  Other rows are scored over each row's
+        own observed coordinates.  Both give the same bits: a term at a coordinate that a row did not observe
+        adds a signed zero there, which leaves every sum as it was.
         """
-        sides = (np.asarray(hp), np.asarray(hq))
+        if hq.dense_scoring(hp):
+            return self._dense_batch(hp, hq)
+        return self._sparse_batch(hp, hq)
+
+    def _dense_batch(self, hp: CountRows, hq: CountRows) -> np.ndarray:
         files: dict[int, list] = {}
-        for side, counts in enumerate(sides):
-            for x in np.flatnonzero(counts.any(axis=0)).tolist():
+        for side, rows in enumerate((hp, hq)):
+            for x in rows.observed().tolist():
                 if self.separable:
                     file = [(w, ((x, i),) if i else (), ((x, j),) if j else ()) for w, i, j in self.files[side]]
                 else:
                     file = self.files[side].get(x, ())
                 if file:
                     files.setdefault(x, []).extend(file)
-        out = np.full(len(sides[0]), float(self.constant))
+        sides = (hp.dense(), hq.dense())
+        out = np.full(hp.shape[0], float(self.constant))
+        column = lambda side, y: sides[side][:, y]
         for x in sorted(files):
-            columns: dict[tuple, np.ndarray] = {}
-            for w, a, b in files[x]:
-                factors = [_ff_column(sides, side, y, e, columns) for side, pairs in ((0, a), (1, b)) for y, e in pairs]
+            for w, factors in _term_factors(files[x], column):
                 out += w * reduce(operator.mul, factors)
         return out
 
+    def _sparse_batch(self, hp: CountRows, hq: CountRows) -> np.ndarray:
+        """The (row, coordinate) pairs observed on either side, each scored over the terms filed under its coordinate.
 
-def _ff_column(sides, side: int, y: int, e: int, columns: dict) -> np.ndarray:
-    """Float column ff(counts[:, y], e) of one side, memoized in ``columns`` with the lower powers it builds on."""
+        A template's terms are read at every pair at once, their factors being the pair's own counts; written-out
+        terms are read one observed coordinate at a time, their factors looked up in the pairs' rows.  A pair
+        with fewer terms than another is padded with zeros."""
+        d = hq.shape[1]
+        sides = (hp.entries(), hq.entries())
+        keys, own = _merged(sides)
+        if self.separable:
+            template = [(w, ((0, i),) if i else (), ((0, j),) if j else ()) for w, i, j in self.files[0] + self.files[1]]
+            values = np.column_stack([w * reduce(operator.mul, factors)
+                                      for w, factors in _term_factors(template, lambda side, _: own[side])])
+        else:
+            cols = keys % d
+            order = np.argsort(cols, kind="stable")
+            coords, starts = np.unique(cols[order], return_index=True)
+            files = [self.files[0].get(x, []) + self.files[1].get(x, []) for x in coords.tolist()]
+            values = np.zeros((len(keys), max(map(len, files), default=0)))
+            for file, at in zip(files, np.split(order, starts[1:])):
+                row_keys = keys[at] - cols[at]
+                column = lambda side, y: _lookup(*sides[side], row_keys + y)
+                for t, (w, factors) in enumerate(_term_factors(file, column)):
+                    values[at, t] = w * reduce(operator.mul, factors)
+        return _fold(hq.shape[0], float(self.constant), keys // d, values)
+
+
+def _term_factors(file, column):
+    """Each ``(w, model pairs, target pairs)`` term as ``w`` and its float factor columns ``ff(count, e)``, model first.
+
+    ``column(side, y)`` gives the counts of coordinate ``y`` on one side.  A term's value is ``w`` times the
+    factors' product, multiplied left to right."""
+    columns: dict[tuple, np.ndarray] = {}
+    for w, a, b in file:
+        yield w, [_ff_column(column, side, y, e, columns) for side, pairs in ((0, a), (1, b)) for y, e in pairs]
+
+
+def _ff_column(column, side: int, y: int, e: int, columns: dict) -> np.ndarray:
+    """Float column ff(column(side, y), e), memoized in ``columns`` with the lower powers it builds on."""
     key = (side, y, e)
     if key not in columns:
         if e == 1:
-            columns[key] = sides[side][:, y].astype(float)
+            columns[key] = column(side, y).astype(float)
         else:
-            columns[key] = _ff_column(sides, side, y, e - 1, columns) * (_ff_column(sides, side, y, 1, columns) - (e - 1))
+            columns[key] = _ff_column(column, side, y, e - 1, columns) * (_ff_column(column, side, y, 1, columns) - (e - 1))
     return columns[key]
+
+
+def _float_weights(file):
+    """A file of ``(weight, ...)`` terms, a list or a dict of lists by coordinate, with float weights."""
+    if isinstance(file, dict):
+        return {x: _float_weights(terms) for x, terms in file.items()}
+    return [(float(w), *rest) for w, *rest in file]
+
+
+def _merged(sides) -> tuple[np.ndarray, list]:
+    """The keys observed on either side, ascending, and each side's counts at them (0 where it did not observe one).
+
+    Each side's keys are tagged with the side in their lowest bit and all are sorted at once: a side's keys are
+    ascending, so they come out in their own order and their counts follow them without a search."""
+    tagged = np.sort(np.concatenate([keys * 2 + side for side, (keys, _) in enumerate(sides)]))
+    new = run_starts(tagged >> 1)
+    entry = np.cumsum(new) - 1
+    own = []
+    for side, (_, counts) in enumerate(sides):
+        at = np.zeros(np.count_nonzero(new), dtype=np.int64)
+        at[entry[(tagged & 1) == side]] = counts
+        own.append(at)
+    return tagged[new] >> 1, own
+
+
+def _lookup(keys: np.ndarray, counts: np.ndarray, query: np.ndarray) -> np.ndarray:
+    """The counts at the ``query`` keys, 0 at a key absent from the ascending ``keys``."""
+    if not len(keys):
+        return np.zeros(len(query), dtype=np.int64)
+    at = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
+    return np.where(keys[at] == query, counts[at], 0)
+
+
+def _fold(rows: int, start: float, row: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``start`` plus each row's values, added left to right.
+
+    ``values`` holds one line of values per entry, entries grouped by their ascending ``row``; the lines of one
+    row are laid side by side, padded with zeros, and summed by :func:`_row_sums`."""
+    first = np.flatnonzero(run_starts(row))
+    rank = np.arange(len(row)) - np.repeat(first, np.diff(first, append=len(row)))  # an entry's place in its row
+    width = values.shape[1]
+    table = np.zeros((rows, 1 + width * (1 + int(rank.max(initial=-1)))))
+    table[:, 0] = start
+    table.reshape(-1)[(row * table.shape[1] + 1 + rank * width)[:, None] + np.arange(width)] = values
+    return _row_sums(table)
 
 
 def compile_known_target(divergence: PolyDivergence, n: int, mode: Mode = Mode.EXACT) -> KnownTargetLoss:
@@ -216,7 +316,8 @@ def compile_known_target(divergence: PolyDivergence, n: int, mode: Mode = Mode.E
     target factor is ``q**b`` itself, and each model monomial is replaced by its unbiased estimator
     (:class:`_Estimator`).  The first call on a target reads its entries once and sums its target-only terms over
     its support; each later one costs O(observed coordinates).  That state is cached per target, a
-    ``Distribution`` by its cached hash and a sequence by its values and their types.  Requires ``n >= deg_p``;
+    ``Distribution`` by its cached hash (its state built from its cached numerators) and a sequence by its values
+    and their types, so a ``Distribution`` and its ``probs`` tuple are two targets.  Requires ``n >= deg_p``;
     below that no unbiased loss exists.
     """
     if n < divergence.deg_p:
@@ -234,7 +335,10 @@ def compile_known_target(divergence: PolyDivergence, n: int, mode: Mode = Mode.E
 
     @lru_cache(maxsize=64)
     def by_distribution(q: Distribution):
-        return by_values(q.probs, tuple(map(type, q.probs)))  # so a Distribution and its tuple share one state
+        # keyed by the cached hash, and built from the cached numerators: the d entries are read once, not hashed
+        if q.dim != d:
+            raise DimensionMismatchError(f"target has dimension {q.dim}, divergence needs {d}")
+        return _Estimator(divergence, n, mode, target=q)
 
     def evaluator(h: Histogram, q) -> object:
         if h.dim != d:
@@ -334,18 +438,29 @@ def _row_sums(a: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _series_batch(series, scale, weights: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """:func:`_series_loss` in float over (R, d) count matrices, equal to the float scalar row by row.
+def _series_batch(series, scale, weights: CountRows, h: CountRows) -> np.ndarray:
+    """:func:`_series_loss` in float over count rows, equal to the float scalar row by row.
 
     ``series`` is a float-mode :func:`_log_series`, whose memo carries over
     from call to call.  Complements at observed coordinates index a dense
-    table of S(0), ..., S(largest such complement); every other coordinate
-    looks up S(0) = 0, so it adds exactly 0 even where its own S would
-    overflow to inf.  Each row adds its terms column by column in index
-    order (:func:`_row_sums`), the scalar's order."""
-    complements = np.where(weights > 0, _row_sums(h)[:, None] - h, 0)
+    table of S(0), ..., S(largest such complement).  Each row adds its terms
+    in ascending coordinate order, the scalar's order: as dense columns
+    (:func:`_row_sums`) when the domain is small against the draws per row
+    (:meth:`CountRows.dense_scoring`), where every unobserved coordinate looks up
+    S(0) = 0 and so adds exactly 0 even where its own S would overflow to inf;
+    otherwise over each row's observed coordinates only (:func:`_fold`)."""
+    rows, d = weights.shape
+    if weights.dense_scoring(*(() if h is weights else (h,))):
+        counts, totals = weights.dense(), _row_sums(h.dense())
+        complements = np.where(counts > 0, totals[:, None] - h.dense(), 0)
+        sums = _row_sums
+    else:
+        keys, counts = weights.entries()
+        row = keys // d
+        complements = h.sizes[row] - (counts if h is weights else _lookup(*h.entries(), keys))
+        sums = lambda terms: _fold(rows, 0.0, row, terms[:, None])
     table = np.array([series(t) for t in range(int(complements.max(initial=0)) + 1)], dtype=float)
-    return _row_sums(weights / float(scale) * table[complements])
+    return sums(counts / float(scale) * table[complements])
 
 
 def _series_compiled(rate, scale, mode: Mode, provenance: str, fixed: bool = False,

@@ -20,6 +20,8 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
+import numpy as np
+
 from .errors import (
     EmptyHistogramError,
     IndexOutOfRangeError,
@@ -112,9 +114,12 @@ class Distribution:
                 raise ValueError("probabilities must be finite")
             if any(v < 0.0 for v in probs):
                 raise ValueError("probabilities must be non-negative")
-            total = sum(probs)
+            # the check reads the correctly rounded total, whose error does not grow with d; the entries are still
+            # divided by the plainly added one, so that every vector accepted before is stored as before
+            total = math.fsum(probs)
             if abs(total - 1.0) > FLOAT_SIMPLEX_TOL:
                 raise ValueError(f"float probabilities must sum to 1 within {FLOAT_SIMPLEX_TOL}, got {total!r}")
+            total = sum(probs)
             probs = tuple(v / total for v in probs)
         object.__setattr__(self, "probs", probs)
 
@@ -210,6 +215,116 @@ class Histogram:
 
     def __getitem__(self, i: int) -> int:
         return self.counts[i]
+
+
+#: Count rows are scored as dense (R, d) columns while d is at most this many times the draws per row, both
+#: sides together, and over each row's observed coordinates otherwise (:func:`scored_dense`).  Measured at
+#: R=20,000 (2 vCPUs, numpy 2.4), the sparse scorer is the faster past about 4 times the draws per row for the
+#: polynomial losses and 2 times for the Poisson series, and it holds 130-240 bytes per draw where a dense row
+#: holds 16 per coordinate and side, so memory crosses at about 8 to 15 times; 6 sits between the two.
+DENSE_DRAWS_RATIO = 6
+
+
+def scored_dense(d: int, rows: int, draws) -> bool:
+    """Whether ``rows`` count rows over ``d`` outcomes holding ``draws`` draws in all are scored as dense columns.
+
+    A dense column costs the same whether a row observed its coordinate or not, so it pays while d is small
+    against the draws per row; past that each row is scored over its own observed coordinates."""
+    return d * rows <= DENSE_DRAWS_RATIO * draws
+
+
+class CountRows:
+    """R histograms over ``range(d)``, held in index form: row r is the next ``sizes[r]`` draws of a stream.
+
+    No (R, d) array exists until a scorer asks for one.  :meth:`dense` builds the count matrix and
+    :meth:`entries` each row's observed coordinates with their counts; each is built once and kept.
+    :meth:`from_counts` wraps a count matrix that exists already, without copying it.
+    """
+
+    def __init__(self, shape: tuple[int, int], sizes=None, draws=None, matrix=None):
+        self.shape = shape
+        self._sizes, self._draws, self._dense, self._entries = sizes, draws, matrix, None
+
+    @classmethod
+    def from_draws(cls, draws: np.ndarray, sizes, d: int) -> "CountRows":
+        """Rows of consecutive runs of the domain indices ``draws``; run r has length ``sizes[r]``."""
+        sizes = np.asarray(sizes, dtype=np.int64)
+        return cls((len(sizes), d), sizes=sizes, draws=np.asarray(draws, dtype=np.int64))
+
+    @classmethod
+    def from_counts(cls, matrix: np.ndarray) -> "CountRows":
+        """The rows of an (R, d) int64 count matrix, which is kept as it is."""
+        return cls(matrix.shape, matrix=matrix)
+
+    @property
+    def sizes(self) -> np.ndarray:
+        """The draws in each row."""
+        if self._sizes is None:
+            self._sizes = self._dense.sum(axis=1)
+        return self._sizes
+
+    @property
+    def total(self) -> int:
+        return int((self._dense if self._sizes is None else self._sizes).sum())
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the arrays held now: the draws or the matrix, and what the scorers have built from them."""
+        held = (self._sizes, self._draws, self._dense, *(self._entries or ()))
+        return sum(a.nbytes for a in held if a is not None)
+
+    def dense_scoring(self, *others: "CountRows") -> bool:
+        """Whether a scorer reads these rows, with the other side's ``others``, as dense count columns.
+
+        It does where a count matrix exists already, wrapped or built by an earlier scorer, and otherwise as
+        :func:`scored_dense` decides from the domain size and the draws per row."""
+        sides = (self, *others)
+        if any(rows._dense is not None for rows in sides):
+            return True
+        rows, d = self.shape
+        return scored_dense(d, rows, sum(side.total for side in sides))
+
+    def _flat_keys(self) -> np.ndarray:
+        """``r * d + x`` for each draw ``x`` of row ``r``, in draw order."""
+        rows, d = self.shape
+        keys = np.repeat(np.arange(0, rows * d, d), self.sizes)
+        keys += self._draws
+        return keys
+
+    def observed(self) -> np.ndarray:
+        """The coordinates that some row observed, ascending."""
+        if self._draws is None:
+            return np.flatnonzero(self._dense.any(axis=0))
+        return np.flatnonzero(np.bincount(self._draws, minlength=self.shape[1]))
+
+    def dense(self) -> np.ndarray:
+        """The (R, d) int64 count matrix; the draws are let go once it is built."""
+        if self._dense is None:
+            rows, d = self.shape
+            self._dense = np.bincount(self._flat_keys(), minlength=rows * d).reshape(rows, d)
+            self._draws = None
+        return self._dense
+
+    def entries(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(keys, counts)``: ``r * d + x`` for each coordinate ``x`` that row ``r`` observed, ascending, and its count."""
+        if self._entries is None:
+            if self._draws is None:
+                flat = self._dense.reshape(-1)
+                keys = np.flatnonzero(flat)
+                self._entries = keys, flat[keys]
+            else:
+                keys = np.sort(self._flat_keys())
+                starts = np.flatnonzero(run_starts(keys))
+                self._entries = keys[starts], np.diff(starts, append=len(keys))
+        return self._entries
+
+
+def run_starts(values: np.ndarray) -> np.ndarray:
+    """Boolean mask of the positions where a run of equal values begins."""
+    new = np.empty(len(values), dtype=bool)
+    new[:1] = True
+    np.not_equal(values[1:], values[:-1], out=new[1:])
+    return new
 
 
 class SamplingScheme:

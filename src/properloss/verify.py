@@ -34,6 +34,7 @@ import numpy as np
 
 from .compiler import CompiledLoss, KnownTargetLoss, _row_sums
 from .domain import (
+    CountRows,
     Distribution,
     FixedSize,
     Histogram,
@@ -317,7 +318,8 @@ def poisson_expected_loss(
     Every side is an int64 count matrix with a float weight vector (the model
     side of a target-only loss has no counts and one unit weight), and each
     block of left rows is scored against the whole right side with one call
-    of the loss's float batch evaluator, whatever the loss's mode.  Sums run
+    of the loss's float batch evaluator on the matrices wrapped as
+    :class:`CountRows`, whatever the loss's mode.  Sums run
     in the order of a row-by-row double loop, so a float-mode loss whose
     batch evaluator equals its scalar one gives the same result bit for bit.
     """
@@ -342,7 +344,8 @@ def poisson_expected_loss(
         for start in range(0, len(left_w), rows):
             w = left_w[start : start + rows]
             hp = None if left_counts is None else np.repeat(left_counts[start : start + rows], len(right_w), axis=0)
-            v = evaluator(hp, np.tile(right_counts, (len(w), 1))).reshape(len(w), len(right_w))
+            hq = CountRows.from_counts(np.tile(right_counts, (len(w), 1)))
+            v = evaluator(hp if hp is None else CountRows.from_counts(hp), hq).reshape(len(w), len(right_w))
             sup_loss = float(np.fmax.reduce(np.abs(v), axis=None, initial=sup_loss))  # NaN losses are skipped
             inner = _row_sums(right_w * v)
             acc = float(np.cumsum(np.concatenate(([acc], w * inner)))[-1])

@@ -32,7 +32,7 @@ from properloss import (
 )
 from properloss.compiler import _row_sums
 from properloss.divergences import Monomial, PolyDivergence
-from properloss.domain import empirical
+from properloss.domain import CountRows, empirical
 from properloss.estimators import ExponentVector, variance_mvue
 
 HALF = Distribution.exact([Fraction(1, 2), Fraction(1, 2)])
@@ -100,7 +100,7 @@ class TestCompileTwoSample:
         rng = np.random.default_rng(1)
         hp = rng.multinomial(4, [0.3, 0.7], size=50)
         hq = rng.multinomial(4, [0.6, 0.4], size=50)
-        batch = loss.batch_evaluator(hp, hq)
+        batch = loss.batch_evaluator(CountRows.from_counts(hp), CountRows.from_counts(hq))
         scalar = [loss.evaluator(Histogram(tuple(a)), Histogram(tuple(b))) for a, b in zip(hp, hq)]
         assert batch == pytest.approx(scalar, abs=1e-12)
 
@@ -145,7 +145,7 @@ class TestCompileKnownTarget:
                     value = loss.evaluator(h, q)
                     assert isinstance(value, Fraction)
                     assert value == fraction_squared_known_target(h, q, 2, Mode.EXACT)
-        assert len(calls) == 3  # `third` and `third.probs` are one target
+        assert len(calls) == 4  # one build per target; `third` is cached by its own hash, apart from `third.probs`
 
     def test_float_and_exact_targets_are_cached_apart(self):
         loss = compile_known_target(builtin_l2(2), 2)
@@ -253,7 +253,7 @@ class TestSquaredLossTwoSample:
         rng = np.random.default_rng(2)
         hp = rng.multinomial(2, [0.25, 0.75], size=100)
         hq = rng.multinomial(2, [0.5, 0.5], size=100)
-        batch = loss.batch_evaluator(hp, hq)
+        batch = loss.batch_evaluator(CountRows.from_counts(hp), CountRows.from_counts(hq))
         scalar = [loss.evaluator(Histogram(tuple(a)), Histogram(tuple(b))) for a, b in zip(hp, hq)]
         assert batch == pytest.approx(scalar, abs=1e-12)
 

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from properloss import (
@@ -78,6 +79,17 @@ class TestDistribution:
 
     def test_uniform(self):
         assert Distribution.uniform(4).probs == (Fraction(1, 4),) * 4
+
+    def test_a_large_float_uniform_constructs(self):
+        # the plainly added total of 10**5 entries of 1e-05 is 0.9999999999980838,
+        # outside the tolerance; the correctly rounded one is not
+        dist = Distribution.uniform(10**5, Mode.FLOAT)
+        assert dist.dim == 10**5 and len(set(dist.probs)) == 1
+
+    def test_accepted_float_vectors_are_divided_by_their_plain_sum(self):
+        values = [0.1, 0.2, 0.3, 0.4 + 3e-13]
+        total = sum(values)
+        assert Distribution.floating(values).probs == tuple(v / total for v in values)
 
 
 class TestHistogram:
@@ -203,3 +215,34 @@ class TestPoissonCdf:
         assert [t for t, _ in steps] == list(range(541))  # 20 * rate + 500
         assert _poisson_size(1.0, 2.0) == 540
         assert _poisson_size(0.0, 2.0) == 0
+
+
+class TestCountRows:
+    def test_draws_give_the_counts_of_each_run(self):
+        from properloss.domain import CountRows
+
+        rows = CountRows.from_draws(np.array([3, 1, 1, 0, 2]), [2, 3, 0], 4)
+        assert rows.shape == (3, 4) and rows.total == 5
+        assert rows.observed().tolist() == [0, 1, 2, 3]
+        keys, counts = rows.entries()
+        assert keys.tolist() == [1, 3, 4, 5, 6] and counts.tolist() == [1, 1, 1, 1, 1]
+        assert rows.dense().tolist() == [[0, 1, 0, 1], [1, 1, 1, 0], [0, 0, 0, 0]]
+
+    def test_nbytes_counts_what_is_held(self):
+        from properloss.domain import CountRows
+
+        d, sizes = 50_000, np.full(100, 2)
+        rows = CountRows.from_draws(np.zeros(200, dtype=np.int64), sizes, d)
+        assert rows.nbytes == 200 * 8 + 100 * 8  # the draws and the row sizes; no (R, d) matrix
+        rows.entries()
+        assert rows.nbytes < 200 * 8 * 3
+
+    def test_a_count_matrix_is_wrapped_without_a_copy(self):
+        from properloss.domain import CountRows
+
+        matrix = np.array([[2, 0, 1], [0, 0, 0]], dtype=np.int64)
+        rows = CountRows.from_counts(matrix)
+        assert rows.dense() is matrix and rows.shape == (2, 3) and rows.total == 3
+        assert rows.sizes.tolist() == [3, 0] and rows.observed().tolist() == [0, 2]
+        keys, counts = rows.entries()
+        assert keys.tolist() == [0, 2] and counts.tolist() == [2, 1]

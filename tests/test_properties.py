@@ -6,6 +6,7 @@ import math
 import os
 import tempfile
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -40,7 +41,7 @@ from properloss import (
 )
 from properloss import poisson_expected_loss
 from properloss.divergences import Monomial, PolyDivergence
-from properloss.domain import Poisson
+from properloss.domain import CountRows, Poisson
 from properloss.estimators import ExponentVector, poisson_power_series
 from properloss.verify import _pmf_numerators, _poisson_mass_truncation, _poisson_size_weight, _weighted_histograms
 
@@ -55,8 +56,9 @@ def exponent_vectors(d: int):
 
 
 @st.composite
-def sparse_polynomials(draw):
-    d = draw(st.integers(1, 6))
+def sparse_polynomials(draw, d=None):
+    """Random monomials, with factors at several coordinates on either side, as a spec file may give them."""
+    d = draw(st.integers(1, 6)) if d is None else d
     keys = draw(st.lists(st.tuples(exponent_vectors(d), exponent_vectors(d)), min_size=1, max_size=8, unique=True))
     coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(lambda c: c != 0)
     return PolyDivergence(tuple(Monomial(draw(coeffs), a, b) for a, b in keys))
@@ -77,8 +79,8 @@ def test_batch_evaluator_equals_the_scalar_evaluator_row_by_row(data):
     rows = data.draw(st.lists(st.tuples(histograms(div.dim, n), histograms(div.dim, m)), min_size=1, max_size=6))
     exact = compile_two_sample(div, n, m)
     floating = compile_two_sample(div, n, m, Mode.FLOAT)
-    hp = np.array([h.counts for h, _ in rows])
-    hq = np.array([g.counts for _, g in rows])
+    hp = CountRows.from_counts(np.array([h.counts for h, _ in rows]))
+    hq = CountRows.from_counts(np.array([g.counts for _, g in rows]))
     for loss in (exact, floating):
         batch = loss.batch_evaluator(hp, hq)
         assert batch.shape == (len(rows),)
@@ -135,8 +137,9 @@ def test_draw_batch_rows_equal_sequential_draws(sizes, seed):
     internal = InternalSource(Distribution.floating([0.2, 0.5, 0.3]))
     batch = internal.draw_batch(sizes, stream_rng(seed, 0))
     rng = stream_rng(seed, 0)
-    assert batch.shape == (len(sizes), d) and batch.dtype == np.int64
-    assert [row.tolist() for row in batch] == [list(internal.draw(n, rng).counts) for n in sizes]
+    assert batch.shape == (len(sizes), d) and batch.total == sum(sizes)
+    assert batch.dense().dtype == np.int64
+    assert [row.tolist() for row in batch.dense()] == [list(internal.draw(n, rng).counts) for n in sizes]
 
     domain = Domain(("a", "b", "c"))
     tokens = np.random.default_rng(seed).choice(list(domain.labels), size=sum(sizes) + 2)
@@ -146,7 +149,7 @@ def test_draw_batch_rows_equal_sequential_draws(sizes, seed):
             handle.writelines(f"{t}\n" for t in tokens)
         with FileSource(path, domain) as whole, FileSource(path, domain) as one_by_one:
             batch = whole.draw_batch(sizes)
-            assert [row.tolist() for row in batch] == [list(one_by_one.draw(n).counts) for n in sizes]
+            assert [row.tolist() for row in batch.dense()] == [list(one_by_one.draw(n).counts) for n in sizes]
             assert whole.draw(2) == one_by_one.draw(2)  # both stop at the same line
 
 
@@ -185,8 +188,8 @@ def test_power_series_batch_evaluators_equal_their_scalar_evaluators(data):
         ]
 
     for (loss, pairs), (exact, _) in zip(cases(Mode.FLOAT), cases(Mode.EXACT)):
-        hp = np.array([h for h, _ in pairs], dtype=np.int64)
-        hq = np.array([g for _, g in pairs], dtype=np.int64)
+        hp = CountRows.from_counts(np.array([h for h, _ in pairs], dtype=np.int64))
+        hq = CountRows.from_counts(np.array([g for _, g in pairs], dtype=np.int64))
         args = (None if loss.scheme_p is None else hp, hq)
         with np.errstate(invalid="ignore"):  # KL's inf - inf
             batch, exact_batch = loss.batch_evaluator(*args), exact.batch_evaluator(*args)
@@ -595,7 +598,8 @@ def test_a_template_compiles_as_its_expanded_monomials(data):
         m = max(1, div.deg_q) + data.draw(st.integers(0, 2))
         rows = data.draw(st.lists(st.tuples(histograms(d, n), histograms(d, m)), min_size=1, max_size=6))
         q = data.draw(st.one_of(rational_points(d), float_points(d)))
-        hp, hq = np.array([h.counts for h, _ in rows]), np.array([g.counts for _, g in rows])
+        hp = CountRows.from_counts(np.array([h.counts for h, _ in rows]))
+        hq = CountRows.from_counts(np.array([g.counts for _, g in rows]))
         for mode in (Mode.EXACT, Mode.FLOAT):
             loss, reference = compile_two_sample(div, n, m, mode), compile_two_sample(dense, n, m, mode)
             known, known_reference = compile_known_target(div, n, mode), compile_known_target(dense, n, mode)
@@ -627,3 +631,69 @@ def test_a_builtin_over_a_million_outcomes_builds_no_exponent_vector(monkeypatch
     for mode in (Mode.EXACT, Mode.FLOAT):  # a float target's first call
         assert type(compile_known_target(builtin_l2(d), 2, mode).evaluator(h, q)) is float
     assert fills == []
+
+
+def templates(d: int):
+    return st.sampled_from((builtin_l2(d), builtin_brier(d), squared_norm_polynomial(d), builtin_lk_even(d, 4)))
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.data())
+def test_sparse_and_dense_scoring_agree_bit_for_bit(data):
+    # the two scorers of count rows: dense columns, and each row over its own
+    # observed coordinates; the rule between them is replaced by each answer
+    d = data.draw(st.integers(1, 40), label="d")
+    rows = data.draw(st.integers(1, 12), label="rows")
+    ragged = data.draw(st.booleans(), label="ragged")
+    div = data.draw(st.one_of(templates(d), sparse_polynomials(d)), label="divergence")
+    n = max(1, div.deg_p) + data.draw(st.integers(0, 2))
+    m = max(1, div.deg_q) + data.draw(st.integers(0, 2))
+    alpha, beta = (data.draw(st.sampled_from([0.5, 4.0, 8.0])) for _ in range(2))
+
+    def side(size):  # fixed sizes, or ragged Poisson-like ones
+        sizes = data.draw(st.lists(st.integers(0, 12), min_size=rows, max_size=rows) if ragged else st.just([size] * rows))
+        draws = data.draw(st.lists(st.integers(0, d - 1), min_size=sum(sizes), max_size=sum(sizes)))
+        return np.array(draws, dtype=np.int64), sizes
+
+    sides = (side(n), side(m))
+    losses = [compile_two_sample(div, n, m, Mode.FLOAT), cross_entropy_poisson(alpha, beta),
+              cross_entropy_poisson_fixed_target(alpha, m), entropy_poisson(beta), kl_poisson(alpha, beta)]
+    for loss in losses:
+        scored = []
+        for dense in (True, False):
+            hp, hq = (CountRows.from_draws(draws, sizes, d) for draws, sizes in sides)  # nothing built yet
+            with mock.patch("properloss.domain.scored_dense", lambda *_: dense), np.errstate(invalid="ignore"):
+                scored.append(loss.batch_evaluator(None if loss.scheme_p is None else hp, hq))
+        assert scored[0].shape == (rows,)
+        assert scored[0].tobytes() == scored[1].tobytes()
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_exact_mode_keeps_every_value_against_a_float_target(data):
+    # a float target's target-only constant multiplies float(weight) by each
+    # entry, which is what a Fraction weight times a float computes
+    import properloss.compiler as compiler
+
+    d = data.draw(st.integers(1, 6))
+    div = data.draw(st.one_of(templates(d), sparse_polynomials(d)))
+    n = max(1, div.deg_p) + data.draw(st.integers(0, 2))
+    q = data.draw(float_points(d))
+    hists = data.draw(st.lists(histograms(d, n), min_size=1, max_size=4))
+    loss, reference = compile_known_target(div, n), compile_known_target(div, n)
+    with mock.patch.object(compiler, "_float_weights", lambda file: file):  # the Fraction weights
+        expected = [repr(reference.evaluator(h, q)) for h in hists]
+    assert [repr(loss.evaluator(h, q)) for h in hists] == expected
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 40), st.lists(st.integers(0, 6), max_size=8), st.integers(0, 2**32 - 1))
+def test_internal_draws_are_the_binary_search_inverse_cdf(d, sizes, seed):
+    # small domains count CDF steps, large ones search them: the same indices
+    probs = np.random.default_rng(seed).dirichlet(np.ones(d))
+    batch = InternalSource(Distribution.floating(probs.tolist())).draw_batch(sizes, stream_rng(seed, 0))
+    cum = np.cumsum(Distribution.floating(probs.tolist()).as_floats())
+    idx = np.minimum(np.searchsorted(cum, stream_rng(seed, 0).random(sum(sizes)), side="right"), d - 1)
+    rows = np.repeat(np.arange(len(sizes)), sizes)
+    expected = np.bincount(rows * d + idx, minlength=len(sizes) * d).reshape(len(sizes), d)
+    assert batch.dense().tolist() == expected.tolist()

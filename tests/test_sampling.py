@@ -80,7 +80,7 @@ class TestDrawFixed:
         cum = np.cumsum(probs)
         for i in range(5):
             idx = np.minimum(np.searchsorted(cum, rng.random(4), side="right"), len(probs) - 1)
-            assert batch[i].tolist() == np.bincount(idx, minlength=len(probs)).tolist()
+            assert batch.dense()[i].tolist() == np.bincount(idx, minlength=len(probs)).tolist()
 
 
 class TestDrawPoisson:
@@ -439,22 +439,25 @@ class TestEstimateLoss:
             assert report.mean == float(np.mean(values))
             assert report.std_error == float(np.std(values, ddof=1)) / math.sqrt(replicates)
 
-    def test_chunks_bound_the_count_matrices_at_large_domains(self):
+    def test_memory_follows_the_draws_not_the_domain_size(self):
+        # draws stay in index form and rows over a large domain are scored
+        # over their observed coordinates, so no (R, d) array is built
+        import tracemalloc
+
         import properloss.sampling as sampling
 
-        d, replicates = 50_000, 200
-        shapes = []
+        def peak(d):
+            src = InternalSource(Distribution.uniform(d, Mode.FLOAT))
+            loss = compile_two_sample(builtin_l2(d), 2, 2, Mode.FLOAT)
+            tracemalloc.start()
+            try:
+                estimate_loss(src, src, loss, 10_000, seed=0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
 
-        class Recording(InternalSource):
-            def draw_batch(self, sizes, rng=None):
-                counts = super().draw_batch(sizes, rng)
-                shapes.append(counts.shape)
-                return counts
-
-        src = Recording(Distribution.uniform(d, Mode.FLOAT))
-        estimate_loss(src, src, compile_two_sample(builtin_l2(d), 2, 2, Mode.FLOAT), replicates, seed=0)
-        assert sum(rows for rows, _ in shapes) == 2 * replicates
-        assert all(2 * rows * d * 8 <= sampling.CHUNK_BYTES for rows, _ in shapes)
+        assert peak(50_000) <= 2 * peak(500)
+        assert peak(50_000) < sampling.CHUNK_BYTES / 2  # a dense chunk fills CHUNK_BYTES with count rows
 
     def test_ci_covers_the_exact_value(self):
         loss = compile_two_sample(builtin_l2(2), 2, 2, Mode.FLOAT)
