@@ -104,6 +104,7 @@ from .verify import (
     enumerate_histograms,
     exact_expected_known_target,
     exact_expected_two_sample,
+    expected_losses,
     gradient_check,
     multinomial_pmf,
     naive_plugin_bias_demo,

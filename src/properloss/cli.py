@@ -69,8 +69,7 @@ from .verify import (
     check_implements,
     degree_gate_bypass_exists,
     enumerate_histograms,
-    exact_expected_known_target,
-    exact_expected_two_sample,
+    expected_losses,
     gradient_check,
     naive_plugin_bias_demo,
     naive_plugin_loss,
@@ -437,13 +436,15 @@ def _inner_product_divergence(d: int) -> PolyDivergence:
 def _check_degree_one_affine(seed: int) -> Outcome:
     loss = compile_two_sample(_inner_product_divergence(2), 1, 1)
     grid = simplex_grid(2, 8)
+    targets = (Distribution.uniform(2), Distribution.exact([Fraction(1, 4), Fraction(3, 4)]))
+    values = expected_losses(loss, [(p, q) for q in targets for p in grid])
+    rows = [values[i : i + len(grid)] for i in range(0, len(values), len(grid))]  # one row per target
     ok = True
-    for q in (Distribution.uniform(2), Distribution.exact([Fraction(1, 4), Fraction(3, 4)])):
-        values = [exact_expected_two_sample(loss, p, q) for p in grid]
+    for row in rows:
         # the grid is evenly spaced in p1, so affine means vanishing second differences
-        seconds = [values[i + 1] - 2 * values[i] + values[i - 1] for i in range(1, len(values) - 1)]
+        seconds = [row[i + 1] - 2 * row[i] + row[i - 1] for i in range(1, len(row) - 1)]
         ok = ok and all(s == 0 for s in seconds)
-    uniform_vals = [exact_expected_two_sample(loss, p, Distribution.uniform(2)) for p in grid]
+    uniform_vals = rows[0]
     constant = max(uniform_vals) - min(uniform_vals) == 0
     detail = "one-draw expected losses are affine in the model; constant under a uniform target"
     return ok and constant, str(max(uniform_vals) - min(uniform_vals)), detail
@@ -479,9 +480,11 @@ def _check_bregman(seed: int) -> Outcome:
     def at_empirical(h: Histogram, _) -> Fraction:
         return potential.evaluate(empirical(h).probs, empirical(h).probs)
 
+    grid = simplex_grid(2, 4)
     for n in (2, 3, 4):
-        for p in simplex_grid(2, 4):
-            gap = exact_expected_known_target(at_empirical, p, None, n) - potential.evaluate(p.probs, p.probs)
+        means = expected_losses(at_empirical, [(p, None) for p in grid], n)
+        for p, mean in zip(grid, means):
+            gap = mean - potential.evaluate(p.probs, p.probs)
             expected = sum(px * (1 - px) for px in p.probs) / n
             if gap != expected:
                 ok = False

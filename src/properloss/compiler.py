@@ -598,15 +598,23 @@ def bregman_known_target(
     if audit_denominator is not None and not convexity_audit(potential, audit_denominator):
         raise ValueError("potential failed the convexity audit; Bregman construction needs a convex potential")
 
+    @lru_cache(maxsize=64)
+    def tangent_at(q, kinds: tuple) -> tuple:
+        # G(q) and grad G(q), once per target: a Distribution by its cached hash, a tuple by its values and their
+        # types, as in compile_known_target
+        return potential.evaluate(q, q), [g.evaluate(q, q) for g in gradient]
+
     def evaluator(h: Histogram, q) -> object:
-        qv = q.probs if isinstance(q, Distribution) else tuple(q)
+        is_dist = isinstance(q, Distribution)
+        qv = q.probs if is_dist else tuple(q)
         if h.dim != d or len(qv) != d:
             raise DimensionMismatchError(f"dimensions ({h.dim}, {len(qv)}), potential needs {d}")
-        est = estimate(h, qv)
+        target = q if is_dist else qv
+        est = estimate(h, target)
         phat = empirical(h, mode).probs
-        tangent = potential.evaluate(qv, qv)
+        tangent, slopes = tangent_at(target, () if is_dist else tuple(map(type, qv)))
         for x in range(d):
-            tangent = tangent + gradient[x].evaluate(qv, qv) * (phat[x] - qv[x])
+            tangent = tangent + slopes[x] * (phat[x] - qv[x])
         return est - tangent
 
     return KnownTargetLoss(

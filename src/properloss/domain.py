@@ -382,6 +382,11 @@ def empirical(h: Histogram, mode: Mode = Mode.EXACT) -> Distribution:
     return Distribution.floating([c / h.total for c in h.counts])
 
 
+def is_rational(value) -> bool:
+    """Whether ``value`` is a ``numbers.Rational``, testing the exact types Fraction and int before the slow ABC."""
+    return type(value) is Fraction or type(value) is int or isinstance(value, numbers.Rational)
+
+
 def over_common_denominator(values: Sequence) -> Optional[tuple[tuple[int, ...], int]]:
     """``(numerators, D)`` with ``values[i] == numerators[i] / D`` and ``D`` the lcm of the denominators,
     or ``None`` when some value is not rational (a float, say).
@@ -390,7 +395,7 @@ def over_common_denominator(values: Sequence) -> Optional[tuple[tuple[int, ...],
     :class:`Distribution` returns its cached value (:meth:`Distribution.over_common_denominator`)."""
     if isinstance(values, Distribution):
         return values.over_common_denominator()
-    if not all(isinstance(v, numbers.Rational) for v in values):
+    if not all(map(is_rational, values)):
         return None
     den = math.lcm(*(v.denominator for v in values))
     return tuple(v.numerator * (den // v.denominator) for v in values), den

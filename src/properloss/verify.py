@@ -3,32 +3,38 @@
 Everything here computes expected losses the literal way: enumerate every
 histogram in the support that the sampling scheme can produce, weight it by
 its probability, and add up.  ``_FixedSizeOracle``, behind
-``check_implements`` and both ``exact_expected_*`` functions, is the one exact
-fixed-size core.  It needs exact-mode distributions and rational loss values,
+``check_implements``, ``expected_losses`` and both ``exact_expected_*``
+one-point wrappers, is the one exact fixed-size core, and it sweeps a list of
+points at once.  It needs exact-mode distributions and rational loss values,
 and sums in integers: each side's pmf is a list of integer numerators over
 ``D**size`` (``D`` the lcm of the probability denominators), each target
-item's loss values are integer numerators over their lcm, and one Fraction
-is built per expectation.  The values it consumes are built the same way:
-the compiled losses' exact scalar path and ``PolyDivergence.evaluate`` sum
-integer numerators and divide once.  So implementation claims ("the
-expectation of this loss IS that divergence") are checked as literal
-equalities with zero tolerance.  ``multinomial_pmf`` stays the public
-reference for the pmf and weighs float-mode sides.  ``poisson_expected_loss``
-is the one truncated core: Poisson schemes have unbounded support, so it
-truncates at a quantile, reports the truncation honestly, and scores blocks
-of (model, target) pairs with the loss's float batch evaluator; exact sides
-are weighted from the same integer pmf numerators.
+item's loss values are integer numerators over their lcm, and a target's
+items are folded once per model support into one integer vector over one
+denominator.  A point's expectation is then one integer dot product of its
+model's pmf numerators with that vector.  The values it consumes are built
+the same way: the compiled losses' exact scalar path and
+``PolyDivergence.evaluate`` sum integer numerators and divide once.  So
+implementation claims ("the expectation of this loss IS that divergence")
+are checked as literal equalities with zero tolerance, by cross-multiplying
+the expectation's numerator and denominator with the target's; a Fraction
+is built only for a point that differs.  ``multinomial_pmf`` stays the
+public reference for the pmf and weighs float-mode sides.
+``poisson_expected_loss`` is the one truncated core: Poisson schemes have
+unbounded support, so it truncates at a quantile, reports the truncation
+honestly, and scores blocks of (model, target) pairs with the loss's float
+batch evaluator.  Its sides are count matrices and weight vectors; an exact
+side builds them straight from the support's compositions and the same
+integer pmf numerators.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -42,6 +48,7 @@ from .domain import (
     Poisson,
     compositions,
     empirical,
+    is_rational,
     over_common_denominator,
     poisson_cdf,
 )
@@ -124,20 +131,30 @@ def _pmf_numerators(dist: Distribution, size: int, histograms=_support_histogram
     multinomial coefficient times ``prod a_x**h_x``, over ``D**size``.  Histograms are the support's, in
     enumeration order, and every numerator is positive.
     """
-    support = tuple(i for i, prob in enumerate(dist.probs) if prob != 0)
-    numerators, scale = over_common_denominator(dist)
-    scaled = [(x, numerators[x]) for x in support]
+    support, scaled, den = _scaled_support(dist)
     hists = histograms(support, dist.dim, size)
-    numerators = []
-    for h in hists:
-        coef = math.factorial(size)
-        power = 1
+    numerators = _multinomial_numerators(list(zip(support, scaled)), size, (h.counts for h in hists))
+    return support, hists, numerators, den**size
+
+
+def _scaled_support(dist: Distribution) -> tuple:
+    """``(support, a, D)`` for an exact ``dist``: its nonzero coordinates and their probabilities times ``D``."""
+    numerators, den = over_common_denominator(dist)
+    support = tuple(x for x, a in enumerate(numerators) if a)
+    return support, [numerators[x] for x in support], den
+
+
+def _multinomial_numerators(scaled: list, size: int, counts) -> list:
+    """``size! / prod c_x! * prod a_x**c_x`` for each count vector ``c`` of ``size`` draws, where ``scaled`` lists
+    ``(x, a_x)`` over the support and ``a_x`` is ``p_x`` times ``D``."""
+    out = []
+    for c in counts:
+        coef, power = math.factorial(size), 1
         for x, a in scaled:
-            c = h.counts[x]
-            coef //= math.factorial(c)
-            power *= a**c
-        numerators.append(coef * power)
-    return support, hists, numerators, scale**size
+            coef //= math.factorial(c[x])
+            power *= a ** c[x]
+        out.append(coef * power)
+    return out
 
 
 def _is_fixed_size(loss: CompiledLoss) -> bool:
@@ -145,15 +162,18 @@ def _is_fixed_size(loss: CompiledLoss) -> bool:
 
 
 class _FixedSizeOracle:
-    """E[L] over fixed-size sides, in integer numerators: a sum over weighted target items t of dot products.
+    """E[L] over fixed-size sides in integer numerators: a dot product of model pmf numerators with a folded target.
 
     A two-sample loss's target items are the target histograms; a known target is one item of weight 1,
     the target itself.  ``loss`` is a ``KnownTargetLoss``, a fixed-size ``CompiledLoss``, or a raw callable
     with its sizes given.  Each exact side is its support histograms with integer pmf numerators over one
     denominator ``D**size`` (:func:`_pmf_numerators`).  Loss values must be rational: each target item keeps
     one memo of values by model counts, and each (target item, model support) an integer table built from
-    that memo, the values' numerators over their lcm.  ``expect`` adds integer dot products and divides
-    once, so its Fraction is exact, and a sweep over many points evaluates each loss value once.
+    that memo, the values' numerators over their lcm.  Each (target, model support) folds its items' tables
+    once into one integer vector ``u = sum_t w_t * (lcm / den_t) * values_t`` over one denominator, so a point
+    costs one dot product of its model's pmf numerators with ``u``: the same integer sum as item by item.
+    :meth:`sweep` yields each point's numerator and denominator, and a sweep over many points evaluates
+    each loss value once.
     """
 
     def __init__(self, loss, two_sample: bool, n: int | None = None, m: int | None = None):
@@ -171,6 +191,7 @@ class _FixedSizeOracle:
         self._sides: dict = {}  # (distribution, size) -> _pmf_numerators
         self._values: dict = {}  # target item key -> loss values by model counts
         self._tables: dict = {}  # (target item key, model support, d) -> (value numerators, their lcm)
+        self._folds: dict = {}  # (target key, model support, d) -> (folded numerators, their denominator)
 
     def _side(self, dist: Distribution, size: int) -> tuple:
         side = self._sides.get((dist, size))
@@ -187,34 +208,61 @@ class _FixedSizeOracle:
                 value = values.get(h.counts)
                 if value is None:
                     value = self.evaluator(h, t)
-                    if not isinstance(value, numbers.Rational):
+                    if not is_rational(value):
                         raise ValueError(f"exact verification needs rational loss values, got {value!r} at {h.counts}")
                     values[h.counts] = value
                 row.append(value)
             table = self._tables[key, support, d] = over_common_denominator(row)
         return table
 
-    def expect(self, p: Distribution, q) -> Fraction:
-        _require_exact(p, "model")
-        if self.two_sample:
-            _require_exact(q, "target")
-            _, targets, weights, target_scale = self._side(q, self.m)
-            items = [(g.counts, g, w) for g, w in zip(targets, weights)]
+    def _fold(self, q, support: tuple, d: int) -> tuple:
+        if self.two_sample or isinstance(q, Distribution):
+            _require_exact(q, "target")  # a float target equal to an exact one must not share its values
+            key = q
         else:
-            if isinstance(q, Distribution):
-                _require_exact(q, "target")  # a float target equal to an exact one must not share its values
-            key = q if isinstance(q, Distribution) else () if q is None else tuple(q)
-            items, target_scale = [(key, q, 1)], 1
-        support, _, pmf, scale = self._side(p, self.n)
-        total, lcm = 0, 1
-        for key, t, w in items:
-            values, den = self._table(key, t, support, p.dim)
-            if lcm % den:
-                grown = math.lcm(lcm, den)
-                total *= grown // lcm
-                lcm = grown
-            total += w * sum(map(operator.mul, pmf, values)) * (lcm // den)
-        return Fraction(total, scale * target_scale * lcm)
+            key = () if q is None else tuple(q)
+        fold = self._folds.get((key, support, d))
+        if fold is None:
+            if self.two_sample:
+                _, targets, weights, target_scale = self._side(q, self.m)
+                tables = [(w, self._table(g.counts, g, support, d)) for g, w in zip(targets, weights)]
+            else:
+                tables, target_scale = [(1, self._table(key, q, support, d))], 1
+            lcm = math.lcm(*(den for _, (_, den) in tables))
+            folded = None
+            for w, (values, den) in tables:
+                f = w * (lcm // den)
+                scaled = values if f == 1 else [f * v for v in values]
+                folded = scaled if folded is None else list(map(operator.add, folded, scaled))
+            fold = self._folds[key, support, d] = folded, target_scale * lcm
+        return fold
+
+    def sweep(self, points: Sequence[tuple]) -> Iterator[tuple[int, int]]:
+        """``(numerator, denominator)`` of E[L] at each ``(p, q)`` point, in order; neither is reduced."""
+        last = None
+        for p, q in points:
+            if p is not last:  # a grid sweep keeps its model for a run of targets
+                _require_exact(p, "model")
+                support, _, pmf, scale = self._side(p, self.n)
+                last = p
+            folded, den = self._fold(q, support, p.dim)
+            yield sum(map(operator.mul, pmf, folded)), scale * den
+
+
+def expected_losses(loss, points: Sequence[tuple], n: int | None = None, m: int | None = None,
+                    two_sample: bool | None = None) -> list[Fraction]:
+    """E[loss] at every ``(p, q)`` point, by exact enumeration in one sweep.
+
+    The points share histogram enumerations, pmf numerators, loss values and folded targets
+    (:class:`_FixedSizeOracle`), so a grid evaluates each loss value once.  A
+    :class:`~properloss.compiler.CompiledLoss` is scored against target samples, a
+    :class:`~properloss.compiler.KnownTargetLoss` against known targets; a raw callable is a two-sample loss
+    ``(h, g) -> value`` when ``m`` is given and a known-target loss ``(h, q) -> value`` otherwise, unless
+    ``two_sample`` says which.
+    """
+    if two_sample is None:
+        two_sample = isinstance(loss, CompiledLoss) or m is not None
+    return [Fraction(num, den) for num, den in _FixedSizeOracle(loss, two_sample, n, m).sweep(points)]
 
 
 def exact_expected_known_target(loss, p: Distribution, q, n: int | None = None):
@@ -224,12 +272,12 @@ def exact_expected_known_target(loss, p: Distribution, q, n: int | None = None):
     taken from its scheme) or a raw callable ``(h, q) -> value`` with ``n``
     given explicitly.
     """
-    return _FixedSizeOracle(loss, False, n).expect(p, q)
+    return expected_losses(loss, [(p, q)], n, two_sample=False)[0]
 
 
 def exact_expected_two_sample(loss, p: Distribution, q: Distribution, n: int | None = None, m: int | None = None):
     """E over independent (model, target) histogram pairs, by double enumeration."""
-    return _FixedSizeOracle(loss, True, n, m).expect(p, q)
+    return expected_losses(loss, [(p, q)], n, m, two_sample=True)[0]
 
 
 def _poisson_mass_truncation(rate: float, eps: float) -> int:
@@ -274,23 +322,43 @@ class PoissonExpectation:
 _PAIR_BLOCK = 4096
 
 
-def _item_arrays(items: list, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(h, w)`` items as an (N, d) int64 count matrix and a float weight vector."""
-    counts = np.array([h.counts for h, _ in items], dtype=np.int64).reshape(len(items), d)
-    return counts, np.array([w for _, w in items], dtype=float)
+def _item_arrays(dist: Distribution, size_from: int, size_to: int, size_weight) -> tuple[np.ndarray, np.ndarray]:
+    """Every histogram of ``size_from..size_to`` draws from ``dist`` with a nonzero weight
+    ``size_weight(size) * P[H = h]``, as an (N, d) int64 count matrix and a float weight vector.
 
-
-def _poisson_items(dist: Distribution, rate: float, size_from: int, size_to: int) -> tuple[np.ndarray, np.ndarray]:
+    Sizes ascend, and each size's histograms come in enumeration order over the support.  An exact ``dist``
+    builds its rows straight from the support's compositions and its weights as ``scale * (num / D**size)``
+    from the integer pmf numerators (:func:`_multinomial_numerators`), the weights of
+    :func:`_weighted_histograms` bit for bit; a float one is :func:`_weighted_histograms` itself.
+    """
     k = sum(1 for prob in dist.probs if prob != 0)  # only the support is enumerated
     total_hists = sum(math.comb(size + k - 1, k - 1) for size in range(size_from, size_to + 1))
     if total_hists > ENUMERATION_CAP:
-        raise EnumerationTooLargeError(
-            f"{total_hists} histograms needed below the Poisson truncation point exceed the cap"
-        )
-    items = []
+        raise EnumerationTooLargeError(f"{total_hists} histograms of {size_from}..{size_to} draws exceed the cap")
+    d = dist.dim
+    if dist.mode is not Mode.EXACT:
+        items = [item for size in range(size_from, size_to + 1)
+                 for item in _weighted_histograms(dist, size, size_weight(size))]
+        counts = np.array([h.counts for h, _ in items], dtype=np.int64).reshape(len(items), d)
+        return counts, np.array([w for _, w in items], dtype=float)
+    support, scaled, den = _scaled_support(dist)
+    local = list(enumerate(scaled))  # compositions count the support's outcomes in order
+    parts, weights = [], []
     for size in range(size_from, size_to + 1):
-        items.extend(_weighted_histograms(dist, size, _poisson_size_weight(rate, size)))
-    return _item_arrays(items, dist.dim)
+        scale, power = size_weight(size), den**size
+        size_parts = list(compositions(size, k))
+        weights.extend([scale * (num / power) for num in _multinomial_numerators(local, size, size_parts)])
+        parts.extend(size_parts)
+    counts = np.zeros((len(parts), d), dtype=np.int64)
+    counts[:, support] = np.array(parts, dtype=np.int64).reshape(len(parts), k)
+    weights = np.array(weights, dtype=float)
+    keep = weights != 0
+    return counts[keep], weights[keep]
+
+
+def _poisson_items(dist: Distribution, rate: float, size_from: int, size_to: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_item_arrays` weighted by the Poisson(``rate``) size probabilities."""
+    return _item_arrays(dist, size_from, size_to, functools.partial(_poisson_size_weight, rate))
 
 
 def poisson_expected_loss(
@@ -358,7 +426,7 @@ def poisson_expected_loss(
         if isinstance(scheme, Poisson):
             trunc = _poisson_mass_truncation(scheme.rate, per_side)
             return _poisson_items(dist, scheme.rate, 0, trunc), trunc, scheme.rate
-        return _item_arrays(_weighted_histograms(dist, scheme.n, 1.0), dist.dim), None, None
+        return _item_arrays(dist, scheme.n, scheme.n, lambda _: 1.0), None, None
 
     def grown(items: tuple, new: tuple) -> tuple:
         return tuple(np.concatenate((old, extra)) for old, extra in zip(items, new))
@@ -432,8 +500,13 @@ def check_implements(loss, divergence, points: Sequence[tuple], tol=0, tail_eps:
     distributions must be exact-mode, the loss values rational (a float value
     raises ``ValueError``), and equality is literal (``tol`` defaults to
     zero).  Truncated checks pass when the gap is within ``tail_bound + tol``.
-    Histogram enumerations, pmf numerators and loss tables are shared across
-    points, so grid sweeps evaluate each loss value once.
+    The exact points are one sweep (:meth:`_FixedSizeOracle.sweep`), which
+    shares histogram enumerations, pmf numerators, loss tables and folded
+    targets across points, so a grid evaluates each loss value once.  Each
+    expectation's integer numerator and denominator are compared with a
+    Fraction target by cross-multiplication; an equal point reports the
+    target as its estimate and a shared zero gap, and only a point that
+    differs builds its estimate's Fraction.
     """
     if not points:
         raise ValueError("need at least one (model, target) point to check")
@@ -441,9 +514,14 @@ def check_implements(loss, divergence, points: Sequence[tuple], tol=0, tail_eps:
     if not isinstance(loss, CompiledLoss) or _is_fixed_size(loss):
         # fixed-size sides, or a known target: one exact oracle for every point
         oracle = _FixedSizeOracle(loss, isinstance(loss, CompiledLoss))
-        for p, q in points:
-            value = oracle.expect(p, q)
+        zero = Fraction(0)
+        equal_passes = zero <= tol
+        for (p, q), (num, den) in zip(points, oracle.sweep(points)):
             target = divergence.evaluate(p, q)
+            if type(target) is Fraction and num * target.denominator == target.numerator * den:
+                reports.append(VerificationReport(target, target, zero, "exact", None, equal_passes))
+                continue
+            value = Fraction(num, den)
             gap = abs(target - value)
             reports.append(VerificationReport(target, value, gap, "exact", None, gap <= tol))
         return reports

@@ -1,5 +1,6 @@
 """Property tests tying the float fast paths to their exact twins, and the exact oracles to brute force."""
 
+import dataclasses
 import functools
 import itertools
 import math
@@ -36,14 +37,23 @@ from properloss import (
     kl_poisson,
     multinomial_pmf,
     naive_plugin_loss,
+    simplex_grid,
     squared_norm_polynomial,
     stream_rng,
 )
-from properloss import poisson_expected_loss
+from properloss import VerificationReport, poisson_expected_loss
+from properloss.compiler import CompiledLoss
 from properloss.divergences import Monomial, PolyDivergence
 from properloss.domain import CountRows, Poisson
 from properloss.estimators import ExponentVector, poisson_power_series
-from properloss.verify import _pmf_numerators, _poisson_mass_truncation, _poisson_size_weight, _weighted_histograms
+from properloss.verify import (
+    _item_arrays,
+    _pmf_numerators,
+    _poisson_items,
+    _poisson_mass_truncation,
+    _poisson_size_weight,
+    _weighted_histograms,
+)
 
 MAX_DEG = 3
 
@@ -443,6 +453,65 @@ def test_exact_side_weights_equal_the_scaled_reference_pmf_bit_for_bit(data):
                                                                              st.floats(0.5, 700.0), st.just(size))))
     weights = _weighted_histograms(dist, size, scale)
     assert [(h, repr(w)) for h, w in weights] == [(h, repr(w)) for h, w in pmf_weighted_histograms(dist, size, scale)]
+
+
+def histogram_item_arrays(dist, size_from, size_to, size_weight):
+    """A side's items built from Histograms: :func:`_weighted_histograms` per size, stacked into arrays."""
+    items = [item for size in range(size_from, size_to + 1)
+             for item in _weighted_histograms(dist, size, size_weight(size))]
+    counts = np.array([h.counts for h, _ in items], dtype=np.int64).reshape(len(items), dist.dim)
+    return counts, np.array([w for _, w in items], dtype=float)
+
+
+def same_arrays(a, b):
+    return all(x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes() for x, y in zip(a, b))
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.data())
+def test_poisson_item_arrays_equal_the_histogram_built_items_bit_for_bit(data):
+    d = data.draw(st.integers(1, 3))
+    dist = data.draw(st.one_of(exact_distributions(d), mixed_denominator_distributions(d)))  # zeros make sparse supports
+    if data.draw(st.booleans()):
+        dist = Distribution.floating(dist.as_floats())
+    rate = data.draw(st.floats(0.5, 12.0))
+    trunc = _poisson_mass_truncation(rate, data.draw(st.sampled_from([1e-2, 1e-4])))
+    size_from = data.draw(st.sampled_from([0, trunc + 1]))  # the first truncation, or one extension block
+    size_to = trunc if size_from == 0 else trunc + 4
+    reference = histogram_item_arrays(dist, size_from, size_to, functools.partial(_poisson_size_weight, rate))
+    assert same_arrays(_poisson_items(dist, rate, size_from, size_to), reference)
+    # a fixed-size side; a scale of two subnormal units underflows every pmf below 1/4 to 0, and drops its rows
+    n = data.draw(st.integers(0, 8))
+    for scale in (1.0, 1e-323):
+        assert same_arrays(_item_arrays(dist, n, n, lambda _: scale), histogram_item_arrays(dist, n, n, lambda _: scale))
+
+
+EPSILON = Fraction(1, 10**9)
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.data())
+def test_the_equality_fast_path_cannot_hide_a_gap(data):
+    d = data.draw(st.integers(1, 3))
+    grid = simplex_grid(d, data.draw(st.integers(1, 4)))
+    points = data.draw(st.lists(st.tuples(st.sampled_from(grid), st.sampled_from(grid)), min_size=1, max_size=8))
+    n, m = data.draw(st.integers(2, 3)), data.draw(st.integers(2, 3))
+    div = builtin_l2(d)
+    compiled = [compile_known_target(div, n), compile_two_sample(div, n, m)]
+    for loss in compiled:
+        # the pmf sums to 1, so every expectation moves by exactly epsilon
+        shifted = dataclasses.replace(loss, evaluator=lambda h, t, f=loss.evaluator: f(h, t) + EPSILON)
+        for report in check_implements(shifted, div, points):
+            assert not report.passed and type(report.gap) is Fraction and report.gap == EPSILON
+            assert report.estimate - report.target == EPSILON
+    for loss in compiled + [naive_plugin_loss(n)]:
+        one_point = exact_expected_two_sample if isinstance(loss, CompiledLoss) else exact_expected_known_target
+        for (p, q), report in zip(points, check_implements(loss, div, points)):
+            target = div.evaluate(p, q)
+            estimate = one_point(loss, p, q)
+            gap = abs(target - estimate)
+            assert report == VerificationReport(target, estimate, gap, "exact", None, gap <= 0)
+            assert all(type(v) is Fraction for v in (report.target, report.estimate, report.gap))
 
 
 def monomial_loop(div, p, q):
