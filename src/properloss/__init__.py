@@ -33,14 +33,12 @@ from .continuous import (
 from .divergences import (
     Monomial,
     PolyDivergence,
-    PropernessAudit,
     Separable,
     SeriesDivergence,
     SeriesKind,
     builtin_brier,
     builtin_l2,
     builtin_lk_even,
-    properness_audit,
     simplex_grid,
     squared_norm_gradient,
     squared_norm_polynomial,
@@ -91,7 +89,6 @@ from .sampling import (
     SubprocessSource,
     block_average,
     draw_fixed,
-    draw_poisson,
     estimate_loss,
     stream_rng,
 )

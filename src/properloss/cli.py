@@ -27,14 +27,11 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from types import SimpleNamespace
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .compiler import (
     CompiledLoss,
-    bregman_known_target,
     compile_known_target,
     compile_two_sample,
     cross_entropy_poisson,
@@ -42,7 +39,7 @@ from .compiler import (
     entropy_poisson,
     kl_poisson,
 )
-from .continuous import RealSample, cramer_distance_oracle, cramer_loss, crps, energy_loss, load_real_sample, load_vector_sample, projected_cramer_loss
+from .continuous import cramer_loss, crps, energy_loss, load_real_sample, load_vector_sample, projected_cramer_loss
 from .divergences import (
     Monomial,
     PolyDivergence,
@@ -51,30 +48,12 @@ from .divergences import (
     builtin_brier,
     builtin_l2,
     builtin_lk_even,
-    simplex_grid,
-    squared_norm_gradient,
-    squared_norm_polynomial,
 )
-from .domain import Distribution, Domain, Histogram, Mode, empirical
-from .errors import (
-    DegreeGateError,
-    ProperLossError,
-    SourceExhaustedError,
-    SubprocessFailureError,
-    TokenUnknownError,
-)
+from .domain import Distribution, Domain, Mode
+from .errors import ProperLossError, SourceExhaustedError, SubprocessFailureError, TokenUnknownError
 from .estimators import ExponentVector
 from .sampling import FileSource, InternalSource, SubprocessSource, estimate_loss
-from .verify import (
-    check_implements,
-    degree_gate_bypass_exists,
-    enumerate_histograms,
-    expected_losses,
-    gradient_check,
-    naive_plugin_bias_demo,
-    naive_plugin_loss,
-    poisson_expected_loss,
-)
+from .verify import CHECKS, naive_plugin_bias_demo
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -310,294 +289,21 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 # ----------------------------------------------------------------------
-# verify suite
+# verify
 # ----------------------------------------------------------------------
 
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    tag: str  # "exact" or "truncated"
-    gap: str
-    detail: str = ""
-
-
-#: What a check body returns: (passed, gap, detail).
-Outcome = tuple[bool, str, str]
-
-
-def _grid_pairs(d: int, denominator: int) -> list:
-    points = simplex_grid(d, denominator)
-    return [(p, q) for p in points for q in points]
-
-
-def _check_plugin_bias(seed: int) -> Outcome:
-    q = Distribution.exact([Fraction(1, 10), Fraction(9, 10)])
-    below = True
-    for n in range(2, 21):
-        demo = naive_plugin_bias_demo(q, n)
-        below = below and demo.closed_form < Fraction(1, 10)
-    demo10 = naive_plugin_bias_demo(q, 10)
-    agree = abs(float(demo10.closed_form) - demo10.grid_argmin) <= 1e-4
-    exact_value = demo10.closed_form == Fraction(1, 18)
-    ok = below and agree and exact_value
-    detail = f"optimum at n=10 is {demo10.closed_form} (grid {demo10.grid_argmin:.4f}), below 1/10 for n=2..20"
-    return ok, f"{abs(float(demo10.closed_form) - demo10.grid_argmin):.2e}", detail
-
-
-def _check_plugin_improper(seed: int) -> Outcome:
-    q = Distribution.exact([Fraction(1, 10), Fraction(9, 10)])
-    n = 10
-    loss = naive_plugin_loss(n)
-    points = [(p, q) for p in simplex_grid(2, 8) if 0 < p.probs[0] < 1]
-    reports = check_implements(loss, builtin_l2(2), points)
-    # the plug-in loss must FAIL exact implementation at every interior model
-    all_failed = all(not r.passed for r in reports)
-    expected_gap = all(
-        r.gap == 2 * p.probs[0] * (1 - p.probs[0]) / n for r, (p, _) in zip(reports, points)
-    )
-    detail = f"{len(reports)} interior models all show a positive exact gap"
-    return all_failed and expected_gap, "summed-frequency-variance", detail
-
-
-def _check_compiled_l2(compile_l2: Callable, sizes: Sequence[tuple], combination: str) -> Outcome:
-    """The l2 loss compiled at each of ``sizes`` against the squared distance on a d=2 and a d=3 grid, exactly."""
-    worst = Fraction(0)
-    count = 0
-    for d, denom in ((2, 8), (3, 4)):
-        pairs = _grid_pairs(d, denom)
-        l2 = builtin_l2(d)
-        # every size revisits the grid, so each (p, q) pair is evaluated once
-        divergence = SimpleNamespace(evaluate=functools.lru_cache(maxsize=None)(l2.evaluate))
-        for size in sizes:
-            reports = check_implements(compile_l2(l2, *size), divergence, pairs)
-            count += len(reports)
-            if any(not r.passed for r in reports):
-                worst = max(worst, max(r.gap for r in reports))
-    return worst == 0, str(worst), f"{count} ({combination}) combinations, exact equality"
-
-
-def _check_squared_known_target(seed: int) -> Outcome:
-    return _check_compiled_l2(compile_known_target, [(n,) for n in (2, 3, 4, 5)], "model, target, n")
-
-
-def _check_squared_two_sample(seed: int) -> Outcome:
-    return _check_compiled_l2(compile_two_sample, [(n, m) for n in (2, 3) for m in (2, 3)], "model, target, n, m")
-
-
-def _check_compiler_exact(seed: int) -> Outcome:
-    cases = [
-        ("l2", builtin_l2(2), 2, 2),
-        ("lk:4", builtin_lk_even(2, 4), 4, 4),
-        ("brier", builtin_brier(2), 2, 1),
-    ]
-    pairs = _grid_pairs(2, 4)
-    worst = Fraction(0)
-    for _, divergence, n, m in cases:
-        loss = compile_two_sample(divergence, n, m)
-        reports = check_implements(loss, divergence, pairs)
-        if any(not r.passed for r in reports):
-            worst = max(worst, max(r.gap for r in reports))
-    return worst == 0, str(worst), "l2, lk:4, brier compiled at their degrees match exactly on the grid"
-
-
-def _check_compiler_gates(seed: int) -> Outcome:
-    cases = [
-        (builtin_l2(2), 2, 2),
-        (builtin_lk_even(2, 4), 4, 4),
-        (builtin_brier(2), 2, 1),
-    ]
-    ok = True
-    for divergence, n, m in cases:
-        compile_two_sample(divergence, n, m)  # must succeed at the boundary
-        for bad_n, bad_m in ((n - 1, m), (n, m - 1)):
-            try:
-                compile_two_sample(divergence, bad_n, bad_m)
-                ok = False
-            except DegreeGateError:
-                pass
-        try:
-            compile_known_target(divergence, n - 1)
-            ok = False
-        except DegreeGateError:
-            pass
-    return ok, "0", "compilation succeeds at the degree boundary and refuses one draw below it"
-
-
-def _inner_product_divergence(d: int) -> PolyDivergence:
-    return PolyDivergence(
-        tuple(
-            Monomial(1, ExponentVector.unit(d, x), ExponentVector.unit(d, x))
-            for x in range(d)
-        )
-    )
-
-
-def _check_degree_one_affine(seed: int) -> Outcome:
-    loss = compile_two_sample(_inner_product_divergence(2), 1, 1)
-    grid = simplex_grid(2, 8)
-    targets = (Distribution.uniform(2), Distribution.exact([Fraction(1, 4), Fraction(3, 4)]))
-    values = expected_losses(loss, [(p, q) for q in targets for p in grid])
-    rows = [values[i : i + len(grid)] for i in range(0, len(values), len(grid))]  # one row per target
-    ok = True
-    for row in rows:
-        # the grid is evenly spaced in p1, so affine means vanishing second differences
-        seconds = [row[i + 1] - 2 * row[i] + row[i - 1] for i in range(1, len(row) - 1)]
-        ok = ok and all(s == 0 for s in seconds)
-    uniform_vals = rows[0]
-    constant = max(uniform_vals) - min(uniform_vals) == 0
-    detail = "one-draw expected losses are affine in the model; constant under a uniform target"
-    return ok and constant, str(max(uniform_vals) - min(uniform_vals)), detail
-
-
-def _check_single_draw_infeasible(seed: int) -> Outcome:
-    q = Distribution.uniform(2)
-    points = [
-        Distribution.exact([1, 0]),
-        Distribution.uniform(2),
-        Distribution.exact([0, 1]),
-    ]
-    bypass = degree_gate_bypass_exists(builtin_l2(2), q, points)
-    detail = "no single-draw loss of ANY form matches the squared distance on three collinear models"
-    return not bypass, "0", detail
-
-
-def _check_bregman(seed: int) -> Outcome:
-    ok = True
-    potential = squared_norm_polynomial(2)
-    gradient = squared_norm_gradient(2)
-    grad_err = gradient_check(potential, gradient, simplex_grid(2, 4))
-    ok = ok and grad_err < 1e-5
-    for n in (2, 3):
-        bloss = bregman_known_target(potential, gradient, n)
-        squared = compile_known_target(builtin_l2(2), n)
-        for h in enumerate_histograms(2, n):
-            for q in simplex_grid(2, 4):
-                if bloss.evaluator(h, q) != squared.evaluator(h, q):
-                    ok = False
-    # mean of the potential at the empirical distribution exceeds the potential
-    # at the truth by exactly the summed frequency variance
-    def at_empirical(h: Histogram, _) -> Fraction:
-        return potential.evaluate(empirical(h).probs, empirical(h).probs)
-
-    grid = simplex_grid(2, 4)
-    for n in (2, 3, 4):
-        means = expected_losses(at_empirical, [(p, None) for p in grid], n)
-        for p, mean in zip(grid, means):
-            gap = mean - potential.evaluate(p.probs, p.probs)
-            expected = sum(px * (1 - px) for px in p.probs) / n
-            if gap != expected:
-                ok = False
-    detail = "Bregman loss equals the closed squared-loss form pointwise; mean-vs-truth gap is the summed variance"
-    return ok, "0", detail
-
-
-def _check_cross_entropy(seed: int) -> Outcome:
-    loss = cross_entropy_poisson(6.0, 6.0)
-    half = Distribution.exact([Fraction(1, 2), Fraction(1, 2)])
-    est1 = poisson_expected_loss(loss, half, half, tail_eps=1e-10)
-    gap1 = abs(est1.value - math.log(2))
-    skew = Distribution.exact([Fraction(1, 4), Fraction(3, 4)])
-    est2 = poisson_expected_loss(loss, skew, half, tail_eps=1e-10)
-    target2 = -(0.5 * math.log(0.25) + 0.5 * math.log(0.75))
-    gap2 = abs(est2.value - target2)
-    # the loss itself stays finite even where the divergence is infinite
-    finite = math.isfinite(float(loss.evaluator(Histogram((0, 4)), Histogram((3, 0)))))
-    ok = gap1 <= 1e-4 and gap2 <= 1e-4 and finite
-    detail = f"truncated expectations match -sum q ln p at two points (tail {est1.omitted_mass:.1e})"
-    return ok, f"{max(gap1, gap2):.2e}", detail
-
-
-def _check_entropy_kl(seed: int) -> Outcome:
-    half = Distribution.exact([Fraction(1, 2), Fraction(1, 2)])
-    skew = Distribution.exact([Fraction(1, 4), Fraction(3, 4)])
-    ent = poisson_expected_loss(entropy_poisson(6.0), None, half, tail_eps=1e-10)
-    gap_ent = abs(ent.value - math.log(2))
-    kl = poisson_expected_loss(kl_poisson(8.0, 8.0), skew, half, tail_eps=1e-10)
-    target_kl = 0.5 * math.log(2) + 0.5 * math.log(2.0 / 3.0)
-    gap_kl = abs(kl.value - target_kl)
-    ok = gap_ent <= 1e-4 and gap_kl <= 1e-3
-    return ok, f"{max(gap_ent, gap_kl):.2e}", "entropy matches -sum q ln q; KL matches sum q ln(q/p)"
-
-
-def _enumerate_two_point_pairs(w: Fraction):
-    """(sample, probability) for two i.i.d. draws from a {0,1}-valued coin."""
-    return [
-        (RealSample((0, 0)), w * w),
-        (RealSample((0, 1)), 2 * w * (1 - w)),
-        (RealSample((1, 1)), (1 - w) * (1 - w)),
-    ]
-
-
-def _check_cramer_energy(seed: int) -> Outcome:
-    ok = True
-    ok = ok and cramer_loss(RealSample((0, 1)), RealSample((0, 1))) == Fraction(-1, 2)
-    ok = ok and crps(RealSample((0, 1)), 0) == 0
-    for wp, wq in ((Fraction(1, 2), Fraction(1, 4)), (Fraction(3, 4), Fraction(3, 4)), (Fraction(1, 2), Fraction(1, 2))):
-        truth = cramer_distance_oracle((0, 1), (wp, 1 - wp), (0, 1), (wq, 1 - wq))
-        mean_cramer = 0
-        mean_energy = 0
-        for s, ps in _enumerate_two_point_pairs(wp):
-            for u, pu in _enumerate_two_point_pairs(wq):
-                mean_cramer += ps * pu * cramer_loss(s, u)
-                mean_energy += ps * pu * energy_loss(s, u)
-        ok = ok and mean_cramer == truth and mean_energy == 2 * truth
-    return ok, "0", "two-draw enumeration: E[cramer] equals the CDF-distance oracle, E[energy] is exactly twice it"
-
-
-def _check_mc_sanity(seed: int) -> Outcome:
-    loss = compile_two_sample(builtin_l2(2), 2, 2, Mode.FLOAT)
-    model = InternalSource(Distribution.floating((0.25, 0.75)))
-    target = InternalSource(Distribution.floating((0.5, 0.5)))
-    truth = float(builtin_l2(2).evaluate(model.dist, target.dist))
-    report = estimate_loss(model, target, loss, 20000, seed)
-    gap = abs(report.mean - truth)
-    ok = gap <= 5 * report.std_error
-    return ok, f"{gap:.2e}", f"Monte Carlo mean within 5 standard errors of {truth} (se {report.std_error:.2e})"
-
-
-def _check(name: str, tag: str, body: Callable[[int], Outcome]) -> tuple:
-    """A ``CHECKS`` row: the name, a run that turns the body's outcome into a :class:`CheckResult`, the tag."""
-
-    def run(seed: int) -> CheckResult:
-        passed, gap, detail = body(seed)
-        return CheckResult(name, passed, tag, gap, detail)
-
-    return name, run, tag
-
-
-#: ``(name, run, tag)`` per check, in output order; ``cmd_verify`` reads each tag before any check runs.
-CHECKS = [
-    _check("plugin-bias", "exact", _check_plugin_bias),
-    _check("plugin-improper", "exact", _check_plugin_improper),
-    _check("squared-known-target", "exact", _check_squared_known_target),
-    _check("squared-two-sample", "exact", _check_squared_two_sample),
-    _check("compiler-exact", "exact", _check_compiler_exact),
-    _check("compiler-gates", "exact", _check_compiler_gates),
-    _check("degree-one-affine", "exact", _check_degree_one_affine),
-    _check("single-draw-infeasible", "exact", _check_single_draw_infeasible),
-    _check("bregman", "exact", _check_bregman),
-    _check("cross-entropy", "truncated", _check_cross_entropy),
-    _check("entropy-kl", "truncated", _check_entropy_kl),
-    _check("cramer-energy", "exact", _check_cramer_energy),
-    _check("mc-sanity", "truncated", _check_mc_sanity),
-]
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
-    known = [name for name, _, _ in CHECKS]
-    unknown = [name for name in args.only or () if name not in known]
+    unknown = [name for name in args.only or () if name not in CHECKS]
     if unknown:
-        raise ValueError(f"no such check: {', '.join(unknown)}; known checks: {', '.join(known)}")
-    selected = [(run, tag) for name, run, tag in CHECKS if not args.only or name in args.only]
-    if args.mode == "float" and any(tag == "exact" for _, tag in selected):
-        raise ValueError("exact checks require exact mode; drop --mode float or restrict --only to truncated checks")
-    results = [run(args.seed) for run, _ in selected]
+        raise ValueError(f"no such check: {', '.join(unknown)}; known checks: {', '.join(CHECKS)}")
     pairs: list[tuple[str, str]] = [("command", "verify"), ("seed", str(args.seed))]
-    for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        pairs.append((f"check.{r.name}", f"{status} [{r.tag}] gap={r.gap} {r.detail}"))
-    failures = sum(1 for r in results if not r.passed)
+    failures = 0
+    for name, (tag, body) in CHECKS.items():
+        if args.only and name not in args.only:
+            continue
+        passed, gap, detail = body(args.seed)
+        failures += not passed
+        pairs.append((f"check.{name}", f"{'PASS' if passed else 'FAIL'} [{tag}] gap={gap} {detail}"))
     pairs.append(("failures", str(failures)))
     _emit(pairs, args.format)
     return EXIT_OK if failures == 0 else EXIT_VERIFY
@@ -754,8 +460,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the exact-oracle check suite")
     p_verify.add_argument("--only", action="append", help="restrict to one named check (repeatable)")
-    p_verify.add_argument("--mode", choices=("exact", "float"), default="exact",
-                          help="exact checks refuse to run under float mode")
     add_common(p_verify)
     p_verify.set_defaults(func=cmd_verify)
 

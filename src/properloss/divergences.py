@@ -7,8 +7,8 @@ of terms applied to every coordinate.  The log family (cross-entropy, KL,
 Shannon entropy) is represented separately by :class:`SeriesDivergence`
 because it is not polynomial and may evaluate to ``+inf``.
 
-Properness -- ``div(q, q) <= div(p, q)`` for every fixed ``q`` -- is audited
-on a simplex grid, never assumed: compilation does not require it.
+Properness -- ``div(q, q) <= div(p, q)`` for every fixed ``q`` -- is never
+assumed: compilation does not require it.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .domain import Distribution, compositions, over_common_denominator
-from .errors import DimensionMismatchError, DomainTooLargeError, OddExponentError
+from .errors import DimensionMismatchError, OddExponentError
 from .estimators import ExponentVector
 
 
@@ -280,36 +280,3 @@ def simplex_grid(d: int, denominator: int) -> list[Distribution]:
         for comp in compositions(denominator, d)
     ]
 
-
-@dataclass(frozen=True)
-class PropernessAudit:
-    """Grid-search evidence about the minimizer of div(., q)."""
-
-    argmin: tuple
-    minimum: object
-    reference: object  # div(q, q)
-    gap: object  # minimum - reference; >= 0 on the grid for a proper divergence
-
-
-def properness_audit(divergence, q: Distribution, grid_step) -> PropernessAudit:
-    """Exhaustively minimize ``div(p, q)`` over a simplex grid of the given step.
-
-    For a proper divergence the reported minimum is at least ``div(q, q)``,
-    and for a strictly proper one the argmin lies within one grid step of
-    ``q``.  Enumeration is only feasible for small domains.
-    """
-    if not 0 < float(grid_step) <= 0.5:
-        raise ValueError("grid step must lie in (0, 1/2]")
-    d = q.dim
-    if d > 4:
-        raise DomainTooLargeError(f"grid audit supports d <= 4, got {d}")
-    denominator = int(round(1 / float(grid_step)))
-    reference = divergence.evaluate(q, q)
-    best_p = None
-    best_val = None
-    for p in simplex_grid(d, denominator):
-        val = divergence.evaluate(p, q)
-        if best_val is None or val < best_val:
-            best_val = val
-            best_p = p.probs
-    return PropernessAudit(argmin=best_p, minimum=best_val, reference=reference, gap=best_val - reference)

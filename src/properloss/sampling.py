@@ -345,16 +345,6 @@ def draw_fixed(src: SampleSource, n: int, seed: int) -> Histogram:
     return src.draw(n, stream_rng(seed, STREAM_MODEL))
 
 
-def draw_poisson(src: SampleSource, alpha: float, seed: int) -> Histogram:
-    """Draw N ~ Poisson(alpha) by pmf inversion, then N observations.
-
-    Under this scheme the coordinate counts are independent Poissons with
-    rates alpha * p_x, which is what the power-series losses rely on.
-    """
-    rng = stream_rng(seed, STREAM_MODEL)
-    return src.draw(_poisson_size(float(rng.random()), alpha), rng)
-
-
 @dataclass(frozen=True)
 class EstimateReport:
     """Monte Carlo estimate with a nominal 95% normal interval."""

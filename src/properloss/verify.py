@@ -24,7 +24,7 @@ unbounded support, so it truncates at a quantile, reports the truncation
 honestly, and scores blocks of (model, target) pairs with the loss's float
 batch evaluator.  Its sides are count matrices and weight vectors; an exact
 side builds them straight from the support's compositions and the same
-integer pmf numerators.
+integer pmf numerators.  ``CHECKS`` is the ``properloss verify`` suite.
 """
 
 from __future__ import annotations
@@ -34,11 +34,33 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .compiler import CompiledLoss, KnownTargetLoss, _row_sums
+from .compiler import (
+    CompiledLoss,
+    KnownTargetLoss,
+    _row_sums,
+    bregman_known_target,
+    compile_known_target,
+    compile_two_sample,
+    cross_entropy_poisson,
+    entropy_poisson,
+    kl_poisson,
+)
+from .continuous import RealSample, cramer_distance_oracle, cramer_loss, crps, energy_loss
+from .divergences import (
+    Monomial,
+    PolyDivergence,
+    builtin_brier,
+    builtin_l2,
+    builtin_lk_even,
+    simplex_grid,
+    squared_norm_gradient,
+    squared_norm_polynomial,
+)
 from .domain import (
     CountRows,
     Distribution,
@@ -53,11 +75,14 @@ from .domain import (
     poisson_cdf,
 )
 from .errors import (
+    DegreeGateError,
     DimensionMismatchError,
     EnumerationTooLargeError,
     SampleTooSmallError,
     TotalMismatchError,
 )
+from .estimators import ExponentVector
+from .sampling import InternalSource, estimate_loss
 
 #: Feasibility cap on the number of enumerated histograms per oracle call.
 ENUMERATION_CAP = 10**6
@@ -573,7 +598,11 @@ class NaivePluginBias:
     grid_argmin: float
 
 
-def naive_plugin_bias_demo(q: Distribution, n: int, grid_step: float = 1e-4) -> NaivePluginBias:
+#: Spacing of the grid on which :func:`naive_plugin_bias_demo` corroborates its closed form.
+_BIAS_GRID_STEP = 1e-4
+
+
+def naive_plugin_bias_demo(q: Distribution, n: int) -> NaivePluginBias:
     """Minimize the plug-in loss's expectation over two-outcome models.
 
     The expectation is ``2(p1 - q1)^2 + 2 p1 (1 - p1)/n``; the stationary
@@ -592,7 +621,7 @@ def naive_plugin_bias_demo(q: Distribution, n: int, grid_step: float = 1e-4) -> 
     else:
         stationary = (q1 - 1.0 / (2 * n)) * n / (n - 1)
         closed = min(max(stationary, 0.0), 1.0)
-    grid = np.arange(0.0, 1.0 + grid_step / 2, grid_step)
+    grid = np.arange(0.0, 1.0 + _BIAS_GRID_STEP / 2, _BIAS_GRID_STEP)
     q1f = float(q1)
     values = 2.0 * (grid - q1f) ** 2 + 2.0 * grid * (1.0 - grid) / n
     return NaivePluginBias(q1=q1, n=n, closed_form=closed, grid_argmin=float(grid[int(np.argmin(values))]))
@@ -656,3 +685,238 @@ def gradient_check(potential, gradient: Sequence, points: Sequence[Distribution]
                 analytic = gradient[x].evaluate(pv, pv) - gradient[y].evaluate(pv, pv)
                 worst = max(worst, abs(numeric - float(analytic)))
     return worst
+
+
+# ----------------------------------------------------------------------
+# the check suite
+# ----------------------------------------------------------------------
+
+#: The two-outcome targets and models the checks share.
+_HALF = Distribution.exact([Fraction(1, 2), Fraction(1, 2)])
+_SKEW = Distribution.exact([Fraction(1, 4), Fraction(3, 4)])
+_TENTH = Distribution.exact([Fraction(1, 10), Fraction(9, 10)])
+
+
+def _grid_pairs(d: int, denominator: int) -> list:
+    points = simplex_grid(d, denominator)
+    return [(p, q) for p in points for q in points]
+
+
+def _exact_outcome(cases, detail: str) -> tuple:
+    """Whether E[loss] equals the divergence exactly at every point of every ``(loss, divergence, points)`` case.
+
+    The gap is the largest one seen; ``{count}`` in ``detail`` becomes the number of points checked.
+    """
+    worst, count = Fraction(0), 0
+    for loss, divergence, points in cases:
+        reports = check_implements(loss, divergence, points)
+        count += len(reports)
+        if any(not r.passed for r in reports):
+            worst = max(worst, max(r.gap for r in reports))
+    return worst == 0, str(worst), detail.format(count=count)
+
+
+def _l2_cases(compile_l2, sizes: Sequence[tuple]):
+    """The l2 loss compiled at each of ``sizes``, against the squared distance on a d=2 and a d=3 grid."""
+    for d, denom in ((2, 8), (3, 4)):
+        pairs = _grid_pairs(d, denom)
+        l2 = builtin_l2(d)
+        # every size revisits the grid, so each (p, q) pair is evaluated once
+        divergence = SimpleNamespace(evaluate=functools.lru_cache(maxsize=None)(l2.evaluate))
+        for size in sizes:
+            yield compile_l2(l2, *size), divergence, pairs
+
+
+def _degree_cases() -> list:
+    """``(divergence, n, m)`` for l2, lk:4 and brier at d=2, at their degrees: the smallest sizes that compile."""
+    return [(builtin_l2(2), 2, 2), (builtin_lk_even(2, 4), 4, 4), (builtin_brier(2), 2, 1)]
+
+
+def _check_plugin_bias(seed: int) -> tuple:
+    demos = {n: naive_plugin_bias_demo(_TENTH, n) for n in range(2, 21)}
+    demo10 = demos[10]
+    gap = abs(float(demo10.closed_form) - demo10.grid_argmin)
+    below = all(demo.closed_form < Fraction(1, 10) for demo in demos.values())
+    ok = below and gap <= 1e-4 and demo10.closed_form == Fraction(1, 18)
+    detail = f"optimum at n=10 is {demo10.closed_form} (grid {demo10.grid_argmin:.4f}), below 1/10 for n=2..20"
+    return ok, f"{gap:.2e}", detail
+
+
+def _check_plugin_improper(seed: int) -> tuple:
+    n = 10
+    loss = naive_plugin_loss(n)
+    points = [(p, _TENTH) for p in simplex_grid(2, 8) if 0 < p.probs[0] < 1]
+    reports = check_implements(loss, builtin_l2(2), points)
+    # the plug-in loss must FAIL exact implementation at every interior model
+    all_failed = all(not r.passed for r in reports)
+    expected_gap = all(
+        r.gap == 2 * p.probs[0] * (1 - p.probs[0]) / n for r, (p, _) in zip(reports, points)
+    )
+    detail = f"{len(reports)} interior models all show a positive exact gap"
+    return all_failed and expected_gap, "summed-frequency-variance", detail
+
+
+def _check_squared_known_target(seed: int) -> tuple:
+    cases = _l2_cases(compile_known_target, [(n,) for n in (2, 3, 4, 5)])
+    return _exact_outcome(cases, "{count} (model, target, n) combinations, exact equality")
+
+
+def _check_squared_two_sample(seed: int) -> tuple:
+    cases = _l2_cases(compile_two_sample, [(n, m) for n in (2, 3) for m in (2, 3)])
+    return _exact_outcome(cases, "{count} (model, target, n, m) combinations, exact equality")
+
+
+def _check_compiler_exact(seed: int) -> tuple:
+    pairs = _grid_pairs(2, 4)
+    cases = ((compile_two_sample(divergence, n, m), divergence, pairs) for divergence, n, m in _degree_cases())
+    return _exact_outcome(cases, "l2, lk:4, brier compiled at their degrees match exactly on the grid")
+
+
+def _check_compiler_gates(seed: int) -> tuple:
+    ok = True
+    for divergence, n, m in _degree_cases():
+        compile_two_sample(divergence, n, m)  # must succeed at the boundary
+        for build, *sizes in ((compile_two_sample, n - 1, m), (compile_two_sample, n, m - 1),
+                              (compile_known_target, n - 1)):
+            try:
+                build(divergence, *sizes)
+                ok = False
+            except DegreeGateError:
+                pass
+    return ok, "0", "compilation succeeds at the degree boundary and refuses one draw below it"
+
+
+def _check_degree_one_affine(seed: int) -> tuple:
+    inner_product = PolyDivergence(
+        tuple(Monomial(1, ExponentVector.unit(2, x), ExponentVector.unit(2, x)) for x in range(2))
+    )
+    loss = compile_two_sample(inner_product, 1, 1)
+    grid = simplex_grid(2, 8)
+    targets = (Distribution.uniform(2), _SKEW)
+    values = expected_losses(loss, [(p, q) for q in targets for p in grid])
+    rows = [values[i : i + len(grid)] for i in range(0, len(values), len(grid))]  # one row per target
+    ok = True
+    for row in rows:
+        # the grid is evenly spaced in p1, so affine means vanishing second differences
+        seconds = [row[i + 1] - 2 * row[i] + row[i - 1] for i in range(1, len(row) - 1)]
+        ok = ok and all(s == 0 for s in seconds)
+    spread = max(rows[0]) - min(rows[0])  # under the uniform target
+    detail = "one-draw expected losses are affine in the model; constant under a uniform target"
+    return ok and spread == 0, str(spread), detail
+
+
+def _check_single_draw_infeasible(seed: int) -> tuple:
+    points = [
+        Distribution.exact([1, 0]),
+        _HALF,
+        Distribution.exact([0, 1]),
+    ]
+    bypass = degree_gate_bypass_exists(builtin_l2(2), _HALF, points)
+    detail = "no single-draw loss of ANY form matches the squared distance on three collinear models"
+    return not bypass, "0", detail
+
+
+def _check_bregman(seed: int) -> tuple:
+    potential = squared_norm_polynomial(2)
+    gradient = squared_norm_gradient(2)
+    grid = simplex_grid(2, 4)
+    ok = gradient_check(potential, gradient, grid) < 1e-5
+    for n in (2, 3):
+        bloss = bregman_known_target(potential, gradient, n)
+        squared = compile_known_target(builtin_l2(2), n)
+        for h in enumerate_histograms(2, n):
+            for q in grid:
+                if bloss.evaluator(h, q) != squared.evaluator(h, q):
+                    ok = False
+    # mean of the potential at the empirical distribution exceeds the potential
+    # at the truth by exactly the summed frequency variance
+    def at_empirical(h: Histogram, _) -> Fraction:
+        return potential.evaluate(empirical(h).probs, empirical(h).probs)
+
+    for n in (2, 3, 4):
+        means = expected_losses(at_empirical, [(p, None) for p in grid], n)
+        for p, mean in zip(grid, means):
+            gap = mean - potential.evaluate(p.probs, p.probs)
+            expected = sum(px * (1 - px) for px in p.probs) / n
+            if gap != expected:
+                ok = False
+    detail = "Bregman loss equals the closed squared-loss form pointwise; mean-vs-truth gap is the summed variance"
+    return ok, "0", detail
+
+
+def _check_cross_entropy(seed: int) -> tuple:
+    loss = cross_entropy_poisson(6.0, 6.0)
+    est1 = poisson_expected_loss(loss, _HALF, _HALF, tail_eps=1e-10)
+    gap1 = abs(est1.value - math.log(2))
+    est2 = poisson_expected_loss(loss, _SKEW, _HALF, tail_eps=1e-10)
+    target2 = -(0.5 * math.log(0.25) + 0.5 * math.log(0.75))
+    gap2 = abs(est2.value - target2)
+    # the loss itself stays finite even where the divergence is infinite
+    finite = math.isfinite(float(loss.evaluator(Histogram((0, 4)), Histogram((3, 0)))))
+    ok = gap1 <= 1e-4 and gap2 <= 1e-4 and finite
+    detail = f"truncated expectations match -sum q ln p at two points (tail {est1.omitted_mass:.1e})"
+    return ok, f"{max(gap1, gap2):.2e}", detail
+
+
+def _check_entropy_kl(seed: int) -> tuple:
+    ent = poisson_expected_loss(entropy_poisson(6.0), None, _HALF, tail_eps=1e-10)
+    gap_ent = abs(ent.value - math.log(2))
+    kl = poisson_expected_loss(kl_poisson(8.0, 8.0), _SKEW, _HALF, tail_eps=1e-10)
+    target_kl = 0.5 * math.log(2) + 0.5 * math.log(2.0 / 3.0)
+    gap_kl = abs(kl.value - target_kl)
+    ok = gap_ent <= 1e-4 and gap_kl <= 1e-3
+    return ok, f"{max(gap_ent, gap_kl):.2e}", "entropy matches -sum q ln q; KL matches sum q ln(q/p)"
+
+
+def _enumerate_two_point_pairs(w: Fraction) -> list:
+    """(sample, probability) for two i.i.d. draws from a {0,1}-valued coin."""
+    return [
+        (RealSample((0, 0)), w * w),
+        (RealSample((0, 1)), 2 * w * (1 - w)),
+        (RealSample((1, 1)), (1 - w) * (1 - w)),
+    ]
+
+
+def _check_cramer_energy(seed: int) -> tuple:
+    ok = cramer_loss(RealSample((0, 1)), RealSample((0, 1))) == Fraction(-1, 2)
+    ok = ok and crps(RealSample((0, 1)), 0) == 0
+    for wp, wq in ((Fraction(1, 2), Fraction(1, 4)), (Fraction(3, 4), Fraction(3, 4)), (Fraction(1, 2), Fraction(1, 2))):
+        truth = cramer_distance_oracle((0, 1), (wp, 1 - wp), (0, 1), (wq, 1 - wq))
+        mean_cramer = 0
+        mean_energy = 0
+        for s, ps in _enumerate_two_point_pairs(wp):
+            for u, pu in _enumerate_two_point_pairs(wq):
+                mean_cramer += ps * pu * cramer_loss(s, u)
+                mean_energy += ps * pu * energy_loss(s, u)
+        ok = ok and mean_cramer == truth and mean_energy == 2 * truth
+    return ok, "0", "two-draw enumeration: E[cramer] equals the CDF-distance oracle, E[energy] is exactly twice it"
+
+
+def _check_mc_sanity(seed: int) -> tuple:
+    loss = compile_two_sample(builtin_l2(2), 2, 2, Mode.FLOAT)
+    model = InternalSource(Distribution.floating((0.25, 0.75)))
+    target = InternalSource(Distribution.floating((0.5, 0.5)))
+    truth = float(builtin_l2(2).evaluate(model.dist, target.dist))
+    report = estimate_loss(model, target, loss, 20000, seed)
+    gap = abs(report.mean - truth)
+    ok = gap <= 5 * report.std_error
+    return ok, f"{gap:.2e}", f"Monte Carlo mean within 5 standard errors of {truth} (se {report.std_error:.2e})"
+
+
+#: The ``properloss verify`` suite in output order: ``name -> (tag, body)``.  The tag is "exact" or
+#: "truncated"; a body takes the seed and returns ``(passed, gap, detail)``.
+CHECKS = {
+    "plugin-bias": ("exact", _check_plugin_bias),
+    "plugin-improper": ("exact", _check_plugin_improper),
+    "squared-known-target": ("exact", _check_squared_known_target),
+    "squared-two-sample": ("exact", _check_squared_two_sample),
+    "compiler-exact": ("exact", _check_compiler_exact),
+    "compiler-gates": ("exact", _check_compiler_gates),
+    "degree-one-affine": ("exact", _check_degree_one_affine),
+    "single-draw-infeasible": ("exact", _check_single_draw_infeasible),
+    "bregman": ("exact", _check_bregman),
+    "cross-entropy": ("truncated", _check_cross_entropy),
+    "entropy-kl": ("truncated", _check_entropy_kl),
+    "cramer-energy": ("exact", _check_cramer_energy),
+    "mc-sanity": ("truncated", _check_mc_sanity),
+}

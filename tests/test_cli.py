@@ -601,17 +601,62 @@ class TestEval:
         assert abs(mean - 0.6931471805599453) <= 5 * se
 
 
+#: ``properloss verify --seed 7 --format machine``, byte for byte: every check's name, order, tag, gap and detail.
+VERIFY_SEED_7_MACHINE = (
+    "command=verify\n"
+    "seed=7\n"
+    "check.plugin-bias=PASS [exact] gap=4.44e-05 optimum at n=10 is 1/18 (grid 0.0556), below 1/10 for n=2..20\n"
+    "check.plugin-improper=PASS [exact] gap=summed-frequency-variance 7 interior models all show a positive exact gap\n"
+    "check.squared-known-target=PASS [exact] gap=0 1224 (model, target, n) combinations, exact equality\n"
+    "check.squared-two-sample=PASS [exact] gap=0 1224 (model, target, n, m) combinations, exact equality\n"
+    "check.compiler-exact=PASS [exact] gap=0 l2, lk:4, brier compiled at their degrees match exactly on the grid\n"
+    "check.compiler-gates=PASS [exact] gap=0 compilation succeeds at the degree boundary and refuses one draw below it\n"
+    "check.degree-one-affine=PASS [exact] gap=0 one-draw expected losses are affine in the model; constant under a uniform target\n"
+    "check.single-draw-infeasible=PASS [exact] gap=0 no single-draw loss of ANY form matches the squared distance on three collinear models\n"
+    "check.bregman=PASS [exact] gap=0 Bregman loss equals the closed squared-loss form pointwise; mean-vs-truth gap is the summed variance\n"
+    "check.cross-entropy=PASS [truncated] gap=6.35e-09 truncated expectations match -sum q ln p at two points (tail 1.3e-15)\n"
+    "check.entropy-kl=PASS [truncated] gap=3.60e-09 entropy matches -sum q ln q; KL matches sum q ln(q/p)\n"
+    "check.cramer-energy=PASS [exact] gap=0 two-draw enumeration: E[cramer] equals the CDF-distance oracle, E[energy] is exactly twice it\n"
+    "check.mc-sanity=PASS [truncated] gap=1.18e-02 Monte Carlo mean within 5 standard errors of 0.125 (se 6.35e-03)\n"
+    "failures=0\n"
+    '{"check.bregman":"PASS [exact] gap=0 Bregman loss equals the closed squared-loss form pointwise; mean-vs-truth gap is the summed variance","'
+    'check.compiler-exact":"PASS [exact] gap=0 l2, lk:4, brier compiled at their degrees match exactly on the grid","'
+    'check.compiler-gates":"PASS [exact] gap=0 compilation succeeds at the degree boundary and refuses one draw below it","'
+    'check.cramer-energy":"PASS [exact] gap=0 two-draw enumeration: E[cramer] equals the CDF-distance oracle, E[energy] is exactly twice it","'
+    'check.cross-entropy":"PASS [truncated] gap=6.35e-09 truncated expectations match -sum q ln p at two points (tail 1.3e-15)","'
+    'check.degree-one-affine":"PASS [exact] gap=0 one-draw expected losses are affine in the model; constant under a uniform target","'
+    'check.entropy-kl":"PASS [truncated] gap=3.60e-09 entropy matches -sum q ln q; KL matches sum q ln(q/p)","'
+    'check.mc-sanity":"PASS [truncated] gap=1.18e-02 Monte Carlo mean within 5 standard errors of 0.125 (se 6.35e-03)","'
+    'check.plugin-bias":"PASS [exact] gap=4.44e-05 optimum at n=10 is 1/18 (grid 0.0556), below 1/10 for n=2..20","'
+    'check.plugin-improper":"PASS [exact] gap=summed-frequency-variance 7 interior models all show a positive exact gap","'
+    'check.single-draw-infeasible":"PASS [exact] gap=0 no single-draw loss of ANY form matches the squared distance on three collinear models","'
+    'check.squared-known-target":"PASS [exact] gap=0 1224 (model, target, n) combinations, exact equality","'
+    'check.squared-two-sample":"PASS [exact] gap=0 1224 (model, target, n, m) combinations, exact equality","'
+    'command":"verify","'
+    'failures":"0","'
+    'seed":"7"}\n'
+)
+
+
 class TestVerify:
+    def test_seed_7_machine_output_is_pinned(self, capsys):
+        code, out, _ = run(capsys, "verify", "--seed", "7", "--format", "machine")
+        assert code == 0
+        assert out == VERIFY_SEED_7_MACHINE
+
     def test_failure_exit_code(self, capsys, monkeypatch):
         import properloss.cli as cli_mod
 
-        def failing(seed):
-            return cli_mod.CheckResult("doomed", False, "exact", "1", "synthetic failure")
-
-        monkeypatch.setattr(cli_mod, "CHECKS", [("doomed", failing, True)])
-        code, out, _ = run(capsys, "verify")
+        monkeypatch.setattr(cli_mod, "CHECKS", {"doomed": ("exact", lambda seed: (False, "1", "synthetic failure"))})
+        code, out, _ = run(capsys, "verify", "--format", "machine")
         assert code == 3
-        assert "FAIL" in out
+        assert parse_machine(out)[1]["check.doomed"] == "FAIL [exact] gap=1 synthetic failure"
+
+    def test_mode_is_not_an_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--mode", "exact"])
+        assert exc.value.code == 2
+        assert "--mode" in capsys.readouterr().err
 
     def test_seed_env_var_is_the_default(self, capsys, monkeypatch):
         monkeypatch.setenv("PROPERLOSS_SEED", "123")
@@ -661,15 +706,6 @@ class TestVerify:
         assert code == 0
         assert "PASS" in out
 
-    def test_float_mode_refuses_exact_checks(self, capsys):
-        code, _, err = run(capsys, "verify", "--mode", "float", "--only", "squared-two-sample")
-        assert code == 2
-        assert "exact" in err
-
-    def test_float_mode_allows_truncated_checks(self, capsys):
-        code, out, _ = run(capsys, "verify", "--mode", "float", "--only", "mc-sanity")
-        assert code == 0
-
     def test_unknown_check_name(self, capsys):
         code, _, err = run(capsys, "verify", "--only", "bogus")
         assert code == 2
@@ -680,17 +716,6 @@ class TestVerify:
         assert code == 2
         assert "no-such-check" in err and "known checks" in err
         assert out == ""
-
-    def test_float_mode_reads_the_tag_before_running_a_check(self, capsys, monkeypatch):
-        import properloss.cli as cli_mod
-
-        def must_not_run(seed):
-            raise AssertionError("an exact check ran under --mode float")
-
-        monkeypatch.setattr(cli_mod, "CHECKS", [cli_mod._check("exact-only", "exact", must_not_run)])
-        code, _, err = run(capsys, "verify", "--mode", "float")
-        assert code == 2
-        assert "exact checks require exact mode" in err
 
     def test_full_suite_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--format", "machine")

@@ -6,7 +6,6 @@ import pytest
 from properloss import (
     DimensionMismatchError,
     Distribution,
-    DomainTooLargeError,
     ExponentVector,
     Monomial,
     OddExponentError,
@@ -17,7 +16,6 @@ from properloss import (
     builtin_brier,
     builtin_l2,
     builtin_lk_even,
-    properness_audit,
     simplex_grid,
 )
 
@@ -160,34 +158,6 @@ class TestSeriesDivergences:
         ent = SeriesDivergence(SeriesKind.SHANNON_ENTROPY)
         p = Distribution.exact([1, 0])
         assert ent.evaluate(p, HALF) == ent.evaluate(HALF, HALF)
-
-
-class TestPropernessAudit:
-    def test_l2_argmin_is_the_target(self):
-        q = Distribution.floating([0.3, 0.7])
-        audit = properness_audit(builtin_l2(2), q, 0.01)
-        assert float(audit.argmin[0]) == pytest.approx(0.30, abs=1e-12)
-        # properness: the grid minimum sits at or above div(q, q); the float
-        # target leaves sub-1e-12 arithmetic noise
-        assert 0 <= audit.gap < 1e-12
-
-    def test_cross_entropy_argmin_is_the_target(self):
-        audit = properness_audit(SeriesDivergence(SeriesKind.CROSS_ENTROPY), HALF, 0.01)
-        assert float(audit.argmin[0]) == pytest.approx(0.50, abs=1e-12)
-
-    def test_brier_argmin_is_the_target(self):
-        q = Distribution.exact([Fraction(1, 10), Fraction(9, 10)])
-        audit = properness_audit(builtin_brier(2), q, 0.01)
-        assert audit.argmin == (Fraction(1, 10), Fraction(9, 10))
-        assert audit.gap == 0
-
-    def test_domain_gate(self):
-        with pytest.raises(DomainTooLargeError):
-            properness_audit(builtin_l2(5), Distribution.uniform(5), 0.25)
-
-    def test_step_gate(self):
-        with pytest.raises(ValueError):
-            properness_audit(builtin_l2(2), HALF, 0.75)
 
 
 class TestPropernessInvariant:

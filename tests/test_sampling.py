@@ -14,6 +14,7 @@ from properloss import (
     Histogram,
     InternalSource,
     Mode,
+    Poisson,
     SampleTooSmallError,
     SourceExhaustedError,
     SubprocessFailureError,
@@ -25,7 +26,6 @@ from properloss import (
     compile_two_sample,
     cross_entropy_poisson,
     draw_fixed,
-    draw_poisson,
     estimate_loss,
     exact_expected_two_sample,
     stream_rng,
@@ -84,24 +84,30 @@ class TestDrawFixed:
 
 
 class TestDrawPoisson:
+    """Poisson-size rows drawn as ``estimate_loss`` draws them: one size vector, then one batch of rows."""
+
+    @staticmethod
+    def draw(probs, rate: float, reps: int, seed: int):
+        from properloss.sampling import STREAM_MODEL, STREAM_MODEL_SIZES, _size_vector
+
+        sizes = _size_vector(Poisson(rate), reps, stream_rng(seed, STREAM_MODEL_SIZES))
+        rows = InternalSource(Distribution.floating(probs)).draw_batch(sizes, stream_rng(seed, STREAM_MODEL))
+        return sizes, rows.dense()
+
     def test_point_mass_source(self):
-        src = InternalSource(Distribution.floating([0.0, 1.0]))
-        h = draw_poisson(src, 4.0, seed=5)
-        assert h.counts[0] == 0
-        assert h.total == h.counts[1]
+        sizes, counts = self.draw([0.0, 1.0], 4.0, 200, seed=5)
+        assert not counts[:, 0].any()
+        assert counts[:, 1].tolist() == sizes.tolist()
 
     def test_zero_size_gives_zero_histogram(self):
-        src = InternalSource(HALF_F)
-        sizes = {draw_poisson(src, 0.05, seed=s).total for s in range(200)}
-        assert 0 in sizes  # rate 0.05 yields N = 0 most of the time
+        sizes, counts = self.draw([0.5, 0.5], 0.05, 200, seed=3)
+        assert (sizes == 0).any()  # rate 0.05 yields N = 0 most of the time
+        assert not counts[sizes == 0].any()
 
     def test_per_coordinate_mean(self):
-        src = InternalSource(HALF_F)
         reps = 20000
-        totals = np.zeros(2)
-        for s in range(reps):
-            totals += draw_poisson(src, 4.0, seed=s).counts
-        mean = totals / reps
+        _, counts = self.draw([0.5, 0.5], 4.0, reps, seed=11)
+        mean = counts.mean(axis=0)
         se = math.sqrt(2.0 / reps)  # Var Poisson(2) = 2
         assert abs(mean[0] - 2.0) <= 4 * se
         assert abs(mean[1] - 2.0) <= 4 * se
@@ -110,9 +116,9 @@ class TestDrawPoisson:
         # counts of one coordinate against Poisson(alpha * p_x), pooled tails
         from scipy import stats
 
-        src = InternalSource(HALF_F)
         reps = 10**5
-        draws = np.array([draw_poisson(src, 4.0, seed=s).counts[0] for s in range(reps)])
+        _, counts = self.draw([0.5, 0.5], 4.0, reps, seed=13)
+        draws = counts[:, 0]
         kmax = 9
         observed = np.array([(draws == k).sum() for k in range(kmax)] + [(draws >= kmax).sum()])
         pmf = [math.exp(-2.0) * 2.0**k / math.factorial(k) for k in range(kmax)]
