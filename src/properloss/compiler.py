@@ -75,8 +75,15 @@ class CompiledLoss:
     rows over a domain small against their draws as dense count columns and
     other rows over each row's observed coordinates only
     (:meth:`CountRows.dense_scoring`), with the same bits either way.
-    Evaluators are pure apart from internal memoization and safe to call
-    concurrently.
+    ``pair_evaluator`` scores every pair of a left (model) and a right
+    (target) int64 count matrix at once, as a ``(len(left), len(right))``
+    float matrix whose entry ``[i, j]`` equals the batch evaluator's value on
+    the row pair ``(left[i], right[j])`` bit for bit; ``left`` is ``None``
+    for a target-only loss, which gives one row.  The Poisson oracle uses it.
+    The series losses score the grid straight from their series table; other
+    losses score repeated left and tiled right rows with their batch
+    evaluator.  Evaluators are pure apart from internal memoization and safe
+    to call concurrently.
     """
 
     evaluator: Callable[[Optional[Histogram], Histogram], object]
@@ -84,6 +91,7 @@ class CompiledLoss:
     scheme_q: SamplingScheme
     provenance: str
     batch_evaluator: Callable[[Optional[CountRows], CountRows], np.ndarray]
+    pair_evaluator: Callable[[Optional[np.ndarray], np.ndarray], np.ndarray]
 
     def evaluate(self, h_p: Optional[Histogram], h_q: Histogram):
         return self.evaluator(h_p, h_q)
@@ -390,7 +398,20 @@ def compile_two_sample(divergence: PolyDivergence, n: int, m: int, mode: Mode = 
             f"n={n}, m={m}"
         ),
         batch_evaluator=batch.batch,
+        pair_evaluator=_tiled_pairs(batch.batch),
     )
+
+
+def _tiled_pairs(batch_evaluator) -> Callable[[Optional[np.ndarray], np.ndarray], np.ndarray]:
+    """A pair evaluator that scores every (left row, right row) pair with ``batch_evaluator``, on the left rows
+    each repeated ``len(right)`` times against the right rows tiled once per left row."""
+
+    def pair_evaluator(left: Optional[np.ndarray], right: np.ndarray) -> np.ndarray:
+        rows = 1 if left is None else len(left)
+        hp = None if left is None else CountRows.from_counts(np.repeat(left, len(right), axis=0))
+        return batch_evaluator(hp, CountRows.from_counts(np.tile(right, (rows, 1)))).reshape(rows, len(right))
+
+    return pair_evaluator
 
 
 def _log_series(rate, mode: Mode) -> Callable[[int], object]:
@@ -438,6 +459,20 @@ def _row_sums(a: np.ndarray) -> np.ndarray:
     return acc
 
 
+def _series_table(series, complements: np.ndarray) -> np.ndarray:
+    """S(0), ..., S(largest of ``complements``) as a float array, from a float-mode :func:`_log_series`."""
+    return np.array([series(t) for t in range(int(complements.max(initial=0)) + 1)], dtype=float)
+
+
+def _series_terms(counts: np.ndarray, scale, values: np.ndarray) -> np.ndarray:
+    """The terms ``(counts / scale) * values``, broadcast, as :func:`_series_loss` weighs them; a term is exactly
+    0 where its count is 0, even where its series value overflowed to inf (where 0 * inf would be NaN)."""
+    if not np.isinf(values).any():
+        return counts / float(scale) * values
+    with np.errstate(invalid="ignore", over="ignore"):  # the masked 0 * inf, and inf's neighbours overflowing
+        return np.where(counts > 0, counts / float(scale) * values, 0.0)
+
+
 def _series_batch(series, scale, weights: CountRows, h: CountRows) -> np.ndarray:
     """:func:`_series_loss` in float over count rows, equal to the float scalar row by row.
 
@@ -446,9 +481,9 @@ def _series_batch(series, scale, weights: CountRows, h: CountRows) -> np.ndarray
     table of S(0), ..., S(largest such complement).  Each row adds its terms
     in ascending coordinate order, the scalar's order: as dense columns
     (:func:`_row_sums`) when the domain is small against the draws per row
-    (:meth:`CountRows.dense_scoring`), where every unobserved coordinate looks up
-    S(0) = 0 and so adds exactly 0 even where its own S would overflow to inf;
-    otherwise over each row's observed coordinates only (:func:`_fold`)."""
+    (:meth:`CountRows.dense_scoring`), where every unobserved coordinate adds
+    exactly 0; otherwise over each row's observed coordinates only
+    (:func:`_fold`)."""
     rows, d = weights.shape
     if weights.dense_scoring(*(() if h is weights else (h,))):
         counts, totals = weights.dense(), _row_sums(h.dense())
@@ -459,8 +494,22 @@ def _series_batch(series, scale, weights: CountRows, h: CountRows) -> np.ndarray
         row = keys // d
         complements = h.sizes[row] - (counts if h is weights else _lookup(*h.entries(), keys))
         sums = lambda terms: _fold(rows, 0.0, row, terms[:, None])
-    table = np.array([series(t) for t in range(int(complements.max(initial=0)) + 1)], dtype=float)
-    return sums(counts / float(scale) * table[complements])
+    return sums(_series_terms(counts, scale, _series_table(series, complements)[complements]))
+
+
+def _series_pairs(series, scale, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """:func:`_series_batch` at every (left row, right row) pair, as a ``(len(left), len(right))`` matrix.
+
+    The series values ``S(|left[i]| - left[i, x])`` come from the left rows alone and the weights
+    ``right[j, x] / scale`` from the right rows alone, so each coordinate's terms are one outer product of the
+    two.  Coordinates are added in ascending order, the batch's order, and one that no right row observed is
+    skipped: its terms are all exactly 0, and adding 0 to the nonnegative terms changes no bit."""
+    complements = left.sum(axis=1)[:, None] - left
+    values = _series_table(series, complements)[complements]
+    out = np.zeros((len(left), len(right)))
+    for x in np.flatnonzero(right.any(axis=0)).tolist():
+        out += _series_terms(right[:, x], scale, values[:, x, None])
+    return out
 
 
 def _series_compiled(rate, scale, mode: Mode, provenance: str, fixed: bool = False,
@@ -468,8 +517,8 @@ def _series_compiled(rate, scale, mode: Mode, provenance: str, fixed: bool = Fal
     """The Poisson series loss ``sum_x (h_q[x] / scale) * S_rate(count of h_p outside x)``.
 
     Its target sample has Poisson(scale) size, or exactly ``scale`` draws when ``fixed``; a ``target_only`` loss
-    reads ``h_q`` in place of ``h_p`` and has no model scheme.  The float series of the batch evaluator is built
-    once per loss.
+    reads ``h_q`` in place of ``h_p`` and has no model scheme, and its pair evaluator gives the one row of the
+    right rows' losses.  The float series of the batch and pair evaluators is built once per loss.
     """
     series = _log_series(rate, mode)
     float_series = series if mode is Mode.FLOAT else _log_series(rate, Mode.FLOAT)
@@ -484,12 +533,19 @@ def _series_compiled(rate, scale, mode: Mode, provenance: str, fixed: bool = Fal
             _check_fixed_total(h_q, scale, "target")
         return _series_loss(series, scale_val, h_q, h_p)
 
+    def pair_evaluator(left: Optional[np.ndarray], right: np.ndarray) -> np.ndarray:
+        if target_only:
+            rows = CountRows.from_counts(right)
+            return _series_batch(float_series, scale, rows, rows)[None, :]
+        return _series_pairs(float_series, scale, left, right)
+
     return CompiledLoss(
         evaluator=evaluator,
         scheme_p=None if target_only else Poisson(float(rate)),
         scheme_q=FixedSize(scale) if fixed else Poisson(float(scale)),
         provenance=provenance,
         batch_evaluator=lambda hp, hq: _series_batch(float_series, scale, hq, hq if target_only else hp),
+        pair_evaluator=pair_evaluator,
     )
 
 
@@ -546,6 +602,7 @@ def kl_poisson(alpha: float, beta: float, mode: Mode = Mode.FLOAT) -> CompiledLo
         scheme_q=Poisson(float(beta)),
         provenance=f"KL power-series loss, rates ({alpha}, {beta})",
         batch_evaluator=lambda hp, hq: ce.batch_evaluator(hp, hq) - ent.batch_evaluator(None, hq),
+        pair_evaluator=lambda left, right: ce.pair_evaluator(left, right) - ent.pair_evaluator(None, right),
     )
 
 

@@ -409,18 +409,42 @@ def indicator(x: int, d: int, mode: Mode = Mode.EXACT) -> Distribution:
     return Distribution(tuple(one if i == x else zero for i in range(d)), mode)
 
 
+def _composition_steps(total: int, parts: int) -> Iterator[tuple[int, list[int]]]:
+    """:func:`compositions` as one list of parts updated in place, each with the first part that changed.
+
+    The next composition takes one from the last nonzero part ``x`` before the final one and puts everything
+    after ``x``, plus that one, into part ``x + 1``.  Parts before ``x`` stay, so a caller can keep a running
+    product over them.
+    """
+    if parts < 1:
+        raise ValueError("need at least one part")
+    if total < 0 and parts > 1:
+        return
+    c = [total] + [0] * (parts - 1)
+    x = 0
+    while True:
+        yield x, c
+        x = parts - 2
+        while x >= 0 and not c[x]:
+            x -= 1
+        if x < 0:
+            return
+        c[x] -= 1
+        tail, c[-1] = c[-1] + 1, 0  # the parts between x and the final one are all zero
+        c[x + 1] = tail
+
+
 def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     """All ways to write ``total`` as an ordered sum of ``parts`` non-negative
     integers, in deterministic first-coordinate-descending order.
 
     This is the combinatorial substrate for both histogram enumeration and
-    simplex grids.
+    simplex grids.  The parts but the last are walked in place, and the last
+    two share what the others leave, ``r``, as ``(r - j, j)`` for ``j = 0..r``.
     """
-    if parts < 1:
-        raise ValueError("need at least one part")
     if parts == 1:
         yield (total,)
         return
-    for first in range(total, -1, -1):
-        for rest in compositions(total - first, parts - 1):
-            yield (first,) + rest
+    for _, c in _composition_steps(total, parts - 1):
+        head, r = tuple(c[:-1]), c[-1]
+        yield from [(*head, r - j, j) for j in range(r + 1)]

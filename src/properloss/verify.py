@@ -21,10 +21,11 @@ is built only for a point that differs.  ``multinomial_pmf`` stays the
 public reference for the pmf and weighs float-mode sides.
 ``poisson_expected_loss`` is the one truncated core: Poisson schemes have
 unbounded support, so it truncates at a quantile, reports the truncation
-honestly, and scores blocks of (model, target) pairs with the loss's float
-batch evaluator.  Its sides are count matrices and weight vectors; an exact
-side builds them straight from the support's compositions and the same
-integer pmf numerators.  ``CHECKS`` is the ``properloss verify`` suite.
+honestly, and scores every (model, target) pair as blocks of a grid with the
+loss's float pair evaluator.  Its sides are count matrices and weight
+vectors; an exact side builds them from the support's compositions and
+their integer pmf numerators, which one kernel yields together.  ``CHECKS``
+is the ``properloss verify`` suite.
 """
 
 from __future__ import annotations
@@ -62,12 +63,12 @@ from .divergences import (
     squared_norm_polynomial,
 )
 from .domain import (
-    CountRows,
     Distribution,
     FixedSize,
     Histogram,
     Mode,
     Poisson,
+    _composition_steps,
     compositions,
     empirical,
     is_rational,
@@ -153,13 +154,12 @@ def _pmf_numerators(dist: Distribution, size: int, histograms=_support_histogram
     """``(support, histograms, numerators, D**size)`` for ``size`` draws from an exact ``dist``.
 
     ``D`` is the lcm of the probability denominators and ``a_x = p_x * D``, so ``P[H = h]`` is the integer
-    multinomial coefficient times ``prod a_x**h_x``, over ``D**size``.  Histograms are the support's, in
-    enumeration order, and every numerator is positive.
+    multinomial coefficient times ``prod a_x**h_x``, over ``D**size`` (:func:`_numerated_compositions`).
+    Histograms are the support's, in enumeration order, and every numerator is positive.
     """
     support, scaled, den = _scaled_support(dist)
-    hists = histograms(support, dist.dim, size)
-    numerators = _multinomial_numerators(list(zip(support, scaled)), size, (h.counts for h in hists))
-    return support, hists, numerators, den**size
+    numerators = _numerated_compositions(scaled, size)[1]
+    return support, histograms(support, dist.dim, size), numerators, den**size
 
 
 def _scaled_support(dist: Distribution) -> tuple:
@@ -169,17 +169,31 @@ def _scaled_support(dist: Distribution) -> tuple:
     return support, [numerators[x] for x in support], den
 
 
-def _multinomial_numerators(scaled: list, size: int, counts) -> list:
-    """``size! / prod c_x! * prod a_x**c_x`` for each count vector ``c`` of ``size`` draws, where ``scaled`` lists
-    ``(x, a_x)`` over the support and ``a_x`` is ``p_x`` times ``D``."""
-    out = []
-    for c in counts:
-        coef, power = math.factorial(size), 1
-        for x, a in scaled:
-            coef //= math.factorial(c[x])
-            power *= a ** c[x]
-        out.append(coef * power)
-    return out
+def _numerated_compositions(scaled: list, size: int) -> tuple[list, list]:
+    """Every composition of ``size`` into ``len(scaled)`` parts, in :func:`compositions` order, and each one's
+    multinomial numerator ``size! / prod c_x! * prod a_x**c_x``, where ``scaled`` lists the ``a_x``.
+
+    Part by part the numerator is ``prod_x C(r_x, c_x) a_x**c_x``, ``r_x`` being the draws left for parts ``x``
+    onwards, with no factorial.  The parts but the last are walked in place (:func:`_composition_steps`), and the
+    running products over the parts before the first one that changed are kept, so a step multiplies in one
+    binomial and one power per changed part; the last two parts then share what is left, ``r``, as
+    ``(r - j, j)`` for ``j = 0..r``, in one run.
+    """
+    if len(scaled) == 1:
+        return [(size,)], [scaled[0] ** size]
+    *head_scaled, a, b = scaled
+    heads = len(head_scaled)
+    comps, numerators = [], []
+    left, running = [size] * (heads + 1), [1] * (heads + 1)  # draws left for parts x.., product over parts before x
+    for x, parts in _composition_steps(size, heads + 1):
+        for y in range(x, heads):
+            c = parts[y]
+            running[y + 1] = running[y] * math.comb(left[y], c) * head_scaled[y] ** c
+            left[y + 1] = left[y] - c
+        head, r, f = tuple(parts[:-1]), parts[-1], running[heads]
+        comps.extend([(*head, r - j, j) for j in range(r + 1)])
+        numerators.extend([f * math.comb(r, j) * a ** (r - j) * b**j for j in range(r + 1)])
+    return comps, numerators
 
 
 def _is_fixed_size(loss: CompiledLoss) -> bool:
@@ -343,8 +357,8 @@ class PoissonExpectation:
     pairs: int
 
 
-#: Pairs scored per batch-evaluator call; bounds the oracle's pair matrices.
-_PAIR_BLOCK = 4096
+#: Pairs scored per pair-evaluator call; bounds the oracle's pair matrices.
+_PAIR_BLOCK = 16384
 
 
 def _item_arrays(dist: Distribution, size_from: int, size_to: int, size_weight) -> tuple[np.ndarray, np.ndarray]:
@@ -352,8 +366,8 @@ def _item_arrays(dist: Distribution, size_from: int, size_to: int, size_weight) 
     ``size_weight(size) * P[H = h]``, as an (N, d) int64 count matrix and a float weight vector.
 
     Sizes ascend, and each size's histograms come in enumeration order over the support.  An exact ``dist``
-    builds its rows straight from the support's compositions and its weights as ``scale * (num / D**size)``
-    from the integer pmf numerators (:func:`_multinomial_numerators`), the weights of
+    builds its rows and its weights ``scale * (num / D**size)`` from the support's compositions and their integer
+    pmf numerators (:func:`_numerated_compositions`), the weights of
     :func:`_weighted_histograms` bit for bit; a float one is :func:`_weighted_histograms` itself.
     """
     k = sum(1 for prob in dist.probs if prob != 0)  # only the support is enumerated
@@ -367,13 +381,12 @@ def _item_arrays(dist: Distribution, size_from: int, size_to: int, size_weight) 
         counts = np.array([h.counts for h, _ in items], dtype=np.int64).reshape(len(items), d)
         return counts, np.array([w for _, w in items], dtype=float)
     support, scaled, den = _scaled_support(dist)
-    local = list(enumerate(scaled))  # compositions count the support's outcomes in order
     parts, weights = [], []
     for size in range(size_from, size_to + 1):
         scale, power = size_weight(size), den**size
-        size_parts = list(compositions(size, k))
-        weights.extend([scale * (num / power) for num in _multinomial_numerators(local, size, size_parts)])
+        size_parts, numerators = _numerated_compositions(scaled, size)
         parts.extend(size_parts)
+        weights.extend([scale * (num / power) for num in numerators])
     counts = np.zeros((len(parts), d), dtype=np.int64)
     counts[:, support] = np.array(parts, dtype=np.int64).reshape(len(parts), k)
     weights = np.array(weights, dtype=float)
@@ -410,11 +423,13 @@ def poisson_expected_loss(
 
     Every side is an int64 count matrix with a float weight vector (the model
     side of a target-only loss has no counts and one unit weight), and each
-    block of left rows is scored against the whole right side with one call
-    of the loss's float batch evaluator on the matrices wrapped as
-    :class:`CountRows`, whatever the loss's mode.  Sums run
-    in the order of a row-by-row double loop, so a float-mode loss whose
-    batch evaluator equals its scalar one gives the same result bit for bit.
+    block of at most ``_PAIR_BLOCK`` pairs, some model rows against the whole
+    target side, is one call of the loss's float pair evaluator
+    (:attr:`CompiledLoss.pair_evaluator`), whatever the loss's mode: a series
+    loss scores the block as a grid from its series table, any other loss
+    scores repeated and tiled rows with its batch evaluator.  Sums run in the
+    order of a row-by-row double loop, so a float-mode loss whose batch
+    evaluator equals its scalar one gives the same result bit for bit.
     """
     if loss.scheme_p is not None and p is None:
         raise ValueError("the loss consumes a model sample, so a model distribution is required")
@@ -422,7 +437,7 @@ def poisson_expected_loss(
         raise DimensionMismatchError(f"model dimension {p.dim} != target dimension {q.dim}")
     poisson_sides = sum(1 for s in (loss.scheme_p, loss.scheme_q) if isinstance(s, Poisson))
     per_side = tail_eps / poisson_sides if poisson_sides else tail_eps
-    evaluator = loss.batch_evaluator
+    pair_evaluator = loss.pair_evaluator
     sup_loss = 0.0
     pairs = 0
     no_items = (None, np.zeros(0))
@@ -436,9 +451,7 @@ def poisson_expected_loss(
         rows = max(1, _PAIR_BLOCK // len(right_w))
         for start in range(0, len(left_w), rows):
             w = left_w[start : start + rows]
-            hp = None if left_counts is None else np.repeat(left_counts[start : start + rows], len(right_w), axis=0)
-            hq = CountRows.from_counts(np.tile(right_counts, (len(w), 1)))
-            v = evaluator(hp if hp is None else CountRows.from_counts(hp), hq).reshape(len(w), len(right_w))
+            v = pair_evaluator(None if left_counts is None else left_counts[start : start + rows], right_counts)
             sup_loss = float(np.fmax.reduce(np.abs(v), axis=None, initial=sup_loss))  # NaN losses are skipped
             inner = _row_sums(right_w * v)
             acc = float(np.cumsum(np.concatenate(([acc], w * inner)))[-1])

@@ -305,6 +305,17 @@ class TestCrossEntropyLosses:
         value = loss.evaluator(Histogram((3, 1)), Histogram((1, 1)))
         assert value == Fraction(39, 64)
 
+    def test_a_pair_grid_adds_exactly_zero_where_an_unweighted_series_term_overflows(self):
+        # at rate 0.5, S(400) overflows to inf: model row 0 has it at coordinate 1, which target row 0 never saw
+        loss = cross_entropy_poisson(0.5, 2.0)
+        left = np.array([[400, 0], [1, 2]], dtype=np.int64)
+        right = np.array([[3, 0], [0, 2]], dtype=np.int64)
+        grid = loss.pair_evaluator(left, right)
+        assert grid.shape == (2, 2)
+        assert grid[0, 0] == 0.0 and grid[0, 1] == math.inf
+        expected = [[float(loss.evaluator(Histogram(tuple(h)), Histogram(tuple(g)))) for g in right] for h in left]
+        assert repr(grid.tolist()) == repr(expected)
+
 
 def order_sensitive_rows(rows: int, cols: int) -> np.ndarray:
     """Rows like ``[1e16, 1.0, -1e16, 1.0, ...]``, whose total depends on the order of the adds."""

@@ -178,6 +178,16 @@ class TestCompositions:
         assert len(set(out)) == 15
         assert all(sum(c) == 4 for c in out)
 
+    def test_order_matches_a_recursive_reference(self):
+        def recursive(total, parts):
+            if parts == 1:
+                return [(total,)]
+            return [(first,) + rest for first in range(total, -1, -1) for rest in recursive(total - first, parts - 1)]
+
+        for parts in range(1, 5):
+            for total in range(9):
+                assert list(compositions(total, parts)) == recursive(total, parts)
+
 
 class TestPoissonCdf:
     # Sampled Poisson sizes and oracle truncation points both come from one

@@ -27,6 +27,7 @@ from properloss import (
     check_implements,
     compile_known_target,
     compile_two_sample,
+    compositions,
     cross_entropy_poisson,
     cross_entropy_poisson_fixed_target,
     energy_loss,
@@ -48,10 +49,12 @@ from properloss.domain import CountRows, Poisson
 from properloss.estimators import ExponentVector, poisson_power_series
 from properloss.verify import (
     _item_arrays,
+    _numerated_compositions,
     _pmf_numerators,
     _poisson_items,
     _poisson_mass_truncation,
     _poisson_size_weight,
+    _scaled_support,
     _weighted_histograms,
 )
 
@@ -210,6 +213,37 @@ def test_power_series_batch_evaluators_equal_their_scalar_evaluators(data):
             # bit for bit, not only within 1e-12: rows add their terms in the
             # scalar's order, so Monte Carlo means match a per-replicate loop
             assert repr(value) == repr(float(loss.evaluator(Histogram(h), Histogram(g))))
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_series_pair_evaluators_equal_their_batch_evaluators_on_tiled_rows(data):
+    d = data.draw(st.integers(1, 6))
+    m = data.draw(st.integers(1, 6))
+    # spiked rows overflow the series at rate 0.5 next to coordinates that the other side never observed
+    spiked = data.draw(st.booleans())
+    counts = spiked_counts(d) if spiked else poisson_counts(d)
+    alpha = data.draw(st.sampled_from([0.5] if spiked else [0.5, 4.0, 8.0]))
+    beta = data.draw(st.sampled_from([0.5] if spiked else [0.5, 4.0, 8.0]))
+    left = np.array(data.draw(st.lists(counts, min_size=1, max_size=8)), dtype=np.int64)
+    right = np.array(data.draw(st.lists(counts, min_size=1, max_size=8)), dtype=np.int64)
+    fixed_right = np.array([data.draw(histograms(d, m)).counts for _ in right], dtype=np.int64)
+    mode = data.draw(st.sampled_from(Mode))
+    for loss, rhs in (
+        (cross_entropy_poisson(alpha, beta, mode), right),
+        (cross_entropy_poisson_fixed_target(alpha, m, mode), fixed_right),
+        (entropy_poisson(beta, mode), right),
+        (kl_poisson(alpha, beta, mode), right),
+    ):
+        lhs = None if loss.scheme_p is None else left
+        rows = 1 if lhs is None else len(lhs)
+        hp = None if lhs is None else CountRows.from_counts(np.repeat(lhs, len(rhs), axis=0))
+        with np.errstate(invalid="ignore"):  # KL's inf - inf
+            grid = loss.pair_evaluator(lhs, rhs)
+            tiled = loss.batch_evaluator(hp, CountRows.from_counts(np.tile(rhs, (rows, 1))))
+        assert grid.shape == (rows, len(rhs))
+        # by repr, bit for bit, so that inf and NaN pairs match too
+        assert repr(grid.tolist()) == repr(tiled.reshape(rows, len(rhs)).tolist())
 
 
 @functools.lru_cache(maxsize=None)
@@ -453,6 +487,23 @@ def test_exact_side_weights_equal_the_scaled_reference_pmf_bit_for_bit(data):
                                                                              st.floats(0.5, 700.0), st.just(size))))
     weights = _weighted_histograms(dist, size, scale)
     assert [(h, repr(w)) for h, w in weights] == [(h, repr(w)) for h, w in pmf_weighted_histograms(dist, size, scale)]
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.data())
+def test_numerated_compositions_are_the_pmf_over_the_common_denominator(data):
+    d = data.draw(st.integers(1, 4))
+    dist = data.draw(st.one_of(exact_distributions(d), mixed_denominator_distributions(d)))  # zeros shrink the support
+    size = data.draw(st.integers(0, 10))
+    support, scaled, den = _scaled_support(dist)
+    comps, numerators = _numerated_compositions(scaled, size)
+    assert comps == list(compositions(size, len(support)))
+    for c, num in zip(comps, numerators):
+        counts = [0] * d
+        for x, count in zip(support, c):
+            counts[x] = count
+        assert num > 0 and num == multinomial_pmf(Histogram(tuple(counts)), size, dist) * den**size
+    assert sum(numerators) == den**size  # so every histogram off the support has probability 0
 
 
 def histogram_item_arrays(dist, size_from, size_to, size_weight):

@@ -184,8 +184,23 @@ class TestPoissonExpectedLoss:
             (cross_entropy_poisson_fixed_target(4.0, 2), skew, HALF),
         ]
         default = [poisson_expected_loss(loss, p, q, tail_eps=1e-6) for loss, p, q in cases]
-        monkeypatch.setattr(verify, "_PAIR_BLOCK", 1)
-        assert [poisson_expected_loss(loss, p, q, tail_eps=1e-6) for loss, p, q in cases] == default
+        for block in (1, 10**9):  # one pair per call, and every left row against the whole right side at once
+            monkeypatch.setattr(verify, "_PAIR_BLOCK", block)
+            assert [poisson_expected_loss(loss, p, q, tail_eps=1e-6) for loss, p, q in cases] == default
+
+    def test_a_fixed_size_loss_matches_the_exact_oracle(self):
+        # a polynomial loss reaches the truncated oracle only through its tiled pair evaluator
+        cases = [(2, HALF, Distribution.exact([Fraction(1, 4), Fraction(3, 4)])),
+                 (3, Distribution.exact([Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)]),
+                  Distribution.exact([Fraction(1, 2), 0, Fraction(1, 2)]))]
+        for d, p, q in cases:
+            loss = compile_two_sample(builtin_l2(d), 2, 2)
+            est = poisson_expected_loss(loss, p, q)
+            [exact] = verify.expected_losses(loss, [(p, q)])
+            assert math.isclose(est.value, float(exact), rel_tol=1e-12)
+            assert (est.truncation_model, est.truncation_target, est.omitted_mass, est.tail_bound) == (None, None, 0, 0)
+            assert est.pairs == est.items_model * est.items_target
+            assert est.items_target == sum(1 for h in enumerate_histograms(d, 2) if multinomial_pmf(h, 2, q) != 0)
 
     def test_item_and_pair_counts(self):
         # with full support every histogram of sizes 0..T is kept: C(T + d, d) of them
