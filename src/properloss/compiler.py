@@ -596,13 +596,24 @@ def kl_poisson(alpha: float, beta: float, mode: Mode = Mode.FLOAT) -> CompiledLo
     def evaluator(h_p: Histogram, h_q: Histogram) -> object:
         return ce.evaluator(h_p, h_q) - ent.evaluator(None, h_q)
 
+    # The Poisson oracle scores one right side against many blocks of left rows and never writes into it, so the
+    # entropy row is built once per right side.  The last side is held, so that its identity is not reused, with
+    # its row in one tuple, so that threads sharing the loss read a side and its row together.
+    last = [(None, None)]
+
+    def pair_evaluator(left: Optional[np.ndarray], right: np.ndarray) -> np.ndarray:
+        side, row = last[0]
+        if side is not right:
+            side, row = last[0] = right, ent.pair_evaluator(None, right)
+        return ce.pair_evaluator(left, right) - row
+
     return CompiledLoss(
         evaluator=evaluator,
         scheme_p=Poisson(float(alpha)),
         scheme_q=Poisson(float(beta)),
         provenance=f"KL power-series loss, rates ({alpha}, {beta})",
         batch_evaluator=lambda hp, hq: ce.batch_evaluator(hp, hq) - ent.batch_evaluator(None, hq),
-        pair_evaluator=lambda left, right: ce.pair_evaluator(left, right) - ent.pair_evaluator(None, right),
+        pair_evaluator=pair_evaluator,
     )
 
 

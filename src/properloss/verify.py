@@ -2,17 +2,18 @@
 
 Everything here computes expected losses the literal way: enumerate every
 histogram in the support that the sampling scheme can produce, weight it by
-its probability, and add up.  ``_FixedSizeOracle``, behind
+its probability, and add up.  ``_fixed_size_sweep``, behind
 ``check_implements``, ``expected_losses`` and both ``exact_expected_*``
 one-point wrappers, is the one exact fixed-size core, and it sweeps a list of
-points at once.  It needs exact-mode distributions and rational loss values,
-and sums in integers: each side's pmf is a list of integer numerators over
-``D**size`` (``D`` the lcm of the probability denominators), each target
-item's loss values are integer numerators over their lcm, and a target's
-items are folded once per model support into one integer vector over one
-denominator.  A point's expectation is then one integer dot product of its
-model's pmf numerators with that vector.  The values it consumes are built
-the same way: the compiled losses' exact scalar path and
+points in one pass.  It needs exact-mode distributions and rational loss
+values, and sums in integers: each side's pmf is a list of integer numerators
+over ``D**size`` (``D`` the lcm of the probability denominators).  Each target
+is scored against one list of histograms, the union of the support lists of
+the models paired with it, and its items' loss values over that list become
+one integer table over their lcm, folded once into one integer vector.  A
+point's expectation is then one integer dot product of its model's pmf
+numerators with that vector at the model's histograms.  The values it
+consumes are built the same way: the compiled losses' exact scalar path and
 ``PolyDivergence.evaluate`` sum integer numerators and divide once.  So
 implementation claims ("the expectation of this loss IS that divergence")
 are checked as literal equalities with zero tolerance, by cross-multiplying
@@ -36,7 +37,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from types import SimpleNamespace
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -200,92 +201,83 @@ def _is_fixed_size(loss: CompiledLoss) -> bool:
     return isinstance(loss.scheme_p, FixedSize) and isinstance(loss.scheme_q, FixedSize)
 
 
-class _FixedSizeOracle:
-    """E[L] over fixed-size sides in integer numerators: a dot product of model pmf numerators with a folded target.
+def _fixed_size_sweep(loss, two_sample: bool, points: Sequence[tuple], n: int | None = None,
+                      m: int | None = None) -> list[tuple[int, int]]:
+    """``(numerator, denominator)`` of E[L] at each ``(p, q)`` point over fixed-size sides, in order, unreduced.
 
-    A two-sample loss's target items are the target histograms; a known target is one item of weight 1,
-    the target itself.  ``loss`` is a ``KnownTargetLoss``, a fixed-size ``CompiledLoss``, or a raw callable
-    with its sizes given.  Each exact side is its support histograms with integer pmf numerators over one
-    denominator ``D**size`` (:func:`_pmf_numerators`).  Loss values must be rational: each target item keeps
-    one memo of values by model counts, and each (target item, model support) an integer table built from
-    that memo, the values' numerators over their lcm.  Each (target, model support) folds its items' tables
-    once into one integer vector ``u = sum_t w_t * (lcm / den_t) * values_t`` over one denominator, so a point
-    costs one dot product of its model's pmf numerators with ``u``: the same integer sum as item by item.
-    :meth:`sweep` yields each point's numerator and denominator, and a sweep over many points evaluates
-    each loss value once.
+    ``loss`` is a ``KnownTargetLoss``, a fixed-size ``CompiledLoss``, or a raw callable with its sizes given.  A
+    two-sample loss's target items are the target histograms; a known target is one item of weight 1, itself.
+    Each distinct side object is its support histograms with integer pmf numerators over ``D**size``
+    (:func:`_pmf_numerators`).  A target is scored against the union of its models' support lists, each
+    histogram once, so nothing outside a model's support is scored; its items' rational values there, memoized by
+    (item, model counts), are one integer table over their lcm, folded once into ``u = sum_t w_t * values_t``.
+    A point is one integer dot product of its model's pmf numerators with ``u`` at the model's histograms.
     """
+    evaluator = loss
+    if two_sample and isinstance(loss, CompiledLoss):
+        if not _is_fixed_size(loss):
+            raise ValueError("this oracle handles fixed-size schemes; use poisson_expected_loss otherwise")
+        evaluator, n, m = loss.evaluator, loss.scheme_p.n, loss.scheme_q.n
+    elif not two_sample and isinstance(loss, KnownTargetLoss):
+        evaluator, n = loss.evaluator, loss.scheme.n
+    elif n is None or (two_sample and m is None):
+        need = "explicit sample sizes n and m" if two_sample else "an explicit sample size n"
+        raise ValueError(f"a raw callable loss needs {need}")
+    histograms = functools.lru_cache(maxsize=None)(_support_histograms)  # one list object per support
+    sides: dict = {}  # (id(distribution), size) -> (support histograms, pmf numerators, D**size, the distribution)
 
-    def __init__(self, loss, two_sample: bool, n: int | None = None, m: int | None = None):
-        if two_sample and isinstance(loss, CompiledLoss):
-            if not _is_fixed_size(loss):
-                raise ValueError("this oracle handles fixed-size schemes; use poisson_expected_loss otherwise")
-            loss, n, m = loss.evaluator, loss.scheme_p.n, loss.scheme_q.n
-        elif not two_sample and isinstance(loss, KnownTargetLoss):
-            loss, n = loss.evaluator, loss.scheme.n
-        elif n is None or (two_sample and m is None):
-            need = "explicit sample sizes n and m" if two_sample else "an explicit sample size n"
-            raise ValueError(f"a raw callable loss needs {need}")
-        self.evaluator, self.two_sample, self.n, self.m = loss, two_sample, n, m
-        self._histograms = functools.lru_cache(maxsize=None)(_support_histograms)
-        self._sides: dict = {}  # (distribution, size) -> _pmf_numerators
-        self._values: dict = {}  # target item key -> loss values by model counts
-        self._tables: dict = {}  # (target item key, model support, d) -> (value numerators, their lcm)
-        self._folds: dict = {}  # (target key, model support, d) -> (folded numerators, their denominator)
+    def side(dist: Distribution, size: int, name: str) -> tuple:
+        found = sides.get((id(dist), size))
+        if found is None:  # the entry holds the distribution, so that its id is not reused during the sweep
+            _require_exact(dist, name)
+            found = sides[id(dist), size] = (*_pmf_numerators(dist, size, histograms)[1:], dist)
+        return found
 
-    def _side(self, dist: Distribution, size: int) -> tuple:
-        side = self._sides.get((dist, size))
-        if side is None:
-            side = self._sides[dist, size] = _pmf_numerators(dist, size, self._histograms)
-        return side
+    targets: dict = {}  # id(target) -> [target, {id(histograms): its models' support histograms}, fold]
+    paired = []
+    for p, q in points:
+        model = side(p, n, "model")
+        target = targets.get(id(q))
+        if target is None:
+            target = targets[id(q)] = [q, {}, None]
+        target[1][id(model[0])] = model[0]
+        paired.append((model, target))
 
-    def _table(self, key, t, support: tuple, d: int) -> tuple:
-        table = self._tables.get((key, support, d))
-        if table is None:
-            values = self._values.setdefault(key, {})
-            row = []
-            for h in self._histograms(support, d, self.n):
-                value = values.get(h.counts)
-                if value is None:
-                    value = self.evaluator(h, t)
-                    if not is_rational(value):
-                        raise ValueError(f"exact verification needs rational loss values, got {value!r} at {h.counts}")
-                    values[h.counts] = value
-                row.append(value)
-            table = self._tables[key, support, d] = over_common_denominator(row)
-        return table
-
-    def _fold(self, q, support: tuple, d: int) -> tuple:
-        if self.two_sample or isinstance(q, Distribution):
+    # a target's support ids, in pairing order -> (its histograms by counts, their positions by id, item rows)
+    layouts: dict = {}
+    values: dict = {}  # target item key -> loss values by model counts
+    for target in targets.values():
+        q, supports = target[0], target[1]
+        if isinstance(q, Distribution):
             _require_exact(q, "target")  # a float target equal to an exact one must not share its values
-            key = q
-        else:
-            key = () if q is None else tuple(q)
-        fold = self._folds.get((key, support, d))
-        if fold is None:
-            if self.two_sample:
-                _, targets, weights, target_scale = self._side(q, self.m)
-                tables = [(w, self._table(g.counts, g, support, d)) for g, w in zip(targets, weights)]
-            else:
-                tables, target_scale = [(1, self._table(key, q, support, d))], 1
-            lcm = math.lcm(*(den for _, (_, den) in tables))
-            folded = None
-            for w, (values, den) in tables:
-                f = w * (lcm // den)
-                scaled = values if f == 1 else [f * v for v in values]
-                folded = scaled if folded is None else list(map(operator.add, folded, scaled))
-            fold = self._folds[key, support, d] = folded, target_scale * lcm
-        return fold
-
-    def sweep(self, points: Sequence[tuple]) -> Iterator[tuple[int, int]]:
-        """``(numerator, denominator)`` of E[L] at each ``(p, q)`` point, in order; neither is reduced."""
-        last = None
-        for p, q in points:
-            if p is not last:  # a grid sweep keeps its model for a run of targets
-                _require_exact(p, "model")
-                support, _, pmf, scale = self._side(p, self.n)
-                last = p
-            folded, den = self._fold(q, support, p.dim)
-            yield sum(map(operator.mul, pmf, folded)), scale * den
+        layout = layouts.get(tuple(supports))
+        if layout is None:
+            union = {h.counts: h for hists in supports.values() for h in hists}  # a repeat keeps its first place
+            position = {counts: i for i, counts in enumerate(union)}
+            positions = {support: [position[h.counts] for h in hists] for support, hists in supports.items()}
+            layout = layouts[tuple(supports)] = union, positions, {}
+        union, positions, rows = layout
+        items, weights, target_scale = side(q, m, "target")[:3] if two_sample else ([q], [1], 1)
+        row = []
+        for t in items:
+            key = t.counts if two_sample else t if isinstance(t, Distribution) else () if t is None else tuple(t)
+            if key not in rows:
+                memo = values.setdefault(key, {})
+                for counts, h in union.items():
+                    if counts not in memo:
+                        value = memo[counts] = evaluator(h, t)
+                        if not is_rational(value):
+                            raise ValueError(f"exact verification needs rational loss values, got {value!r} at {counts}")
+                rows[key] = [memo[counts] for counts in union]
+            row += rows[key]
+        numerators, den = over_common_denominator(row)
+        folded = numerators if weights == [1] else [
+            sum(map(operator.mul, weights, numerators[i :: len(union)])) for i in range(len(union))]
+        target[2] = folded, positions, target_scale * den
+    return [
+        (sum(map(operator.mul, pmf, map(folded.__getitem__, positions[id(hists)]))), scale * den)
+        for (hists, pmf, scale, _), (_, _, (folded, positions, den)) in paired
+    ]
 
 
 def expected_losses(loss, points: Sequence[tuple], n: int | None = None, m: int | None = None,
@@ -293,7 +285,7 @@ def expected_losses(loss, points: Sequence[tuple], n: int | None = None, m: int 
     """E[loss] at every ``(p, q)`` point, by exact enumeration in one sweep.
 
     The points share histogram enumerations, pmf numerators, loss values and folded targets
-    (:class:`_FixedSizeOracle`), so a grid evaluates each loss value once.  A
+    (:func:`_fixed_size_sweep`): each distinct target is folded once, and each loss value is evaluated once.  A
     :class:`~properloss.compiler.CompiledLoss` is scored against target samples, a
     :class:`~properloss.compiler.KnownTargetLoss` against known targets; a raw callable is a two-sample loss
     ``(h, g) -> value`` when ``m`` is given and a known-target loss ``(h, q) -> value`` otherwise, unless
@@ -301,7 +293,7 @@ def expected_losses(loss, points: Sequence[tuple], n: int | None = None, m: int 
     """
     if two_sample is None:
         two_sample = isinstance(loss, CompiledLoss) or m is not None
-    return [Fraction(num, den) for num, den in _FixedSizeOracle(loss, two_sample, n, m).sweep(points)]
+    return [Fraction(num, den) for num, den in _fixed_size_sweep(loss, two_sample, points, n, m)]
 
 
 def exact_expected_known_target(loss, p: Distribution, q, n: int | None = None):
@@ -538,9 +530,9 @@ def check_implements(loss, divergence, points: Sequence[tuple], tol=0, tail_eps:
     distributions must be exact-mode, the loss values rational (a float value
     raises ``ValueError``), and equality is literal (``tol`` defaults to
     zero).  Truncated checks pass when the gap is within ``tail_bound + tol``.
-    The exact points are one sweep (:meth:`_FixedSizeOracle.sweep`), which
-    shares histogram enumerations, pmf numerators, loss tables and folded
-    targets across points, so a grid evaluates each loss value once.  Each
+    The exact points are one sweep (:func:`_fixed_size_sweep`), which
+    computes each model's pmf numerators and each target's folded loss table
+    once, and evaluates each loss value once.  Each
     expectation's integer numerator and denominator are compared with a
     Fraction target by cross-multiplication; an equal point reports the
     target as its estimate and a shared zero gap, and only a point that
@@ -551,10 +543,9 @@ def check_implements(loss, divergence, points: Sequence[tuple], tol=0, tail_eps:
     reports: list[VerificationReport] = []
     if not isinstance(loss, CompiledLoss) or _is_fixed_size(loss):
         # fixed-size sides, or a known target: one exact oracle for every point
-        oracle = _FixedSizeOracle(loss, isinstance(loss, CompiledLoss))
         zero = Fraction(0)
         equal_passes = zero <= tol
-        for (p, q), (num, den) in zip(points, oracle.sweep(points)):
+        for (p, q), (num, den) in zip(points, _fixed_size_sweep(loss, isinstance(loss, CompiledLoss), points)):
             target = divergence.evaluate(p, q)
             if type(target) is Fraction and num * target.denominator == target.numerator * den:
                 reports.append(VerificationReport(target, target, zero, "exact", None, equal_passes))
@@ -615,6 +606,20 @@ class NaivePluginBias:
 _BIAS_GRID_STEP = 1e-4
 
 
+def _plugin_optimum(q: Distribution, n: int):
+    """The plug-in loss's optimum on a coin domain, ``(q1 - 1/(2n)) * n/(n-1)`` clipped to [0, 1]."""
+    if q.dim != 2:
+        raise DimensionMismatchError("the bias demo is defined on two-outcome domains")
+    if n < 2:
+        raise SampleTooSmallError("need n >= 2")
+    q1 = q.probs[0]
+    if q.mode is Mode.EXACT:
+        stationary = (q1 - Fraction(1, 2 * n)) * Fraction(n, n - 1)
+        return min(max(stationary, Fraction(0)), Fraction(1))
+    stationary = (q1 - 1.0 / (2 * n)) * n / (n - 1)
+    return min(max(stationary, 0.0), 1.0)
+
+
 def naive_plugin_bias_demo(q: Distribution, n: int) -> NaivePluginBias:
     """Minimize the plug-in loss's expectation over two-outcome models.
 
@@ -623,20 +628,10 @@ def naive_plugin_bias_demo(q: Distribution, n: int) -> NaivePluginBias:
     form and a dense grid minimum are returned so they can corroborate each
     other.
     """
-    if q.dim != 2:
-        raise DimensionMismatchError("the bias demo is defined on two-outcome domains")
-    if n < 2:
-        raise SampleTooSmallError("need n >= 2")
-    q1 = q.probs[0]
-    if q.mode is Mode.EXACT:
-        stationary = (q1 - Fraction(1, 2 * n)) * Fraction(n, n - 1)
-        closed = min(max(stationary, Fraction(0)), Fraction(1))
-    else:
-        stationary = (q1 - 1.0 / (2 * n)) * n / (n - 1)
-        closed = min(max(stationary, 0.0), 1.0)
+    closed = _plugin_optimum(q, n)
     grid = np.arange(0.0, 1.0 + _BIAS_GRID_STEP / 2, _BIAS_GRID_STEP)
-    q1f = float(q1)
-    values = 2.0 * (grid - q1f) ** 2 + 2.0 * grid * (1.0 - grid) / n
+    q1 = q.probs[0]
+    values = 2.0 * (grid - float(q1)) ** 2 + 2.0 * grid * (1.0 - grid) / n
     return NaivePluginBias(q1=q1, n=n, closed_form=closed, grid_argmin=float(grid[int(np.argmin(values))]))
 
 
@@ -746,10 +741,9 @@ def _degree_cases() -> list:
 
 
 def _check_plugin_bias(seed: int) -> tuple:
-    demos = {n: naive_plugin_bias_demo(_TENTH, n) for n in range(2, 21)}
-    demo10 = demos[10]
+    demo10 = naive_plugin_bias_demo(_TENTH, 10)  # the one grid; the other sizes need only the optimum
     gap = abs(float(demo10.closed_form) - demo10.grid_argmin)
-    below = all(demo.closed_form < Fraction(1, 10) for demo in demos.values())
+    below = all(_plugin_optimum(_TENTH, n) < Fraction(1, 10) for n in range(2, 21))
     ok = below and gap <= 1e-4 and demo10.closed_form == Fraction(1, 18)
     detail = f"optimum at n=10 is {demo10.closed_form} (grid {demo10.grid_argmin:.4f}), below 1/10 for n=2..20"
     return ok, f"{gap:.2e}", detail

@@ -637,12 +637,36 @@ VERIFY_SEED_7_MACHINE = (
     'seed":"7"}\n'
 )
 
+VERIFY_SEED_0_HUMAN = (
+    "command                       verify\n"
+    "seed                          0\n"
+    "check.plugin-bias             PASS [exact] gap=4.44e-05 optimum at n=10 is 1/18 (grid 0.0556), below 1/10 for n=2..20\n"
+    "check.plugin-improper         PASS [exact] gap=summed-frequency-variance 7 interior models all show a positive exact gap\n"
+    "check.squared-known-target    PASS [exact] gap=0 1224 (model, target, n) combinations, exact equality\n"
+    "check.squared-two-sample      PASS [exact] gap=0 1224 (model, target, n, m) combinations, exact equality\n"
+    "check.compiler-exact          PASS [exact] gap=0 l2, lk:4, brier compiled at their degrees match exactly on the grid\n"
+    "check.compiler-gates          PASS [exact] gap=0 compilation succeeds at the degree boundary and refuses one draw below it\n"
+    "check.degree-one-affine       PASS [exact] gap=0 one-draw expected losses are affine in the model; constant under a uniform target\n"
+    "check.single-draw-infeasible  PASS [exact] gap=0 no single-draw loss of ANY form matches the squared distance on three collinear models\n"
+    "check.bregman                 PASS [exact] gap=0 Bregman loss equals the closed squared-loss form pointwise; mean-vs-truth gap is the summed variance\n"
+    "check.cross-entropy           PASS [truncated] gap=6.35e-09 truncated expectations match -sum q ln p at two points (tail 1.3e-15)\n"
+    "check.entropy-kl              PASS [truncated] gap=3.60e-09 entropy matches -sum q ln q; KL matches sum q ln(q/p)\n"
+    "check.cramer-energy           PASS [exact] gap=0 two-draw enumeration: E[cramer] equals the CDF-distance oracle, E[energy] is exactly twice it\n"
+    "check.mc-sanity               PASS [truncated] gap=7.50e-04 Monte Carlo mean within 5 standard errors of 0.125 (se 6.30e-03)\n"
+    "failures                      0\n"
+)
+
 
 class TestVerify:
     def test_seed_7_machine_output_is_pinned(self, capsys):
         code, out, _ = run(capsys, "verify", "--seed", "7", "--format", "machine")
         assert code == 0
         assert out == VERIFY_SEED_7_MACHINE
+
+    def test_seed_0_human_output_is_pinned(self, capsys):
+        code, out, _ = run(capsys, "verify", "--seed", "0")
+        assert code == 0
+        assert out == VERIFY_SEED_0_HUMAN
 
     def test_failure_exit_code(self, capsys, monkeypatch):
         import properloss.cli as cli_mod

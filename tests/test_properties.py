@@ -35,6 +35,7 @@ from properloss import (
     enumerate_histograms,
     exact_expected_known_target,
     exact_expected_two_sample,
+    expected_losses,
     kl_poisson,
     multinomial_pmf,
     naive_plugin_loss,
@@ -475,6 +476,51 @@ def test_the_fixed_size_oracle_equals_brute_force_enumeration(data):
                 full = [(h, multinomial_pmf(h, size, dist)) for h in enumerate_histograms(dist.dim, size)]
                 assert [(h, Fraction(num, denominator)) for h, num in zip(hists, numerators)] == [
                     (h, w) for h, w in full if w != 0]
+
+
+@st.composite
+def sparse_distributions(draw, d: int):
+    """Mass on one or two coordinates, so that a few of them seldom cover every coordinate in use."""
+    support = draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=2, unique=True))
+    weights = [draw(st.integers(1, 3)) for _ in support]
+    probs = [0] * d
+    for x, w in zip(support, weights):
+        probs[x] = Fraction(w, sum(weights))
+    return Distribution.exact(probs)
+
+
+def support_histograms(dist, size):
+    return {h.counts for h in enumerate_histograms(dist.dim, size) if multinomial_pmf(h, size, dist) != 0}
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.data())
+def test_a_sweep_equals_brute_force_at_every_point(data):
+    d = data.draw(st.integers(1, 4))
+    dists = st.one_of(exact_distributions(d), mixed_denominator_distributions(d), sparse_distributions(d))
+    pool = data.draw(st.lists(dists, min_size=1, max_size=4))
+    pool += [Distribution.exact(dist.probs) for dist in data.draw(st.lists(st.sampled_from(pool), max_size=2))]
+    points = data.draw(st.lists(st.tuples(st.sampled_from(pool), st.sampled_from(pool)), min_size=1, max_size=8))
+    n, m = data.draw(st.integers(2, 3)), data.draw(st.integers(2, 3))
+    for loss in (compile_known_target(builtin_l2(d), n), naive_plugin_loss(n)):
+        assert expected_losses(loss, points) == [brute_force_expectation(loss.evaluator, p, q, n) for p, q in points]
+    for loss in (compile_two_sample(builtin_l2(d), n, m), compile_two_sample(builtin_brier(d), n, m)):
+        assert expected_losses(loss, points) == [brute_force_expectation(loss.evaluator, p, q, n, m) for p, q in points]
+    for raw, sizes in ((raw_known_target, (n,)), (raw_negative_two_sample, (n, m))):
+        calls = []
+
+        def counted(h, t):
+            calls.append((t if len(sizes) == 1 else t.counts, h.counts))
+            return raw(h, t)
+
+        assert expected_losses(counted, points, *sizes) == [brute_force_expectation(raw, p, q, *sizes) for p, q in points]
+        # each (target item, model histogram) pair once, and only inside the supports of the models paired with it
+        assert len(calls) == len(set(calls))
+        if len(sizes) == 1:
+            expected = {(q, h) for p, q in points for h in support_histograms(p, n)}
+        else:
+            expected = {(g, h) for p, q in points for g in support_histograms(q, m) for h in support_histograms(p, n)}
+        assert set(calls) == expected
 
 
 @settings(deadline=None, max_examples=60)

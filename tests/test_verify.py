@@ -33,10 +33,10 @@ from properloss import (
     squared_norm_gradient,
     squared_norm_polynomial,
 )
-from properloss import verify
+from properloss import compiler, verify
 from properloss.compiler import KnownTargetLoss
 from properloss.divergences import Monomial, PolyDivergence
-from properloss.domain import FixedSize
+from properloss.domain import FixedSize, Mode
 from properloss.estimators import ExponentVector
 
 HALF = Distribution.exact([Fraction(1, 2), Fraction(1, 2)])
@@ -188,6 +188,43 @@ class TestPoissonExpectedLoss:
             monkeypatch.setattr(verify, "_PAIR_BLOCK", block)
             assert [poisson_expected_loss(loss, p, q, tail_eps=1e-6) for loss, p, q in cases] == default
 
+    def test_kl_builds_each_target_sides_entropy_row_once(self, monkeypatch):
+        monkeypatch.setattr(verify, "_PAIR_BLOCK", 64)  # one or two model rows a block: many blocks per cross
+        builds = []
+
+        def counted_entropy(beta, mode=Mode.FLOAT):
+            ent = real_entropy(beta, mode)
+
+            def row(left, right):
+                builds.append(right)
+                return ent.pair_evaluator(left, right)
+
+            return dataclasses.replace(ent, pair_evaluator=row)
+
+        real_entropy = compiler.entropy_poisson
+        monkeypatch.setattr(compiler, "entropy_poisson", counted_entropy)
+        loss = kl_poisson(4.0, 5.0)
+        blocks = []
+
+        def block(left, right):
+            blocks.append(right)
+            return loss.pair_evaluator(left, right)
+
+        skew = Distribution.exact([Fraction(1, 4), Fraction(3, 4)])
+        est = poisson_expected_loss(dataclasses.replace(loss, pair_evaluator=block), skew, HALF, tail_eps=1e-6)
+        # a cross passes one target side to all its blocks, and the next cross may pass the same one again
+        sides = [right for i, right in enumerate(blocks) if i == 0 or right is not blocks[i - 1]]
+        assert len(builds) == len(sides) and all(b is s for b, s in zip(builds, sides))
+        assert len(blocks) > 10 * len(sides)
+        ce, ent = cross_entropy_poisson(4.0, 5.0), real_entropy(5.0)
+
+        def unshared(left, right):  # the entropy row built on every block
+            return ce.pair_evaluator(left, right) - ent.pair_evaluator(None, right)
+
+        plain = dataclasses.replace(loss, pair_evaluator=unshared)
+        reference = poisson_expected_loss(plain, skew, HALF, tail_eps=1e-6)
+        assert {k: repr(v) for k, v in vars(est).items()} == {k: repr(v) for k, v in vars(reference).items()}
+
     def test_a_fixed_size_loss_matches_the_exact_oracle(self):
         # a polynomial loss reaches the truncated oracle only through its tiled pair evaluator
         cases = [(2, HALF, Distribution.exact([Fraction(1, 4), Fraction(3, 4)])),
@@ -331,6 +368,27 @@ class TestFixedSizeOracleKernel:
         assert len(calls) == len(set(calls))
         assert set(calls) == {(g.counts, h.counts) for p, q in points for g in support(q, 3) for h in support(p, 2)}
 
+    def test_a_target_is_scored_only_inside_its_models_supports(self):
+        # no model covers the union {0, 1, 2}, so the union support's histogram (1, 0, 1) is never scored
+        models = [Distribution.exact([Fraction(1, 2), Fraction(1, 2), 0]),
+                  Distribution.exact([0, Fraction(1, 3), Fraction(2, 3)])]
+        target = Distribution.exact([Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)])
+        points = [(p, target) for p in models]
+        l2 = builtin_l2(3)
+        scored = {(2, 0, 0), (1, 1, 0), (0, 2, 0), (0, 1, 1), (0, 0, 2)}
+        for loss, sizes, items in ((compile_known_target(l2, 2), (2,), [target]),
+                                   (compile_two_sample(l2, 2, 2), (2, 2), enumerate_histograms(3, 2))):
+            calls = []
+
+            def counted(h, t, f=loss.evaluator):
+                calls.append((t, h.counts))
+                return f(h, t)
+
+            assert verify.expected_losses(counted, points, *sizes) == [l2.evaluate(p, target) for p in models]
+            assert len(calls) == len(set(calls))
+            assert {counts for _, counts in calls} == scored and (1, 0, 1) not in scored
+            assert {t for t, _ in calls} <= set(items)
+
 
 class TestNaivePluginBiasDemo:
     def test_skewed_coin_at_ten_draws(self):
@@ -353,6 +411,18 @@ class TestNaivePluginBiasDemo:
         q = Distribution.exact([Fraction(1, 10), Fraction(9, 10)])
         for n in range(2, 21):
             assert naive_plugin_bias_demo(q, n).closed_form < Fraction(1, 10)
+
+    def test_the_check_builds_one_grid(self, monkeypatch):
+        demos = []
+
+        def counted(q, n, real=verify.naive_plugin_bias_demo):
+            demos.append(n)
+            return real(q, n)
+
+        monkeypatch.setattr(verify, "naive_plugin_bias_demo", counted)
+        ok, gap, detail = verify.CHECKS["plugin-bias"][1](0)
+        assert ok and demos == [10]
+        assert detail == "optimum at n=10 is 1/18 (grid 0.0556), below 1/10 for n=2..20"
 
     def test_grid_minimum_agrees_with_enumeration(self):
         # the quadratic-in-p1 formula the demo minimizes must match the raw
