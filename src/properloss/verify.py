@@ -532,11 +532,11 @@ def check_implements(loss, divergence, points: Sequence[tuple], tol=0, tail_eps:
     zero).  Truncated checks pass when the gap is within ``tail_bound + tol``.
     The exact points are one sweep (:func:`_fixed_size_sweep`), which
     computes each model's pmf numerators and each target's folded loss table
-    once, and evaluates each loss value once.  Each
-    expectation's integer numerator and denominator are compared with a
-    Fraction target by cross-multiplication; an equal point reports the
-    target as its estimate and a shared zero gap, and only a point that
-    differs builds its estimate's Fraction.
+    once, and evaluates each loss value once.  Each expectation's integer
+    numerator and denominator are compared with a Fraction target by
+    cross-multiplication; an equal point reports the target as its estimate
+    and a shared zero gap, and only a point that differs builds its
+    estimate's Fraction.
     """
     if not points:
         raise ValueError("need at least one (model, target) point to check")
