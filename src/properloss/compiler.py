@@ -466,11 +466,13 @@ def _series_table(series, complements: np.ndarray) -> np.ndarray:
 
 def _series_terms(counts: np.ndarray, scale, values: np.ndarray) -> np.ndarray:
     """The terms ``(counts / scale) * values``, broadcast, as :func:`_series_loss` weighs them; a term is exactly
-    0 where its count is 0, even where its series value overflowed to inf (where 0 * inf would be NaN)."""
-    if not np.isinf(values).any():
-        return counts / float(scale) * values
-    with np.errstate(invalid="ignore", over="ignore"):  # the masked 0 * inf, and inf's neighbours overflowing
-        return np.where(counts > 0, counts / float(scale) * values, 0.0)
+    0 where its count is 0, even where its series value overflowed to inf (where 0 * inf would be NaN).  A term
+    past float range is inf, without a warning: the estimate's report names the non-finite mean."""
+    with np.errstate(over="ignore"):
+        if not np.isinf(values).any():
+            return counts / float(scale) * values
+        with np.errstate(invalid="ignore"):  # the masked 0 * inf
+            return np.where(counts > 0, counts / float(scale) * values, 0.0)
 
 
 def _series_batch(series, scale, weights: CountRows, h: CountRows) -> np.ndarray:

@@ -219,9 +219,10 @@ class Histogram:
 
 #: Count rows are scored as dense (R, d) columns while d is at most this many times the draws per row, both
 #: sides together, and over each row's observed coordinates otherwise (:func:`scored_dense`).  Measured at
-#: R=20,000 (2 vCPUs, numpy 2.4), the sparse scorer is the faster past about 4 times the draws per row for the
-#: polynomial losses and 2 times for the Poisson series, and it holds 130-240 bytes per draw where a dense row
-#: holds 16 per coordinate and side, so memory crosses at about 8 to 15 times; 6 sits between the two.
+#: R=20,000 on coordinate-major count matrices (2 vCPUs, numpy 2.4), the sparse scorer is the faster past about
+#: 9-10 times the draws per row for l2 at n=m=2 and 2-3 times for the Poisson series (cross-entropy at rates 8/8),
+#: and it holds 130-240 bytes per draw where a dense row holds 16 per coordinate and side, so memory crosses at
+#: about 8 to 15 times; 6 sits between the two time crossovers.
 DENSE_DRAWS_RATIO = 6
 
 
@@ -298,10 +299,15 @@ class CountRows:
         return np.flatnonzero(np.bincount(self._draws, minlength=self.shape[1]))
 
     def dense(self) -> np.ndarray:
-        """The (R, d) int64 count matrix; the draws are let go once it is built."""
+        """The (R, d) int64 count matrix; the draws are let go once it is built.
+
+        A built matrix is stored coordinate-major (Fortran order), so that the column of one coordinate, which the
+        dense scorers read one at a time, is contiguous; its values and shape are those of the row-major matrix."""
         if self._dense is None:
             rows, d = self.shape
-            self._dense = np.bincount(self._flat_keys(), minlength=rows * d).reshape(rows, d)
+            keys = np.repeat(np.arange(rows), self.sizes)
+            keys += self._draws * rows  # x * R + r
+            self._dense = np.bincount(keys, minlength=rows * d).reshape(d, rows).T
             self._draws = None
         return self._dense
 

@@ -11,17 +11,19 @@ Three kinds of black box can be scored:
 * :class:`SubprocessSource` -- a child process speaking a line protocol,
   started when the source is built: the harness writes a decimal count
   followed by a newline, the child replies with exactly that many token
-  lines; ``0``, sent only by ``close``, asks the child to exit cleanly
-  (exit code 0).  ``close`` discards whatever the child writes after the
-  last read and waits for its exit, not for the end of its output.
+  lines; ``0`` asks the child to exit cleanly (exit code 0).  An estimate
+  sends it with its last request, in the same write, so the child exits
+  while that batch is scored; ``close`` sends it when no such request was
+  made.  ``close`` discards whatever the child writes after the last read
+  and waits for its exit, not for the end of its output.
 
-Each source implements ``draw_batch(sizes, rng)``: :class:`CountRows` whose
-row i holds the next ``sizes[i]`` draws, built from the drawn domain indices
-and the row sizes, so that no (R, d) count matrix is allocated unless a
-scorer asks for one; a subprocess gets one count per batch.  A loss's batch
-evaluator scores the rows as dense count columns while d is small against
-the draws per row, and over each row's observed coordinates otherwise
-(:func:`~properloss.domain.scored_dense`).
+Each source implements ``draw_batch(sizes, rng, last=False)``:
+:class:`CountRows` whose row i holds the next ``sizes[i]`` draws, built from
+the drawn domain indices and the row sizes, so that no (R, d) count matrix
+is allocated unless a scorer asks for one; a subprocess gets one count per
+batch.  A loss's batch evaluator scores the rows as dense count columns
+while d is small against the draws per row, and over each row's observed
+coordinates otherwise (:func:`~properloss.domain.scored_dense`).
 Tokens are UTF-8 text, and every emitted token must map to a domain label;
 an unknown token or an undecodable byte is a hard error that names the file
 or the generator command.  File and subprocess sources are sequential
@@ -83,8 +85,9 @@ CHUNK_BYTES = 16 * 2**20
 SPARSE_DRAW_BYTES = 256
 
 #: Largest domain an internal source draws from by counting CDF steps, one vectorized comparison per outcome,
-#: rather than by binary search.  Both give the same indices; at 40,000 draws the count took 0.05 ms at d=2 and
-#: 0.6 ms at d=16 where the search took 0.4 and 1.4 ms, and it loses past d of about 48.
+#: rather than by binary search.  Both give the same indices; at 40,000 draws the count, kept in bytes, took
+#: 0.03 ms at d=2 and 0.17 ms at d=16 where the search took 0.38 and 1.27 ms (int64 counts took 0.04 and 0.5 ms).
+#: Counted in bytes, which hold counts up to 255, it was still the faster at d=128 (1.35 against 2.75 ms).
 STEPPED_CDF_DIM = 16
 
 #: Seconds a generator may take to exit after the ``0`` request before it is killed.
@@ -110,12 +113,17 @@ class SampleSource:
 
     domain: Domain
 
-    def draw_batch(self, sizes: Sequence[int], rng: Optional[np.random.Generator] = None) -> CountRows:
+    def draw_batch(self, sizes: Sequence[int], rng: Optional[np.random.Generator] = None, *,
+                   last: bool = False) -> CountRows:
         """``len(sizes)`` count rows over the domain, in index form; row i holds the next ``sizes[i]`` draws.
 
         A batch evaluator scores them as dense count columns or over each row's
         observed coordinates, whichever :func:`~properloss.domain.scored_dense`
-        picks for the domain size and the draws per row."""
+        picks for the domain size and the draws per row.  ``last`` says that
+        the caller draws nothing more, so a source may let go of its stream
+        while the rows are scored: :class:`SubprocessSource` tells its child
+        to exit with the request, after which a draw is an error, as after
+        :meth:`close`.  The other sources ignore it."""
         raise NotImplementedError
 
     def draw(self, n: int, rng: Optional[np.random.Generator] = None) -> Histogram:
@@ -158,12 +166,13 @@ class InternalSource(SampleSource):
         self.domain = domain if domain is not None else Domain.of_size(dist.dim)
         self._cum = np.cumsum(np.asarray(dist.as_floats()))
 
-    def draw_batch(self, sizes: Sequence[int], rng: Optional[np.random.Generator] = None) -> CountRows:
+    def draw_batch(self, sizes: Sequence[int], rng: Optional[np.random.Generator] = None, *,
+                   last: bool = False) -> CountRows:
         if rng is None:
             raise ValueError("an internal source needs a random generator")
         u = rng.random(int(np.sum(sizes)))
         if self.dist.dim <= STEPPED_CDF_DIM:  # count the CDF steps at or below each draw
-            idx = np.zeros(len(u), dtype=np.int64)
+            idx = np.zeros(len(u), dtype=np.uint8)
             for step in self._cum[:-1]:
                 idx += u >= step
         else:
@@ -180,7 +189,8 @@ class FileSource(SampleSource):
         self.domain = domain
         self._handle = open(path, "r", encoding="utf-8")
 
-    def draw_batch(self, sizes: Sequence[int], rng: Optional[np.random.Generator] = None) -> CountRows:
+    def draw_batch(self, sizes: Sequence[int], rng: Optional[np.random.Generator] = None, *,
+                   last: bool = False) -> CountRows:
         if self._handle.closed:
             raise ValueError(f"sample file {self.path!r} is closed: its stream cannot be drawn from again")
         total = int(np.sum(sizes))
@@ -234,17 +244,26 @@ class SubprocessSource(SampleSource):
             text = "..." + text[-STDERR_TAIL_CHARS:]
         return SubprocessFailureError(f"{message}; its stderr: {text}" if text else message)
 
-    def draw_batch(self, sizes: Sequence[int], rng: Optional[np.random.Generator] = None) -> CountRows:
-        """One count request for the whole batch; none when it asks for no draws (``0`` would end the child)."""
+    def draw_batch(self, sizes: Sequence[int], rng: Optional[np.random.Generator] = None, *,
+                   last: bool = False) -> CountRows:
+        """One count request for the whole batch; none when it asks for no draws (``0`` would end the child).
+
+        With ``last`` the request is followed by the ``0``, in the same write, and the child's input is closed:
+        the child exits while the caller scores the batch, and :meth:`close` only waits for it.  A last batch of
+        no draws sends nothing, and leaves the ``0`` to :meth:`close`."""
         proc = self._proc
-        if proc.stdout.closed:
+        if proc.stdin.closed:
             raise ValueError(f"generator {self.command!r} is closed: its stream cannot be drawn from again")
         total = int(np.sum(sizes))
         if total == 0:
             return CountRows.from_draws(np.zeros(0, dtype=np.int64), sizes, self.domain.size)
         try:
-            proc.stdin.write(f"{total}\n")
-            proc.stdin.flush()
+            if last:
+                with proc.stdin:  # closed even when the write fails
+                    proc.stdin.write(f"{total}\n0\n")
+            else:
+                proc.stdin.write(f"{total}\n")
+                proc.stdin.flush()
         except (BrokenPipeError, OSError) as exc:
             raise self._failure(f"generator {self.command!r} closed its input") from exc
         try:
@@ -290,14 +309,16 @@ class SubprocessSource(SampleSource):
             os.close(pidfd)
 
     def close(self) -> None:
-        """Send the zero sentinel and require a clean exit; a second call does nothing."""
+        """Send the zero sentinel, unless the last request carried it, and require a clean exit; a second call
+        does nothing."""
         proc = self._proc
         if proc.stdout.closed:
             return
         try:
             try:
-                with proc.stdin:  # closed even when the write fails
-                    proc.stdin.write("0\n")
+                if not proc.stdin.closed:
+                    with proc.stdin:  # closed even when the write fails
+                        proc.stdin.write("0\n")
             except OSError:  # the child has closed its input
                 pass
             code = self._wait()
@@ -384,7 +405,9 @@ def estimate_loss(
     coordinates, and 8 bytes plus each side's dense count row where they are
     scored as dense columns (:func:`~properloss.domain.scored_dense`).
     Chunking changes no draw, so the report is deterministic given (sources,
-    seed, replicates).
+    seed, replicates).  Each source's last chunk is drawn with ``last=True``
+    (a source on both sides, at its model draw), so a generator source exits
+    while that chunk is scored and serves no later draw.
     """
     if replicates < 2:
         raise ValueError("need at least 2 replicates for a standard error")
@@ -400,10 +423,10 @@ def estimate_loss(
     chunk = max(1, int(CHUNK_BYTES // max(row_bytes, 1)))
     values = np.empty(replicates)
     for start in range(0, replicates, chunk):
-        rows = slice(start, start + chunk)
+        rows, last = slice(start, start + chunk), start + chunk >= replicates
         # the target first: a token file is read while a generator child boots
-        hq = target.draw_batch(sizes_q[rows], target_rng)
-        hp = None if sizes_p is None else model.draw_batch(sizes_p[rows], model_rng)
+        hq = target.draw_batch(sizes_q[rows], target_rng, last=last and target is not model)
+        hp = None if sizes_p is None else model.draw_batch(sizes_p[rows], model_rng, last=last)
         values[rows] = loss.batch_evaluator(hp, hq)
 
     with np.errstate(over="ignore", invalid="ignore"):  # EstimateReport names a non-finite result

@@ -316,6 +316,39 @@ class TestCrossEntropyLosses:
         expected = [[float(loss.evaluator(Histogram(tuple(h)), Histogram(tuple(g)))) for g in right] for h in left]
         assert repr(grid.tolist()) == repr(expected)
 
+    @pytest.mark.filterwarnings("error")
+    def test_a_term_past_float_range_is_inf_without_a_warning(self):
+        from properloss.compiler import _series_terms
+
+        assert _series_terms(np.array([2]), 1.0, np.array([1e308])).tolist() == [math.inf]
+        assert _series_terms(np.array([0, 2]), 1.0, np.array([math.inf, 1e308])).tolist() == [0.0, math.inf]
+
+    def test_dense_rows_are_scored_over_coordinate_major_columns(self, monkeypatch):
+        # count rows drawn as a source draws them are built coordinate-major, and every (R, d) matrix the
+        # series losses add across stays so; the values are those of the row-major count matrices
+        import properloss.compiler as compiler
+
+        rng = np.random.default_rng(3)
+        sizes_p, sizes_q = rng.poisson(8.0, 50), rng.poisson(8.0, 50)
+        draws_p, draws_q = rng.integers(0, 4, sizes_p.sum()), rng.integers(0, 4, sizes_q.sum())
+        summed = []
+
+        def row_sums(a):
+            summed.append(a.flags.f_contiguous)
+            return _row_sums(a)
+
+        for loss in (cross_entropy_poisson(8.0, 8.0), entropy_poisson(8.0), kl_poisson(8.0, 8.0)):
+            hp, hq = CountRows.from_draws(draws_p, sizes_p, 4), CountRows.from_draws(draws_q, sizes_q, 4)
+            expected = loss.batch_evaluator(CountRows.from_counts(np.ascontiguousarray(hp.dense())),
+                                            CountRows.from_counts(np.ascontiguousarray(hq.dense())))
+            hp, hq = CountRows.from_draws(draws_p, sizes_p, 4), CountRows.from_draws(draws_q, sizes_q, 4)
+            summed.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(compiler, "_row_sums", row_sums)
+                got = loss.batch_evaluator(hp, hq)
+            assert hq.dense().flags.f_contiguous and summed and all(summed)
+            assert got.tobytes() == expected.tobytes()
+
 
 def order_sensitive_rows(rows: int, cols: int) -> np.ndarray:
     """Rows like ``[1e16, 1.0, -1e16, 1.0, ...]``, whose total depends on the order of the adds."""

@@ -852,6 +852,37 @@ def test_exact_mode_keeps_every_value_against_a_float_target(data):
     assert [repr(loss.evaluator(h, q)) for h in hists] == expected
 
 
+@settings(deadline=None, max_examples=80)
+@given(st.data())
+def test_count_rows_hold_the_row_major_counts_stored_coordinate_major(data):
+    d = data.draw(st.integers(1, 40), label="d")
+    sizes = data.draw(st.lists(st.integers(0, 6), max_size=10), label="sizes")
+    draws = np.array(data.draw(st.lists(st.integers(0, d - 1), min_size=sum(sizes), max_size=sum(sizes))),
+                     dtype=np.int64)
+    rows = np.repeat(np.arange(len(sizes)), sizes)
+    expected = np.bincount(rows * d + draws, minlength=len(sizes) * d).reshape(len(sizes), d)
+    flat = expected.reshape(-1)
+    keys = np.flatnonzero(flat)
+
+    dense = CountRows.from_draws(draws, sizes, d).dense()
+    assert dense.shape == expected.shape and dense.dtype == np.int64 and dense.flags.f_contiguous
+    assert np.array_equal(dense, expected) and dense.tobytes() == expected.tobytes()
+    for built in (False, True):  # entries from the draws, and from a matrix built first
+        batch = CountRows.from_draws(draws, sizes, d)
+        if built:
+            batch.dense()
+        got_keys, got_counts = batch.entries()
+        assert got_keys.tolist() == keys.tolist() and got_counts.tolist() == flat[keys].tolist()
+
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    probs = np.random.default_rng(seed).dirichlet(np.ones(d)).tolist()
+    source = InternalSource(Distribution.floating(probs))
+    cum = np.cumsum(source.dist.as_floats())
+    for n in sizes:  # a one-row draw reads row 0 of a coordinate-major matrix
+        idx = np.minimum(np.searchsorted(cum, stream_rng(seed, 0).random(n), side="right"), d - 1)
+        assert source.draw(n, stream_rng(seed, 0)).counts == tuple(np.bincount(idx, minlength=d).tolist())
+
+
 @settings(deadline=None, max_examples=60)
 @given(st.integers(1, 40), st.lists(st.integers(0, 6), max_size=8), st.integers(0, 2**32 - 1))
 def test_internal_draws_are_the_binary_search_inverse_cdf(d, sizes, seed):

@@ -1,5 +1,7 @@
+import ast
 import math
 import os
+import shlex
 import sys
 import time
 from fractions import Fraction
@@ -225,6 +227,86 @@ class TestSubprocessSource:
         with pytest.raises(ValueError, match=r"generator \[.*\] is closed"):
             src.draw(1)
         src.close()  # a second close does nothing
+
+
+# child that appends each read of its stdin, as the repr of the bytes read, to the file named by argv[1], and
+# answers each count request with 'a' tokens; a writer's single write of a few bytes is read in one piece
+LOGGING_CHILD = (
+    "import os, sys\n"
+    "log, pending = open(sys.argv[1], 'a'), b''\n"
+    "while True:\n"
+    "    chunk = os.read(0, 65536)\n"
+    "    log.write(repr(chunk) + '\\n')\n"
+    "    log.flush()\n"
+    "    if not chunk:\n"
+    "        sys.exit(5)\n"
+    "    pending += chunk\n"
+    "    while b'\\n' in pending:\n"
+    "        line, pending = pending.split(b'\\n', 1)\n"
+    "        if int(line) == 0:\n"
+    "            sys.exit(0)\n"
+    "        sys.stdout.write('a\\n' * int(line))\n"
+    "        sys.stdout.flush()\n"
+)
+
+
+def logged_reads(path) -> list:
+    return [ast.literal_eval(line) for line in path.read_text().splitlines()]
+
+
+class TestExitSentinel:
+    """The ``0`` rides with an estimate's last request, in the same write, or comes from ``close``; never twice."""
+
+    def test_an_eval_run_sends_one_zero_in_the_write_of_the_last_count(self, capsys, tmp_path, monkeypatch):
+        import properloss.sampling as sampling
+        from properloss.cli import main
+
+        log = tmp_path / "reads.txt"
+        argv = ["eval", "--divergence", "l2", "--n", "2", "--m", "2", "--labels", "a,b",
+                "--model-cmd", shlex.join([sys.executable, "-c", LOGGING_CHILD, str(log)]), "--target-probs", "0.5,0.5",
+                "--replicates", "3"]
+        assert main(argv) == 0
+        assert logged_reads(log) == [b"6\n0\n"]
+        monkeypatch.setattr(sampling, "CHUNK_BYTES", 1)  # one replicate per chunk
+        log.unlink()
+        assert main(argv) == 0
+        assert logged_reads(log) == [b"2\n", b"2\n", b"2\n0\n"]
+        capsys.readouterr()
+
+    def test_a_poisson_run_whose_last_batch_draws_nothing_ends_the_child_at_close(self, monkeypatch, tmp_path):
+        import properloss.sampling as sampling
+        from properloss.sampling import STREAM_MODEL_SIZES, _poisson_size
+
+        monkeypatch.setattr(sampling, "CHUNK_BYTES", 1)  # one replicate per chunk
+        assert _poisson_size(stream_rng(16, STREAM_MODEL_SIZES).random(8), 0.3).tolist() == [1, 1, 1, 2, 0, 0, 0, 0]
+        log = tmp_path / "reads.txt"
+        src = SubprocessSource([sys.executable, "-c", LOGGING_CHILD, str(log)], AB)
+        estimate_loss(src, InternalSource(HALF_F, AB), cross_entropy_poisson(0.3, 8.0), 8, seed=16)
+        proc = src._proc
+        src.close()
+        assert proc.returncode == 0
+        assert logged_reads(log) == [b"1\n", b"1\n", b"1\n", b"2\n", b"0\n"]
+
+    def test_one_generator_on_both_sides_gets_the_zero_with_its_model_request(self, tmp_path):
+        log = tmp_path / "reads.txt"
+        with SubprocessSource([sys.executable, "-c", LOGGING_CHILD, str(log)], AB) as src:
+            report = estimate_loss(src, src, compile_two_sample(builtin_l2(2), 2, 3, Mode.FLOAT), 4, seed=1)
+            proc = src._proc
+        assert report.mean == 0.0 and proc.returncode == 0  # every draw is 'a'
+        assert logged_reads(log) == [b"12\n", b"8\n0\n"]  # the target's rows first
+
+    def test_a_draw_after_the_last_request_is_an_error(self, tmp_path):
+        log = tmp_path / "reads.txt"
+        src = SubprocessSource([sys.executable, "-c", LOGGING_CHILD, str(log)], AB)
+        assert src.draw_batch([1, 2], last=True).dense().tolist() == [[1, 0], [2, 0]]
+        with pytest.raises(ValueError, match=r"generator \[.*\] is closed"):
+            src.draw(1)
+        with pytest.raises(ValueError, match=r"generator \[.*\] is closed"):
+            src.draw_batch([0], last=True)
+        proc = src._proc
+        src.close()
+        assert proc.returncode == 0
+        assert logged_reads(log) == [b"3\n0\n"]
 
 
 class TestSubprocessShutdown:
