@@ -13,7 +13,9 @@ All are falling-factorial ratios, computed with integer arithmetic before the
 final division so exact mode stays exact and float mode rounds only once.
 The compiler inlines the monomial estimators: it multiplies falling factorials
 (``math.perm``) by precomputed weights, integer numerators over one denominator
-in exact mode.  The continuous losses call ``variance_mvue``.
+in exact mode.  The continuous losses inline ``variance_mvue`` the same way: at
+``alpha_hat = c/n`` it is ``c(n-c) / (n^2 (n-1))`` in integers, and its own
+expression on float64 columns.
 """
 
 from __future__ import annotations

@@ -152,7 +152,7 @@ def _read_indices(lines, total: int, domain: Domain, source: str) -> np.ndarray:
         raise TokenUnknownError(f"{source}: token {exc.args[0]!r} is not a label of this domain") from None
 
 
-def _not_utf8(exc: UnicodeDecodeError) -> str:
+def not_utf8(exc: UnicodeDecodeError) -> str:
     return f"byte 0x{exc.object[exc.start]:02x} is not UTF-8 ({exc.reason})"
 
 
@@ -197,7 +197,7 @@ class FileSource(SampleSource):
         try:
             idx = _read_indices(self._handle, total, self.domain, f"sample file {self.path!r}")
         except UnicodeDecodeError as exc:
-            message = f"sample file {self.path!r} holds a token that is not text: {_not_utf8(exc)}"
+            message = f"sample file {self.path!r} holds a token that is not text: {not_utf8(exc)}"
             raise TokenUnknownError(message) from None
         if len(idx) < total:
             raise SourceExhaustedError(f"{self.path} ran out of tokens")
@@ -269,7 +269,7 @@ class SubprocessSource(SampleSource):
         try:
             idx = _read_indices(proc.stdout, total, self.domain, f"generator {self.command!r}")
         except UnicodeDecodeError as exc:
-            message = f"generator {self.command!r} wrote a token that is not text: {_not_utf8(exc)}"
+            message = f"generator {self.command!r} wrote a token that is not text: {not_utf8(exc)}"
             raise self._failure(message) from None
         if len(idx) < total:
             raise self._failure(f"generator {self.command!r} ended after {len(idx)} of {total} requested tokens")
@@ -337,14 +337,12 @@ class SubprocessSource(SampleSource):
 
 
 def _poisson_size(u, rate: float):
-    """Smallest j with CDF(j) > u for each uniform u, or the walk's limit; an int for a scalar u."""
+    """Smallest j with CDF(j) > u for each uniform u, or the walk's limit."""
     cdf, top = [], np.max(u)
     for _, cum in poisson_cdf(rate):  # the walk stops once it passes the largest u
         cdf.append(cum)
         if top < cum:
             break
-    if not np.ndim(u):
-        return len(cdf) - 1
     return np.minimum(np.searchsorted(cdf, u, side="right"), len(cdf) - 1)
 
 

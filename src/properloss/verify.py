@@ -724,13 +724,28 @@ def _exact_outcome(cases, detail: str) -> tuple:
     return worst == 0, str(worst), detail.format(count=count)
 
 
+def _memoized_by_ids(evaluate):
+    """``evaluate(p, q)``, memoized by the ids of ``p`` and ``q``; the caller keeps them alive.
+
+    Keying by id skips ``Distribution.__hash__``, which costs more than the lookup."""
+    values: dict = {}
+
+    def memoized(p, q):
+        key = (id(p), id(q))
+        if key not in values:
+            values[key] = evaluate(p, q)
+        return values[key]
+
+    return memoized
+
+
 def _l2_cases(compile_l2, sizes: Sequence[tuple]):
     """The l2 loss compiled at each of ``sizes``, against the squared distance on a d=2 and a d=3 grid."""
     for d, denom in ((2, 8), (3, 4)):
         pairs = _grid_pairs(d, denom)
         l2 = builtin_l2(d)
         # every size revisits the grid, so each (p, q) pair is evaluated once
-        divergence = SimpleNamespace(evaluate=functools.lru_cache(maxsize=None)(l2.evaluate))
+        divergence = SimpleNamespace(evaluate=_memoized_by_ids(l2.evaluate))
         for size in sizes:
             yield compile_l2(l2, *size), divergence, pairs
 

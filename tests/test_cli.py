@@ -890,6 +890,55 @@ class TestCramerCommand:
         assert "Traceback" not in err
 
 
+class TestCramerSampleFileErrors:
+    """A sample file the cramer loaders refuse exits 2 with an error that names the file and the line."""
+
+    def cramer(self, capsys, tmp_path, model: bytes, target: bytes = b"0\n1\n", *extra):
+        model_file, target_file = tmp_path / "model.txt", tmp_path / "target.txt"
+        model_file.write_bytes(model)
+        target_file.write_bytes(target)
+        code, out, err = run(capsys, "cramer", "--model-file", str(model_file), "--target-file", str(target_file), *extra)
+        assert code == 2 and out == "" and "Traceback" not in err
+        return err, str(model_file), str(target_file)
+
+    def test_a_line_that_is_not_a_real(self, capsys, tmp_path):
+        err, model, _ = self.cramer(capsys, tmp_path, b"0.5\n\n  \nabc\n2\n")
+        assert err == f"error: sample file {model!r} line 4: could not convert string to float: 'abc'\n"
+
+    def test_a_byte_that_is_not_utf8(self, capsys, tmp_path):
+        err, model, _ = self.cramer(capsys, tmp_path, b"0.5\n\xff\n")
+        assert err == f"error: sample file {model!r} line 2: byte 0xff is not UTF-8 (invalid start byte)\n"
+
+    def test_the_target_file_is_named(self, capsys, tmp_path):
+        err, _, target = self.cramer(capsys, tmp_path, b"0\n1\n", b"1\n2\n1e\n", "--energy")
+        assert err == f"error: sample file {target!r} line 3: could not convert string to float: '1e'\n"
+
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+    def test_lines_count_as_text_mode_splits_them(self, capsys, tmp_path, newline):
+        err, model, _ = self.cramer(capsys, tmp_path, newline.join([b"1", b"2", b"x", b""]))
+        assert err == f"error: sample file {model!r} line 3: could not convert string to float: 'x'\n"
+        err, model, _ = self.cramer(capsys, tmp_path, newline.join([b"1", b"\xc3(", b""]))
+        assert err == f"error: sample file {model!r} line 2: byte 0xc3 is not UTF-8 (invalid continuation byte)\n"
+
+    def test_a_vector_line_that_is_not_reals(self, capsys, tmp_path):
+        err, model, _ = self.cramer(capsys, tmp_path, b"1,2\n3,x\n", b"0,0\n1,1\n", "--vectors")
+        assert err == f"error: sample file {model!r} line 2: could not convert string to float: 'x'\n"
+
+    def test_a_vector_file_with_a_byte_that_is_not_utf8(self, capsys, tmp_path):
+        err, _, target = self.cramer(capsys, tmp_path, b"1,2\n3,4\n", b"0,0\n\n1,\xff\n", "--vectors")
+        assert err == f"error: sample file {target!r} line 3: byte 0xff is not UTF-8 (invalid start byte)\n"
+
+    def test_a_vector_of_another_width(self, capsys, tmp_path):
+        err, model, _ = self.cramer(capsys, tmp_path, b"1,2\n3,4\n\n5\n6,7\n", b"0,0\n1,1\n", "--vectors")
+        assert err == f"error: sample file {model!r} line 4: mixed point dimensions [1, 2]\n"
+
+    def test_a_projection_beyond_float_range(self, capsys, tmp_path):
+        # seed 1's direction is about (0.39, 0.92), so the first point projects past float range
+        with pytest.warns(RuntimeWarning, match="overflow encountered in dot"):
+            err, _, _ = self.cramer(capsys, tmp_path, b"1.7e308,1.7e308\n0,0\n", b"0,0\n1,1\n", "--vectors", "--seed", "1")
+        assert err == "error: sample values must be finite, got inf\n"
+
+
 class TestVerifyDivergenceEvaluations:
     def test_each_squared_check_evaluates_each_grid_point_once(self, capsys, monkeypatch):
         calls = []

@@ -69,6 +69,21 @@ class TestEcdf:
     def test_at_the_maximum_is_inclusive(self):
         assert ecdf(RealSample((0, 1)), 1) == 1
 
+    def test_a_float_in_x_or_anywhere_in_the_sample_gives_a_float(self):
+        for sample, x, expected in (
+            ((Fraction(1, 2), 0.75), Fraction(1, 2), 0.5),  # the float is not the smallest value
+            ((0.25, Fraction(1, 2)), Fraction(1, 2), 1.0),
+            ((0, 1), 0.5, 0.5),
+        ):
+            value = ecdf(RealSample(sample), x)
+            assert type(value) is float and value == expected
+        assert ecdf(RealSample((0, Fraction(1, 2))), Fraction(1, 2)) == 1 and type(ecdf(RealSample((0, 1)), 0)) is Fraction
+
+    def test_the_count_compares_exactly(self):
+        # the float 0.1 lies above 1/10, and 2**53 + 1 above the float 2.0**53
+        assert ecdf(RealSample((0.1, 0.2)), Fraction(1, 10)) == 0.0
+        assert ecdf(RealSample((2**53 + 1, 0.5)), 2.0**53) == 0.5
+
 
 class TestCramerLoss:
     def test_identical_two_point_samples(self):

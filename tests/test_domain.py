@@ -202,7 +202,7 @@ class TestPoissonCdf:
         for rate in (0.5, 6.0, 8.0, 40.0, 300.0):
             for seed in range(20):
                 rng = stream_rng(seed, STREAM_MODEL_SIZES)
-                sizes.append([_poisson_size(float(rng.random()), rate) for _ in range(25)])
+                sizes.append([int(_poisson_size(float(rng.random()), rate)) for _ in range(25)])
         assert sizes[20][:10] == [8, 3, 7, 7, 4, 6, 7, 10, 5, 5]  # rate 6, seed 0
         assert sizes[40][:10] == [11, 4, 9, 9, 6, 8, 9, 13, 7, 6]  # rate 8, seed 0
         digest = hashlib.sha256(repr(sizes).encode()).hexdigest()

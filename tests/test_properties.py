@@ -5,7 +5,9 @@ import functools
 import itertools
 import math
 import os
+import struct
 import tempfile
+from bisect import bisect_right
 from fractions import Fraction
 from unittest import mock
 
@@ -21,6 +23,7 @@ from properloss import (
     InternalSource,
     Mode,
     RealSample,
+    VectorSample,
     builtin_brier,
     builtin_l2,
     builtin_lk_even,
@@ -30,6 +33,8 @@ from properloss import (
     compositions,
     cross_entropy_poisson,
     cross_entropy_poisson_fixed_target,
+    cramer_loss,
+    crps,
     energy_loss,
     entropy_poisson,
     enumerate_histograms,
@@ -39,6 +44,7 @@ from properloss import (
     kl_poisson,
     multinomial_pmf,
     naive_plugin_loss,
+    projected_cramer_loss,
     simplex_grid,
     squared_norm_polynomial,
     stream_rng,
@@ -47,7 +53,7 @@ from properloss import VerificationReport, poisson_expected_loss
 from properloss.compiler import CompiledLoss
 from properloss.divergences import Monomial, PolyDivergence
 from properloss.domain import CountRows, Poisson
-from properloss.estimators import ExponentVector, poisson_power_series
+from properloss.estimators import ExponentVector, poisson_power_series, variance_mvue
 from properloss.verify import (
     _item_arrays,
     _numerated_compositions,
@@ -719,6 +725,109 @@ def test_a_float_in_either_sample_gives_a_float(data):
     assert type(value) is float
     exact = double_loop_energy([Fraction(v) for v in s_values], [Fraction(v) for v in u_values])
     assert repr(value) == repr(float(exact))
+
+
+def loop_ecdf_integral(s_values, u_values, y=None):
+    """The per-breakpoint loop ``cramer_loss`` (and, given ``y``, ``crps``) evaluated before it scored sorted arrays.
+
+    Fractions for rational inputs and Python floats for float ones, one breakpoint at a time, in the library's
+    old operation order: the reference the exact and float paths must equal."""
+    values = list(s_values) + list(u_values) + ([] if y is None else [y])
+    exact = not any(isinstance(v, float) for v in values)
+    s_sorted, u_sorted = sorted(s_values), sorted(u_values)
+
+    def cdf(sorted_values, x):
+        count = bisect_right(sorted_values, x)
+        return Fraction(count, len(sorted_values)) if exact else count / len(sorted_values)
+
+    breaks = sorted(set(values))
+    acc = 0
+    for b0, b1 in zip(breaks, breaks[1:]):
+        fs = cdf(s_sorted, b0)
+        if y is None:
+            fu = cdf(u_sorted, b0)
+            acc = acc + (b1 - b0) * ((fs - fu) ** 2 - variance_mvue(fs, len(s_values)) - variance_mvue(fu, len(u_values)))
+        else:
+            ind = 1 if b0 >= y else 0
+            acc = acc + (b1 - b0) * ((fs - ind) ** 2 - variance_mvue(fs, len(s_values)))
+    return acc
+
+
+def same_float(value, reference) -> bool:
+    """Bit-for-bit equality of two floats, nan and the sign of zero included."""
+    return type(value) is float and struct.pack("<d", value) == struct.pack("<d", float(reference))
+
+
+# ties, signed zeros, the smallest subnormal, values around +-1e6, and values near +-1.7e308 whose gaps
+# overflow to inf (and an inf gap times a zero term to nan)
+line_floats = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, 1.0, -1.0, 5e-324, -5e-324]),
+    st.floats(-1e6, 1e6),
+    st.floats(1.6e308, 1.7976931348623157e308).flatmap(lambda v: st.sampled_from([v, -v])),
+    st.integers(-3, 3).map(float),
+)
+line_samples = st.lists(line_floats, min_size=2, max_size=30)
+
+
+@settings(deadline=None, max_examples=300)
+@given(line_samples, line_samples, line_floats)
+def test_float_cramer_and_crps_equal_the_breakpoint_loop_bit_for_bit(s_values, u_values, y):
+    s, u = RealSample(tuple(s_values)), RealSample(tuple(u_values))
+    assert same_float(cramer_loss(s, u), loop_ecdf_integral(s_values, u_values))
+    assert same_float(crps(s, y), loop_ecdf_integral(s_values, (), y))
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 300), st.integers(2, 300), st.sampled_from([0.0, 1.0, 100.0]))
+def test_float_cramer_equals_the_breakpoint_loop_on_large_samples(seed, n, m, scale):
+    # a few hundred breakpoints: pow(x, 2) and x * x round about one ECDF value in a thousand apart,
+    # and a scale of 0 rounds every value, so that ties are common
+    rng = np.random.default_rng(seed)
+    s_values, u_values = (np.round(rng.normal(0.0, 3.0, size) * scale) / max(scale, 1.0) if scale != 1.0
+                          else rng.normal(0.0, 3.0, size) for size in (n, m))
+    s_values, u_values = s_values.tolist(), u_values.tolist()
+    s = RealSample(tuple(s_values))
+    assert same_float(cramer_loss(s, RealSample(tuple(u_values))), loop_ecdf_integral(s_values, u_values))
+    assert same_float(crps(s, u_values[0]), loop_ecdf_integral(s_values, (), u_values[0]))
+
+
+def test_float_terms_square_with_pow_as_python_floats_do():
+    # at the breakpoint 17 the ECDFs are 1/3 and 17/24, whose difference Python squares with pow(),
+    # one unit in the last place away from its product with itself; n=41 with 8 values at or below
+    # a breakpoint does the same for the variance term's 1 - 8/41
+    d, q = 1 / 3 - 17 / 24, 1.0 - 8 / 41
+    assert d**2 != d * d and q**2 != q * q
+    s_values = [0.0, 100.0, 200.0]
+    u_values = [float(v) for v in range(1, 18)] + [150.0 + v for v in range(7)]
+    assert same_float(cramer_loss(RealSample(tuple(s_values)), RealSample(tuple(u_values))),
+                      loop_ecdf_integral(s_values, u_values))
+    s_values = [float(v) for v in range(41)]
+    assert same_float(crps(RealSample(tuple(s_values)), 7.5), loop_ecdf_integral(s_values, (), 7.5))
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.lists(rational_values, min_size=2, max_size=12), st.lists(rational_values, min_size=2, max_size=12),
+       rational_values)
+def test_exact_cramer_and_crps_equal_the_fraction_loop(s_values, u_values, y):
+    s, u = RealSample(tuple(s_values)), RealSample(tuple(u_values))
+    value, single = cramer_loss(s, u), crps(s, y)
+    assert type(value) is Fraction and value == loop_ecdf_integral(s_values, u_values)
+    assert type(single) is Fraction and single == loop_ecdf_integral(s_values, (), y)
+
+
+@settings(deadline=None, max_examples=50)
+@given(st.data())
+def test_projected_cramer_scores_each_points_dot_product(data):
+    dim = data.draw(st.integers(1, 32), label="dim")
+    coordinates = st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0, 1.0])
+    points = st.lists(st.tuples(*[coordinates] * dim), min_size=2, max_size=25)
+    s_points, u_points = data.draw(points), data.draw(points)
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    value = projected_cramer_loss(VectorSample(s_points), VectorSample(u_points), seed)
+    v = np.random.default_rng(np.random.SeedSequence(seed)).standard_normal(dim)
+    v = v / float(np.linalg.norm(v))
+    projected = [[float(np.dot(v, point)) for point in points_] for points_ in (s_points, u_points)]
+    assert same_float(value, loop_ecdf_integral(*projected))
 
 
 @st.composite

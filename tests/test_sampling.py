@@ -438,7 +438,7 @@ class TestEstimateLoss:
         def draw(src, scheme, item_stream, size_stream):
             item_rng, size_rng = stream_rng(seed, item_stream), stream_rng(seed, size_stream)
             for _ in range(replicates):
-                n = scheme.n if hasattr(scheme, "n") else _poisson_size(float(size_rng.random()), scheme.rate)
+                n = scheme.n if hasattr(scheme, "n") else int(_poisson_size(float(size_rng.random()), scheme.rate))
                 yield src.draw(n, item_rng)
 
         for loss in (compile_two_sample(builtin_l2(2), 2, 2, Mode.FLOAT), cross_entropy_poisson(6.0, 6.0)):
