@@ -290,8 +290,10 @@ def energy_loss(s: RealSample, u: RealSample):
     if all(map(isinstance, s.values + u.values, repeat(float))):
         numerators, den = _dyadic(np.concatenate((s._floats, u._floats)))
     else:
-        values = s._sorted + u._sorted
-        numerators, den = over_common_denominator([Fraction(v) if isinstance(v, float) else v for v in values])
+        scaled = over_common_denominator([Fraction(v) if isinstance(v, float) else v for v in s._sorted + u._sorted])
+        if scaled is None:
+            raise TypeError("sample values must be ints, Fractions or floats")
+        numerators, den = scaled
     n, m = s.size, u.size
     within_s, within_u = _pair_sum(numerators[:n]), _pair_sum(numerators[n:])
     cross = _pair_sum(sorted(numerators)) - within_s - within_u
@@ -337,8 +339,8 @@ def projected_cramer_loss(s: VectorSample, u: VectorSample, seed: int) -> float:
 def _parse_lines(path: str, parse) -> list:
     """``parse(line)`` of each non-blank line of the UTF-8 file ``path``, split as text mode splits lines.
 
-    A byte that is not UTF-8, or a line that ``parse`` refuses with a ValueError, raises an error of
-    the same type that names the file and the line.
+    A byte that is not UTF-8 raises a ValueError, and a line that ``parse`` refuses with a ValueError
+    raises one of the same type; both name the file and the line.
     """
     with open(path, "rb") as handle:
         data = handle.read().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
@@ -360,7 +362,7 @@ def _parse_lines(path: str, parse) -> list:
 
 def load_real_sample(path: str) -> RealSample:
     """One decimal real per line."""
-    return RealSample(tuple(_parse_lines(path, float)))
+    return RealSample(_parse_lines(path, float))
 
 
 def load_vector_sample(path: str) -> VectorSample:

@@ -897,7 +897,8 @@ class TestCramerSampleFileErrors:
         model_file, target_file = tmp_path / "model.txt", tmp_path / "target.txt"
         model_file.write_bytes(model)
         target_file.write_bytes(target)
-        code, out, err = run(capsys, "cramer", "--model-file", str(model_file), "--target-file", str(target_file), *extra)
+        argv = ["cramer", "--model-file", str(model_file), "--target-file", str(target_file), *extra]
+        code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and "Traceback" not in err
         return err, str(model_file), str(target_file)
 
@@ -935,7 +936,8 @@ class TestCramerSampleFileErrors:
     def test_a_projection_beyond_float_range(self, capsys, tmp_path):
         # seed 1's direction is about (0.39, 0.92), so the first point projects past float range
         with pytest.warns(RuntimeWarning, match="overflow encountered in dot"):
-            err, _, _ = self.cramer(capsys, tmp_path, b"1.7e308,1.7e308\n0,0\n", b"0,0\n1,1\n", "--vectors", "--seed", "1")
+            err, _, _ = self.cramer(capsys, tmp_path, b"1.7e308,1.7e308\n0,0\n", b"0,0\n1,1\n",
+                                    "--vectors", "--seed", "1")
         assert err == "error: sample values must be finite, got inf\n"
 
 
