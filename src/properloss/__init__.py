@@ -12,7 +12,6 @@ from .compiler import (
     bregman_known_target,
     compile_known_target,
     compile_two_sample,
-    convexity_audit,
     cross_entropy_poisson,
     cross_entropy_poisson_fixed_target,
     entropy_poisson,
@@ -36,6 +35,7 @@ from .divergences import (
     Separable,
     SeriesDivergence,
     SeriesKind,
+    bregman_divergence,
     builtin_brier,
     builtin_l2,
     builtin_lk_even,
@@ -102,7 +102,6 @@ from .verify import (
     exact_expected_known_target,
     exact_expected_two_sample,
     expected_losses,
-    gradient_check,
     multinomial_pmf,
     naive_plugin_bias_demo,
     naive_plugin_loss,

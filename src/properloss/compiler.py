@@ -30,7 +30,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .divergences import PolyDivergence, simplex_grid
+from .divergences import PolyDivergence, bregman_divergence
 from .domain import (
     CountRows,
     Distribution,
@@ -39,14 +39,12 @@ from .domain import (
     Mode,
     Poisson,
     SamplingScheme,
-    empirical,
     over_common_denominator,
     run_starts,
 )
 from .errors import (
     DegreeGateError,
     DimensionMismatchError,
-    DomainTooLargeError,
     TotalMismatchError,
 )
 from .estimators import falling_factorial, poisson_power_series
@@ -619,76 +617,60 @@ def kl_poisson(alpha: float, beta: float, mode: Mode = Mode.FLOAT) -> CompiledLo
     )
 
 
-def convexity_audit(potential: PolyDivergence, denominator: int = 8) -> bool:
-    """Midpoint-inequality check of a p-only polynomial on a simplex grid.
+def _coefficients(polynomial: Optional[PolyDivergence]) -> dict:
+    """A p-only polynomial as ``{model exponent pairs: coefficient}``; ``None``, a vanishing partial, is empty."""
+    return {} if polynomial is None else {m.p_exps.pairs: m.coeff for m in polynomial.monomials}
 
-    Numerical evidence only, not a proof; exact arithmetic on grid midpoints.
-    """
-    d = potential.dim
-    if d > 4:
-        raise DomainTooLargeError(f"convexity audit supports d <= 4, got {d}")
-    points = simplex_grid(d, denominator)
-    values = [potential.evaluate(a, a) for a in points]  # each grid point once, not once per pair
-    for i, a in enumerate(points):
-        for j in range(i + 1, len(points)):
-            mid = tuple((u + v) / 2 for u, v in zip(a.probs, points[j].probs))
-            if potential.evaluate(mid, mid) * 2 > values[i] + values[j]:
-                return False
+
+def _positive_semidefinite(a: list[list[Fraction]]) -> bool:
+    """Whether the symmetric matrix ``a`` is positive semidefinite, by LDL^T elimination in place, in exact arithmetic.
+    A zero pivot needs a zero row, since ``[[0, b], [b, c]]`` with ``b != 0`` is indefinite; the row then drops out."""
+    for k in range(len(a)):
+        pivot = a[k][k]
+        if pivot < 0 or (pivot == 0 and any(a[k][k + 1:])):
+            return False
+        if pivot == 0:
+            continue
+        for i in range(k + 1, len(a)):
+            for j in range(k + 1, len(a)):
+                a[i][j] -= a[i][k] * a[k][j] / pivot
     return True
 
 
 def bregman_known_target(
     potential: PolyDivergence,
-    gradient: Sequence[PolyDivergence],
+    gradient: Sequence[Optional[PolyDivergence]],
     n: int,
     mode: Mode = Mode.EXACT,
-    audit_denominator: int | None = 8,
 ) -> KnownTargetLoss:
-    """Known-target loss implementing the Bregman divergence of a convex polynomial.
+    """Known-target loss implementing the Bregman divergence of a convex quadratic potential ``G``:
+    ``compile_known_target(bregman_divergence(potential), n, mode)``, after two exact proofs.
 
-    Given a potential ``G`` and its coordinate-wise derivative polynomials,
-    the loss replaces ``G(p)`` by its unbiased estimate from the histogram and
-    keeps the tangent part exact in the known target:
-
-        ``L(h, q) = est_G(h) - [G(q) + <grad G(q), phat - q>]``
-
-    Its expectation is ``G(p) - G(q) - <grad G(q), p - q>``.  Convexity of the
-    potential is the caller's assertion; it is audited on a grid unless
-    ``audit_denominator`` is ``None``.
+    ``gradient`` holds one p-only polynomial per coordinate (``None`` for 0).  Its differences ``g_x - g_y`` must
+    equal ``dG/dp_x - dG/dp_y`` coefficient by exponent: only they act along the simplex, so adding one ``c(p)``
+    to every entry changes nothing.  ``G`` must be convex on the simplex: its Hessian on the tangent directions
+    ``e_x - e_(d-1)`` is positive semidefinite, by LDL^T in Fractions (O(d^3)).  A potential of another degree
+    is refused (``ValueError``) with the uncertified route ``compile_known_target(bregman_divergence(G), n)``,
+    an affine one because its divergence is 0.  Requires ``n >= 2``.
     """
     d = potential.dim
-    if potential.deg_q != 0:
-        raise ValueError("the potential must be a polynomial in the model argument only")
     if len(gradient) != d:
         raise DimensionMismatchError(f"need {d} gradient polynomials, got {len(gradient)}")
-    for g in gradient:
-        if g.dim != d or g.deg_q != 0:
-            raise ValueError("gradient entries must be p-only polynomials over the same domain")
-    estimate = compile_known_target(potential, n, mode).evaluator  # applies the degree gate
-    if audit_denominator is not None and not convexity_audit(potential, audit_denominator):
-        raise ValueError("potential failed the convexity audit; Bregman construction needs a convex potential")
-
-    @lru_cache(maxsize=64)
-    def tangent_at(q, kinds: tuple) -> tuple:
-        # G(q) and grad G(q), once per target: a Distribution by its cached hash, a tuple by its values and their
-        # types, as in compile_known_target
-        return potential.evaluate(q, q), [g.evaluate(q, q) for g in gradient]
-
-    def evaluator(h: Histogram, q) -> object:
-        is_dist = isinstance(q, Distribution)
-        qv = q.probs if is_dist else tuple(q)
-        if h.dim != d or len(qv) != d:
-            raise DimensionMismatchError(f"dimensions ({h.dim}, {len(qv)}), potential needs {d}")
-        target = q if is_dist else qv
-        est = estimate(h, target)
-        phat = empirical(h, mode).probs
-        tangent, slopes = tangent_at(target, () if is_dist else tuple(map(type, qv)))
-        for x in range(d):
-            tangent = tangent + slopes[x] * (phat[x] - qv[x])
-        return est - tangent
-
-    return KnownTargetLoss(
-        evaluator=evaluator,
-        scheme=FixedSize(n),
-        provenance=f"Bregman construction, potential degree {potential.deg_p}, n={n}",
-    )
+    if any(g is not None and (g.dim != d or g.deg_q != 0) for g in gradient):
+        raise ValueError("gradient entries must be p-only polynomials over the same domain")
+    divergence = bregman_divergence(potential)  # refuses a target factor and an affine potential
+    if potential.deg_p != 2:
+        raise ValueError(f"only a quadratic potential's convexity is certified, not degree {potential.deg_p}; "
+                         "compile_known_target(bregman_divergence(G), n) compiles its Bregman loss uncertified")
+    partials = [_coefficients(g) for g in potential.gradient()]
+    offsets = [{key: c for key in g.keys() | e.keys() if (c := g.get(key, 0) - e.get(key, 0)) != 0}
+               for g, e in zip(map(_coefficients, gradient), partials)]  # g_x - dG/dp_x: one c(p) for every x
+    for x, offset in enumerate(offsets):
+        if offset != offsets[0]:
+            raise ValueError(f"gradient entries 0 and {x} differ by other than dG/dp_0 - dG/dp_{x}")
+    # the Hessian's entry (x, y) is the coefficient of p_y in dG/dp_x; e_(d-1) closes each tangent direction
+    h = [[Fraction(partials[x].get(((y, 1),), 0)) for y in range(d)] for x in range(d)]
+    tangent = [[h[k][l] - h[k][-1] - h[-1][l] + h[-1][-1] for l in range(d - 1)] for k in range(d - 1)]
+    if not _positive_semidefinite(tangent):
+        raise ValueError("the potential is not convex on the simplex; a Bregman loss needs a convex potential")
+    return compile_known_target(divergence, n, mode)

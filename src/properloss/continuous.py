@@ -315,7 +315,8 @@ def _random_unit_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 def _projected(v: np.ndarray, s: VectorSample) -> np.ndarray:
     """Each point's ``np.dot`` with ``v``, sorted; ``points @ v`` sums in another order and differs in the last bits."""
-    values = np.fromiter(map(np.dot, repeat(v), s._array), dtype=np.float64, count=s.size)
+    with np.errstate(over="ignore"):  # a projection past float range is an inf, which the finiteness check names
+        values = np.fromiter(map(np.dot, repeat(v), s._array), dtype=np.float64, count=s.size)
     return np.sort(_finite_floats(values))
 
 

@@ -197,6 +197,24 @@ class PolyDivergence:
                 )
         return Fraction(acc, cden * dp**self.deg_p * dq**self.deg_q) if exact else acc
 
+    def gradient(self) -> tuple[Optional[PolyDivergence], ...]:
+        """The exact partials ``dG/dp_x`` of a p-only polynomial ``G``, one per coordinate, each a p-only polynomial
+        with coefficients ``coeff * e`` in ``G``'s monomial order.  A vanishing partial (no monomial holds ``p_x``)
+        is ``None``, since a divergence needs a monomial.  A target factor raises ``ValueError``."""
+        if self.deg_q != 0:
+            raise ValueError("only a polynomial in the model argument alone has a gradient")
+        partials: list[list[Monomial]] = [[] for _ in range(self.dim)]
+        for m in self.monomials:
+            for k, (x, e) in enumerate(m.p_exps.pairs):
+                partials[x].append(Monomial(m.coeff * e, _lowered(m.p_exps, k), m.q_exps))
+        return tuple(PolyDivergence(tuple(ms)) if ms else None for ms in partials)
+
+
+def _lowered(exps: ExponentVector, k: int) -> ExponentVector:
+    """``exps`` with the power of its ``k``-th factor one lower."""
+    x, e = exps.pairs[k]
+    return ExponentVector.sparse(exps.dim, exps.pairs[:k] + ((x, e - 1),) + exps.pairs[k + 1:])
+
 
 class SeriesKind(Enum):
     CROSS_ENTROPY = "cross-entropy"
@@ -264,11 +282,38 @@ def squared_norm_polynomial(d: int) -> PolyDivergence:
 
 
 def squared_norm_gradient(d: int) -> tuple[PolyDivergence, ...]:
-    """Coordinate-wise derivative polynomials of G(p) = sum_x p_x^2."""
-    return tuple(
-        PolyDivergence((Monomial(2, ExponentVector.unit(d, x), ExponentVector.zero(d)),))
-        for x in range(d)
-    )
+    """Coordinate-wise derivative polynomials 2 p_x of G(p) = sum_x p_x^2."""
+    return squared_norm_polynomial(d).gradient()
+
+
+def bregman_divergence(potential: PolyDivergence) -> PolyDivergence:
+    """``G(p) - G(q) - <grad G(q), p - q>``, the Bregman divergence of a p-only polynomial ``G``, as a polynomial.
+
+    A monomial ``c m`` of degree ``k`` gives ``c m(p)``, ``-c e p_x m_x(q)`` for each factor ``p_x**e`` (``m_x``
+    is ``m`` with that power one lower) and ``c (k - 1) m(q)`` (Euler: ``<q, grad m(q)> = k m(q)``); like terms
+    are merged and zero terms dropped.  A template gives a template: ``squared_norm_polynomial(d)`` gives
+    ``builtin_l2(d)``.  Convexity is not checked here.  An affine ``G``, whose divergence is 0, raises
+    ``ValueError``, as does a target factor.
+    """
+    if potential.deg_q != 0:
+        raise ValueError("a Bregman potential must be a polynomial in the model argument alone")
+    if potential.template is not None:  # one coordinate's divergence is the template of every coordinate
+        one = bregman_divergence(PolyDivergence(tuple(Separable(1, potential.template.terms))))
+        return _coordinatewise(potential.dim, [(m.coeff, m.p_exps.degree, m.q_exps.degree) for m in one.monomials])
+    d, merged, zero = potential.dim, {}, ExponentVector.zero(potential.dim)
+
+    def add(c, a, b):
+        merged[a, b] = merged.get((a, b), 0) + c
+
+    for m in potential.monomials:
+        add(m.coeff, m.p_exps, zero)
+        for k, (x, e) in enumerate(m.p_exps.pairs):
+            add(-m.coeff * e, ExponentVector.unit(d, x), _lowered(m.p_exps, k))
+        add(m.coeff * (m.p_exps.degree - 1), zero, m.p_exps)
+    monomials = tuple(Monomial(c, a, b) for (a, b), c in merged.items() if c != 0)
+    if not monomials:
+        raise ValueError("the potential is affine, so its Bregman divergence is 0")
+    return PolyDivergence(monomials)
 
 
 def simplex_grid(d: int, denominator: int) -> list[Distribution]:

@@ -2,12 +2,16 @@ import json
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
 
+from properloss import verify
 from properloss.cli import main, parse_machine, render_machine
-from properloss.divergences import PolyDivergence
+from properloss.divergences import Monomial, PolyDivergence
+from properloss.domain import Distribution
+from properloss.estimators import ExponentVector
 
 
 def run(capsys, *argv):
@@ -935,13 +939,44 @@ class TestCramerSampleFileErrors:
 
     def test_a_projection_beyond_float_range(self, capsys, tmp_path):
         # seed 1's direction is about (0.39, 0.92), so the first point projects past float range
-        with pytest.warns(RuntimeWarning, match="overflow encountered in dot"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the inf is reported once, by the error line, with no numpy warning
             err, _, _ = self.cramer(capsys, tmp_path, b"1.7e308,1.7e308\n0,0\n", b"0,0\n1,1\n",
                                     "--vectors", "--seed", "1")
         assert err == "error: sample values must be finite, got inf\n"
 
 
 class TestVerifyDivergenceEvaluations:
+    BREGMAN_DETAIL = ("Bregman loss equals the closed squared-loss form pointwise; "
+                      "mean-vs-truth gap is the summed variance")
+
+    def test_a_rejected_bregman_gradient_is_a_failed_check(self, capsys, monkeypatch):
+        def wrong(d):  # 3 p_x in place of 2 p_x
+            return tuple(PolyDivergence((Monomial(3, ExponentVector.unit(d, x), ExponentVector.zero(d)),))
+                         for x in range(d))
+
+        monkeypatch.setattr(verify, "squared_norm_gradient", wrong)
+        code, out, err = run(capsys, "verify", "--only", "bregman", "--format", "machine")
+        assert code == 3 and err == ""
+        assert f"check.bregman=FAIL [exact] gap=0 {self.BREGMAN_DETAIL}\n" in out
+
+    def test_the_bregman_check_evaluates_no_float(self, capsys, monkeypatch):
+        calls = []
+        evaluate = PolyDivergence.evaluate
+
+        def exact_only(self, p, q):
+            for point in (p, q):
+                if any(isinstance(v, float) for v in (point.probs if isinstance(point, Distribution) else point)):
+                    raise AssertionError(f"float entry in {point}")
+            calls.append((p, q))
+            return evaluate(self, p, q)
+
+        monkeypatch.setattr(PolyDivergence, "evaluate", exact_only)
+        code, out, _ = run(capsys, "verify", "--only", "bregman")
+        assert code == 0 and f"PASS [exact] gap=0 {self.BREGMAN_DETAIL}\n" in out
+        # G at each empirical distribution of n = 2, 3, 4 draws over d = 2 (3 + 4 + 5) and at the 5 grid models
+        assert len(calls) == 12 + 5
+
     def test_each_squared_check_evaluates_each_grid_point_once(self, capsys, monkeypatch):
         calls = []
         evaluate = PolyDivergence.evaluate

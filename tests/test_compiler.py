@@ -13,13 +13,13 @@ from properloss import (
     Mode,
     Poisson,
     TotalMismatchError,
+    bregman_divergence,
     bregman_known_target,
     builtin_brier,
     builtin_l2,
     builtin_lk_even,
     compile_known_target,
     compile_two_sample,
-    convexity_audit,
     cross_entropy_poisson,
     cross_entropy_poisson_fixed_target,
     entropy_poisson,
@@ -451,34 +451,81 @@ class TestBregman:
             PolyDivergence((Monomial(-2, ExponentVector.unit(d, x), ExponentVector.zero(d)),))
             for x in range(d)
         )
-        assert not convexity_audit(concave)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not convex on the simplex"):
             bregman_known_target(concave, grad, 2)
 
-    def test_convexity_audit_accepts_the_squared_norm(self):
-        assert convexity_audit(squared_norm_polynomial(3))
+    def test_wrong_gradient_rejected(self):
+        wrong = tuple(p_only(2, {((x, 1),): 3}) for x in range(2))  # 3 p_x, not 2 p_x
+        with pytest.raises(ValueError, match="differ by other than"):
+            bregman_known_target(squared_norm_polynomial(2), wrong, 2)
 
-    @pytest.mark.parametrize("sign, convex", [(1, True), (-1, False)])
-    def test_convexity_audit_evaluates_each_grid_point_once(self, monkeypatch, sign, convex):
-        d = 2
-        potential = PolyDivergence(
-            tuple(Monomial(sign, ExponentVector.unit(d, x, 2), ExponentVector.zero(d)) for x in range(d))
-        )
-        calls = []
-        evaluate = PolyDivergence.evaluate
+    def test_a_gradient_shifted_by_one_polynomial_everywhere_gives_the_same_loss(self):
+        # g_x = 2 p_x + (p_0 p_1 - 1/2) for every x: the shift cancels along every direction in the simplex
+        d, n = 2, 3
+        shifted = tuple(p_only(d, {((x, 1),): 2, ((0, 1), (1, 1)): 1, (): Fraction(-1, 2)}) for x in range(d))
+        loss = bregman_known_target(squared_norm_polynomial(d), shifted, n)
+        exact = bregman_known_target(squared_norm_polynomial(d), squared_norm_gradient(d), n)
+        for h in enumerate_histograms(d, n):
+            for q in simplex_grid(d, 4):
+                assert loss.evaluator(h, q) == exact.evaluator(h, q)
 
-        def counted(self, p, q):
-            calls.append(tuple(p.probs if isinstance(p, Distribution) else p))
-            return evaluate(self, p, q)
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_a_product_is_indefinite_on_the_simplex(self, d):
+        # at d = 3 the tangent Hessian of p_0 p_1 is [[0, 1], [1, 0]]: a zero pivot with the rest of its row nonzero
+        potential = p_only(d, {((0, 1), (1, 1)): 1})
+        with pytest.raises(ValueError, match="not convex on the simplex"):
+            bregman_known_target(potential, potential.gradient(), 2)
 
-        monkeypatch.setattr(PolyDivergence, "evaluate", counted)
-        assert convexity_audit(potential, 8) is convex
-        grid = [g.probs for g in simplex_grid(d, 8)]
-        assert calls[: len(grid)] == grid  # 9 grid points, each once
-        if convex:
-            assert len(calls) == 9 + 9 * 8 // 2  # plus one midpoint per pair
-        else:
-            assert len(calls) == 9 + 1  # the first pair already fails
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_convex_on_the_simplex_but_not_everywhere_is_accepted(self, d):
+        # sum_x p_x^2 - (sum_x p_x)^2 = -2 sum_(x<y) p_x p_y: indefinite on R^d, convex along the simplex
+        potential = p_only(d, {((x, 1), (y, 1)): -2 for x in range(d) for y in range(x + 1, d)})
+        loss = bregman_known_target(potential, potential.gradient(), 2)
+        grid = simplex_grid(d, 4)
+        for p in grid[::3]:
+            for q in grid[::2]:
+                truth = bregman_divergence(potential).evaluate(p, q)
+                assert truth >= 0
+                assert exact_expected_known_target(loss, p, q) == truth
+
+    def test_other_degrees_are_refused_with_the_composition_route(self):
+        quartic = p_only(2, {((0, 4),): 1, ((1, 4),): 1})
+        with pytest.raises(ValueError, match=r"compile_known_target\(bregman_divergence\(G\), n\)"):
+            bregman_known_target(quartic, quartic.gradient(), 4)
+        compile_known_target(bregman_divergence(quartic), 4)  # the uncertified route compiles
+
+    def test_an_affine_potential_is_refused(self):
+        affine = p_only(2, {((0, 1),): 3, (): 1})
+        with pytest.raises(ValueError, match="affine"):
+            bregman_known_target(affine, affine.gradient(), 2)
+
+    def test_a_vanishing_partial_is_none(self):
+        potential = p_only(3, {((0, 2),): 1, ((0, 1), (2, 1)): Fraction(1, 2), ((2, 2),): 1})  # no p_1
+        gradient = potential.gradient()
+        assert gradient[1] is None
+        assert gradient[0] == p_only(3, {((0, 1),): 2, ((2, 1),): Fraction(1, 2)})
+        assert gradient[2] == p_only(3, {((0, 1),): Fraction(1, 2), ((2, 1),): 2})
+        loss = bregman_known_target(potential, gradient, 2)  # None is accepted as a zero partial
+        assert exact_expected_known_target(loss, Distribution.uniform(3), Distribution.uniform(3)) == 0
+
+    def test_the_squared_norm_divergence_is_the_l2_template(self):
+        assert bregman_divergence(squared_norm_polynomial(5)) == builtin_l2(5)
+        assert squared_norm_gradient(3) == tuple(p_only(3, {((x, 1),): 2}) for x in range(3))
+
+    def test_the_divergence_merges_like_terms(self):
+        # G = p_0^2 + p_0 p_1: D = p_0^2 + p_0 p_1 - (2 q_0 + q_1) p_0 - q_0 p_1 + q_0^2 + q_0 q_1
+        divergence = bregman_divergence(p_only(2, {((0, 2),): 1, ((0, 1), (1, 1)): 1}))
+        terms = {(m.p_exps.pairs, m.q_exps.pairs): m.coeff for m in divergence.monomials}
+        assert terms == {
+            (((0, 2),), ()): 1, (((0, 1), (1, 1)), ()): 1, ((), ((0, 2),)): 1, ((), ((0, 1), (1, 1))): 1,
+            (((0, 1),), ((0, 1),)): -2, (((0, 1),), ((1, 1),)): -1, (((1, 1),), ((0, 1),)): -1,
+        }
+
+
+def p_only(d: int, coefficients: dict) -> PolyDivergence:
+    """The p-only polynomial ``{model exponent pairs: coefficient}`` over dimension ``d``."""
+    return PolyDivergence(tuple(Monomial(c, ExponentVector.sparse(d, pairs), ExponentVector.zero(d))
+                                for pairs, c in coefficients.items()))
 
 
 def random_divergence(rng, d=2, max_deg=3, terms=4) -> PolyDivergence:

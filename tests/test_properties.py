@@ -24,6 +24,8 @@ from properloss import (
     Mode,
     RealSample,
     VectorSample,
+    bregman_divergence,
+    bregman_known_target,
     builtin_brier,
     builtin_l2,
     builtin_lk_even,
@@ -1002,3 +1004,91 @@ def test_internal_draws_are_the_binary_search_inverse_cdf(d, sizes, seed):
     rows = np.repeat(np.arange(len(sizes)), sizes)
     expected = np.bincount(rows * d + idx, minlength=len(sizes) * d).reshape(len(sizes), d)
     assert batch.dense().tolist() == expected.tolist()
+
+
+@st.composite
+def p_only_potentials(draw, d: int, degree: int):
+    """A p-only polynomial of degree ``degree`` over ``d`` coordinates: one monomial of that degree and up to four
+    of lower degrees (constants included), with small rational coefficients, often integers so that terms cancel."""
+    coefficients = st.one_of(st.integers(-2, 2), st.fractions(-3, 3, max_denominator=4)).filter(lambda c: c != 0)
+    top = draw(st.sampled_from(list(compositions(degree, d))))
+    lower = draw(st.lists(st.sampled_from([e for k in range(degree) for e in compositions(k, d)]),
+                          max_size=4, unique=True))
+    return PolyDivergence(tuple(Monomial(draw(coefficients), ExponentVector(e), ExponentVector.zero(d))
+                                for e in [top, *lower]))
+
+
+def interpolated_slope(values) -> Fraction:
+    """f'(0) of the polynomial of degree below ``len(values)`` through the points ``(t, values[t])``, t = 0, 1, ...:
+    the derivative at 0 of each Lagrange basis polynomial, in Fractions."""
+    nodes = range(len(values))
+    slope = Fraction(0)
+    for j, value in zip(nodes, values):
+        for m in nodes:
+            if m != j:
+                term = Fraction(1, j - m)
+                for i in nodes:
+                    if i not in (j, m):
+                        term *= Fraction(-i, j - i)
+                slope += value * term
+    return slope
+
+
+def interpolated_partials(potential, q) -> list:
+    """Each ``dG/dp_x`` at ``q``, from ``G(q + t e_x)`` at ``t = 0..deg G``."""
+    qv = list(q.probs if isinstance(q, Distribution) else q)
+    partials = []
+    for x in range(len(qv)):
+        points = [qv[:x] + [qv[x] + t] + qv[x + 1:] for t in range(potential.deg_p + 1)]
+        partials.append(interpolated_slope([potential.evaluate(point, point) for point in points]))
+    return partials
+
+
+@dataclasses.dataclass(frozen=True)
+class InterpolatedBregman:
+    """G(p) - G(q) - sum_x dG/dp_x(q) (p_x - q_x), its partials interpolated: a reference apart from the package's."""
+
+    potential: PolyDivergence
+
+    def evaluate(self, p, q):
+        pv, qv = (x.probs if isinstance(x, Distribution) else tuple(x) for x in (p, q))
+        tangent = sum(g * (a - b) for g, a, b in zip(interpolated_partials(self.potential, qv), pv, qv))
+        return self.potential.evaluate(pv, pv) - self.potential.evaluate(qv, qv) - tangent
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_a_compiled_bregman_divergence_implements_the_interpolated_reference(data):
+    d, degree = data.draw(st.integers(1, 3)), data.draw(st.sampled_from((2, 4)))
+    potential = data.draw(p_only_potentials(d, degree))
+    reference = InterpolatedBregman(potential)
+    points = data.draw(st.lists(st.tuples(exact_distributions(d), exact_distributions(d)), min_size=1, max_size=4))
+    reports = check_implements(compile_known_target(bregman_divergence(potential), degree), reference, points)
+    assert all(r.passed and r.gap == 0 for r in reports)
+    if degree == 2:
+        # the certificate holds exactly when v' H v >= 0 on the tangent directions, v' H v = 2 D(v, 0) for a quadratic
+        form = lambda v: 2 * reference.evaluate(v, (0,) * d)
+        basis = [tuple(Fraction(int(i == k) - int(i == d - 1)) for i in range(d)) for k in range(d - 1)]
+        diagonal = [form(u) for u in basis]
+        cross = (form(tuple(map(sum, zip(*basis)))) - sum(diagonal)) / 2 if d == 3 else 0
+        convex = all(a >= 0 for a in diagonal) and (d < 3 or diagonal[0] * diagonal[1] >= cross**2)
+        try:
+            bregman_known_target(potential, potential.gradient(), 2)
+            accepted = True
+        except ValueError as err:
+            assert "not convex on the simplex" in str(err)
+            accepted = False
+        assert accepted == convex
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_the_gradient_is_the_interpolated_derivative(data):
+    d, degree = data.draw(st.integers(1, 3)), data.draw(st.sampled_from((2, 4)))
+    potential = data.draw(p_only_potentials(d, degree))
+    q = data.draw(st.lists(st.fractions(-2, 2, max_denominator=6), min_size=d, max_size=d))
+    gradient = potential.gradient()
+    assert len(gradient) == d
+    for partial, expected in zip(gradient, interpolated_partials(potential, q)):
+        assert (0 if partial is None else partial.evaluate(q, q)) == expected
+        assert partial is None or (partial.deg_q == 0 and partial.deg_p <= degree - 1)

@@ -23,14 +23,12 @@ from properloss import (
     enumerate_histograms,
     exact_expected_known_target,
     exact_expected_two_sample,
-    gradient_check,
     kl_poisson,
     multinomial_pmf,
     naive_plugin_bias_demo,
     naive_plugin_loss,
     poisson_expected_loss,
     simplex_grid,
-    squared_norm_gradient,
     squared_norm_polynomial,
 )
 from properloss import compiler, verify
@@ -449,21 +447,6 @@ class TestDegreeGateBypass:
         )
         points = [Distribution.exact([1, 0]), HALF, Distribution.exact([0, 1])]
         assert degree_gate_bypass_exists(inner, HALF, points)
-
-
-class TestGradientCheck:
-    def test_squared_norm_gradient_is_consistent(self):
-        err = gradient_check(squared_norm_polynomial(2), squared_norm_gradient(2), simplex_grid(2, 4))
-        assert err < 1e-6
-
-    def test_wrong_gradient_is_caught(self):
-        wrong = tuple(
-            PolyDivergence((Monomial(3, ExponentVector.unit(2, x), ExponentVector.zero(2)),))
-            for x in range(2)
-        )
-        skew = Distribution.exact([Fraction(1, 4), Fraction(3, 4)])
-        err = gradient_check(squared_norm_polynomial(2), wrong, [skew])
-        assert err > 1e-3
 
 
 class TestJensenGapIdentity:
