@@ -649,7 +649,8 @@ def bregman_known_target(
     ``gradient`` holds one p-only polynomial per coordinate (``None`` for 0).  Its differences ``g_x - g_y`` must
     equal ``dG/dp_x - dG/dp_y`` coefficient by exponent: only they act along the simplex, so adding one ``c(p)``
     to every entry changes nothing.  ``G`` must be convex on the simplex: its Hessian on the tangent directions
-    ``e_x - e_(d-1)`` is positive semidefinite, by LDL^T in Fractions (O(d^3)).  A potential of another degree
+    ``e_x - e_(d-1)`` is positive semidefinite (:func:`_convex_on_simplex`: O(1) for a template, LDL^T in Fractions,
+    O(d^3), for a written-out potential).  A potential of another degree
     is refused (``ValueError``) with the uncertified route ``compile_known_target(bregman_divergence(G), n)``,
     an affine one because its divergence is 0.  Requires ``n >= 2``.
     """
@@ -668,9 +669,23 @@ def bregman_known_target(
     for x, offset in enumerate(offsets):
         if offset != offsets[0]:
             raise ValueError(f"gradient entries 0 and {x} differ by other than dG/dp_0 - dG/dp_{x}")
+    if not _convex_on_simplex(potential, partials):
+        raise ValueError("the potential is not convex on the simplex; a Bregman loss needs a convex potential")
+    return compile_known_target(divergence, n, mode)
+
+
+def _convex_on_simplex(potential: PolyDivergence, partials: list[dict]) -> bool:
+    """Whether a quadratic ``potential`` with coefficient maps ``partials`` of its partials is convex on the simplex:
+    whether its Hessian on the tangent directions ``e_x - e_(d-1)`` is positive semidefinite.
+
+    A template's Hessian is ``2c I``, ``c`` the sum of its ``p_x**2`` coefficients, so its tangent Hessian
+    ``2c (I + J)`` is positive semidefinite exactly when ``c >= 0`` or ``d == 1`` (it is then empty).  A written-out
+    potential's is checked by :func:`_positive_semidefinite`, O(d^3).
+    """
+    if potential.template is not None:
+        return potential.dim == 1 or sum(c for c, i, _ in potential.template.terms if i == 2) >= 0
+    d = potential.dim
     # the Hessian's entry (x, y) is the coefficient of p_y in dG/dp_x; e_(d-1) closes each tangent direction
     h = [[Fraction(partials[x].get(((y, 1),), 0)) for y in range(d)] for x in range(d)]
     tangent = [[h[k][l] - h[k][-1] - h[-1][l] + h[-1][-1] for l in range(d - 1)] for k in range(d - 1)]
-    if not _positive_semidefinite(tangent):
-        raise ValueError("the potential is not convex on the simplex; a Bregman loss needs a convex potential")
-    return compile_known_target(divergence, n, mode)
+    return _positive_semidefinite(tangent)

@@ -86,9 +86,10 @@ SPARSE_DRAW_BYTES = 256
 
 #: Largest domain an internal source draws from by counting CDF steps, one vectorized comparison per outcome,
 #: rather than by binary search.  Both give the same indices; at 40,000 draws the count, kept in bytes, took
-#: 0.03 ms at d=2 and 0.17 ms at d=16 where the search took 0.38 and 1.27 ms (int64 counts took 0.04 and 0.5 ms).
-#: Counted in bytes, which hold counts up to 255, it was still the faster at d=128 (1.35 against 2.75 ms).
-STEPPED_CDF_DIM = 16
+#: 0.03 ms at d=2 and 0.17 ms at d=16 where the search took 0.38 and 1.27 ms (int64 counts took 0.04 and 0.5 ms),
+#: and 0.15, 0.26, 0.64 and 1.50 ms at d=17, 32, 64 and 128 where the search took 1.07, 1.44, 2.12 and 2.57 ms
+#: (best of 200 on 2 vCPUs).  A byte holds the count's largest value, d - 1 <= 127.
+STEPPED_CDF_DIM = 128
 
 #: Seconds a generator may take to exit after the ``0`` request before it is killed.
 CLOSE_TIMEOUT_S = 10.0
@@ -171,14 +172,25 @@ class InternalSource(SampleSource):
         if rng is None:
             raise ValueError("an internal source needs a random generator")
         u = rng.random(int(np.sum(sizes)))
-        if self.dist.dim <= STEPPED_CDF_DIM:  # count the CDF steps at or below each draw
-            idx = np.zeros(len(u), dtype=np.uint8)
-            for step in self._cum[:-1]:
-                idx += u >= step
-        else:
-            idx = np.searchsorted(self._cum, u, side="right")
-            np.minimum(idx, self.dist.dim - 1, out=idx)  # guard the cumsum-rounding edge
-        return CountRows.from_draws(idx, sizes, self.dist.dim)
+        index = _stepped_indices if self.dist.dim <= STEPPED_CDF_DIM else _searched_indices
+        return CountRows.from_draws(index(self._cum, u), sizes, self.dist.dim)
+
+
+def _stepped_indices(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The outcome of each uniform draw in ``u`` under the cumulative probabilities ``cum``: the number of CDF steps
+    at or below it, as bytes (``len(cum) <= 256``).  The last entry is not a step, so a draw above it is the last
+    outcome."""
+    idx = np.zeros(len(u), dtype=np.uint8)
+    for step in cum[:-1]:
+        idx += u >= step
+    return idx
+
+
+def _searched_indices(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """:func:`_stepped_indices` by binary search, for any domain size."""
+    idx = np.searchsorted(cum, u, side="right")
+    np.minimum(idx, len(cum) - 1, out=idx)  # guard the cumsum-rounding edge
+    return idx
 
 
 class FileSource(SampleSource):

@@ -3,11 +3,13 @@
 Everything here computes expected losses the literal way: enumerate every
 histogram in the support that the sampling scheme can produce, weight it by
 its probability, and add up.  ``_fixed_size_sweep``, behind
-``check_implements``, ``expected_losses`` and both ``exact_expected_*``
-one-point wrappers, is the one exact fixed-size core, and it sweeps a list of
-points in one pass.  It needs exact-mode distributions and rational loss
-values, and sums in integers: each side's pmf is a list of integer numerators
-over ``D**size`` (``D`` the lcm of the probability denominators).  Each target
+``check_implements``, ``expected_losses``, both ``exact_expected_*``
+one-point wrappers and the suite's squared-loss and compiler checks, is the
+one exact fixed-size core.  It sweeps a list of cases, each a loss with its list of points, in one
+pass, and every case shares its tables of support histograms and pmf sides.
+It needs exact-mode distributions and rational loss values, and sums in
+integers: each side's pmf is a list of integer numerators over ``D**size``
+(``D`` the lcm of the probability denominators).  Each target
 is scored against one list of histograms, the union of the support lists of
 the models paired with it, and its items' loss values over that list become
 one integer table over their lcm, folded once into one integer vector.  A
@@ -18,7 +20,9 @@ consumes are built the same way: the compiled losses' exact scalar path and
 implementation claims ("the expectation of this loss IS that divergence")
 are checked as literal equalities with zero tolerance, by cross-multiplying
 the expectation's numerator and denominator with the target's; a Fraction
-is built only for a point that differs.  ``multinomial_pmf`` stays the
+is built only for a point that differs.  A suite check of several losses on
+one grid makes one sweep, evaluates each divergence value once and builds no
+``VerificationReport``.  ``multinomial_pmf`` stays the
 public reference for the pmf and weighs float-mode sides.
 ``poisson_expected_loss`` is the one truncated core: Poisson schemes have
 unbounded support, so it truncates at a quantile, reports the truncation
@@ -36,7 +40,6 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from types import SimpleNamespace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -201,83 +204,101 @@ def _is_fixed_size(loss: CompiledLoss) -> bool:
     return isinstance(loss.scheme_p, FixedSize) and isinstance(loss.scheme_q, FixedSize)
 
 
-def _fixed_size_sweep(loss, two_sample: bool, points: Sequence[tuple], n: int | None = None,
-                      m: int | None = None) -> list[tuple[int, int]]:
-    """``(numerator, denominator)`` of E[L] at each ``(p, q)`` point over fixed-size sides, in order, unreduced.
-
-    ``loss`` is a ``KnownTargetLoss``, a fixed-size ``CompiledLoss``, or a raw callable with its sizes given.  A
-    two-sample loss's target items are the target histograms; a known target is one item of weight 1, itself.
-    Each distinct side object is its support histograms with integer pmf numerators over ``D**size``
-    (:func:`_pmf_numerators`).  A target is scored against the union of its models' support lists, each
-    histogram once, so nothing outside a model's support is scored; its items' rational values there, memoized by
-    (item, model counts), are one integer table over their lcm, folded once into ``u = sum_t w_t * values_t``.
-    A point is one integer dot product of its model's pmf numerators with ``u`` at the model's histograms.
-    """
-    evaluator = loss
+def _sized(loss, two_sample: bool, n: int | None, m: int | None) -> tuple:
+    """``(evaluator, n, m)`` of a case: a compiled loss brings its own sizes, a raw callable needs them given."""
     if two_sample and isinstance(loss, CompiledLoss):
         if not _is_fixed_size(loss):
             raise ValueError("this oracle handles fixed-size schemes; use poisson_expected_loss otherwise")
-        evaluator, n, m = loss.evaluator, loss.scheme_p.n, loss.scheme_q.n
-    elif not two_sample and isinstance(loss, KnownTargetLoss):
-        evaluator, n = loss.evaluator, loss.scheme.n
-    elif n is None or (two_sample and m is None):
+        return loss.evaluator, loss.scheme_p.n, loss.scheme_q.n
+    if not two_sample and isinstance(loss, KnownTargetLoss):
+        return loss.evaluator, loss.scheme.n, m
+    if n is None or (two_sample and m is None):
         need = "explicit sample sizes n and m" if two_sample else "an explicit sample size n"
         raise ValueError(f"a raw callable loss needs {need}")
-    histograms = functools.lru_cache(maxsize=None)(_support_histograms)  # one list object per support
+    return loss, n, m
+
+
+def _fixed_size_sweep(cases: Sequence[tuple]) -> list[list[tuple[int, int]]]:
+    """``(numerator, denominator)`` of E[loss] at each ``(p, q)`` point over fixed-size sides, unreduced, for each
+    ``(loss, two_sample, points, n, m)`` case in one pass; one list per case, its points in order.
+
+    ``loss`` is a ``KnownTargetLoss``, a fixed-size ``CompiledLoss``, or a raw callable with its sizes given.  A
+    two-sample loss's target items are the target histograms; a known target is one item of weight 1, itself.
+    Every case shares one table of support histogram lists by (support, d, size) and one of sides by (distribution,
+    size): a side is its support histograms with integer pmf numerators over ``D**size`` (:func:`_pmf_numerators`),
+    built once however many cases use it.  A target is scored against the union of its models' support lists, each
+    histogram once, so nothing outside a model's support is scored; its items' rational values there, memoized per
+    loss by (item, model counts), are one integer table over their lcm, folded once into ``u = sum_t w_t *
+    values_t``.  A point is one integer dot product of its model's pmf numerators with ``u`` at the model's
+    histograms.
+    """
+    histograms: dict = {}  # (support, d, size) -> support histograms; one list object per support and size
     sides: dict = {}  # (id(distribution), size) -> (support histograms, pmf numerators, D**size, the distribution)
+
+    def support_histograms(support: tuple, d: int, size: int) -> list[Histogram]:
+        found = histograms.get((support, d, size))
+        if found is None:
+            found = histograms[support, d, size] = _support_histograms(support, d, size)
+        return found
 
     def side(dist: Distribution, size: int, name: str) -> tuple:
         found = sides.get((id(dist), size))
         if found is None:  # the entry holds the distribution, so that its id is not reused during the sweep
             _require_exact(dist, name)
-            found = sides[id(dist), size] = (*_pmf_numerators(dist, size, histograms)[1:], dist)
+            found = sides[id(dist), size] = (*_pmf_numerators(dist, size, support_histograms)[1:], dist)
         return found
 
-    targets: dict = {}  # id(target) -> [target, {id(histograms): its models' support histograms}, fold]
-    paired = []
-    for p, q in points:
-        model = side(p, n, "model")
-        target = targets.get(id(q))
-        if target is None:
-            target = targets[id(q)] = [q, {}, None]
-        target[1][id(model[0])] = model[0]
-        paired.append((model, target))
-
-    # a target's support ids, in pairing order -> (its histograms by counts, their positions by id, item rows)
-    layouts: dict = {}
-    values: dict = {}  # target item key -> loss values by model counts
-    for target in targets.values():
-        q, supports = target[0], target[1]
-        if isinstance(q, Distribution):
-            _require_exact(q, "target")  # a float target equal to an exact one must not share its values
-        layout = layouts.get(tuple(supports))
-        if layout is None:
-            union = {h.counts: h for hists in supports.values() for h in hists}  # a repeat keeps its first place
-            position = {counts: i for i, counts in enumerate(union)}
-            positions = {support: [position[h.counts] for h in hists] for support, hists in supports.items()}
-            layout = layouts[tuple(supports)] = union, positions, {}
-        union, positions, rows = layout
-        items, weights, target_scale = side(q, m, "target")[:3] if two_sample else ([q], [1], 1)
-        row = []
-        for t in items:
-            key = t.counts if two_sample else t if isinstance(t, Distribution) else () if t is None else tuple(t)
-            if key not in rows:
-                memo = values.setdefault(key, {})
-                for counts, h in union.items():
-                    if counts not in memo:
-                        value = memo[counts] = evaluator(h, t)
-                        if not is_rational(value):
-                            raise ValueError(f"exact verification needs rational loss values, got {value!r} at {counts}")
-                rows[key] = [memo[counts] for counts in union]
-            row += rows[key]
-        numerators, den = over_common_denominator(row)
-        folded = numerators if weights == [1] else [
-            sum(map(operator.mul, weights, numerators[i :: len(union)])) for i in range(len(union))]
-        target[2] = folded, positions, target_scale * den
-    return [
-        (sum(map(operator.mul, pmf, map(folded.__getitem__, positions[id(hists)]))), scale * den)
-        for (hists, pmf, scale, _), (_, _, (folded, positions, den)) in paired
-    ]
+    layouts: dict = {}  # a target's support list ids, in pairing order -> (its histograms by counts, positions by id)
+    per_loss: dict = {}  # (id(evaluator), two_sample) -> (evaluator, values by item and counts, rows by layout, item)
+    swept = []
+    for loss, two_sample, points, n, m in cases:
+        evaluator, n, m = _sized(loss, two_sample, n, m)
+        _, values, rows = per_loss.setdefault((id(evaluator), two_sample), (evaluator, {}, {}))
+        targets: dict = {}  # id(target) -> [target, {id(histograms): its models' support histograms}, fold]
+        paired = []
+        for p, q in points:
+            model = side(p, n, "model")
+            target = targets.get(id(q))
+            if target is None:
+                target = targets[id(q)] = [q, {}, None]
+            target[1][id(model[0])] = model[0]
+            paired.append((model, target))
+        for target in targets.values():
+            q, supports = target[0], target[1]
+            if isinstance(q, Distribution):
+                _require_exact(q, "target")  # a float target equal to an exact one must not share its values
+            layout_key = tuple(supports)
+            layout = layouts.get(layout_key)
+            if layout is None:
+                union = {h.counts: h for hists in supports.values() for h in hists}  # a repeat keeps its first place
+                position = {counts: i for i, counts in enumerate(union)}
+                positions = {support: [position[h.counts] for h in hists] for support, hists in supports.items()}
+                layout = layouts[layout_key] = union, positions
+            union, positions = layout
+            items, weights, target_scale = side(q, m, "target")[:3] if two_sample else ([q], [1], 1)
+            row = []
+            for t in items:
+                key = t.counts if two_sample else t if isinstance(t, Distribution) else () if t is None else tuple(t)
+                item_row = rows.get((layout_key, key))
+                if item_row is None:
+                    memo = values.setdefault(key, {})
+                    for counts, h in union.items():
+                        if counts not in memo:
+                            value = memo[counts] = evaluator(h, t)
+                            if not is_rational(value):
+                                raise ValueError(
+                                    f"exact verification needs rational loss values, got {value!r} at {counts}")
+                    item_row = rows[layout_key, key] = [memo[counts] for counts in union]
+                row += item_row
+            numerators, den = over_common_denominator(row)
+            folded = numerators if weights == [1] else [
+                sum(map(operator.mul, weights, numerators[i :: len(union)])) for i in range(len(union))]
+            target[2] = folded, positions, target_scale * den
+        swept.append([
+            (sum(map(operator.mul, pmf, map(folded.__getitem__, positions[id(hists)]))), scale * den)
+            for (hists, pmf, scale, _), (_, _, (folded, positions, den)) in paired
+        ])
+    return swept
 
 
 def expected_losses(loss, points: Sequence[tuple], n: int | None = None, m: int | None = None,
@@ -293,7 +314,7 @@ def expected_losses(loss, points: Sequence[tuple], n: int | None = None, m: int 
     """
     if two_sample is None:
         two_sample = isinstance(loss, CompiledLoss) or m is not None
-    return [Fraction(num, den) for num, den in _fixed_size_sweep(loss, two_sample, points, n, m)]
+    return [Fraction(num, den) for num, den in _fixed_size_sweep([(loss, two_sample, points, n, m)])[0]]
 
 
 def exact_expected_known_target(loss, p: Distribution, q, n: int | None = None):
@@ -523,6 +544,11 @@ class VerificationReport:
     passed: bool
 
 
+def _equals(target, num: int, den: int) -> bool:
+    """Whether a Fraction ``target`` equals ``num / den``, by cross-multiplication, without building a Fraction."""
+    return type(target) is Fraction and num * target.denominator == target.numerator * den
+
+
 def check_implements(loss, divergence, points: Sequence[tuple], tol=0, tail_eps: float = 1e-10) -> list[VerificationReport]:
     """Check E[loss] == divergence at every (p, q) pair.
 
@@ -530,13 +556,15 @@ def check_implements(loss, divergence, points: Sequence[tuple], tol=0, tail_eps:
     distributions must be exact-mode, the loss values rational (a float value
     raises ``ValueError``), and equality is literal (``tol`` defaults to
     zero).  Truncated checks pass when the gap is within ``tail_bound + tol``.
-    The exact points are one sweep (:func:`_fixed_size_sweep`), which
+    The exact points are one case of :func:`_fixed_size_sweep`, which
     computes each model's pmf numerators and each target's folded loss table
     once, and evaluates each loss value once.  Each expectation's integer
     numerator and denominator are compared with a Fraction target by
     cross-multiplication; an equal point reports the target as its estimate
     and a shared zero gap, and only a point that differs builds its
-    estimate's Fraction.
+    estimate's Fraction.  The suite's checks of several losses on one grid
+    build no report: each sweeps all its losses at once and compares the
+    same way (``_exact_outcome``).
     """
     if not points:
         raise ValueError("need at least one (model, target) point to check")
@@ -545,9 +573,10 @@ def check_implements(loss, divergence, points: Sequence[tuple], tol=0, tail_eps:
         # fixed-size sides, or a known target: one exact oracle for every point
         zero = Fraction(0)
         equal_passes = zero <= tol
-        for (p, q), (num, den) in zip(points, _fixed_size_sweep(loss, isinstance(loss, CompiledLoss), points)):
+        swept = _fixed_size_sweep([(loss, isinstance(loss, CompiledLoss), points, None, None)])[0]
+        for (p, q), (num, den) in zip(points, swept):
             target = divergence.evaluate(p, q)
-            if type(target) is Fraction and num * target.denominator == target.numerator * den:
+            if _equals(target, num, den):
                 reports.append(VerificationReport(target, target, zero, "exact", None, equal_passes))
                 continue
             value = Fraction(num, den)
@@ -686,44 +715,34 @@ def _grid_pairs(d: int, denominator: int) -> list:
     return [(p, q) for p in points for q in points]
 
 
-def _exact_outcome(cases, detail: str) -> tuple:
-    """Whether E[loss] equals the divergence exactly at every point of every ``(loss, divergence, points)`` case.
+def _exact_outcome(groups, detail: str) -> tuple:
+    """Whether E[loss] equals the divergence exactly at every point, for every loss of every ``(divergence, points,
+    losses)`` group.
 
-    The gap is the largest one seen; ``{count}`` in ``detail`` becomes the number of points checked.
+    Every loss of every group is one case of one sweep (:func:`_fixed_size_sweep`), and each group's divergence is
+    evaluated once per point.  A point is compared by cross-multiplication; only one that differs builds a Fraction,
+    for its gap.  The gap is the largest one seen; ``{count}`` in ``detail`` becomes the number of points checked.
     """
+    groups = list(groups)
+    cases = [(loss, isinstance(loss, CompiledLoss), points, None, None)
+             for _, points, losses in groups for loss in losses]
+    swept = iter(_fixed_size_sweep(cases))
     worst, count = Fraction(0), 0
-    for loss, divergence, points in cases:
-        reports = check_implements(loss, divergence, points)
-        count += len(reports)
-        if any(not r.passed for r in reports):
-            worst = max(worst, max(r.gap for r in reports))
+    for divergence, points, losses in groups:
+        targets = [divergence.evaluate(p, q) for p, q in points]
+        for _ in losses:
+            for target, (num, den) in zip(targets, next(swept)):
+                if not _equals(target, num, den):
+                    worst = max(worst, abs(target - Fraction(num, den)))
+            count += len(points)
     return worst == 0, str(worst), detail.format(count=count)
 
 
-def _memoized_by_ids(evaluate):
-    """``evaluate(p, q)``, memoized by the ids of ``p`` and ``q``; the caller keeps them alive.
-
-    Keying by id skips ``Distribution.__hash__``, which costs more than the lookup."""
-    values: dict = {}
-
-    def memoized(p, q):
-        key = (id(p), id(q))
-        if key not in values:
-            values[key] = evaluate(p, q)
-        return values[key]
-
-    return memoized
-
-
 def _l2_cases(compile_l2, sizes: Sequence[tuple]):
-    """The l2 loss compiled at each of ``sizes``, against the squared distance on a d=2 and a d=3 grid."""
+    """The l2 loss compiled at each of ``sizes``, with the squared distance, on a d=2 and a d=3 grid."""
     for d, denom in ((2, 8), (3, 4)):
-        pairs = _grid_pairs(d, denom)
         l2 = builtin_l2(d)
-        # every size revisits the grid, so each (p, q) pair is evaluated once
-        divergence = SimpleNamespace(evaluate=_memoized_by_ids(l2.evaluate))
-        for size in sizes:
-            yield compile_l2(l2, *size), divergence, pairs
+        yield l2, _grid_pairs(d, denom), [compile_l2(l2, *size) for size in sizes]
 
 
 def _degree_cases() -> list:
@@ -755,19 +774,19 @@ def _check_plugin_improper(seed: int) -> tuple:
 
 
 def _check_squared_known_target(seed: int) -> tuple:
-    cases = _l2_cases(compile_known_target, [(n,) for n in (2, 3, 4, 5)])
-    return _exact_outcome(cases, "{count} (model, target, n) combinations, exact equality")
+    groups = _l2_cases(compile_known_target, [(n,) for n in (2, 3, 4, 5)])
+    return _exact_outcome(groups, "{count} (model, target, n) combinations, exact equality")
 
 
 def _check_squared_two_sample(seed: int) -> tuple:
-    cases = _l2_cases(compile_two_sample, [(n, m) for n in (2, 3) for m in (2, 3)])
-    return _exact_outcome(cases, "{count} (model, target, n, m) combinations, exact equality")
+    groups = _l2_cases(compile_two_sample, [(n, m) for n in (2, 3) for m in (2, 3)])
+    return _exact_outcome(groups, "{count} (model, target, n, m) combinations, exact equality")
 
 
 def _check_compiler_exact(seed: int) -> tuple:
     pairs = _grid_pairs(2, 4)
-    cases = ((compile_two_sample(divergence, n, m), divergence, pairs) for divergence, n, m in _degree_cases())
-    return _exact_outcome(cases, "l2, lk:4, brier compiled at their degrees match exactly on the grid")
+    groups = ((divergence, pairs, [compile_two_sample(divergence, n, m)]) for divergence, n, m in _degree_cases())
+    return _exact_outcome(groups, "l2, lk:4, brier compiled at their degrees match exactly on the grid")
 
 
 def _check_compiler_gates(seed: int) -> tuple:

@@ -1,8 +1,11 @@
+import dataclasses
 import json
+import math
 import subprocess
 import sys
 import time
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -679,6 +682,37 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--format", "machine")
         assert code == 3
         assert parse_machine(out)[1]["check.doomed"] == "FAIL [exact] gap=1 synthetic failure"
+
+    def test_the_sweeping_checks_build_no_report(self, capsys, monkeypatch):
+        def no_report(*args, **kwargs):
+            raise AssertionError("a sweeping check built a VerificationReport")
+
+        monkeypatch.setattr(verify, "VerificationReport", no_report)
+        names = ("squared-known-target", "squared-two-sample", "compiler-exact")
+        argv = [arg for name in names for arg in ("--only", name)]
+        code, out, _ = run(capsys, "verify", *argv, "--seed", "7", "--format", "machine")
+        assert code == 0
+        pinned, _ = parse_machine(VERIFY_SEED_7_MACHINE)
+        assert out == render_machine([(k, v) for k, v in pinned if not k.startswith("check.") or k[6:] in names])
+
+    @pytest.mark.parametrize("check, compile_name, worst, sizes", [
+        ("squared-known-target", "compile_known_target", Fraction(5, 3**20), "n"),  # the largest shift, at n = 5
+        ("squared-two-sample", "compile_two_sample", Fraction(9, 3**20), "n, m"),  # at n * m = 3 * 3
+    ])
+    def test_a_shifted_loss_fails_its_sweeping_check_with_the_exact_gap(self, capsys, monkeypatch, check,
+                                                                         compile_name, worst, sizes):
+        compile_l2 = getattr(verify, compile_name)
+
+        def shifted(divergence, *sizes):
+            loss = compile_l2(divergence, *sizes)
+            shift = Fraction(math.prod(sizes), 3**20)  # the pmf sums to 1, so each expectation moves by the shift
+            return dataclasses.replace(loss, evaluator=lambda h, t, f=loss.evaluator: f(h, t) + shift)
+
+        monkeypatch.setattr(verify, compile_name, shifted)
+        code, out, err = run(capsys, "verify", "--only", check, "--format", "machine")
+        assert code == 3 and err == ""
+        detail = f"1224 (model, target, {sizes}) combinations, exact equality"
+        assert parse_machine(out)[1][f"check.{check}"] == f"FAIL [exact] gap={worst} {detail}"
 
     def test_mode_is_not_an_option(self, capsys):
         with pytest.raises(SystemExit) as exc:

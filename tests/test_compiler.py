@@ -30,8 +30,9 @@ from properloss import (
     squared_norm_gradient,
     squared_norm_polynomial,
 )
+from properloss import compiler
 from properloss.compiler import _row_sums
-from properloss.divergences import Monomial, PolyDivergence
+from properloss.divergences import Monomial, PolyDivergence, Separable
 from properloss.domain import CountRows, empirical
 from properloss.estimators import ExponentVector, variance_mvue
 
@@ -511,6 +512,40 @@ class TestBregman:
     def test_the_squared_norm_divergence_is_the_l2_template(self):
         assert bregman_divergence(squared_norm_polynomial(5)) == builtin_l2(5)
         assert squared_norm_gradient(3) == tuple(p_only(3, {((x, 1),): 2}) for x in range(3))
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_a_templates_certificate_agrees_with_the_written_out_one(self, d):
+        # a template's tangent Hessian is 2c (I + J): positive semidefinite exactly when c >= 0
+        for c in (-2, -1, Fraction(-1, 3), Fraction(1, 3), 1, 2):
+            for linear in ((), ((Fraction(3, 2), 1, 0),), ((-1, 1, 0),)):
+                template = PolyDivergence(Separable(d, ((c, 2, 0), *linear)))
+                written = PolyDivergence(tuple(template.monomials))
+                assert written.template is None
+                partials = [compiler._coefficients(g) for g in template.gradient()]
+                h = [[Fraction(partials[x].get(((y, 1),), 0)) for y in range(d)] for x in range(d)]
+                tangent = [[h[k][l] - h[k][-1] - h[-1][l] + h[-1][-1] for l in range(d - 1)] for k in range(d - 1)]
+                assert tangent == [[2 * c * (1 + (k == l)) for l in range(d - 1)] for k in range(d - 1)]
+                rule = compiler._convex_on_simplex(template, partials)
+                assert rule == compiler._positive_semidefinite(tangent) == (c >= 0)
+                assert compiler._convex_on_simplex(written, partials) == rule
+                if rule:
+                    loss = bregman_known_target(template, template.gradient(), 2)
+                    reference = compile_known_target(bregman_divergence(written), 2)
+                    h, q = Histogram((2,) + (0,) * (d - 1)), Distribution.uniform(d)
+                    assert loss.evaluator(h, q) == reference.evaluator(h, q)
+                else:
+                    with pytest.raises(ValueError, match="not convex on the simplex"):
+                        bregman_known_target(template, template.gradient(), 2)
+
+    def test_a_large_template_is_certified_without_the_dense_elimination(self, monkeypatch):
+        def dense(a):
+            raise AssertionError("a template was certified by LDL^T")
+
+        monkeypatch.setattr(compiler, "_positive_semidefinite", dense)
+        d = 500
+        loss = bregman_known_target(squared_norm_polynomial(d), squared_norm_gradient(d), 2)
+        h, q = Histogram((1, 1) + (0,) * (d - 2)), Distribution.uniform(d)
+        assert loss.evaluator(h, q) == compile_known_target(builtin_l2(d), 2).evaluator(h, q)
 
     def test_the_divergence_merges_like_terms(self):
         # G = p_0^2 + p_0 p_1: D = p_0^2 + p_0 p_1 - (2 q_0 + q_1) p_0 - q_0 p_1 + q_0^2 + q_0 q_1

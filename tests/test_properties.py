@@ -56,7 +56,9 @@ from properloss.compiler import CompiledLoss
 from properloss.divergences import Monomial, PolyDivergence
 from properloss.domain import CountRows, Poisson
 from properloss.estimators import ExponentVector, poisson_power_series, variance_mvue
+from properloss.sampling import _searched_indices, _stepped_indices
 from properloss.verify import (
+    _fixed_size_sweep,
     _item_arrays,
     _numerated_compositions,
     _pmf_numerators,
@@ -529,6 +531,57 @@ def test_a_sweep_equals_brute_force_at_every_point(data):
         else:
             expected = {(g, h) for p, q in points for g in support_histograms(q, m) for h in support_histograms(p, n)}
         assert set(calls) == expected
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.data())
+def test_a_multi_case_sweep_equals_its_per_case_sweeps(data):
+    d = data.draw(st.integers(1, 3))
+    dists = st.one_of(exact_distributions(d), mixed_denominator_distributions(d), sparse_distributions(d))
+    pool = data.draw(st.lists(dists, min_size=1, max_size=4))  # one set of objects, reused across cases and sizes
+    calls: dict = {}
+
+    def counted(name, evaluator, two_sample):
+        def evaluate(h, t):
+            calls.setdefault(name, []).append((t.counts if two_sample else t, h.counts))
+            return evaluator(h, t)
+
+        return evaluate
+
+    known, two_sample = {}, {}
+    for n in (2, 3):
+        loss = compile_known_target(builtin_l2(d), n)
+        known[n] = dataclasses.replace(loss, evaluator=counted(("known", n), loss.evaluator, False))
+    for n, m in itertools.product((2, 3), (1, 2, 3)):
+        loss = compile_two_sample(builtin_brier(d) if m == 1 else builtin_l2(d), n, m)
+        two_sample[n, m] = dataclasses.replace(loss, evaluator=counted(("two-sample", n, m), loss.evaluator, True))
+    raw_known = counted("raw-known", raw_known_target, False)
+    raw_two = counted("raw-two-sample", raw_negative_two_sample, True)
+    cases, scored = [], {}
+    for _ in range(data.draw(st.integers(1, 5))):
+        points = data.draw(st.lists(st.tuples(st.sampled_from(pool), st.sampled_from(pool)), min_size=1, max_size=6))
+        n, m = data.draw(st.integers(2, 3)), data.draw(st.integers(1, 3))
+        kind = data.draw(st.sampled_from(["known", "two-sample", "raw-known", "raw-two-sample"]))
+        if kind == "known":
+            case, name = (known[n], False, points, None, None), ("known", n)
+        elif kind == "two-sample":
+            case, name = (two_sample[n, m], True, points, None, None), ("two-sample", n, m)
+        elif kind == "raw-known":
+            case, name = (raw_known, False, points, n, None), "raw-known"
+        else:
+            case, name = (raw_two, True, points, n, m), "raw-two-sample"
+        cases.append(case)
+        for p, q in points:
+            items = support_histograms(q, m) if case[1] else [q]
+            scored.setdefault(name, set()).update((t, h) for t in items for h in support_histograms(p, n))
+
+    swept = _fixed_size_sweep(cases)
+    # with sides shared across cases, each loss still scores each (target item, model histogram) pair once
+    assert all(len(pairs) == len(set(pairs)) for pairs in calls.values())
+    assert {name: set(pairs) for name, pairs in calls.items()} == scored
+    alone = [_fixed_size_sweep([case])[0] for case in cases]
+    assert [[Fraction(*ratio) for ratio in case] for case in swept] == [
+        [Fraction(*ratio) for ratio in case] for case in alone]
 
 
 @settings(deadline=None, max_examples=60)
@@ -1004,6 +1057,29 @@ def test_internal_draws_are_the_binary_search_inverse_cdf(d, sizes, seed):
     rows = np.repeat(np.arange(len(sizes)), sizes)
     expected = np.bincount(rows * d + idx, minlength=len(sizes) * d).reshape(len(sizes), d)
     assert batch.dense().tolist() == expected.tolist()
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_stepped_and_searched_draws_give_the_same_indices(data):
+    d = data.draw(st.integers(2, 200))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    weights = rng.dirichlet(np.ones(d)) * (rng.random(d) < data.draw(st.sampled_from([0.3, 1.0])))
+    weights[data.draw(st.integers(0, d - 1))] += 1  # zero weights repeat a step
+    probs = (weights / weights.sum()).tolist()
+    cum = np.cumsum(Distribution.floating(probs).as_floats())
+    above = np.nextafter(cum[-1], 2.0)  # past the last cumsum entry, where rounding can leave it below 1
+    u = np.concatenate((rng.random(64), cum, np.nextafter(cum, -1.0), [0.0, above, max(above, 1 - 2**-53)]))
+    stepped, searched = _stepped_indices(cum, u), _searched_indices(cum, u)
+    assert stepped.tolist() == searched.tolist()
+    assert stepped[-2:].tolist() == [d - 1, d - 1]
+    # an internal source draws by either path as its domain size says; both are the binary search
+    sizes = data.draw(st.lists(st.integers(0, 6), max_size=4))
+    batch = InternalSource(Distribution.floating(probs)).draw_batch(sizes, stream_rng(seed, 0))
+    idx = _searched_indices(cum, stream_rng(seed, 0).random(sum(sizes)))
+    rows = np.repeat(np.arange(len(sizes)), sizes)
+    assert batch.dense().tolist() == np.bincount(rows * d + idx, minlength=len(sizes) * d).reshape(-1, d).tolist()
 
 
 @st.composite
