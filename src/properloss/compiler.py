@@ -77,9 +77,11 @@ class CompiledLoss:
     (target) int64 count matrix at once, as a ``(len(left), len(right))``
     float matrix whose entry ``[i, j]`` equals the batch evaluator's value on
     the row pair ``(left[i], right[j])`` bit for bit; ``left`` is ``None``
-    for a target-only loss, which gives one row.  The Poisson oracle uses it.
+    for a target-only loss, which gives one row.  The Poisson oracle uses it,
+    and a grid of several rows is stored target-major (Fortran order), so that
+    the oracle adds each row's targets one after another in one reduce.
     The series losses score the grid straight from their series table; other
-    losses score repeated left and tiled right rows with their batch
+    losses score tiled left and repeated right rows with their batch
     evaluator.  Evaluators are pure apart from internal memoization and safe
     to call concurrently.
     """
@@ -401,13 +403,14 @@ def compile_two_sample(divergence: PolyDivergence, n: int, m: int, mode: Mode = 
 
 
 def _tiled_pairs(batch_evaluator) -> Callable[[Optional[np.ndarray], np.ndarray], np.ndarray]:
-    """A pair evaluator that scores every (left row, right row) pair with ``batch_evaluator``, on the left rows
-    each repeated ``len(right)`` times against the right rows tiled once per left row."""
+    """A pair evaluator that scores every (left row, right row) pair with ``batch_evaluator``, on the right rows
+    each repeated once per left row against the left rows tiled ``len(right)`` times: target-major, so the grid
+    is the transpose of a row-major ``(len(right), len(left))`` matrix."""
 
     def pair_evaluator(left: Optional[np.ndarray], right: np.ndarray) -> np.ndarray:
         rows = 1 if left is None else len(left)
-        hp = None if left is None else CountRows.from_counts(np.repeat(left, len(right), axis=0))
-        return batch_evaluator(hp, CountRows.from_counts(np.tile(right, (rows, 1)))).reshape(rows, len(right))
+        hp = None if left is None else CountRows.from_counts(np.tile(left, (len(right), 1)))
+        return batch_evaluator(hp, CountRows.from_counts(np.repeat(right, rows, axis=0))).reshape(len(right), rows).T
 
     return pair_evaluator
 
@@ -503,13 +506,14 @@ def _series_pairs(series, scale, left: np.ndarray, right: np.ndarray) -> np.ndar
     The series values ``S(|left[i]| - left[i, x])`` come from the left rows alone and the weights
     ``right[j, x] / scale`` from the right rows alone, so each coordinate's terms are one outer product of the
     two.  Coordinates are added in ascending order, the batch's order, and one that no right row observed is
-    skipped: its terms are all exactly 0, and adding 0 to the nonnegative terms changes no bit."""
+    skipped: its terms are all exactly 0, and adding 0 to the nonnegative terms changes no bit.  The grid is
+    built target-major, as the transpose of a row-major ``(len(right), len(left))`` matrix."""
     complements = left.sum(axis=1)[:, None] - left
     values = _series_table(series, complements)[complements]
-    out = np.zeros((len(left), len(right)))
+    out = np.zeros((len(right), len(left)))
     for x in np.flatnonzero(right.any(axis=0)).tolist():
-        out += _series_terms(right[:, x], scale, values[:, x, None])
-    return out
+        out += _series_terms(right[:, x, None], scale, values[:, x])
+    return out.T
 
 
 def _series_compiled(rate, scale, mode: Mode, provenance: str, fixed: bool = False,

@@ -13,6 +13,7 @@ assumed: compilation does not require it.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -316,12 +317,25 @@ def bregman_divergence(potential: PolyDivergence) -> PolyDivergence:
     return PolyDivergence(monomials)
 
 
+#: How many grids :func:`simplex_grid` keeps for the life of the process, the least recently used dropped first.
+_GRIDS = 16
+
+
 def simplex_grid(d: int, denominator: int) -> list[Distribution]:
-    """All exact distributions with entries in {0, 1/denominator, ..., 1}."""
+    """All exact distributions with entries in {0, 1/denominator, ..., 1}.
+
+    Each call returns a new list, of points built once per process and shared: a distribution is immutable, and
+    a shared point keeps the hash and common-denominator form it caches, which the exact oracles read.
+    """
     if d < 1 or denominator < 1:
         raise ValueError("need d >= 1 and denominator >= 1")
-    return [
+    return list(_simplex_points(d, denominator))
+
+
+@functools.lru_cache(maxsize=_GRIDS)
+def _simplex_points(d: int, denominator: int) -> tuple[Distribution, ...]:
+    return tuple(
         Distribution.exact([Fraction(c, denominator) for c in comp])
         for comp in compositions(denominator, d)
-    ]
+    )
 

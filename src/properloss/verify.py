@@ -6,8 +6,7 @@ its probability, and add up.  ``_fixed_size_sweep``, behind
 ``check_implements``, ``expected_losses``, both ``exact_expected_*``
 one-point wrappers and the suite's squared-loss and compiler checks, is the
 one exact fixed-size core.  It sweeps a list of cases, each a loss with its list of points, in one
-pass, and every case shares its tables of support histograms and pmf sides.
-It needs exact-mode distributions and rational loss values, and sums in
+pass.  It needs exact-mode distributions and rational loss values, and sums in
 integers: each side's pmf is a list of integer numerators over ``D**size``
 (``D`` the lcm of the probability denominators).  Each target
 is scored against one list of histograms, the union of the support lists of
@@ -31,6 +30,17 @@ loss's float pair evaluator.  Its sides are count matrices and weight
 vectors; an exact side builds them from the support's compositions and
 their integer pmf numerators, which one kernel yields together.  ``CHECKS``
 is the ``properloss verify`` suite.
+
+The tables derived from a distribution and a size alone live for the whole
+process, keyed by value, each memo bounded by a private count and dropping
+the least recently used table first: support histogram lists
+(``_SUPPORT_TABLES``), exact pmf sides (``_SIDE_TABLES``) and the Poisson
+oracle's read-only item arrays (``_ITEM_TABLES``), beside the grid points of
+``simplex_grid``.  Every caller shares them, so they are tuples and
+read-only arrays.  Loss values, divergence values and compiled losses are
+never kept past a call: each call compiles, evaluates and compares afresh.
+A distribution's ``==`` compares its mode, so a float point never shares an
+exact one's entry, and the exact core checks the mode before any lookup.
 """
 
 from __future__ import annotations
@@ -126,15 +136,25 @@ def _require_exact(dist: Distribution, name: str) -> None:
         raise ValueError(f"exact verification requires an exact-mode {name} distribution")
 
 
-def _support_histograms(support: tuple, d: int, size: int) -> list[Histogram]:
+#: How many tables each oracle memo keeps for the life of the process, the least recently used dropped first.
+#: The memos hold tables derived from a distribution and a size alone, never a loss or divergence value; the
+#: whole ``properloss verify`` suite fills under half of each bound.
+_SUPPORT_TABLES = 256
+_SIDE_TABLES = 256
+_ITEM_TABLES = 64
+
+
+@functools.lru_cache(maxsize=_SUPPORT_TABLES)
+def _support_histograms(support: tuple, d: int, size: int) -> tuple[Histogram, ...]:
     """Every histogram of ``size`` draws over ``d`` outcomes that is zero off ``support``, in enumeration order.
 
-    Fixed zero coordinates do not alter the lexicographically descending order of compositions.
+    Fixed zero coordinates do not alter the lexicographically descending order of compositions.  Memoized by
+    value: a tuple, shared by every caller.
     """
     hists = enumerate_histograms(len(support), size)
     if len(support) == d:
-        return hists
-    return [Histogram(tuple(dict(zip(support, h.counts)).get(i, 0) for i in range(d))) for h in hists]
+        return tuple(hists)
+    return tuple(Histogram(tuple(dict(zip(support, h.counts)).get(i, 0) for i in range(d))) for h in hists)
 
 
 def _weighted_histograms(dist: Distribution, size: int, scale=None) -> list:
@@ -154,16 +174,19 @@ def _weighted_histograms(dist: Distribution, size: int, scale=None) -> list:
     return [(h, w) for h, w in zip(hists, weights) if w != 0]
 
 
-def _pmf_numerators(dist: Distribution, size: int, histograms=_support_histograms) -> tuple:
+@functools.lru_cache(maxsize=_SIDE_TABLES)
+def _pmf_numerators(dist: Distribution, size: int) -> tuple:
     """``(support, histograms, numerators, D**size)`` for ``size`` draws from an exact ``dist``.
 
     ``D`` is the lcm of the probability denominators and ``a_x = p_x * D``, so ``P[H = h]`` is the integer
     multinomial coefficient times ``prod a_x**h_x``, over ``D**size`` (:func:`_numerated_compositions`).
-    Histograms are the support's, in enumeration order, and every numerator is positive.
+    Histograms are the support's, in enumeration order (:func:`_support_histograms`), and every numerator is
+    positive.  Memoized by value, as tuples shared by every caller: a float ``dist`` equal to an exact one is a
+    different key, since a distribution's ``==`` compares its mode, and callers check the mode before asking.
     """
     support, scaled, den = _scaled_support(dist)
-    numerators = _numerated_compositions(scaled, size)[1]
-    return support, histograms(support, dist.dim, size), numerators, den**size
+    numerators = tuple(_numerated_compositions(scaled, size)[1])
+    return support, _support_histograms(support, dist.dim, size), numerators, den**size
 
 
 def _scaled_support(dist: Distribution) -> tuple:
@@ -206,12 +229,14 @@ def _is_fixed_size(loss: CompiledLoss) -> bool:
 
 def _sized(loss, two_sample: bool, n: int | None, m: int | None) -> tuple:
     """``(evaluator, n, m)`` of a case: a compiled loss brings its own sizes, a raw callable needs them given."""
-    if two_sample and isinstance(loss, CompiledLoss):
+    if isinstance(loss, (CompiledLoss, KnownTargetLoss)):
+        if two_sample != isinstance(loss, CompiledLoss):
+            raise ValueError(f"a {type(loss).__name__} is scored with two_sample={not two_sample}")
+        if not two_sample:
+            return loss.evaluator, loss.scheme.n, m
         if not _is_fixed_size(loss):
             raise ValueError("this oracle handles fixed-size schemes; use poisson_expected_loss otherwise")
         return loss.evaluator, loss.scheme_p.n, loss.scheme_q.n
-    if not two_sample and isinstance(loss, KnownTargetLoss):
-        return loss.evaluator, loss.scheme.n, m
     if n is None or (two_sample and m is None):
         need = "explicit sample sizes n and m" if two_sample else "an explicit sample size n"
         raise ValueError(f"a raw callable loss needs {need}")
@@ -224,58 +249,45 @@ def _fixed_size_sweep(cases: Sequence[tuple]) -> list[list[tuple[int, int]]]:
 
     ``loss`` is a ``KnownTargetLoss``, a fixed-size ``CompiledLoss``, or a raw callable with its sizes given.  A
     two-sample loss's target items are the target histograms; a known target is one item of weight 1, itself.
-    Every case shares one table of support histogram lists by (support, d, size) and one of sides by (distribution,
-    size): a side is its support histograms with integer pmf numerators over ``D**size`` (:func:`_pmf_numerators`),
-    built once however many cases use it.  A target is scored against the union of its models' support lists, each
-    histogram once, so nothing outside a model's support is scored; its items' rational values there, memoized per
-    loss by (item, model counts), are one integer table over their lcm, folded once into ``u = sum_t w_t *
-    values_t``.  A point is one integer dot product of its model's pmf numerators with ``u`` at the model's
-    histograms.
+    A side is its support histograms with integer pmf numerators over ``D**size`` (:func:`_pmf_numerators`),
+    memoized for the life of the process with the support lists it shares, so a side is built once however many
+    cases and calls use it; each distribution's mode is checked before its side is looked up.  A target is scored
+    against the union of its models' support lists, each histogram once, so nothing outside a model's support is
+    scored; its items' rational values there, memoized per loss and per sweep by (item, model counts), are one
+    integer table over their lcm, folded once into ``u = sum_t w_t * values_t``.  A point is one integer dot
+    product of its model's pmf numerators with ``u`` at the model's histograms.  Loss values, folds and sums are
+    never kept past the sweep.
     """
-    histograms: dict = {}  # (support, d, size) -> support histograms; one list object per support and size
-    sides: dict = {}  # (id(distribution), size) -> (support histograms, pmf numerators, D**size, the distribution)
-
-    def support_histograms(support: tuple, d: int, size: int) -> list[Histogram]:
-        found = histograms.get((support, d, size))
-        if found is None:
-            found = histograms[support, d, size] = _support_histograms(support, d, size)
-        return found
-
-    def side(dist: Distribution, size: int, name: str) -> tuple:
-        found = sides.get((id(dist), size))
-        if found is None:  # the entry holds the distribution, so that its id is not reused during the sweep
-            _require_exact(dist, name)
-            found = sides[id(dist), size] = (*_pmf_numerators(dist, size, support_histograms)[1:], dist)
-        return found
-
-    layouts: dict = {}  # a target's support list ids, in pairing order -> (its histograms by counts, positions by id)
+    layouts: dict = {}  # a target's model support keys, in pairing order -> (its histograms by counts, positions)
     per_loss: dict = {}  # (id(evaluator), two_sample) -> (evaluator, values by item and counts, rows by layout, item)
     swept = []
     for loss, two_sample, points, n, m in cases:
         evaluator, n, m = _sized(loss, two_sample, n, m)
         _, values, rows = per_loss.setdefault((id(evaluator), two_sample), (evaluator, {}, {}))
-        targets: dict = {}  # id(target) -> [target, {id(histograms): its models' support histograms}, fold]
+        targets: dict = {}  # id(target) -> [target, {(support, d, n): its models' support histograms}, fold]
         paired = []
         for p, q in points:
-            model = side(p, n, "model")
+            _require_exact(p, "model")
+            support, hists, pmf, scale = _pmf_numerators(p, n)
             target = targets.get(id(q))
             if target is None:
                 target = targets[id(q)] = [q, {}, None]
-            target[1][id(model[0])] = model[0]
-            paired.append((model, target))
+            key = (support, p.dim, n)
+            target[1][key] = hists
+            paired.append((key, pmf, scale, target))
         for target in targets.values():
             q, supports = target[0], target[1]
-            if isinstance(q, Distribution):
+            if two_sample or isinstance(q, Distribution):
                 _require_exact(q, "target")  # a float target equal to an exact one must not share its values
             layout_key = tuple(supports)
             layout = layouts.get(layout_key)
             if layout is None:
                 union = {h.counts: h for hists in supports.values() for h in hists}  # a repeat keeps its first place
                 position = {counts: i for i, counts in enumerate(union)}
-                positions = {support: [position[h.counts] for h in hists] for support, hists in supports.items()}
+                positions = {key: [position[h.counts] for h in hists] for key, hists in supports.items()}
                 layout = layouts[layout_key] = union, positions
             union, positions = layout
-            items, weights, target_scale = side(q, m, "target")[:3] if two_sample else ([q], [1], 1)
+            items, weights, target_scale = _pmf_numerators(q, m)[1:] if two_sample else ((q,), (1,), 1)
             row = []
             for t in items:
                 key = t.counts if two_sample else t if isinstance(t, Distribution) else () if t is None else tuple(t)
@@ -291,12 +303,12 @@ def _fixed_size_sweep(cases: Sequence[tuple]) -> list[list[tuple[int, int]]]:
                     item_row = rows[layout_key, key] = [memo[counts] for counts in union]
                 row += item_row
             numerators, den = over_common_denominator(row)
-            folded = numerators if weights == [1] else [
+            folded = numerators if weights == (1,) else [
                 sum(map(operator.mul, weights, numerators[i :: len(union)])) for i in range(len(union))]
             target[2] = folded, positions, target_scale * den
         swept.append([
-            (sum(map(operator.mul, pmf, map(folded.__getitem__, positions[id(hists)]))), scale * den)
-            for (hists, pmf, scale, _), (_, _, (folded, positions, den)) in paired
+            (sum(map(operator.mul, pmf, map(folded.__getitem__, positions[key]))), scale * den)
+            for key, pmf, scale, (_, _, (folded, positions, den)) in paired
         ])
     return swept
 
@@ -370,8 +382,8 @@ class PoissonExpectation:
     pairs: int
 
 
-#: Pairs scored per pair-evaluator call; bounds the oracle's pair matrices.
-_PAIR_BLOCK = 16384
+#: Pairs scored per pair-evaluator call; bounds the oracle's pair matrices, at 512 KiB per float matrix.
+_PAIR_BLOCK = 65536
 
 
 def _item_arrays(dist: Distribution, size_from: int, size_to: int, size_weight) -> tuple[np.ndarray, np.ndarray]:
@@ -407,9 +419,16 @@ def _item_arrays(dist: Distribution, size_from: int, size_to: int, size_weight) 
     return counts[keep], weights[keep]
 
 
+@functools.lru_cache(maxsize=_ITEM_TABLES)
 def _poisson_items(dist: Distribution, rate: float, size_from: int, size_to: int) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_item_arrays` weighted by the Poisson(``rate``) size probabilities."""
-    return _item_arrays(dist, size_from, size_to, functools.partial(_poisson_size_weight, rate))
+    """:func:`_item_arrays` weighted by the Poisson(``rate``) size probabilities.
+
+    Memoized by value for the life of the process; the arrays are shared by every caller, so they are read-only.
+    """
+    items = _item_arrays(dist, size_from, size_to, functools.partial(_poisson_size_weight, rate))
+    for array in items:
+        array.setflags(write=False)
+    return items
 
 
 def poisson_expected_loss(
@@ -440,9 +459,13 @@ def poisson_expected_loss(
     target side, is one call of the loss's float pair evaluator
     (:attr:`CompiledLoss.pair_evaluator`), whatever the loss's mode: a series
     loss scores the block as a grid from its series table, any other loss
-    scores repeated and tiled rows with its batch evaluator.  Sums run in the
-    order of a row-by-row double loop, so a float-mode loss whose batch
-    evaluator equals its scalar one gives the same result bit for bit.
+    scores tiled and repeated rows with its batch evaluator.  The grid is
+    target-major, so one reduce over its target axis adds each model row's
+    terms one after another; a block of one row or one column keeps a
+    cumulative sum.  Sums run in the order of a row-by-row double loop, so a
+    float-mode loss whose batch evaluator equals its scalar one gives the same
+    result bit for bit.  Poisson sides come from a process-wide memo
+    (:func:`_poisson_items`), so a repeated call builds none of them again.
     """
     if loss.scheme_p is not None and p is None:
         raise ValueError("the loss consumes a model sample, so a model distribution is required")
@@ -466,7 +489,10 @@ def poisson_expected_loss(
             w = left_w[start : start + rows]
             v = pair_evaluator(None if left_counts is None else left_counts[start : start + rows], right_counts)
             sup_loss = float(np.fmax.reduce(np.abs(v), axis=None, initial=sup_loss))  # NaN losses are skipped
-            inner = _row_sums(right_w * v)
+            if min(v.shape) < 2:  # one row would be added pairwise by a reduce, as one contiguous run
+                inner = _row_sums(right_w * v)
+            else:  # target-major, so a reduce over the targets adds them one after another, as the scalar loop does
+                inner = np.add.reduce(np.multiply(v, right_w, order="F"), axis=1)
             acc = float(np.cumsum(np.concatenate(([acc], w * inner)))[-1])
             pairs += v.size
         return acc

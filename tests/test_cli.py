@@ -714,6 +714,36 @@ class TestVerify:
         detail = f"1224 (model, target, {sizes}) combinations, exact equality"
         assert parse_machine(out)[1][f"check.{check}"] == f"FAIL [exact] gap={worst} {detail}"
 
+    def test_each_exact_check_repeats_its_outcome_in_one_process(self):
+        for name, (tag, body) in verify.CHECKS.items():
+            if tag == "exact":
+                assert body(7) == body(7), name
+
+    @pytest.mark.parametrize("check, compile_name, worst, sizes", [
+        ("squared-known-target", "compile_known_target", Fraction(5, 3**20), "n"),
+        ("squared-two-sample", "compile_two_sample", Fraction(9, 3**20), "n, m"),
+    ])
+    def test_a_warm_memo_still_fails_a_shifted_loss(self, capsys, monkeypatch, check, compile_name, worst, sizes):
+        compile_l2, shifting = getattr(verify, compile_name), []
+
+        def shifted_on_the_second_run(divergence, *sizes):
+            loss = compile_l2(divergence, *sizes)
+            if not shifting:
+                return loss
+            shift = Fraction(math.prod(sizes), 3**20)
+            return dataclasses.replace(loss, evaluator=lambda h, t, f=loss.evaluator: f(h, t) + shift)
+
+        monkeypatch.setattr(verify, compile_name, shifted_on_the_second_run)
+        code, out, _ = run(capsys, "verify", "--only", check, "--format", "machine")
+        assert code == 0
+        shifting.append(True)
+        built = verify._pmf_numerators.cache_info().misses
+        code, out, err = run(capsys, "verify", "--only", check, "--format", "machine")
+        assert verify._pmf_numerators.cache_info().misses == built  # every side came from the memo
+        assert code == 3 and err == ""
+        detail = f"1224 (model, target, {sizes}) combinations, exact equality"
+        assert parse_machine(out)[1][f"check.{check}"] == f"FAIL [exact] gap={worst} {detail}"
+
     def test_mode_is_not_an_option(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--mode", "exact"])

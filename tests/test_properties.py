@@ -12,6 +12,7 @@ from fractions import Fraction
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -51,7 +52,7 @@ from properloss import (
     squared_norm_polynomial,
     stream_rng,
 )
-from properloss import VerificationReport, poisson_expected_loss
+from properloss import VerificationReport, divergences, poisson_expected_loss, verify
 from properloss.compiler import CompiledLoss
 from properloss.divergences import Monomial, PolyDivergence
 from properloss.domain import CountRows, Poisson
@@ -66,6 +67,7 @@ from properloss.verify import (
     _poisson_mass_truncation,
     _poisson_size_weight,
     _scaled_support,
+    _support_histograms,
     _weighted_histograms,
 )
 
@@ -642,6 +644,69 @@ def test_poisson_item_arrays_equal_the_histogram_built_items_bit_for_bit(data):
     n = data.draw(st.integers(0, 8))
     for scale in (1.0, 1e-323):
         assert same_arrays(_item_arrays(dist, n, n, lambda _: scale), histogram_item_arrays(dist, n, n, lambda _: scale))
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.data())
+def test_the_oracle_memos_equal_fresh_builds_and_cannot_be_written(data):
+    d = data.draw(st.integers(1, 3))
+    dist = data.draw(st.one_of(exact_distributions(d), mixed_denominator_distributions(d)))
+    size = data.draw(st.integers(0, 6))
+    side = _pmf_numerators(dist, size)
+    support, hists, numerators, power = side
+    fresh_support, scaled, den = _scaled_support(dist)
+    on_support = [h for h in enumerate_histograms(d, size) if all(h.counts[x] == 0 or x in support for x in range(d))]
+    assert (support, power) == (fresh_support, den**size)
+    assert type(hists) is tuple and list(hists) == on_support and hists == _support_histograms(support, d, size)
+    assert type(numerators) is tuple and list(numerators) == _numerated_compositions(scaled, size)[1]
+    assert _pmf_numerators(dist, size) is side
+    rate = data.draw(st.floats(0.5, 8.0))
+    trunc = _poisson_mass_truncation(rate, 1e-2)
+    items = _poisson_items(dist, rate, 0, trunc)
+    assert _poisson_items(dist, rate, 0, trunc) is items
+    assert same_arrays(items, _item_arrays(dist, 0, trunc, functools.partial(_poisson_size_weight, rate)))
+    for array in items:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.data())
+def test_a_float_point_equal_to_a_memoized_exact_one_is_still_rejected(data):
+    d = data.draw(st.integers(1, 3))
+    grid = simplex_grid(d, 2 ** data.draw(st.integers(0, 3)))  # dyadic entries, so a float point equals its exact twin
+    p, q = data.draw(st.sampled_from(grid)), data.draw(st.sampled_from(grid))
+    two_sample, known_target = compile_two_sample(builtin_l2(d), 2, 2), compile_known_target(builtin_l2(d), 2)
+    expected_losses(two_sample, [(p, q)])  # memoizes the exact sides of p and q
+    float_p, float_q = (Distribution.floating(x.as_floats()) for x in (p, q))
+    assert (float_p.probs, hash(float_p)) == (p.probs, hash(p))  # equal in value and hash, not in mode
+    for loss, point, side in ((two_sample, (float_p, q), "model"), (two_sample, (p, float_q), "target"),
+                              (known_target, (float_p, q), "model"), (known_target, (p, float_q), "target")):
+        with pytest.raises(ValueError, match=f"exact-mode {side}"):
+            expected_losses(loss, [point])
+
+
+def test_simplex_grid_returns_a_new_list_of_shared_points():
+    first, second = simplex_grid(3, 4), simplex_grid(3, 4)
+    assert first == second and first is not second and all(a is b for a, b in zip(first, second))
+    first.clear()
+    assert len(simplex_grid(3, 4)) == len(second) == 15
+
+
+def test_every_oracle_memo_stays_within_its_bound():
+    many = 600  # more distinct keys than any memo keeps
+    for k in range(1, many + 1):
+        dist = Distribution.exact([Fraction(k, many + 1), 1 - Fraction(k, many + 1)])
+        _pmf_numerators(dist, 1)
+        _support_histograms((0,), 1, k)
+        simplex_grid(1, k)
+        if k <= 2 * verify._ITEM_TABLES:
+            _poisson_items(dist, 0.5, 0, 1)
+    for memo, bound in ((_pmf_numerators, verify._SIDE_TABLES), (_support_histograms, verify._SUPPORT_TABLES),
+                        (_poisson_items, verify._ITEM_TABLES), (divergences._simplex_points, divergences._GRIDS)):
+        info = memo.cache_info()
+        assert info.maxsize == bound and info.currsize == bound
 
 
 EPSILON = Fraction(1, 10**9)

@@ -321,6 +321,14 @@ class TestFixedSizeOracleKernel:
         with pytest.raises(ValueError, match="rational loss values, got 0.25"):
             exact_expected_two_sample(two_sample, self.P, HALF, 2, 2)
 
+    @pytest.mark.parametrize("two_sample", [True, False])
+    @pytest.mark.parametrize("sizes", [(), (2, 2)])
+    def test_a_loss_of_the_other_shape_is_rejected_by_name(self, two_sample, sizes):
+        # a known-target loss asked for as two-sample, and a two-sample loss asked for as known-target
+        loss = compile_known_target(builtin_l2(2), 2) if two_sample else compile_two_sample(builtin_l2(2), 2, 2)
+        with pytest.raises(ValueError, match=f"^a {type(loss).__name__} is scored with two_sample={not two_sample}$"):
+            verify.expected_losses(loss, [(self.P, HALF)], *sizes, two_sample=two_sample)
+
     def test_pmf_numerators_are_over_the_lcm_of_every_denominator(self):
         # the largest denominator, 15, is not a multiple of the others
         dist = Distribution.exact([Fraction(1, 6), Fraction(1, 10), Fraction(11, 15)])
