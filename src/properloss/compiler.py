@@ -22,6 +22,7 @@ convenience check.
 from __future__ import annotations
 
 import operator
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache, reduce
@@ -110,9 +111,11 @@ class _Estimator:
     model coordinate (or, with no model factor, their first target coordinate) and only observed coordinates are
     visited; a known target's target-only terms are summed here, once, over the target's support.  A template's
     ``(coeff, i, j)`` terms are read at every observed coordinate, so building costs O(1) whatever d.  Exact mode
-    with rational coefficients sums integer weights over one denominator ``C ff(n, deg_a) ff(m, deg_b)``, or
-    ``C ff(n, deg_a) D**deg_b`` against a target of numerators over ``D``, and divides once; otherwise the weights
-    are the quotients, and a known target's values (floats in float mode) are used over 1.
+    with rational coefficients sums integer weights over one denominator ``den``, ``C ff(n, deg_a) ff(m, deg_b)``,
+    or ``C ff(n, deg_a) D**deg_b`` against a target of numerators over ``D``, and :meth:`scalar` divides once;
+    :meth:`numerators` gives those integer sums at many model histograms against one target, undivided, which is
+    what the exact oracles read.  Otherwise ``den`` is ``None``, the weights are the quotients, and a known
+    target's values (floats in float mode) are used over 1.
     """
 
     def __init__(self, divergence: PolyDivergence, n: int, mode: Mode, m: int = 0, target: Optional[tuple] = None):
@@ -155,41 +158,56 @@ class _Estimator:
                 self.files[side].setdefault((a.pairs or b.pairs)[0][0], []).append((w, a.pairs, b.pairs))
             else:
                 self.constant += w
-        self.den = None  # unset while a known target's constant is summed, so that it stays a numerator
         if target is not None:
             files, support = self.files, [x for x, v in enumerate(self.target) if v]
             if den is None and mode is Mode.EXACT and all(type(self.target[x]) is float for x in support):
                 # a Fraction weight times a float entry is float(weight) times it, so convert each weight once
                 self.files = (files[0], _float_weights(files[1]))
-            self.constant = self.scalar((), (), self.target, support)
+            self.constant = self._terms(self.constant, 1, (), support, self.target)
             self.files = files
         self.den = den
 
     def scalar(self, counts_p, support_p, counts_q=None, support_q=()):
-        """The estimate at a model and a target histogram, or, with ``counts_q`` left ``None``, at the known target."""
-        acc, power = self.constant, perm if self.target is None else pow  # a j = 0 factor stays the integer 1
+        """The estimate at a model and a target histogram, or, with ``counts_q`` left ``None``, at the known target.
+
+        The constant comes first, then the terms filed under the model's coordinates, then the target's; the
+        integer numerator over ``den`` is divided once."""
         if counts_q is None:
             counts_q = self.target
-        for side, support in ((0, support_p), (1, support_q)):
-            file = self.files[side]
-            if self.separable:  # each (weight, i, j) at every x; a target-only term has i = 0, and perm(0, 0) = 1
-                for x in support:
-                    c, v = counts_p[x] if side == 0 else 0, counts_q[x]
-                    for w, i, j in file:
-                        num = perm(c, i) * (power(v, j) if j else 1)
-                        if num:
-                            acc = acc + w * num
-                continue
+        acc = self._terms(self._terms(self.constant, 0, counts_p, support_p, counts_q), 1, (), support_q, counts_q)
+        return acc if self.den is None else Fraction(acc, self.den)
+
+    def numerators(self, hists: Sequence[Histogram], counts_q=None, support_q=()) -> list[int]:
+        """The integer numerators over ``den`` of :meth:`scalar` at each model histogram of ``hists`` against one
+        target, for an estimator with a ``den``: integer sums do not depend on their order, so the target's terms
+        are summed once, and no Fraction is built."""
+        if counts_q is None:
+            counts_q = self.target
+        start = self._terms(self.constant, 1, (), support_q, counts_q)
+        return [self._terms(start, 0, h.counts, h.support, counts_q) for h in hists]
+
+    def _terms(self, acc, side: int, counts_p, support, counts_q):
+        """``acc`` plus the terms of one side's file under the coordinates of ``support``; target-side terms have no
+        model factor, so they never read ``counts_p``."""
+        file, power = self.files[side], perm if self.target is None else pow  # a j = 0 factor stays the integer 1
+        if self.separable:  # each (weight, i, j) at every x; a target-only term has i = 0, and perm(0, 0) = 1
             for x in support:
-                for w, a, b in file.get(x, ()):
-                    num = 1
-                    for y, e in a:
-                        num *= perm(counts_p[y], e)
-                    for y, e in b:
-                        num *= power(counts_q[y], e)
+                c, v = counts_p[x] if side == 0 else 0, counts_q[x]
+                for w, i, j in file:
+                    num = perm(c, i) * (power(v, j) if j else 1)
                     if num:
                         acc = acc + w * num
-        return acc if self.den is None else Fraction(acc, self.den)
+            return acc
+        for x in support:
+            for w, a, b in file.get(x, ()):
+                num = 1
+                for y, e in a:
+                    num *= perm(counts_p[y], e)
+                for y, e in b:
+                    num *= power(counts_q[y], e)
+                if num:
+                    acc = acc + w * num
+        return acc
 
     def batch(self, hp: CountRows, hq: CountRows) -> np.ndarray:
         """Row-wise float estimates over two sides' count rows, from a float-mode two-sample estimator.
@@ -325,7 +343,8 @@ def compile_known_target(divergence: PolyDivergence, n: int, mode: Mode = Mode.E
     (:class:`_Estimator`).  The first call on a target reads its entries once and sums its target-only terms over
     its support; each later one costs O(observed coordinates).  That state is cached per target, a
     ``Distribution`` by its cached hash (its state built from its cached numerators) and a sequence by its values
-    and their types, so a ``Distribution`` and its ``probs`` tuple are two targets.  Requires ``n >= deg_p``;
+    and their types, so a ``Distribution`` and its ``probs`` tuple are two targets.  The evaluator also gives the
+    exact oracles its integer numerators against one target (:func:`_numerated`).  Requires ``n >= deg_p``;
     below that no unbiased loss exists.
     """
     if n < divergence.deg_p:
@@ -348,17 +367,29 @@ def compile_known_target(divergence: PolyDivergence, n: int, mode: Mode = Mode.E
             raise DimensionMismatchError(f"target has dimension {q.dim}, divergence needs {d}")
         return _Estimator(divergence, n, mode, target=q)
 
-    def evaluator(h: Histogram, q) -> object:
+    def estimator(q) -> _Estimator:
+        if isinstance(q, Distribution):
+            return by_distribution(q)
+        qv = tuple(q)
+        return by_values(qv, tuple(map(type, qv)))
+
+    def check(h: Histogram) -> None:
         if h.dim != d:
             raise DimensionMismatchError(f"histogram dimension {h.dim}, divergence needs {d}")
         _check_fixed_total(h, n, "model")
-        if isinstance(q, Distribution):
-            return by_distribution(q).scalar(h.counts, h.support)
-        qv = tuple(q)
-        return by_values(qv, tuple(map(type, qv))).scalar(h.counts, h.support)
+
+    def evaluator(h: Histogram, q) -> object:
+        check(h)
+        return estimator(q).scalar(h.counts, h.support)
+
+    def numerators(hists: Sequence[Histogram], q) -> Optional[tuple[list[int], int]]:
+        for h in hists:
+            check(h)
+        est = estimator(q)
+        return None if est.den is None else (est.numerators(hists), est.den)
 
     return KnownTargetLoss(
-        evaluator=evaluator,
+        evaluator=_numerated(evaluator, numerators),
         scheme=FixedSize(n),
         provenance=f"estimator substitution, known target, degree {divergence.deg_p}, n={n}",
     )
@@ -372,7 +403,11 @@ def compile_two_sample(divergence: PolyDivergence, n: int, m: int, mode: Mode = 
     factor plus independence of the two samples gives ``E L = divergence``.
     Requires ``n >= deg_p`` and ``m >= deg_q`` (both gates are tight).
     Evaluation visits only monomials filed under observed coordinates, so its
-    cost follows the samples' support, not the domain size.
+    cost follows the samples' support, not the domain size.  The evaluator
+    also gives the exact oracles its integer numerators against one target
+    histogram (:func:`_numerated`); the float estimator behind the batch and
+    pair evaluators is built when one of them is first called, which the
+    exact oracles never do.
     """
     if n < divergence.deg_p or m < divergence.deg_q:
         raise DegreeGateError(divergence.deg_p, divergence.deg_q)
@@ -380,26 +415,56 @@ def compile_two_sample(divergence: PolyDivergence, n: int, m: int, mode: Mode = 
         raise ValueError("sample sizes must be >= 1")
     d = divergence.dim
     scalar = _Estimator(divergence, n, mode, m)
-    batch = scalar if mode is Mode.FLOAT else _Estimator(divergence, n, Mode.FLOAT, m)
+    twin = cache(lambda: scalar if mode is Mode.FLOAT else _Estimator(divergence, n, Mode.FLOAT, m))
 
-    def evaluator(h_p: Histogram, h_q: Histogram) -> object:
+    def check(h_p: Histogram, h_q: Histogram) -> None:
         if h_p.dim != d or h_q.dim != d:
             raise DimensionMismatchError(f"histogram dimensions ({h_p.dim}, {h_q.dim}), divergence needs {d}")
         _check_fixed_total(h_p, n, "model")
         _check_fixed_total(h_q, m, "target")
+
+    def evaluator(h_p: Histogram, h_q: Histogram) -> object:
+        check(h_p, h_q)
         return scalar.scalar(h_p.counts, h_p.support, h_q.counts, h_q.support)
 
+    def numerators(hists: Sequence[Histogram], h_q: Histogram) -> Optional[tuple[list[int], int]]:
+        for h in hists:
+            check(h, h_q)
+        return None if scalar.den is None else (scalar.numerators(hists, h_q.counts, h_q.support), scalar.den)
+
+    def batch_evaluator(hp: Optional[CountRows], hq: CountRows) -> np.ndarray:
+        return twin().batch(hp, hq)
+
     return CompiledLoss(
-        evaluator=evaluator,
+        evaluator=_numerated(evaluator, numerators),
         scheme_p=FixedSize(n),
         scheme_q=FixedSize(m),
         provenance=(
             f"estimator substitution, two samples, degrees ({divergence.deg_p}, {divergence.deg_q}), "
             f"n={n}, m={m}"
         ),
-        batch_evaluator=batch.batch,
-        pair_evaluator=_tiled_pairs(batch.batch),
+        batch_evaluator=batch_evaluator,
+        pair_evaluator=_tiled_pairs(batch_evaluator),
     )
+
+
+def _numerated(evaluator: Callable, numerators: Callable) -> Callable:
+    """``evaluator`` carrying its exact route ``numerators(hists, item)``: the integer numerators of its values at
+    each model histogram of ``hists`` against one target item, over one denominator, as ``(numerators, den)``, or
+    ``None`` when its values are not summed in integers.  The route passes each histogram the evaluator's checks.
+    :func:`_numerator_route` gives the route out for this evaluator only; the route names it by a weak reference,
+    so that the two make no reference cycle and a loss is freed as soon as it is dropped."""
+    numerators.owner = weakref.ref(evaluator)
+    evaluator.numerators = numerators
+    return evaluator
+
+
+def _numerator_route(evaluator: Callable) -> Optional[Callable]:
+    """The exact route the compiler attached to ``evaluator`` (:func:`_numerated`), or ``None`` for any other
+    callable.  A wrapper made with ``functools.wraps`` copies the attribute, but the route names the evaluator it
+    belongs to, so a wrapper that changes the values never gets it."""
+    route = getattr(evaluator, "numerators", None)
+    return route if getattr(route, "owner", lambda: None)() is evaluator else None
 
 
 def _tiled_pairs(batch_evaluator) -> Callable[[Optional[np.ndarray], np.ndarray], np.ndarray]:

@@ -152,15 +152,16 @@ class PolyDivergence:
     def dim(self) -> int:
         return self.template.dim if self.template is not None else self.monomials[0].p_exps.dim
 
-    def evaluate(self, p, q):
+    def evaluate(self, p, q, unreduced: bool = False):
         """The sum of the monomials at ``(p, q)``.
 
         When every entry and coefficient is rational, the sum runs in integers: coefficients and entries
         become numerators over common denominators ``C``, ``Dp`` and ``Dq`` (a :class:`Distribution` keeps
         its own), each monomial is scaled up to degrees ``(deg_p, deg_q)``, and one Fraction over
-        ``C * Dp**deg_p * Dq**deg_q`` is returned.  Otherwise the same loop runs on the values themselves
-        over 1, with the float arithmetic of a plain monomial sum.  A template is summed coordinate by
-        coordinate, term by term, in the order and with the products of its written-out monomials.
+        ``C * Dp**deg_p * Dq**deg_q`` is returned, or with ``unreduced`` that numerator and denominator as a
+        pair, no Fraction built.  Otherwise the same loop runs on the values themselves over 1, with the float
+        arithmetic of a plain monomial sum, and its sum is returned either way.  A template is summed
+        coordinate by coordinate, term by term, in the order and with the products of its written-out monomials.
         """
         pv, qv = _probs(p), _probs(q)
         if len(pv) != self.dim or len(qv) != self.dim:
@@ -196,7 +197,10 @@ class PolyDivergence:
                     c * _power_product(pv, m.p_exps) * dp ** (self.deg_p - m.p_exps.degree)
                     * _power_product(qv, m.q_exps) * dq ** (self.deg_q - m.q_exps.degree)
                 )
-        return Fraction(acc, cden * dp**self.deg_p * dq**self.deg_q) if exact else acc
+        if not exact:
+            return acc
+        den = cden * dp**self.deg_p * dq**self.deg_q
+        return (acc, den) if unreduced else Fraction(acc, den)
 
     def gradient(self) -> tuple[Optional[PolyDivergence], ...]:
         """The exact partials ``dG/dp_x`` of a p-only polynomial ``G``, one per coordinate, each a p-only polynomial

@@ -11,16 +11,19 @@ integers: each side's pmf is a list of integer numerators over ``D**size``
 (``D`` the lcm of the probability denominators).  Each target
 is scored against one list of histograms, the union of the support lists of
 the models paired with it, and its items' loss values over that list become
-one integer table over their lcm, folded once into one integer vector.  A
-point's expectation is then one integer dot product of its model's pmf
-numerators with that vector at the model's histograms.  The values it
-consumes are built the same way: the compiled losses' exact scalar path and
-``PolyDivergence.evaluate`` sum integer numerators and divide once.  So
-implementation claims ("the expectation of this loss IS that divergence")
+one integer table over one denominator, folded once into one integer vector.
+A point's expectation is then one integer dot product of its model's pmf
+numerators with that vector at the model's histograms.  The table comes
+straight from the integer sums of an evaluator that ``compile_known_target``
+or ``compile_two_sample`` built, over its estimator's one denominator, so no
+loss value becomes a Fraction; any other evaluator, a wrapper of a compiled
+one included, is evaluated value by value and its values put over their lcm.
+So implementation claims ("the expectation of this loss IS that divergence")
 are checked as literal equalities with zero tolerance, by cross-multiplying
 the expectation's numerator and denominator with the target's; a Fraction
 is built only for a point that differs.  A suite check of several losses on
-one grid makes one sweep, evaluates each divergence value once and builds no
+one grid makes one sweep, evaluates each divergence value once, unreduced
+(``PolyDivergence.evaluate(p, q, unreduced=True)``), and builds no
 ``VerificationReport``.  ``multinomial_pmf`` stays the
 public reference for the pmf and weighs float-mode sides.
 ``poisson_expected_loss`` is the one truncated core: Poisson schemes have
@@ -57,6 +60,7 @@ import numpy as np
 from .compiler import (
     CompiledLoss,
     KnownTargetLoss,
+    _numerator_route,
     _row_sums,
     bregman_known_target,
     compile_known_target,
@@ -251,30 +255,36 @@ def _fixed_size_sweep(cases: Sequence[tuple]) -> list[list[tuple[int, int]]]:
     two-sample loss's target items are the target histograms; a known target is one item of weight 1, itself.
     A side is its support histograms with integer pmf numerators over ``D**size`` (:func:`_pmf_numerators`),
     memoized for the life of the process with the support lists it shares, so a side is built once however many
-    cases and calls use it; each distribution's mode is checked before its side is looked up.  A target is scored
-    against the union of its models' support lists, each histogram once, so nothing outside a model's support is
-    scored; its items' rational values there, memoized per loss and per sweep by (item, model counts), are one
-    integer table over their lcm, folded once into ``u = sum_t w_t * values_t``.  A point is one integer dot
-    product of its model's pmf numerators with ``u`` at the model's histograms.  Loss values, folds and sums are
-    never kept past the sweep.
+    cases and calls use it; a case looks each distinct model up once, after checking its mode.  A target is
+    scored against the union of its models' support lists, each histogram once, so nothing outside a model's
+    support is scored: its items' loss values there are integer numerators over one denominator
+    (:func:`_scorer`), folded once into ``u = sum_t w_t * values_t``.  A point is one integer dot product of its
+    model's pmf numerators with ``u`` at the model's histograms.  Loss values, folds and sums are never kept past
+    the sweep.
     """
-    layouts: dict = {}  # a target's model support keys, in pairing order -> (its histograms by counts, positions)
-    per_loss: dict = {}  # (id(evaluator), two_sample) -> (evaluator, values by item and counts, rows by layout, item)
+    layouts: dict = {}  # a target's model support keys, in pairing order -> (their histograms' union, positions)
+    scorers: dict = {}  # (id(evaluator), two_sample) -> (evaluator, its scorer)
     swept = []
     for loss, two_sample, points, n, m in cases:
         evaluator, n, m = _sized(loss, two_sample, n, m)
-        _, values, rows = per_loss.setdefault((id(evaluator), two_sample), (evaluator, {}, {}))
-        targets: dict = {}  # id(target) -> [target, {(support, d, n): its models' support histograms}, fold]
+        key = (id(evaluator), two_sample)
+        if key not in scorers:
+            scorers[key] = evaluator, _scorer(evaluator, two_sample)
+        score = scorers[key][1]
+        sides: dict = {}  # id(model) -> (model, support key, histograms, pmf numerators, D**n)
+        targets: dict = {}  # id(target) -> [target, {support key: its models' support histograms}, fold]
         paired = []
         for p, q in points:
-            _require_exact(p, "model")
-            support, hists, pmf, scale = _pmf_numerators(p, n)
+            side = sides.get(id(p))
+            if side is None:
+                _require_exact(p, "model")
+                support, hists, pmf, scale = _pmf_numerators(p, n)
+                side = sides[id(p)] = p, (support, p.dim, n), hists, pmf, scale
             target = targets.get(id(q))
             if target is None:
                 target = targets[id(q)] = [q, {}, None]
-            key = (support, p.dim, n)
-            target[1][key] = hists
-            paired.append((key, pmf, scale, target))
+            target[1][side[1]] = side[2]
+            paired.append((side, target))
         for target in targets.values():
             q, supports = target[0], target[1]
             if two_sample or isinstance(q, Distribution):
@@ -282,35 +292,66 @@ def _fixed_size_sweep(cases: Sequence[tuple]) -> list[list[tuple[int, int]]]:
             layout_key = tuple(supports)
             layout = layouts.get(layout_key)
             if layout is None:
-                union = {h.counts: h for hists in supports.values() for h in hists}  # a repeat keeps its first place
-                position = {counts: i for i, counts in enumerate(union)}
+                union = list({h.counts: h for hists in supports.values() for h in hists}.values())  # first places
+                position = {h.counts: i for i, h in enumerate(union)}
                 positions = {key: [position[h.counts] for h in hists] for key, hists in supports.items()}
                 layout = layouts[layout_key] = union, positions
             union, positions = layout
             items, weights, target_scale = _pmf_numerators(q, m)[1:] if two_sample else ((q,), (1,), 1)
-            row = []
-            for t in items:
-                key = t.counts if two_sample else t if isinstance(t, Distribution) else () if t is None else tuple(t)
-                item_row = rows.get((layout_key, key))
-                if item_row is None:
-                    memo = values.setdefault(key, {})
-                    for counts, h in union.items():
-                        if counts not in memo:
-                            value = memo[counts] = evaluator(h, t)
-                            if not is_rational(value):
-                                raise ValueError(
-                                    f"exact verification needs rational loss values, got {value!r} at {counts}")
-                    item_row = rows[layout_key, key] = [memo[counts] for counts in union]
-                row += item_row
-            numerators, den = over_common_denominator(row)
-            folded = numerators if weights == (1,) else [
-                sum(map(operator.mul, weights, numerators[i :: len(union)])) for i in range(len(union))]
+            rows, den = score(layout_key, union, items)
+            folded = rows[0] if weights == (1,) else [sum(map(operator.mul, weights, column)) for column in zip(*rows)]
             target[2] = folded, positions, target_scale * den
         swept.append([
             (sum(map(operator.mul, pmf, map(folded.__getitem__, positions[key]))), scale * den)
-            for key, pmf, scale, (_, _, (folded, positions, den)) in paired
+            for (_, key, _, pmf, scale), (_, _, (folded, positions, den)) in paired
         ])
     return swept
+
+
+def _scorer(evaluator, two_sample: bool):
+    """``score(layout_key, union, items)``: one row of integer numerators per target item, over one shared
+    denominator, of ``evaluator``'s values at the ``union`` histograms, as ``(rows, den)``.
+
+    An evaluator the compiler built with its exact route (:func:`~properloss.compiler._numerator_route`) gives
+    the numerators of its integer sums directly, over its estimator's one denominator (a known target is one
+    item), and no Fraction is built.  Any other callable, a wrapper of a compiled evaluator included, is evaluated
+    value by value; its values must be rational, and all of a target's are put over their lcm.  Both memoize per
+    sweep: the route its rows by (layout, item), the values by (item, model counts).
+    """
+    route = _numerator_route(evaluator)
+    rows: dict = {}  # (layout key, item key) -> the route's (numerators over the union, den)
+    values: dict = {}  # item key -> {model counts: value}
+
+    def item_key(t):
+        return t.counts if two_sample else t if isinstance(t, Distribution) else () if t is None else tuple(t)
+
+    def evaluated(union, items) -> tuple:
+        row = []
+        for t in items:
+            memo = values.setdefault(item_key(t), {})
+            for h in union:
+                if h.counts not in memo:
+                    value = memo[h.counts] = evaluator(h, t)
+                    if not is_rational(value):
+                        raise ValueError(f"exact verification needs rational loss values, got {value!r} at {h.counts}")
+            row += [memo[h.counts] for h in union]
+        numerators, den = over_common_denominator(row)
+        return [numerators[i : i + len(union)] for i in range(0, len(row), len(union))], den
+
+    def score(layout_key, union, items) -> tuple:
+        if route is None:
+            return evaluated(union, items)
+        scored = []
+        for t in items:
+            key = (layout_key, item_key(t))
+            if key not in rows:
+                rows[key] = route(union, t)
+            if rows[key] is None:  # values not summed in integers, such as against a float target
+                return evaluated(union, items)
+            scored.append(rows[key])
+        return [numerators for numerators, _ in scored], scored[0][1]  # one estimator: one den for every item
+
+    return score
 
 
 def expected_losses(loss, points: Sequence[tuple], n: int | None = None, m: int | None = None,
@@ -571,7 +612,10 @@ class VerificationReport:
 
 
 def _equals(target, num: int, den: int) -> bool:
-    """Whether a Fraction ``target`` equals ``num / den``, by cross-multiplication, without building a Fraction."""
+    """Whether ``target``, a Fraction or an unreduced ``(numerator, denominator)`` pair, equals ``num / den``, by
+    cross-multiplication, without building a Fraction; any other value (a float) equals nothing."""
+    if type(target) is tuple:
+        return num * target[1] == target[0] * den
     return type(target) is Fraction and num * target.denominator == target.numerator * den
 
 
@@ -741,13 +785,19 @@ def _grid_pairs(d: int, denominator: int) -> list:
     return [(p, q) for p in points for q in points]
 
 
+#: ``PolyDivergence.evaluate`` as defined, which can give an exact value unreduced; a replacement, such as a
+#: counting or timing wrapper, is called in its public two-argument form.
+_POLY_EVALUATE = PolyDivergence.evaluate
+
+
 def _exact_outcome(groups, detail: str) -> tuple:
     """Whether E[loss] equals the divergence exactly at every point, for every loss of every ``(divergence, points,
     losses)`` group.
 
     Every loss of every group is one case of one sweep (:func:`_fixed_size_sweep`), and each group's divergence is
-    evaluated once per point.  A point is compared by cross-multiplication; only one that differs builds a Fraction,
-    for its gap.  The gap is the largest one seen; ``{count}`` in ``detail`` becomes the number of points checked.
+    evaluated once per point, unreduced.  A point is compared by cross-multiplication; only one that differs builds
+    Fractions, for its gap.  The gap is the largest one seen; ``{count}`` in ``detail`` becomes the number of points
+    checked.
     """
     groups = list(groups)
     cases = [(loss, isinstance(loss, CompiledLoss), points, None, None)
@@ -755,11 +805,13 @@ def _exact_outcome(groups, detail: str) -> tuple:
     swept = iter(_fixed_size_sweep(cases))
     worst, count = Fraction(0), 0
     for divergence, points, losses in groups:
-        targets = [divergence.evaluate(p, q) for p, q in points]
+        unreduced = {"unreduced": True} if type(divergence).evaluate is _POLY_EVALUATE else {}
+        targets = [divergence.evaluate(p, q, **unreduced) for p, q in points]
         for _ in losses:
             for target, (num, den) in zip(targets, next(swept)):
                 if not _equals(target, num, den):
-                    worst = max(worst, abs(target - Fraction(num, den)))
+                    value = Fraction(*target) if type(target) is tuple else target
+                    worst = max(worst, abs(value - Fraction(num, den)))
             count += len(points)
     return worst == 0, str(worst), detail.format(count=count)
 

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import math
 import subprocess
@@ -713,6 +714,49 @@ class TestVerify:
         assert code == 3 and err == ""
         detail = f"1224 (model, target, {sizes}) combinations, exact equality"
         assert parse_machine(out)[1][f"check.{check}"] == f"FAIL [exact] gap={worst} {detail}"
+
+    @pytest.mark.parametrize("check, compile_name, worst, sizes", [
+        ("squared-known-target", "compile_known_target", Fraction(5, 3**20), "n"),
+        ("squared-two-sample", "compile_two_sample", Fraction(9, 3**20), "n, m"),
+    ])
+    def test_a_shifted_loss_that_keeps_the_compiled_attributes_still_fails(self, capsys, monkeypatch, check,
+                                                                          compile_name, worst, sizes):
+        compile_l2 = getattr(verify, compile_name)
+
+        def shifted(divergence, *sizes):
+            loss = compile_l2(divergence, *sizes)
+            shift = Fraction(math.prod(sizes), 3**20)
+
+            @functools.wraps(loss.evaluator)  # copies the compiled evaluator's attributes, its exact route included
+            def evaluator(h, t):
+                return loss.evaluator(h, t) + shift
+
+            assert evaluator.numerators is loss.evaluator.numerators
+            return dataclasses.replace(loss, evaluator=evaluator)
+
+        monkeypatch.setattr(verify, compile_name, shifted)
+        code, out, err = run(capsys, "verify", "--only", check, "--format", "machine")
+        assert code == 3 and err == ""
+        detail = f"1224 (model, target, {sizes}) combinations, exact equality"
+        assert parse_machine(out)[1][f"check.{check}"] == f"FAIL [exact] gap={worst} {detail}"
+
+    def test_a_passing_squared_check_builds_no_fraction_per_value(self, monkeypatch):
+        from properloss import compiler, divergences
+
+        for name in ("squared-known-target", "squared-two-sample", "compiler-exact"):
+            body = verify.CHECKS[name][1]
+            outcome = body(7)  # warms the grids, which are Fractions built once per process
+            built = []
+
+            def counted(*args):
+                built.append(args)
+                return Fraction(*args)
+
+            with monkeypatch.context() as patch:
+                for module in (compiler, divergences):
+                    patch.setattr(module, "Fraction", counted)
+                assert body(7) == outcome and outcome[0]
+            assert built == [], name
 
     def test_each_exact_check_repeats_its_outcome_in_one_process(self):
         for name, (tag, body) in verify.CHECKS.items():

@@ -1,5 +1,7 @@
+import gc
 import math
 import time
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -95,6 +97,38 @@ class TestCompileTwoSample:
         loss = compile_two_sample(builtin_l2(2), 2, 2)
         with pytest.raises(TotalMismatchError):
             loss.evaluator(Histogram((3, 0)), Histogram((1, 1)))
+
+    @pytest.mark.parametrize("mode, before, after", [(Mode.EXACT, 1, 2), (Mode.FLOAT, 1, 1)])
+    def test_the_float_twin_is_built_on_the_first_batch_call(self, monkeypatch, mode, before, after):
+        built = []
+
+        class Counted(compiler._Estimator):
+            def __init__(self, *args, **kwargs):
+                built.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(compiler, "_Estimator", Counted)
+        loss = compile_two_sample(builtin_l2(2), 2, 2, mode)
+        assert loss.evaluator(Histogram((2, 0)), Histogram((0, 2))) == 2
+        assert len(built) == before  # the exact oracles need the scalar estimator alone
+        rows = CountRows.from_counts(np.array([[2, 0], [1, 1]]))
+        for _ in range(2):
+            assert loss.batch_evaluator(rows, rows).tolist() == [0.0, -1.0]
+            assert loss.pair_evaluator(rows.dense(), rows.dense()).tolist() == [[0.0, 0.0], [0.0, -1.0]]
+        assert len(built) == after
+
+    @pytest.mark.parametrize("build", [lambda: compile_known_target(builtin_l2(2), 2),
+                                       lambda: compile_two_sample(builtin_l2(2), 2, 2)], ids=["known", "two-sample"])
+    def test_a_dropped_loss_is_freed_without_the_cycle_collector(self, build):
+        loss = build()
+        assert compiler._numerator_route(loss.evaluator) is loss.evaluator.numerators
+        evaluator = weakref.ref(loss.evaluator)
+        gc.disable()
+        try:
+            del loss
+            assert evaluator() is None  # the exact route names its evaluator weakly: no reference cycle
+        finally:
+            gc.enable()
 
     def test_batch_matches_scalar(self):
         loss = compile_two_sample(builtin_lk_even(2, 4), 4, 4, Mode.FLOAT)

@@ -53,7 +53,7 @@ from properloss import (
     stream_rng,
 )
 from properloss import VerificationReport, divergences, poisson_expected_loss, verify
-from properloss.compiler import CompiledLoss
+from properloss.compiler import CompiledLoss, _numerator_route
 from properloss.divergences import Monomial, PolyDivergence
 from properloss.domain import CountRows, Poisson
 from properloss.estimators import ExponentVector, poisson_power_series, variance_mvue
@@ -586,6 +586,33 @@ def test_a_multi_case_sweep_equals_its_per_case_sweeps(data):
         [Fraction(*ratio) for ratio in case] for case in alone]
 
 
+@settings(deadline=None, max_examples=30)
+@given(st.data())
+def test_the_compiled_numerators_are_the_evaluators_values(data):
+    d = data.draw(st.integers(1, 3))
+    dists = st.one_of(exact_distributions(d), mixed_denominator_distributions(d))
+    points = data.draw(st.lists(st.tuples(dists, dists), min_size=1, max_size=3))
+    for div in (builtin_l2(d), builtin_brier(d), builtin_lk_even(d, 4), data.draw(sparse_polynomials(d))):
+        n = data.draw(st.integers(max(1, div.deg_p), 4))
+        m = data.draw(st.integers(max(1, div.deg_q), 4))
+        hists = enumerate_histograms(d, n)
+        known, two_sample = compile_known_target(div, n), compile_two_sample(div, n, m)
+        for q in {p for point in points for p in point}:
+            target = q if data.draw(st.booleans()) else q.probs  # a Distribution, or its entries
+            numerators, den = _numerator_route(known.evaluator)(hists, target)
+            assert [Fraction(num, den) for num in numerators] == [known.evaluator(h, target) for h in hists]
+        for g in data.draw(st.lists(st.sampled_from(enumerate_histograms(d, m)), min_size=1, max_size=3)):
+            numerators, den = _numerator_route(two_sample.evaluator)(hists, g)
+            assert [Fraction(num, den) for num in numerators] == [two_sample.evaluator(h, g) for h in hists]
+        # the same loss as a raw callable is evaluated value by value, and its expectations are the same fractions
+        for loss, is_two_sample, sizes in ((known, False, (n, None)), (two_sample, True, (n, m))):
+            raw = lambda h, t, f=loss.evaluator: f(h, t)
+            assert _numerator_route(raw) is None
+            routed, evaluated = (_fixed_size_sweep([(case, is_two_sample, points, *case_sizes)])[0]
+                                 for case, case_sizes in ((loss, (None, None)), (raw, sizes)))
+            assert [Fraction(*ratio) for ratio in routed] == [Fraction(*ratio) for ratio in evaluated]
+
+
 @settings(deadline=None, max_examples=60)
 @given(st.data())
 def test_exact_side_weights_equal_the_scaled_reference_pmf_bit_for_bit(data):
@@ -785,6 +812,24 @@ def test_divergence_evaluation_equals_the_monomial_loop(data):
             value = div.evaluate(p, q)
             reference = monomial_loop(div, p, q)
             assert repr(value) == repr(reference) if isinstance(reference, float) else value == reference
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_an_unreduced_divergence_value_is_its_fraction(data):
+    d = data.draw(st.integers(1, 4))
+    rational = st.one_of(st.integers(-5, 5), st.fractions(-5, 5, max_denominator=12)).filter(lambda c: c != 0)
+    divs = [data.draw(mixed_polynomials(d, rational)), builtin_l2(d), builtin_brier(d), builtin_lk_even(d, 4)]
+    divs += [div for pair in data.draw(template_divergences()) for div in pair]
+    for div in divs:
+        p, q = data.draw(rational_points(div.dim)), data.draw(rational_points(div.dim))
+        pair = div.evaluate(p, q, unreduced=True)
+        assert type(pair) is tuple and all(type(v) is int for v in pair) and pair[1] > 0
+        assert Fraction(*pair) == div.evaluate(p, q) == monomial_loop(div, p, q)
+        # a float entry anywhere keeps the float sum, unreduced or not
+        for p, q in ((data.draw(float_points(div.dim)), q), (p, data.draw(float_points(div.dim)))):
+            value = div.evaluate(p, q, unreduced=True)
+            assert type(value) is not tuple and repr(value) == repr(div.evaluate(p, q))
 
 
 def double_loop_energy(s_values, u_values):

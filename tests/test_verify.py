@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 from fractions import Fraction
 
@@ -328,6 +329,41 @@ class TestFixedSizeOracleKernel:
         loss = compile_known_target(builtin_l2(2), 2) if two_sample else compile_two_sample(builtin_l2(2), 2, 2)
         with pytest.raises(ValueError, match=f"^a {type(loss).__name__} is scored with two_sample={not two_sample}$"):
             verify.expected_losses(loss, [(self.P, HALF)], *sizes, two_sample=two_sample)
+
+    @pytest.mark.parametrize("compile_l2, sizes", [(compile_known_target, (2,)), (compile_two_sample, (2, 3))])
+    def test_a_wrapped_shifted_evaluator_fails_with_the_exact_gap(self, compile_l2, sizes):
+        loss, shift = compile_l2(builtin_l2(2), *sizes), Fraction(1, 3**20)
+
+        @functools.wraps(loss.evaluator)  # copies the compiled evaluator's attributes, its exact route included
+        def shifted(h, t):
+            return loss.evaluator(h, t) + shift
+
+        grid = simplex_grid(2, 4)
+        points = [(p, q) for p in grid for q in grid]
+        for report in check_implements(dataclasses.replace(loss, evaluator=shifted), builtin_l2(2), points):
+            assert not report.passed and report.gap == shift and report.estimate - report.target == shift
+        assert all(report.passed for report in check_implements(loss, builtin_l2(2), points))
+
+    @pytest.mark.parametrize("compile_l2, sizes", [(compile_known_target, (2,)), (compile_two_sample, (2, 2))])
+    def test_the_compiled_route_raises_what_the_evaluator_raises(self, compile_l2, sizes):
+        loss = compile_l2(builtin_l2(2), *sizes)
+        wrapped = dataclasses.replace(loss, evaluator=lambda h, t: loss.evaluator(h, t))
+        third = Distribution.exact([Fraction(1, 3)] * 3)
+        for points in ([(third, HALF)], [(self.P, third)], [(third, third)]):
+            raised = []
+            for candidate in (loss, wrapped):
+                with pytest.raises(DimensionMismatchError) as exc:
+                    verify.expected_losses(candidate, points)
+                raised.append(str(exc.value))
+            assert raised[0] == raised[1]
+
+    def test_values_the_compiled_route_cannot_sum_in_integers_are_evaluated_and_refused(self):
+        # a float known target, and float mode: the estimator has no integer denominator
+        for loss, points in ((compile_known_target(builtin_l2(2), 2), [(self.P, (0.5, 0.5))]),
+                             (compile_known_target(builtin_l2(2), 2, Mode.FLOAT), [(self.P, HALF)]),
+                             (compile_two_sample(builtin_l2(2), 2, 2, Mode.FLOAT), [(self.P, HALF)])):
+            with pytest.raises(ValueError, match="rational loss values, got"):
+                verify.expected_losses(loss, points)
 
     def test_pmf_numerators_are_over_the_lcm_of_every_denominator(self):
         # the largest denominator, 15, is not a multiple of the others
