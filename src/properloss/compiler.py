@@ -33,6 +33,7 @@ import numpy as np
 
 from .divergences import PolyDivergence, bregman_divergence
 from .domain import (
+    KNOWN_TARGET,
     CountRows,
     Distribution,
     FixedSize,
@@ -53,11 +54,14 @@ from .estimators import falling_factorial, poisson_power_series
 
 @dataclass(frozen=True)
 class KnownTargetLoss:
-    """A loss L(h, q): model-sample histogram against a known target distribution."""
+    """A loss L(h, q): a model sample (``scheme``, also read as ``scheme_p``) against a known target (``scheme_q``)."""
 
     evaluator: Callable[[Histogram, Distribution], object]
     scheme: FixedSize
     provenance: str
+
+    scheme_p = property(lambda self: self.scheme)
+    scheme_q = property(lambda self: KNOWN_TARGET)
 
     def evaluate(self, h: Histogram, q: Distribution):
         return self.evaluator(h, q)

@@ -1,4 +1,4 @@
-"""Finite domains, distributions, histograms, and sampling-scheme descriptors.
+"""Finite domains, distributions, histograms, and the sampling schemes that own how each loss side is observed.
 
 All values here are immutable after construction and safe to share across
 threads.  Probability math is index-based throughout the package; string
@@ -13,12 +13,13 @@ Carlo throughput.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Hashable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -334,9 +335,20 @@ def run_starts(values: np.ndarray) -> np.ndarray:
 
 
 class SamplingScheme:
-    """How many observations a loss consumes from one side (model or target)."""
+    """How one side of a loss (model or target) is observed; callers ask the scheme, not its type.
+
+    ``draw_sizes(rows, rng)``: the sizes of ``rows`` Monte Carlo replicates.  ``first_sizes(tail_eps)``: the size
+    range the truncated oracle enumerates first, omitting mass at most ``tail_eps``; ``size_weight(size)``: P[N =
+    size].  A ``bounded`` side has one size, and gives the exact oracle ``oracle_items(dist, pmf)``, ``(items, integer
+    weights, D)`` as ``pmf(dist, size)`` gives a sample's, and each block of ``block_average`` ``blocks(...)``.
+    """
 
     __slots__ = ()
+
+    bounded = True
+
+    def blocks(self, observed, rng: np.random.Generator):
+        raise ValueError("block averaging is only defined for fixed-size schemes")
 
 
 @dataclass(frozen=True)
@@ -350,16 +362,69 @@ class FixedSize(SamplingScheme):
             raise ValueError("fixed sample size must be an integer >= 1")
         object.__setattr__(self, "n", int(self.n))
 
+    def draw_sizes(self, rows: int, rng: np.random.Generator) -> np.ndarray:
+        return np.full(rows, self.n, dtype=np.int64)  # nothing is drawn from ``rng``
+
+    def first_sizes(self, tail_eps: float) -> tuple[int, int]:
+        return self.n, self.n
+
+    def size_weight(self, size: int) -> float:
+        return 1.0
+
+    def oracle_items(self, dist, pmf) -> tuple:
+        return pmf(dist, self.n)
+
+    def blocks(self, sample: Histogram, rng: np.random.Generator) -> list[Histogram]:
+        """The sample's draws in a random order from ``rng``, cut into ``sample.total // n`` blocks of ``n``."""
+        order = rng.permutation(np.repeat(np.arange(sample.dim), sample.counts))
+        kept = order[: sample.total // self.n * self.n].reshape(-1, self.n)
+        return [Histogram(tuple(int(c) for c in np.bincount(row, minlength=sample.dim))) for row in kept]
+
 
 @dataclass(frozen=True)
 class Poisson(SamplingScheme):
     """Draw a Poisson(rate) number of observations, then that many samples."""
 
     rate: float
+    bounded = False
 
     def __post_init__(self):
         if not self.rate > 0:
             raise ValueError("Poisson rate must be > 0")
+
+    def draw_sizes(self, rows: int, rng: np.random.Generator) -> np.ndarray:
+        return _poisson_size(rng.random(rows), self.rate)
+
+    def first_sizes(self, tail_eps: float) -> tuple[int, int]:
+        """Sizes 0 to the smallest T with P[N > T] <= tail_eps, or to the walk's limit."""
+        if not tail_eps > 0:
+            raise ValueError("tail mass must be > 0")
+        for t, cum in poisson_cdf(self.rate):
+            if not 1.0 - cum > tail_eps:
+                break
+        return 0, t
+
+    def size_weight(self, size: int) -> float:
+        return math.exp(-self.rate + size * math.log(self.rate) - math.lgamma(size + 1))
+
+
+@dataclass(frozen=True)
+class KnownTarget(SamplingScheme):
+    """A known-target loss's target side: the target itself, one item of weight 1, which is never sampled."""
+
+    def draw_sizes(self, *_):
+        raise ValueError("a known target is not sampled: score its loss with expected_losses or check_implements")
+
+    first_sizes = draw_sizes
+
+    def oracle_items(self, q, pmf) -> tuple:
+        return (q if isinstance(q, Hashable) else tuple(q),), (1,), 1  # the oracle's memos key items by value
+
+    def blocks(self, q, rng: np.random.Generator):
+        return itertools.repeat(q)
+
+
+KNOWN_TARGET = KnownTarget()
 
 
 def poisson_cdf(rate: float) -> Iterator[tuple[int, float]]:
@@ -377,6 +442,16 @@ def poisson_cdf(rate: float) -> Iterator[tuple[int, float]]:
         pmf *= rate / t
         cum += pmf
         yield t, cum
+
+
+def _poisson_size(u, rate: float):
+    """Smallest j with CDF(j) > u for each uniform u, or the walk's limit."""
+    cdf, top = [], np.max(u)
+    for _, cum in poisson_cdf(rate):  # the walk stops once it passes the largest u
+        cdf.append(cum)
+        if top < cum:
+            break
+    return np.minimum(np.searchsorted(cdf, u, side="right"), len(cdf) - 1)
 
 
 def empirical(h: Histogram, mode: Mode = Mode.EXACT) -> Distribution:

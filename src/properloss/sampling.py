@@ -34,9 +34,9 @@ Randomness
 ----------
 All randomness derives from a user seed through named substreams
 (:func:`stream_rng`), one per role (model draws, target draws, size draws,
-block partitions).  Sizes come as one vector per side; within a stream, draws
-are consumed in replicate-major order, so for fixed-size schemes replicate
-``i`` owns draws ``[i*n, (i+1)*n)`` of its stream and is a pure function of
+block partitions).  Each side's scheme draws its sizes as one vector
+(``draw_sizes``); within a stream, draws are consumed in replicate-major
+order, so for fixed-size schemes replicate ``i`` owns draws ``[i*n, (i+1)*n)`` of its stream and is a pure function of
 ``(seed, i)``.  Identical (sources, seed, replicates) yield a bit-identical report.
 """
 
@@ -56,16 +56,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .compiler import CompiledLoss, KnownTargetLoss
+from .compiler import CompiledLoss
 from .domain import (
+    KNOWN_TARGET,
     CountRows,
     Distribution,
     Domain,
-    FixedSize,
     Histogram,
-    Poisson,
-    SamplingScheme,
-    poisson_cdf,
     scored_dense,
 )
 from .errors import (
@@ -348,27 +345,6 @@ class SubprocessSource(SampleSource):
             self._stderr.close()
 
 
-def _poisson_size(u, rate: float):
-    """Smallest j with CDF(j) > u for each uniform u, or the walk's limit."""
-    cdf, top = [], np.max(u)
-    for _, cum in poisson_cdf(rate):  # the walk stops once it passes the largest u
-        cdf.append(cum)
-        if top < cum:
-            break
-    return np.minimum(np.searchsorted(cdf, u, side="right"), len(cdf) - 1)
-
-
-def _size_vector(scheme: Optional[SamplingScheme], rows: int, size_rng: np.random.Generator) -> Optional[np.ndarray]:
-    """Sample sizes of ``rows`` replicates of one side, in replicate order; ``None`` for an absent side."""
-    if scheme is None:
-        return None
-    if isinstance(scheme, FixedSize):
-        return np.full(rows, scheme.n, dtype=np.int64)
-    if isinstance(scheme, Poisson):
-        return _poisson_size(size_rng.random(rows), scheme.rate)
-    raise ValueError(f"unsupported sampling scheme {scheme!r}")
-
-
 def draw_fixed(src: SampleSource, n: int, seed: int) -> Histogram:
     """Histogram of exactly n draws; deterministic given the seed."""
     if n < 1:
@@ -407,9 +383,9 @@ def estimate_loss(
 ) -> EstimateReport:
     """Mean of independent loss evaluations over fresh sample pairs.
 
-    Every source and scheme takes one path: each side draws one size vector
-    (fixed, or Poisson from its size stream), then per chunk of replicates
-    its :class:`CountRows`, which the loss's float ``batch_evaluator`` scores.
+    Every source and scheme takes one path: each side's scheme draws one size
+    vector from its size stream (a known target refuses), then per chunk of
+    replicates its :class:`CountRows`, which the loss's float ``batch_evaluator`` scores.
     A chunk holds at most :data:`CHUNK_BYTES`, counted by the draws: a draw
     costs :data:`SPARSE_DRAW_BYTES` where rows are scored over their observed
     coordinates, and 8 bytes plus each side's dense count row where they are
@@ -422,8 +398,8 @@ def estimate_loss(
     if replicates < 2:
         raise ValueError("need at least 2 replicates for a standard error")
     model_rng, target_rng = stream_rng(seed, STREAM_MODEL), stream_rng(seed, STREAM_TARGET)
-    sizes_p = _size_vector(loss.scheme_p, replicates, stream_rng(seed, STREAM_MODEL_SIZES))
-    sizes_q = _size_vector(loss.scheme_q, replicates, stream_rng(seed, STREAM_TARGET_SIZES))
+    sizes_p = None if loss.scheme_p is None else loss.scheme_p.draw_sizes(replicates, stream_rng(seed, STREAM_MODEL_SIZES))
+    sizes_q = loss.scheme_q.draw_sizes(replicates, stream_rng(seed, STREAM_TARGET_SIZES))
     sides = [sizes for sizes in (sizes_p, sizes_q) if sizes is not None]
     d, draws = target.domain.size, sum(float(sizes.mean()) for sizes in sides)  # per replicate
     if scored_dense(d, 1, draws):
@@ -452,16 +428,6 @@ def estimate_loss(
     )
 
 
-def _partition_histograms(sample: Histogram, block_size: int, blocks: int, rng: np.random.Generator) -> list[Histogram]:
-    draws = np.repeat(np.arange(sample.dim), sample.counts)
-    order = rng.permutation(draws)
-    kept = order[: blocks * block_size].reshape(blocks, block_size)
-    return [
-        Histogram(tuple(int(c) for c in np.bincount(row, minlength=sample.dim)))
-        for row in kept
-    ]
-
-
 def block_average(
     sample: Histogram,
     block_size: int,
@@ -479,32 +445,20 @@ def block_average(
     itself an i.i.d. sample, so the average has the same expectation as a
     single evaluation with lower variance.  The random partition only guards
     against ordering artifacts in file-backed sources; the i.i.d. assumption
-    stays with the source.
+    stays with the source.  Each side cuts its own blocks (``blocks``), and as
+    many are scored as both sides fill.
     """
-    if isinstance(loss, KnownTargetLoss):
-        if q is None:
-            raise ValueError("a known-target loss needs q=")
-        if block_size != loss.scheme.n:
-            raise ValueError(f"block size {block_size} != the loss's sample size {loss.scheme.n}")
-        blocks = sample.total // block_size
-        if blocks < 1:
-            raise SampleTooSmallError(f"sample of {sample.total} cannot fill one block of {block_size}")
-        parts = _partition_histograms(sample, block_size, blocks, stream_rng(seed, STREAM_PARTITION))
-        return float(np.mean([float(loss.evaluator(h, q)) for h in parts]))
-
-    if isinstance(loss, CompiledLoss):
-        if not (isinstance(loss.scheme_p, FixedSize) and isinstance(loss.scheme_q, FixedSize)):
-            raise ValueError("block averaging is only defined for fixed-size schemes")
-        if target_sample is None:
-            raise ValueError("a two-sample loss needs target_sample=")
-        n, m = loss.scheme_p.n, loss.scheme_q.n
-        if block_size != n:
-            raise ValueError(f"block size {block_size} != the loss's model sample size {n}")
-        blocks = min(sample.total // n, target_sample.total // m)
-        if blocks < 1:
-            raise SampleTooSmallError("not enough draws on one side to fill a block")
-        parts_p = _partition_histograms(sample, n, blocks, stream_rng(seed, STREAM_PARTITION))
-        parts_q = _partition_histograms(target_sample, m, blocks, stream_rng(seed, STREAM_TARGET))
-        return float(np.mean([float(loss.evaluator(h, g)) for h, g in zip(parts_p, parts_q)]))
-
-    raise ValueError(f"unsupported loss type {type(loss).__name__}")
+    if callable(loss):
+        raise ValueError("block averaging needs a compiled loss, not a raw callable: its sides give the block sizes")
+    known = loss.scheme_q == KNOWN_TARGET
+    target = q if known else target_sample
+    if target is None:
+        raise ValueError("a known-target loss needs q=" if known else "a two-sample loss needs target_sample=")
+    parts_q = loss.scheme_q.blocks(target, stream_rng(seed, STREAM_TARGET))
+    parts_p = loss.scheme_p.blocks(sample, stream_rng(seed, STREAM_PARTITION))
+    if block_size != loss.scheme_p.n:
+        raise ValueError(f"block size {block_size} != the loss's model sample size {loss.scheme_p.n}")
+    values = [float(loss.evaluator(h, g)) for h, g in zip(parts_p, parts_q)]
+    if not values:
+        raise SampleTooSmallError(f"not enough draws on one side to fill a block of {block_size}")
+    return float(np.mean(values))

@@ -3,42 +3,44 @@
 Everything here computes expected losses the literal way: enumerate every
 histogram in the support that the sampling scheme can produce, weight it by
 its probability, and add up.  ``_fixed_size_sweep``, behind
-``check_implements``, ``expected_losses``, both ``exact_expected_*``
-one-point wrappers and the suite's squared-loss and compiler checks, is the
-one exact fixed-size core.  It sweeps a list of cases, each a loss with its list of points, in one
-pass.  It needs exact-mode distributions and rational loss values, and sums in
-integers: each side's pmf is a list of integer numerators over ``D**size``
-(``D`` the lcm of the probability denominators).  Each target
-is scored against one list of histograms, the union of the support lists of
-the models paired with it, and its items' loss values over that list become
-one integer table over one denominator, folded once into one integer vector.
-A point's expectation is then one integer dot product of its model's pmf
-numerators with that vector at the model's histograms.  The table comes
-straight from the integer sums of an evaluator that ``compile_known_target``
-or ``compile_two_sample`` built, over its estimator's one denominator, so no
-loss value becomes a Fraction; any other evaluator, a wrapper of a compiled
-one included, is evaluated value by value and its values put over their lcm.
-So implementation claims ("the expectation of this loss IS that divergence")
-are checked as literal equalities with zero tolerance, by cross-multiplying
-the expectation's numerator and denominator with the target's; a Fraction
-is built only for a point that differs.  A suite check of several losses on
-one grid makes one sweep, evaluates each divergence value once, unreduced
-(``PolyDivergence.evaluate(p, q, unreduced=True)``), and builds no
-``VerificationReport``.  ``multinomial_pmf`` stays the
-public reference for the pmf and weighs float-mode sides.
-``poisson_expected_loss`` is the one truncated core: Poisson schemes have
-unbounded support, so it truncates at a quantile, reports the truncation
-honestly, and scores every (model, target) pair as blocks of a grid with the
-loss's float pair evaluator.  Its sides are count matrices and weight
-vectors; an exact side builds them from the support's compositions and
-their integer pmf numerators, which one kernel yields together.  ``CHECKS``
-is the ``properloss verify`` suite.
+``check_implements``, ``expected_losses``, both ``exact_expected_*`` one-point
+wrappers and the suite's squared-loss and compiler checks, is the one exact
+fixed-size core.  It sweeps a list of cases, each an evaluator with its two
+sides and its list of points, in one pass; each side, a bounded scheme, yields
+what the core sums over (``oracle_items``).  It needs exact-mode distributions
+and rational loss values, and sums in integers: each sample side's pmf is a
+list of integer numerators over ``D**size`` (``D`` the lcm of the probability
+denominators).  Each target is scored against one list of histograms, the
+union of the support lists of the models paired with it, and its items' loss
+values over that list become one integer table over one denominator, folded
+once into one integer vector.  A point's expectation is then one integer dot
+product of its model's pmf numerators with that vector at the model's
+histograms.  The table comes straight from the integer sums of an evaluator
+that ``compile_known_target`` or ``compile_two_sample`` built, over its
+estimator's one denominator, so no loss value becomes a Fraction; any other
+evaluator, a wrapper of a compiled one included, is evaluated value by value
+and its values put over their lcm.  So implementation claims ("the expectation
+of this loss IS that divergence") are checked as literal equalities with zero
+tolerance, by cross-multiplying the expectation's numerator and denominator
+with the target's; a Fraction is built only for a point that differs.  A suite
+check of several losses on one grid makes one sweep, evaluates each divergence
+value once, unreduced (``PolyDivergence.evaluate(p, q, unreduced=True)``), and
+builds no ``VerificationReport``.  ``multinomial_pmf`` stays the public
+reference for the pmf and weighs float-mode sides.  ``poisson_expected_loss``
+is the one truncated core: Poisson schemes have unbounded support, so it
+truncates at a quantile, reports the truncation honestly, and scores every
+(model, target) pair as blocks of a grid with the loss's float pair evaluator;
+each side's scheme names its sizes and their probabilities (``first_sizes``,
+``size_weight``).  Its sides are count matrices and weight vectors; an exact
+side builds them from the support's compositions and their integer pmf
+numerators, which one kernel yields together.  ``CHECKS`` is the
+``properloss verify`` suite.
 
 The tables derived from a distribution and a size alone live for the whole
 process, keyed by value, each memo bounded by a private count and dropping
 the least recently used table first: support histogram lists
-(``_SUPPORT_TABLES``), exact pmf sides (``_SIDE_TABLES``) and the Poisson
-oracle's read-only item arrays (``_ITEM_TABLES``), beside the grid points of
+(``_SUPPORT_TABLES``), exact pmf sides (``_SIDE_TABLES``) and the truncated
+oracle's read-only side arrays (``_ITEM_TABLES``), beside the grid points of
 ``simplex_grid``.  Every caller shares them, so they are tuples and
 read-only arrays.  Loss values, divergence values and compiled losses are
 never kept past a call: each call compiles, evaluates and compares afresh.
@@ -81,17 +83,16 @@ from .divergences import (
     squared_norm_polynomial,
 )
 from .domain import (
+    KNOWN_TARGET,
     Distribution,
     FixedSize,
     Histogram,
     Mode,
-    Poisson,
     _composition_steps,
     compositions,
     empirical,
     is_rational,
     over_common_denominator,
-    poisson_cdf,
 )
 from .errors import (
     DegreeGateError,
@@ -161,26 +162,9 @@ def _support_histograms(support: tuple, d: int, size: int) -> tuple[Histogram, .
     return tuple(Histogram(tuple(dict(zip(support, h.counts)).get(i, 0) for i in range(d))) for h in hists)
 
 
-def _weighted_histograms(dist: Distribution, size: int, scale=None) -> list:
-    """``(h, scale * P[H = h])`` for every histogram of ``size`` draws from ``dist`` with a nonzero weight.
-
-    Only the support is enumerated.  A float ``scale`` gives float weights; without one they are the exact pmf.
-    An exact ``dist`` is weighted from :func:`_pmf_numerators`: ``num / D**size`` rounds the pmf once, as
-    ``float(multinomial_pmf(...))`` does, so the weights equal ``scale * multinomial_pmf(...)`` bit for bit.
-    """
-    if dist.mode is Mode.EXACT:
-        _, hists, numerators, den = _pmf_numerators(dist, size)
-        pmf = [Fraction(num, den) if scale is None else num / den for num in numerators]
-    else:
-        hists = _support_histograms(tuple(i for i, prob in enumerate(dist.probs) if prob != 0), dist.dim, size)
-        pmf = [multinomial_pmf(h, size, dist) for h in hists]
-    weights = pmf if scale is None else [scale * w for w in pmf]
-    return [(h, w) for h, w in zip(hists, weights) if w != 0]
-
-
 @functools.lru_cache(maxsize=_SIDE_TABLES)
 def _pmf_numerators(dist: Distribution, size: int) -> tuple:
-    """``(support, histograms, numerators, D**size)`` for ``size`` draws from an exact ``dist``.
+    """``(histograms, numerators, D**size)`` for ``size`` draws from an exact ``dist``.
 
     ``D`` is the lcm of the probability denominators and ``a_x = p_x * D``, so ``P[H = h]`` is the integer
     multinomial coefficient times ``prod a_x**h_x``, over ``D**size`` (:func:`_numerated_compositions`).
@@ -190,7 +174,7 @@ def _pmf_numerators(dist: Distribution, size: int) -> tuple:
     """
     support, scaled, den = _scaled_support(dist)
     numerators = tuple(_numerated_compositions(scaled, size)[1])
-    return support, _support_histograms(support, dist.dim, size), numerators, den**size
+    return _support_histograms(support, dist.dim, size), numerators, den**size
 
 
 def _scaled_support(dist: Distribution) -> tuple:
@@ -227,50 +211,52 @@ def _numerated_compositions(scaled: list, size: int) -> tuple[list, list]:
     return comps, numerators
 
 
-def _is_fixed_size(loss: CompiledLoss) -> bool:
-    return isinstance(loss.scheme_p, FixedSize) and isinstance(loss.scheme_q, FixedSize)
+def _enumerable(loss) -> bool:
+    """Whether the exact oracle takes ``loss``: it has a model side, and both of its sides are bounded."""
+    return loss.scheme_p is not None and loss.scheme_p.bounded and loss.scheme_q.bounded
 
 
-def _sized(loss, two_sample: bool, n: int | None, m: int | None) -> tuple:
-    """``(evaluator, n, m)`` of a case: a compiled loss brings its own sizes, a raw callable needs them given."""
-    if isinstance(loss, (CompiledLoss, KnownTargetLoss)):
-        if two_sample != isinstance(loss, CompiledLoss):
+def _case(loss, points: Sequence[tuple], n: int | None = None, m: int | None = None,
+          two_sample: bool | None = None) -> tuple:
+    """The :func:`_fixed_size_sweep` case ``(evaluator, model side, target side, points)`` of ``loss``: its own
+    bounded sides, or for a raw callable ``FixedSize(n)`` against ``FixedSize(m)`` when ``two_sample`` says so (by
+    default when ``m`` is given) and against the known target otherwise."""
+    if not callable(loss):
+        if two_sample is not None and two_sample == (loss.scheme_q == KNOWN_TARGET):
             raise ValueError(f"a {type(loss).__name__} is scored with two_sample={not two_sample}")
-        if not two_sample:
-            return loss.evaluator, loss.scheme.n, m
-        if not _is_fixed_size(loss):
+        if not _enumerable(loss):
             raise ValueError("this oracle handles fixed-size schemes; use poisson_expected_loss otherwise")
-        return loss.evaluator, loss.scheme_p.n, loss.scheme_q.n
+        return loss.evaluator, loss.scheme_p, loss.scheme_q, points
+    two_sample = m is not None if two_sample is None else two_sample
     if n is None or (two_sample and m is None):
         need = "explicit sample sizes n and m" if two_sample else "an explicit sample size n"
         raise ValueError(f"a raw callable loss needs {need}")
-    return loss, n, m
+    return loss, FixedSize(n), FixedSize(m) if two_sample else KNOWN_TARGET, points
 
 
 def _fixed_size_sweep(cases: Sequence[tuple]) -> list[list[tuple[int, int]]]:
-    """``(numerator, denominator)`` of E[loss] at each ``(p, q)`` point over fixed-size sides, unreduced, for each
-    ``(loss, two_sample, points, n, m)`` case in one pass; one list per case, its points in order.
+    """``(numerator, denominator)`` of E[loss] at each ``(p, q)`` point over bounded sides, unreduced, for each
+    ``(evaluator, model side, target side, points)`` case (:func:`_case`) in one pass; one list per case, its points
+    in order.
 
-    ``loss`` is a ``KnownTargetLoss``, a fixed-size ``CompiledLoss``, or a raw callable with its sizes given.  A
-    two-sample loss's target items are the target histograms; a known target is one item of weight 1, itself.
-    A side is its support histograms with integer pmf numerators over ``D**size`` (:func:`_pmf_numerators`),
-    memoized for the life of the process with the support lists it shares, so a side is built once however many
-    cases and calls use it; a case looks each distinct model up once, after checking its mode.  A target is
-    scored against the union of its models' support lists, each histogram once, so nothing outside a model's
-    support is scored: its items' loss values there are integer numerators over one denominator
-    (:func:`_scorer`), folded once into ``u = sum_t w_t * values_t``.  A point is one integer dot product of its
-    model's pmf numerators with ``u`` at the model's histograms.  Loss values, folds and sums are never kept past
-    the sweep.
+    Each side yields what the sweep sums over at its point, with integer weights over one denominator
+    (``oracle_items``): a fixed-size side its support histograms with their pmf numerators over ``D**size``
+    (:func:`_pmf_numerators`, memoized for the life of the process), a known target one item of weight 1,
+    itself.  A case looks each distinct model up once, after checking its mode.  A target is scored against the
+    union of its models' support lists, each histogram once, so nothing outside a model's support is scored: its
+    items' loss values there are integer numerators over one denominator (:func:`_scorer`), folded once into
+    ``u = sum_t w_t * values_t``.  A point is one integer dot product of its model's pmf numerators with ``u`` at
+    the model's histograms.  Loss values, folds and sums are never kept past the sweep.
     """
     layouts: dict = {}  # a target's model support keys, in pairing order -> (their histograms' union, positions)
-    scorers: dict = {}  # (id(evaluator), two_sample) -> (evaluator, its scorer)
+    scorers: dict = {}  # id(evaluator) -> (evaluator, its scorer)
+    side_keys: dict = {}  # model side -> a small int, so that support keys hash without calling a scheme's hash
     swept = []
-    for loss, two_sample, points, n, m in cases:
-        evaluator, n, m = _sized(loss, two_sample, n, m)
-        key = (id(evaluator), two_sample)
-        if key not in scorers:
-            scorers[key] = evaluator, _scorer(evaluator, two_sample)
-        score = scorers[key][1]
+    for evaluator, model_side, target_side, points in cases:
+        side_key = side_keys.setdefault(model_side, len(side_keys))
+        if id(evaluator) not in scorers:
+            scorers[id(evaluator)] = evaluator, _scorer(evaluator)
+        score = scorers[id(evaluator)][1]
         sides: dict = {}  # id(model) -> (model, support key, histograms, pmf numerators, D**n)
         targets: dict = {}  # id(target) -> [target, {support key: its models' support histograms}, fold]
         paired = []
@@ -278,8 +264,8 @@ def _fixed_size_sweep(cases: Sequence[tuple]) -> list[list[tuple[int, int]]]:
             side = sides.get(id(p))
             if side is None:
                 _require_exact(p, "model")
-                support, hists, pmf, scale = _pmf_numerators(p, n)
-                side = sides[id(p)] = p, (support, p.dim, n), hists, pmf, scale
+                hists, pmf, scale = model_side.oracle_items(p, _pmf_numerators)
+                side = sides[id(p)] = p, (side_key, p.dim, _scaled_support(p)[0]), hists, pmf, scale
             target = targets.get(id(q))
             if target is None:
                 target = targets[id(q)] = [q, {}, None]
@@ -287,7 +273,7 @@ def _fixed_size_sweep(cases: Sequence[tuple]) -> list[list[tuple[int, int]]]:
             paired.append((side, target))
         for target in targets.values():
             q, supports = target[0], target[1]
-            if two_sample or isinstance(q, Distribution):
+            if isinstance(q, Distribution):
                 _require_exact(q, "target")  # a float target equal to an exact one must not share its values
             layout_key = tuple(supports)
             layout = layouts.get(layout_key)
@@ -297,7 +283,7 @@ def _fixed_size_sweep(cases: Sequence[tuple]) -> list[list[tuple[int, int]]]:
                 positions = {key: [position[h.counts] for h in hists] for key, hists in supports.items()}
                 layout = layouts[layout_key] = union, positions
             union, positions = layout
-            items, weights, target_scale = _pmf_numerators(q, m)[1:] if two_sample else ((q,), (1,), 1)
+            items, weights, target_scale = target_side.oracle_items(q, _pmf_numerators)
             rows, den = score(layout_key, union, items)
             folded = rows[0] if weights == (1,) else [sum(map(operator.mul, weights, column)) for column in zip(*rows)]
             target[2] = folded, positions, target_scale * den
@@ -308,7 +294,7 @@ def _fixed_size_sweep(cases: Sequence[tuple]) -> list[list[tuple[int, int]]]:
     return swept
 
 
-def _scorer(evaluator, two_sample: bool):
+def _scorer(evaluator):
     """``score(layout_key, union, items)``: one row of integer numerators per target item, over one shared
     denominator, of ``evaluator``'s values at the ``union`` histograms, as ``(rows, den)``.
 
@@ -319,16 +305,13 @@ def _scorer(evaluator, two_sample: bool):
     sweep: the route its rows by (layout, item), the values by (item, model counts).
     """
     route = _numerator_route(evaluator)
-    rows: dict = {}  # (layout key, item key) -> the route's (numerators over the union, den)
-    values: dict = {}  # item key -> {model counts: value}
-
-    def item_key(t):
-        return t.counts if two_sample else t if isinstance(t, Distribution) else () if t is None else tuple(t)
+    rows: dict = {}  # (layout key, item) -> the route's (numerators over the union, den)
+    values: dict = {}  # item -> {model counts: value}
 
     def evaluated(union, items) -> tuple:
         row = []
         for t in items:
-            memo = values.setdefault(item_key(t), {})
+            memo = values.setdefault(t, {})
             for h in union:
                 if h.counts not in memo:
                     value = memo[h.counts] = evaluator(h, t)
@@ -343,12 +326,13 @@ def _scorer(evaluator, two_sample: bool):
             return evaluated(union, items)
         scored = []
         for t in items:
-            key = (layout_key, item_key(t))
-            if key not in rows:
-                rows[key] = route(union, t)
-            if rows[key] is None:  # values not summed in integers, such as against a float target
+            key = (layout_key, t)
+            row = rows.get(key, rows)  # one lookup per item, which may compare equal histograms; ``rows`` marks a miss
+            if row is rows:
+                row = rows[key] = route(union, t)
+            if row is None:  # values not summed in integers, such as against a float target
                 return evaluated(union, items)
-            scored.append(rows[key])
+            scored.append(row)
         return [numerators for numerators, _ in scored], scored[0][1]  # one estimator: one den for every item
 
     return score
@@ -363,11 +347,9 @@ def expected_losses(loss, points: Sequence[tuple], n: int | None = None, m: int 
     :class:`~properloss.compiler.CompiledLoss` is scored against target samples, a
     :class:`~properloss.compiler.KnownTargetLoss` against known targets; a raw callable is a two-sample loss
     ``(h, g) -> value`` when ``m`` is given and a known-target loss ``(h, q) -> value`` otherwise, unless
-    ``two_sample`` says which.
+    ``two_sample`` says which.  A known target is a distribution, or anything hashable its loss reads.
     """
-    if two_sample is None:
-        two_sample = isinstance(loss, CompiledLoss) or m is not None
-    return [Fraction(num, den) for num, den in _fixed_size_sweep([(loss, two_sample, points, n, m)])[0]]
+    return [Fraction(num, den) for num, den in _fixed_size_sweep([_case(loss, points, n, m, two_sample)])[0]]
 
 
 def exact_expected_known_target(loss, p: Distribution, q, n: int | None = None):
@@ -383,22 +365,6 @@ def exact_expected_known_target(loss, p: Distribution, q, n: int | None = None):
 def exact_expected_two_sample(loss, p: Distribution, q: Distribution, n: int | None = None, m: int | None = None):
     """E over independent (model, target) histogram pairs, by double enumeration."""
     return expected_losses(loss, [(p, q)], n, m, two_sample=True)[0]
-
-
-def _poisson_mass_truncation(rate: float, eps: float) -> int:
-    """Smallest T with P[N > T] <= eps, or the walk's limit."""
-    if not rate > 0:
-        raise ValueError("rate must be > 0")
-    if not eps > 0:
-        raise ValueError("tail mass must be > 0")
-    for t, cum in poisson_cdf(rate):
-        if not 1.0 - cum > eps:
-            break
-    return t
-
-
-def _poisson_size_weight(rate: float, size: int) -> float:
-    return math.exp(-rate + size * math.log(rate) - math.lgamma(size + 1))
 
 
 @dataclass(frozen=True)
@@ -433,40 +399,44 @@ def _item_arrays(dist: Distribution, size_from: int, size_to: int, size_weight) 
 
     Sizes ascend, and each size's histograms come in enumeration order over the support.  An exact ``dist``
     builds its rows and its weights ``scale * (num / D**size)`` from the support's compositions and their integer
-    pmf numerators (:func:`_numerated_compositions`), the weights of
-    :func:`_weighted_histograms` bit for bit; a float one is :func:`_weighted_histograms` itself.
+    pmf numerators (:func:`_numerated_compositions`): ``num / D**size`` rounds the pmf once, as
+    ``float(multinomial_pmf(...))`` does, so the weights equal ``scale * multinomial_pmf(...)`` bit for bit.  A
+    float one weighs its support histograms with :func:`multinomial_pmf`.
     """
     k = sum(1 for prob in dist.probs if prob != 0)  # only the support is enumerated
     total_hists = sum(math.comb(size + k - 1, k - 1) for size in range(size_from, size_to + 1))
     if total_hists > ENUMERATION_CAP:
         raise EnumerationTooLargeError(f"{total_hists} histograms of {size_from}..{size_to} draws exceed the cap")
     d = dist.dim
-    if dist.mode is not Mode.EXACT:
-        items = [item for size in range(size_from, size_to + 1)
-                 for item in _weighted_histograms(dist, size, size_weight(size))]
-        counts = np.array([h.counts for h, _ in items], dtype=np.int64).reshape(len(items), d)
-        return counts, np.array([w for _, w in items], dtype=float)
-    support, scaled, den = _scaled_support(dist)
-    parts, weights = [], []
-    for size in range(size_from, size_to + 1):
-        scale, power = size_weight(size), den**size
-        size_parts, numerators = _numerated_compositions(scaled, size)
-        parts.extend(size_parts)
-        weights.extend([scale * (num / power) for num in numerators])
-    counts = np.zeros((len(parts), d), dtype=np.int64)
-    counts[:, support] = np.array(parts, dtype=np.int64).reshape(len(parts), k)
+    rows, weights = [], []
+    if dist.mode is Mode.EXACT:
+        support, scaled, den = _scaled_support(dist)
+        for size in range(size_from, size_to + 1):
+            scale, power = size_weight(size), den**size
+            size_parts, numerators = _numerated_compositions(scaled, size)
+            rows.extend(size_parts)
+            weights.extend([scale * (num / power) for num in numerators])
+        counts = np.zeros((len(rows), d), dtype=np.int64)
+        counts[:, support] = np.array(rows, dtype=np.int64).reshape(len(rows), k)
+    else:
+        support = tuple(x for x, prob in enumerate(dist.probs) if prob != 0)
+        for size in range(size_from, size_to + 1):
+            scale, hists = size_weight(size), _support_histograms(support, d, size)
+            rows.extend([h.counts for h in hists])
+            weights.extend([scale * multinomial_pmf(h, size, dist) for h in hists])
+        counts = np.array(rows, dtype=np.int64).reshape(len(rows), d)
     weights = np.array(weights, dtype=float)
     keep = weights != 0
     return counts[keep], weights[keep]
 
 
 @functools.lru_cache(maxsize=_ITEM_TABLES)
-def _poisson_items(dist: Distribution, rate: float, size_from: int, size_to: int) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_item_arrays` weighted by the Poisson(``rate``) size probabilities.
+def _side_items(dist: Distribution, scheme, size_from: int, size_to: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_item_arrays` weighted by ``scheme``'s size probabilities (``size_weight``).
 
     Memoized by value for the life of the process; the arrays are shared by every caller, so they are read-only.
     """
-    items = _item_arrays(dist, size_from, size_to, functools.partial(_poisson_size_weight, rate))
+    items = _item_arrays(dist, size_from, size_to, scheme.size_weight)
     for array in items:
         array.setflags(write=False)
     return items
@@ -480,16 +450,18 @@ def poisson_expected_loss(
     value_tol: float = 1e-7,
     max_items_per_side: int = 8000,
 ) -> PoissonExpectation:
-    """Expected loss under the loss's own schemes, truncating Poisson sides.
+    """Expected loss under the loss's own schemes, truncating unbounded (Poisson) sides.
 
-    Each Poisson side starts at the smallest sample size whose omitted tail
-    mass is below its share of ``tail_eps``, then keeps extending in blocks
+    Each side starts at the sizes its scheme names (``first_sizes``): an
+    unbounded side up to the smallest whose omitted tail mass is below its
+    share of ``tail_eps``, then it keeps extending in blocks
     while its expectation increment exceeds ``value_tol * max(1, |value|)``.
     The extension matters because power-series losses grow with sample size,
     so omitted probability mass understates omitted expectation mass; a side
-    whose increments have stabilized twice in a row stops growing.  Fixed-size
-    sides are enumerated exactly.  Rates come from the loss's own schemes, so
-    they cannot drift from the series baked into the evaluator.
+    whose increments have stabilized twice in a row stops growing.  A bounded
+    (fixed-size) side is enumerated whole.  Rates come from the loss's own
+    schemes, so they cannot drift from the series baked into the evaluator.
+    A known target is refused: :func:`expected_losses` scores it exactly.
 
     Divergent expectations never converge here; the item budget stops the
     chase and the large reported ``tail_bound`` flags the result as unusable.
@@ -505,16 +477,15 @@ def poisson_expected_loss(
     terms one after another; a block of one row or one column keeps a
     cumulative sum.  Sums run in the order of a row-by-row double loop, so a
     float-mode loss whose batch evaluator equals its scalar one gives the same
-    result bit for bit.  Poisson sides come from a process-wide memo
-    (:func:`_poisson_items`), so a repeated call builds none of them again.
+    result bit for bit.  Sides come from a process-wide memo
+    (:func:`_side_items`), so a repeated call builds none of them again.
     """
     if loss.scheme_p is not None and p is None:
         raise ValueError("the loss consumes a model sample, so a model distribution is required")
     if loss.scheme_p is not None and p.dim != q.dim:
         raise DimensionMismatchError(f"model dimension {p.dim} != target dimension {q.dim}")
-    poisson_sides = sum(1 for s in (loss.scheme_p, loss.scheme_q) if isinstance(s, Poisson))
-    per_side = tail_eps / poisson_sides if poisson_sides else tail_eps
-    pair_evaluator = loss.pair_evaluator
+    unbounded = sum(1 for s in (loss.scheme_p, loss.scheme_q) if s is not None and not s.bounded)
+    per_side = tail_eps / unbounded if unbounded else tail_eps
     sup_loss = 0.0
     pairs = 0
     no_items = (None, np.zeros(0))
@@ -539,32 +510,32 @@ def poisson_expected_loss(
         return acc
 
     def side(scheme, dist: Distribution) -> tuple:
+        """The side's first items, and the largest size enumerated on an unbounded side."""
         if scheme is None:
-            return (None, np.ones(1)), None, None
-        if isinstance(scheme, Poisson):
-            trunc = _poisson_mass_truncation(scheme.rate, per_side)
-            return _poisson_items(dist, scheme.rate, 0, trunc), trunc, scheme.rate
-        return _item_arrays(dist, scheme.n, scheme.n, lambda _: 1.0), None, None
+            return (None, np.ones(1)), None
+        size_from, size_to = scheme.first_sizes(per_side)
+        return _side_items(dist, scheme, size_from, size_to), None if scheme.bounded else size_to
 
     def grown(items: tuple, new: tuple) -> tuple:
         return tuple(np.concatenate((old, extra)) for old, extra in zip(items, new))
 
-    model_side, trunc_p, rate_p = side(loss.scheme_p, p)
-    target_side, trunc_q, rate_q = side(loss.scheme_q, q)
+    model_side, trunc_p = side(loss.scheme_p, p)
+    target_side, trunc_q = side(loss.scheme_q, q)
+    pair_evaluator = loss.pair_evaluator
 
     value = cross(model_side, target_side)
 
     last_delta = 0.0
     step = 4
-    calm_p = 0 if rate_p is not None else 2
-    calm_q = 0 if rate_q is not None else 2
+    calm_p = 0 if trunc_p is not None else 2
+    calm_q = 0 if trunc_q is not None else 2
     while calm_p < 2 or calm_q < 2:
         grow_p = calm_p < 2 and len(model_side[1]) < max_items_per_side
         grow_q = calm_q < 2 and len(target_side[1]) < max_items_per_side
         if not grow_p and not grow_q:
             break
-        new_p = _poisson_items(p, rate_p, trunc_p + 1, trunc_p + step) if grow_p else no_items
-        new_q = _poisson_items(q, rate_q, trunc_q + 1, trunc_q + step) if grow_q else no_items
+        new_p = _side_items(p, loss.scheme_p, trunc_p + 1, trunc_p + step) if grow_p else no_items
+        new_q = _side_items(q, loss.scheme_q, trunc_q + 1, trunc_q + step) if grow_q else no_items
         delta_p = cross(new_p, target_side)
         delta_q = cross(model_side, new_q)
         delta_pq = cross(new_p, new_q)
@@ -583,10 +554,9 @@ def poisson_expected_loss(
             calm_q = calm_q + 1 if abs(delta_q) + abs(delta_pq) <= threshold else 0
 
     omitted = 0.0
-    if rate_p is not None:
-        omitted += max(0.0, 1.0 - sum(model_side[1].tolist()))
-    if rate_q is not None:
-        omitted += max(0.0, 1.0 - sum(target_side[1].tolist()))
+    for (_, weights), trunc in ((model_side, trunc_p), (target_side, trunc_q)):
+        if trunc is not None:  # an unbounded side
+            omitted += max(0.0, 1.0 - sum(weights.tolist()))
     return PoissonExpectation(
         value=value,
         tail_bound=omitted * sup_loss + last_delta,
@@ -639,11 +609,11 @@ def check_implements(loss, divergence, points: Sequence[tuple], tol=0, tail_eps:
     if not points:
         raise ValueError("need at least one (model, target) point to check")
     reports: list[VerificationReport] = []
-    if not isinstance(loss, CompiledLoss) or _is_fixed_size(loss):
-        # fixed-size sides, or a known target: one exact oracle for every point
+    if callable(loss) or _enumerable(loss):
+        # fixed-size sides, or a known target: one exact oracle for every point (a raw callable is refused there)
         zero = Fraction(0)
         equal_passes = zero <= tol
-        swept = _fixed_size_sweep([(loss, isinstance(loss, CompiledLoss), points, None, None)])[0]
+        swept = _fixed_size_sweep([_case(loss, points)])[0]
         for (p, q), (num, den) in zip(points, swept):
             target = divergence.evaluate(p, q)
             if _equals(target, num, den):
@@ -654,7 +624,7 @@ def check_implements(loss, divergence, points: Sequence[tuple], tol=0, tail_eps:
             reports.append(VerificationReport(target, value, gap, "exact", None, gap <= tol))
         return reports
 
-    # At least one Poisson (or absent) side: truncated oracle per point.
+    # At least one unbounded (Poisson) or absent side: truncated oracle per point.
     for p, q in points:
         target = divergence.evaluate(p, q)
         if math.isinf(target):
@@ -800,8 +770,7 @@ def _exact_outcome(groups, detail: str) -> tuple:
     checked.
     """
     groups = list(groups)
-    cases = [(loss, isinstance(loss, CompiledLoss), points, None, None)
-             for _, points, losses in groups for loss in losses]
+    cases = [_case(loss, points) for _, points, losses in groups for loss in losses]
     swept = iter(_fixed_size_sweep(cases))
     worst, count = Fraction(0), 0
     for divergence, points, losses in groups:
@@ -919,8 +888,11 @@ def _check_bregman(seed: int) -> tuple:
                   for n in (2, 3)]
     except ValueError:  # a rejected gradient or potential
         return False, "0", detail
-    ok = all(bloss.evaluator(h, q) == squared.evaluator(h, q)
-             for bloss, squared in losses for h in enumerate_histograms(2, bloss.scheme.n) for q in grid)
+    ok = True
+    for bloss, squared in losses:  # each loss's rows of integer numerators, compared by cross-multiplication
+        hists = enumerate_histograms(2, bloss.scheme.n)
+        (rows_b, den_b), (rows_s, den_s) = (_scorer(loss.evaluator)(None, hists, grid) for loss in (bloss, squared))
+        ok = ok and all(b * den_s == s * den_b for row_b, row_s in zip(rows_b, rows_s) for b, s in zip(row_b, row_s))
     # mean of the potential at the empirical distribution exceeds the potential
     # at the truth by exactly the summed frequency variance
     def at_empirical(h: Histogram, _) -> Fraction:

@@ -196,7 +196,8 @@ class TestPoissonCdf:
     def test_sampled_sizes_are_pinned(self):
         import hashlib
 
-        from properloss.sampling import STREAM_MODEL_SIZES, _poisson_size, stream_rng
+        from properloss.domain import _poisson_size
+        from properloss.sampling import STREAM_MODEL_SIZES, stream_rng
 
         sizes = []
         for rate in (0.5, 6.0, 8.0, 40.0, 300.0):
@@ -209,17 +210,19 @@ class TestPoissonCdf:
         assert digest == "8bf6c729864483c0db204691c093f974de34b2695acf52b155c1481e7d306ce1"
 
     def test_oracle_truncation_points_are_pinned(self):
-        from properloss.verify import _poisson_mass_truncation
+        def truncation(rate, eps):
+            low, high = Poisson(rate).first_sizes(eps)
+            assert low == 0
+            return high
 
         # the rates and per-side tail masses of the verify suite's Poisson checks
         pinned = {(6.0, 1e-10): 27, (6.0, 5e-11): 28, (8.0, 1e-10): 32, (8.0, 5e-11): 32}
-        assert {key: _poisson_mass_truncation(*key) for key in pinned} == pinned
-        assert _poisson_mass_truncation(2.0, 1e-300) == 22
-        assert _poisson_mass_truncation(0.5, 0.5) == 0
+        assert {key: truncation(*key) for key in pinned} == pinned
+        assert truncation(2.0, 1e-300) == 22
+        assert truncation(0.5, 0.5) == 0
 
     def test_walk_ends_at_the_shared_limit(self):
-        from properloss.domain import poisson_cdf
-        from properloss.sampling import _poisson_size
+        from properloss.domain import _poisson_size, poisson_cdf
 
         steps = list(poisson_cdf(2.0))
         assert [t for t, _ in steps] == list(range(541))  # 20 * rate + 500

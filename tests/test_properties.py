@@ -59,16 +59,14 @@ from properloss.domain import CountRows, Poisson
 from properloss.estimators import ExponentVector, poisson_power_series, variance_mvue
 from properloss.sampling import _searched_indices, _stepped_indices
 from properloss.verify import (
+    _case,
     _fixed_size_sweep,
     _item_arrays,
     _numerated_compositions,
     _pmf_numerators,
-    _poisson_items,
-    _poisson_mass_truncation,
-    _poisson_size_weight,
     _scaled_support,
+    _side_items,
     _support_histograms,
-    _weighted_histograms,
 )
 
 MAX_DEG = 3
@@ -291,7 +289,7 @@ def scalar_poisson_expectation(loss, p, q, tail_eps, value_tol, max_items_per_si
         return [
             item
             for size in range(size_from, size_to + 1)
-            for item in pmf_weighted_histograms(dist, size, _poisson_size_weight(rate, size))
+            for item in pmf_weighted_histograms(dist, size, Poisson(rate).size_weight(size))
         ]
 
     def cross(left, right):
@@ -311,7 +309,7 @@ def scalar_poisson_expectation(loss, p, q, tail_eps, value_tol, max_items_per_si
         if scheme is None:
             return [(None, 1.0)], None, None
         if isinstance(scheme, Poisson):
-            trunc = _poisson_mass_truncation(scheme.rate, per_side)
+            trunc = scheme.first_sizes(per_side)[1]
             return items(dist, scheme.rate, 0, trunc), trunc, scheme.rate
         return pmf_weighted_histograms(dist, scheme.n, 1.0), None, None
 
@@ -484,7 +482,7 @@ def test_the_fixed_size_oracle_equals_brute_force_enumeration(data):
         for dist in (p, q):
             # the kernel's integer pmf numerators over D**size are the reference pmf on the support
             for size in (0, n, m):
-                _, hists, numerators, denominator = _pmf_numerators(dist, size)
+                hists, numerators, denominator = _pmf_numerators(dist, size)
                 full = [(h, multinomial_pmf(h, size, dist)) for h in enumerate_histograms(dist.dim, size)]
                 assert [(h, Fraction(num, denominator)) for h, num in zip(hists, numerators)] == [
                     (h, w) for h, w in full if w != 0]
@@ -565,16 +563,16 @@ def test_a_multi_case_sweep_equals_its_per_case_sweeps(data):
         n, m = data.draw(st.integers(2, 3)), data.draw(st.integers(1, 3))
         kind = data.draw(st.sampled_from(["known", "two-sample", "raw-known", "raw-two-sample"]))
         if kind == "known":
-            case, name = (known[n], False, points, None, None), ("known", n)
+            case, name = _case(known[n], points), ("known", n)
         elif kind == "two-sample":
-            case, name = (two_sample[n, m], True, points, None, None), ("two-sample", n, m)
+            case, name = _case(two_sample[n, m], points), ("two-sample", n, m)
         elif kind == "raw-known":
-            case, name = (raw_known, False, points, n, None), "raw-known"
+            case, name = _case(raw_known, points, n), "raw-known"
         else:
-            case, name = (raw_two, True, points, n, m), "raw-two-sample"
+            case, name = _case(raw_two, points, n, m), "raw-two-sample"
         cases.append(case)
         for p, q in points:
-            items = support_histograms(q, m) if case[1] else [q]
+            items = support_histograms(q, m) if kind.endswith("two-sample") else [q]
             scored.setdefault(name, set()).update((t, h) for t in items for h in support_histograms(p, n))
 
     swept = _fixed_size_sweep(cases)
@@ -605,12 +603,31 @@ def test_the_compiled_numerators_are_the_evaluators_values(data):
             numerators, den = _numerator_route(two_sample.evaluator)(hists, g)
             assert [Fraction(num, den) for num in numerators] == [two_sample.evaluator(h, g) for h in hists]
         # the same loss as a raw callable is evaluated value by value, and its expectations are the same fractions
-        for loss, is_two_sample, sizes in ((known, False, (n, None)), (two_sample, True, (n, m))):
+        for loss, sizes in ((known, (n,)), (two_sample, (n, m))):
             raw = lambda h, t, f=loss.evaluator: f(h, t)
             assert _numerator_route(raw) is None
-            routed, evaluated = (_fixed_size_sweep([(case, is_two_sample, points, *case_sizes)])[0]
-                                 for case, case_sizes in ((loss, (None, None)), (raw, sizes)))
+            routed, evaluated = (_fixed_size_sweep([_case(case, points, *case_sizes)])[0]
+                                 for case, case_sizes in ((loss, ()), (raw, sizes)))
             assert [Fraction(*ratio) for ratio in routed] == [Fraction(*ratio) for ratio in evaluated]
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.data())
+def test_a_compiled_loss_has_the_expectations_of_its_evaluator_as_a_raw_callable(data):
+    d = data.draw(st.integers(1, 3))
+    dists = st.one_of(exact_distributions(d), mixed_denominator_distributions(d), sparse_distributions(d))
+    points = data.draw(st.lists(st.tuples(dists, dists), min_size=1, max_size=4))
+    div = data.draw(st.sampled_from([builtin_l2(d), builtin_brier(d), builtin_lk_even(d, 4)]))
+    n = data.draw(st.integers(max(1, div.deg_p), 4))
+    m = data.draw(st.integers(max(1, div.deg_q), 4))
+    known, two_sample = compile_known_target(div, n), compile_two_sample(div, n, m)
+    # the loss's own sides, and the sides a raw callable is given from n, m and two_sample
+    expected = expected_losses(known, points)
+    assert expected == expected_losses(known.evaluator, points, n) == expected_losses(
+        known.evaluator, points, n, m, two_sample=False)
+    expected = expected_losses(two_sample, points)
+    assert expected == expected_losses(two_sample.evaluator, points, n, m) == expected_losses(
+        two_sample.evaluator, points, n, m, two_sample=True)
 
 
 @settings(deadline=None, max_examples=60)
@@ -619,10 +636,11 @@ def test_exact_side_weights_equal_the_scaled_reference_pmf_bit_for_bit(data):
     d = data.draw(st.integers(1, 3))
     dist = data.draw(st.one_of(exact_distributions(d), mixed_denominator_distributions(d)))
     size = data.draw(st.integers(0, 8))
-    scale = data.draw(st.one_of(st.just(1.0), st.floats(1e-300, 1e3), st.builds(_poisson_size_weight,
-                                                                             st.floats(0.5, 700.0), st.just(size))))
-    weights = _weighted_histograms(dist, size, scale)
-    assert [(h, repr(w)) for h, w in weights] == [(h, repr(w)) for h, w in pmf_weighted_histograms(dist, size, scale)]
+    scale = data.draw(st.one_of(st.just(1.0), st.floats(1e-300, 1e3),
+                                st.floats(0.5, 700.0).map(lambda rate: Poisson(rate).size_weight(size))))
+    counts, weights = _item_arrays(dist, size, size, lambda _: scale)
+    assert [(tuple(c), repr(w)) for c, w in zip(counts.tolist(), weights.tolist())] == [
+        (h.counts, repr(w)) for h, w in pmf_weighted_histograms(dist, size, scale)]
 
 
 @settings(deadline=None, max_examples=40)
@@ -643,9 +661,9 @@ def test_numerated_compositions_are_the_pmf_over_the_common_denominator(data):
 
 
 def histogram_item_arrays(dist, size_from, size_to, size_weight):
-    """A side's items built from Histograms: :func:`_weighted_histograms` per size, stacked into arrays."""
+    """A side's items built from Histograms: :func:`pmf_weighted_histograms` per size, stacked into arrays."""
     items = [item for size in range(size_from, size_to + 1)
-             for item in _weighted_histograms(dist, size, size_weight(size))]
+             for item in pmf_weighted_histograms(dist, size, size_weight(size))]
     counts = np.array([h.counts for h, _ in items], dtype=np.int64).reshape(len(items), dist.dim)
     return counts, np.array([w for _, w in items], dtype=float)
 
@@ -662,11 +680,11 @@ def test_poisson_item_arrays_equal_the_histogram_built_items_bit_for_bit(data):
     if data.draw(st.booleans()):
         dist = Distribution.floating(dist.as_floats())
     rate = data.draw(st.floats(0.5, 12.0))
-    trunc = _poisson_mass_truncation(rate, data.draw(st.sampled_from([1e-2, 1e-4])))
+    trunc = Poisson(rate).first_sizes(data.draw(st.sampled_from([1e-2, 1e-4])))[1]
     size_from = data.draw(st.sampled_from([0, trunc + 1]))  # the first truncation, or one extension block
     size_to = trunc if size_from == 0 else trunc + 4
-    reference = histogram_item_arrays(dist, size_from, size_to, functools.partial(_poisson_size_weight, rate))
-    assert same_arrays(_poisson_items(dist, rate, size_from, size_to), reference)
+    reference = histogram_item_arrays(dist, size_from, size_to, Poisson(rate).size_weight)
+    assert same_arrays(_side_items(dist, Poisson(rate), size_from, size_to), reference)
     # a fixed-size side; a scale of two subnormal units underflows every pmf below 1/4 to 0, and drops its rows
     n = data.draw(st.integers(0, 8))
     for scale in (1.0, 1e-323):
@@ -680,18 +698,18 @@ def test_the_oracle_memos_equal_fresh_builds_and_cannot_be_written(data):
     dist = data.draw(st.one_of(exact_distributions(d), mixed_denominator_distributions(d)))
     size = data.draw(st.integers(0, 6))
     side = _pmf_numerators(dist, size)
-    support, hists, numerators, power = side
-    fresh_support, scaled, den = _scaled_support(dist)
+    hists, numerators, power = side
+    support, scaled, den = _scaled_support(dist)
     on_support = [h for h in enumerate_histograms(d, size) if all(h.counts[x] == 0 or x in support for x in range(d))]
-    assert (support, power) == (fresh_support, den**size)
+    assert power == den**size
     assert type(hists) is tuple and list(hists) == on_support and hists == _support_histograms(support, d, size)
     assert type(numerators) is tuple and list(numerators) == _numerated_compositions(scaled, size)[1]
     assert _pmf_numerators(dist, size) is side
     rate = data.draw(st.floats(0.5, 8.0))
-    trunc = _poisson_mass_truncation(rate, 1e-2)
-    items = _poisson_items(dist, rate, 0, trunc)
-    assert _poisson_items(dist, rate, 0, trunc) is items
-    assert same_arrays(items, _item_arrays(dist, 0, trunc, functools.partial(_poisson_size_weight, rate)))
+    trunc = Poisson(rate).first_sizes(1e-2)[1]
+    items = _side_items(dist, Poisson(rate), 0, trunc)
+    assert _side_items(dist, Poisson(rate), 0, trunc) is items
+    assert same_arrays(items, _item_arrays(dist, 0, trunc, Poisson(rate).size_weight))
     for array in items:
         assert not array.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
@@ -729,9 +747,9 @@ def test_every_oracle_memo_stays_within_its_bound():
         _support_histograms((0,), 1, k)
         simplex_grid(1, k)
         if k <= 2 * verify._ITEM_TABLES:
-            _poisson_items(dist, 0.5, 0, 1)
+            _side_items(dist, Poisson(0.5), 0, 1)
     for memo, bound in ((_pmf_numerators, verify._SIDE_TABLES), (_support_histograms, verify._SUPPORT_TABLES),
-                        (_poisson_items, verify._ITEM_TABLES), (divergences._simplex_points, divergences._GRIDS)):
+                        (_side_items, verify._ITEM_TABLES), (divergences._simplex_points, divergences._GRIDS)):
         info = memo.cache_info()
         assert info.maxsize == bound and info.currsize == bound
 

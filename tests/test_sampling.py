@@ -90,9 +90,9 @@ class TestDrawPoisson:
 
     @staticmethod
     def draw(probs, rate: float, reps: int, seed: int):
-        from properloss.sampling import STREAM_MODEL, STREAM_MODEL_SIZES, _size_vector
+        from properloss.sampling import STREAM_MODEL, STREAM_MODEL_SIZES
 
-        sizes = _size_vector(Poisson(rate), reps, stream_rng(seed, STREAM_MODEL_SIZES))
+        sizes = Poisson(rate).draw_sizes(reps, stream_rng(seed, STREAM_MODEL_SIZES))
         rows = InternalSource(Distribution.floating(probs)).draw_batch(sizes, stream_rng(seed, STREAM_MODEL))
         return sizes, rows.dense()
 
@@ -275,7 +275,8 @@ class TestExitSentinel:
 
     def test_a_poisson_run_whose_last_batch_draws_nothing_ends_the_child_at_close(self, monkeypatch, tmp_path):
         import properloss.sampling as sampling
-        from properloss.sampling import STREAM_MODEL_SIZES, _poisson_size
+        from properloss.domain import _poisson_size
+        from properloss.sampling import STREAM_MODEL_SIZES
 
         monkeypatch.setattr(sampling, "CHUNK_BYTES", 1)  # one replicate per chunk
         assert _poisson_size(stream_rng(16, STREAM_MODEL_SIZES).random(8), 0.3).tolist() == [1, 1, 1, 2, 0, 0, 0, 0]
@@ -411,6 +412,11 @@ class TestEstimateLoss:
         with pytest.raises(ValueError):
             estimate_loss(src, src, loss, 1, seed=0)
 
+    def test_a_known_target_loss_is_sent_to_the_exact_oracle(self):
+        src = InternalSource(HALF_F)
+        with pytest.raises(ValueError, match="known target is not sampled.*expected_losses or check_implements"):
+            estimate_loss(src, src, compile_known_target(builtin_l2(2), 2, Mode.FLOAT), 10, seed=0)
+
     def test_bit_identical_reports(self):
         loss = compile_two_sample(builtin_l2(2), 2, 2, Mode.FLOAT)
         model = InternalSource(Distribution.floating([0.25, 0.75]))
@@ -428,8 +434,8 @@ class TestEstimateLoss:
             STREAM_MODEL_SIZES,
             STREAM_TARGET,
             STREAM_TARGET_SIZES,
-            _poisson_size,
         )
+        from properloss.domain import _poisson_size
 
         model = InternalSource(Distribution.floating([0.25, 0.75]))
         target = InternalSource(HALF_F)
@@ -452,7 +458,8 @@ class TestEstimateLoss:
             assert report.std_error == float(np.std(values, ddof=1)) / math.sqrt(replicates)
 
     def test_poisson_batch_of_zero_sizes_sends_no_request(self):
-        from properloss.sampling import STREAM_MODEL_SIZES, _poisson_size
+        from properloss.domain import _poisson_size
+        from properloss.sampling import STREAM_MODEL_SIZES
 
         loss = cross_entropy_poisson(1e-6, 8.0)
         assert not _poisson_size(stream_rng(3, STREAM_MODEL_SIZES).random(10), 1e-6).any()
@@ -518,8 +525,8 @@ class TestEstimateLoss:
         for loss in (compile_two_sample(builtin_l2(2), 2, 3, Mode.FLOAT), kl_poisson(6.0, 4.0)):
             with SubprocessSource([sys.executable, "-c", child], AB) as model, FileSource(str(path), AB) as target:
                 report = estimate_loss(model, target, loss, replicates, seed=seed)
-            sizes_p = sampling._size_vector(loss.scheme_p, replicates, stream_rng(seed, STREAM_MODEL_SIZES))
-            sizes_q = sampling._size_vector(loss.scheme_q, replicates, stream_rng(seed, STREAM_TARGET_SIZES))
+            sizes_p = loss.scheme_p.draw_sizes(replicates, stream_rng(seed, STREAM_MODEL_SIZES))
+            sizes_q = loss.scheme_q.draw_sizes(replicates, stream_rng(seed, STREAM_TARGET_SIZES))
             with SubprocessSource([sys.executable, "-c", child], AB) as model, FileSource(str(path), AB) as target:
                 hp = model.draw_batch(sizes_p, stream_rng(seed, STREAM_MODEL))
                 hq = target.draw_batch(sizes_q, stream_rng(seed, STREAM_TARGET))

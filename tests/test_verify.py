@@ -72,18 +72,28 @@ class TestMultinomialPmf:
             multinomial_pmf(Histogram((1, 1)), 3, HALF)
 
 
-class TestWeightedHistograms:
+def pmf_weighted_histograms(dist, size, scale):
+    """``(counts, scale * multinomial_pmf(h))`` over the full enumeration, zero weights dropped."""
+    weighted = ((h.counts, scale * multinomial_pmf(h, size, dist)) for h in enumerate_histograms(dist.dim, size))
+    return [(c, w) for c, w in weighted if w != 0]
+
+
+def item_pairs(dist, size, scale):
+    """The rows and weights of ``_item_arrays`` for one size, as ``(counts, weight)`` pairs."""
+    counts, weights = verify._item_arrays(dist, size, size, lambda _: scale)
+    return list(zip(map(tuple, counts.tolist()), weights.tolist()))
+
+
+class TestItemArrays:
     def test_a_sparse_support_gives_the_filtered_full_enumeration(self):
         for probs in ([Fraction(1, 2), 0, Fraction(1, 2)], [0, 0, 1], [0, Fraction(1, 4), Fraction(3, 4)]):
             dist = Distribution.exact(probs)
             for size in (0, 1, 3):
-                full = [(h, multinomial_pmf(h, size, dist)) for h in enumerate_histograms(3, size)]
-                assert verify._weighted_histograms(dist, size) == [(h, w) for h, w in full if w != 0]
+                assert item_pairs(dist, size, 1.0) == pmf_weighted_histograms(dist, size, 1.0)
 
     def test_a_float_scale_gives_the_filtered_full_enumeration(self):
         dist = Distribution.floating([0.25, 0.0, 0.75, 0.0])
-        full = [(h, 0.5 * multinomial_pmf(h, 4, dist)) for h in enumerate_histograms(4, 4)]
-        assert verify._weighted_histograms(dist, 4, 0.5) == [(h, w) for h, w in full if w != 0]
+        assert item_pairs(dist, 4, 0.5) == pmf_weighted_histograms(dist, 4, 0.5)
 
 
 class TestExactExpectedKnownTarget:
@@ -156,6 +166,10 @@ class TestPoissonExpectedLoss:
         third = Distribution.exact([Fraction(1, 3)] * 3)
         with pytest.raises(DimensionMismatchError):
             poisson_expected_loss(cross_entropy_poisson(4.0, 4.0), third, HALF)
+
+    def test_a_known_target_loss_is_sent_to_the_exact_oracle(self):
+        with pytest.raises(ValueError, match="known target is not sampled.*expected_losses or check_implements"):
+            poisson_expected_loss(compile_known_target(builtin_l2(2), 2), HALF, HALF)
 
     def test_entropy_on_a_sparse_support_of_a_large_domain(self):
         # only the two-outcome support is enumerated; over all 30 coordinates
@@ -310,6 +324,10 @@ class TestFixedSizeOracleKernel:
         [report] = check_implements(compile_known_target(builtin_l2(2), 2), builtin_l2(2), [(self.P, exact)])
         assert isinstance(report.estimate, Fraction) and report.estimate == Fraction(1, 18) and report.passed
 
+    def test_a_known_target_given_as_a_list_is_scored_as_its_values(self):
+        loss = compile_known_target(builtin_l2(2), 2)
+        assert verify.expected_losses(loss, [(self.P, [Fraction(1, 2), Fraction(1, 2)])]) == [Fraction(1, 18)]
+
     def test_a_float_loss_value_is_rejected_by_name(self):
         def known_target(h, q):
             return Fraction(1, 3) if h.counts[0] == 2 else 0.25
@@ -368,8 +386,8 @@ class TestFixedSizeOracleKernel:
     def test_pmf_numerators_are_over_the_lcm_of_every_denominator(self):
         # the largest denominator, 15, is not a multiple of the others
         dist = Distribution.exact([Fraction(1, 6), Fraction(1, 10), Fraction(11, 15)])
-        support, hists, numerators, denominator = verify._pmf_numerators(dist, 2)
-        assert support == (0, 1, 2) and denominator == 30**2 and sum(numerators) == denominator
+        hists, numerators, denominator = verify._pmf_numerators(dist, 2)
+        assert len(hists) == 6 and denominator == 30**2 and sum(numerators) == denominator
         assert [Fraction(num, denominator) for num in numerators] == [multinomial_pmf(h, 2, dist) for h in hists]
 
     def test_a_sweep_evaluates_each_target_item_and_model_histogram_once(self):
