@@ -87,8 +87,13 @@ class CompiledLoss:
     the oracle adds each row's targets one after another in one reduce.
     The series losses score the grid straight from their series table; other
     losses score tiled left and repeated right rows with their batch
-    evaluator.  Evaluators are pure apart from internal memoization and safe
-    to call concurrently.
+    evaluator.  Its keyword ``out`` takes two flat float buffers, a grid and a
+    workspace, each of at least as many entries as the block has pairs: the
+    evaluator writes its grid into the first, may overwrite the second, and
+    returns a view of the first; without ``out`` it allocates both.  The
+    caller reads only the returned grid, never the buffers, so an evaluator
+    that returns an array of its own is scored the same.  Evaluators are pure
+    apart from internal memoization and safe to call concurrently.
     """
 
     evaluator: Callable[[Optional[Histogram], Histogram], object]
@@ -96,7 +101,7 @@ class CompiledLoss:
     scheme_q: SamplingScheme
     provenance: str
     batch_evaluator: Callable[[Optional[CountRows], CountRows], np.ndarray]
-    pair_evaluator: Callable[[Optional[np.ndarray], np.ndarray], np.ndarray]
+    pair_evaluator: Callable[..., np.ndarray]
 
     def evaluate(self, h_p: Optional[Histogram], h_q: Histogram):
         return self.evaluator(h_p, h_q)
@@ -471,15 +476,26 @@ def _numerator_route(evaluator: Callable) -> Optional[Callable]:
     return route if getattr(route, "owner", lambda: None)() is evaluator else None
 
 
-def _tiled_pairs(batch_evaluator) -> Callable[[Optional[np.ndarray], np.ndarray], np.ndarray]:
+def _pair_grids(out: Optional[tuple], rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """The grid and the workspace of a block of ``rows`` left by ``cols`` right rows, each as a row-major
+    ``(cols, rows)`` matrix whose transpose is the target-major grid: the leading entries of the flat buffers
+    ``out`` (:attr:`CompiledLoss.pair_evaluator`), or fresh matrices without them."""
+    size = rows * cols
+    grid, work = (np.empty(size), np.empty(size)) if out is None else out
+    return grid[:size].reshape(cols, rows), work[:size].reshape(cols, rows)
+
+
+def _tiled_pairs(batch_evaluator) -> Callable[..., np.ndarray]:
     """A pair evaluator that scores every (left row, right row) pair with ``batch_evaluator``, on the right rows
     each repeated once per left row against the left rows tiled ``len(right)`` times: target-major, so the grid
-    is the transpose of a row-major ``(len(right), len(left))`` matrix."""
+    is the transpose of a row-major ``(len(right), len(left))`` matrix, copied into the grid buffer."""
 
-    def pair_evaluator(left: Optional[np.ndarray], right: np.ndarray) -> np.ndarray:
+    def pair_evaluator(left: Optional[np.ndarray], right: np.ndarray, out: Optional[tuple] = None) -> np.ndarray:
         rows = 1 if left is None else len(left)
         hp = None if left is None else CountRows.from_counts(np.tile(left, (len(right), 1)))
-        return batch_evaluator(hp, CountRows.from_counts(np.repeat(right, rows, axis=0))).reshape(len(right), rows).T
+        grid, _ = _pair_grids(out, rows, len(right))
+        grid.reshape(-1)[:] = batch_evaluator(hp, CountRows.from_counts(np.repeat(right, rows, axis=0)))
+        return grid.T
 
     return pair_evaluator
 
@@ -534,15 +550,16 @@ def _series_table(series, complements: np.ndarray) -> np.ndarray:
     return np.array([series(t) for t in range(int(complements.max(initial=0)) + 1)], dtype=float)
 
 
-def _series_terms(counts: np.ndarray, scale, values: np.ndarray) -> np.ndarray:
-    """The terms ``(counts / scale) * values``, broadcast, as :func:`_series_loss` weighs them; a term is exactly
-    0 where its count is 0, even where its series value overflowed to inf (where 0 * inf would be NaN).  A term
-    past float range is inf, without a warning: the estimate's report names the non-finite mean."""
-    with np.errstate(over="ignore"):
-        if not np.isinf(values).any():
-            return counts / float(scale) * values
-        with np.errstate(invalid="ignore"):  # the masked 0 * inf
-            return np.where(counts > 0, counts / float(scale) * values, 0.0)
+def _series_terms(counts: np.ndarray, scale, values: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """The terms ``(counts / scale) * values``, broadcast, as :func:`_series_loss` weighs them, written into
+    ``out`` when given; a term is exactly 0 where its count is 0, even where its series value overflowed to inf
+    (where 0 * inf would be NaN).  A term past float range is inf, without a warning: the estimate's report names
+    the non-finite mean."""
+    with np.errstate(over="ignore", invalid="ignore"):  # invalid: the masked 0 * inf
+        terms = np.multiply(counts / float(scale), values, out=out)
+        if np.isinf(values).any():
+            np.copyto(terms, 0.0, where=counts == 0)
+    return terms
 
 
 def _series_batch(series, scale, weights: CountRows, h: CountRows) -> np.ndarray:
@@ -569,20 +586,27 @@ def _series_batch(series, scale, weights: CountRows, h: CountRows) -> np.ndarray
     return sums(_series_terms(counts, scale, _series_table(series, complements)[complements]))
 
 
-def _series_pairs(series, scale, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+def _series_pairs(series, scale, left: np.ndarray, right: np.ndarray, out: Optional[tuple] = None) -> np.ndarray:
     """:func:`_series_batch` at every (left row, right row) pair, as a ``(len(left), len(right))`` matrix.
 
     The series values ``S(|left[i]| - left[i, x])`` come from the left rows alone and the weights
     ``right[j, x] / scale`` from the right rows alone, so each coordinate's terms are one outer product of the
     two.  Coordinates are added in ascending order, the batch's order, and one that no right row observed is
-    skipped: its terms are all exactly 0, and adding 0 to the nonnegative terms changes no bit.  The grid is
-    built target-major, as the transpose of a row-major ``(len(right), len(left))`` matrix."""
+    skipped: its terms are all exactly 0, and adding 0 to the nonnegative terms changes no bit.  So the first
+    observed coordinate's terms are written straight into the grid, each later one's into the workspace and
+    added from there (:func:`_pair_grids`).  The grid is built target-major, as the transpose of a row-major
+    ``(len(right), len(left))`` matrix."""
     complements = left.sum(axis=1)[:, None] - left
     values = _series_table(series, complements)[complements]
-    out = np.zeros((len(right), len(left)))
-    for x in np.flatnonzero(right.any(axis=0)).tolist():
-        out += _series_terms(right[:, x, None], scale, values[:, x])
-    return out.T
+    grid, work = _pair_grids(out, len(left), len(right))
+    observed = np.flatnonzero(right.any(axis=0)).tolist()
+    if not observed:
+        grid.fill(0.0)
+    for i, x in enumerate(observed):
+        terms = _series_terms(right[:, x, None], scale, values[:, x], out=work if i else grid)
+        if i:
+            np.add(grid, terms, out=grid)
+    return grid.T
 
 
 def _series_compiled(rate, scale, mode: Mode, provenance: str, fixed: bool = False,
@@ -606,11 +630,13 @@ def _series_compiled(rate, scale, mode: Mode, provenance: str, fixed: bool = Fal
             _check_fixed_total(h_q, scale, "target")
         return _series_loss(series, scale_val, h_q, h_p)
 
-    def pair_evaluator(left: Optional[np.ndarray], right: np.ndarray) -> np.ndarray:
+    def pair_evaluator(left: Optional[np.ndarray], right: np.ndarray, out: Optional[tuple] = None) -> np.ndarray:
         if target_only:
             rows = CountRows.from_counts(right)
-            return _series_batch(float_series, scale, rows, rows)[None, :]
-        return _series_pairs(float_series, scale, left, right)
+            grid, _ = _pair_grids(out, 1, len(right))
+            grid[:, 0] = _series_batch(float_series, scale, rows, rows)
+            return grid.T
+        return _series_pairs(float_series, scale, left, right, out)
 
     return CompiledLoss(
         evaluator=evaluator,
@@ -670,15 +696,17 @@ def kl_poisson(alpha: float, beta: float, mode: Mode = Mode.FLOAT) -> CompiledLo
         return ce.evaluator(h_p, h_q) - ent.evaluator(None, h_q)
 
     # The Poisson oracle scores one right side against many blocks of left rows and never writes into it, so the
-    # entropy row is built once per right side.  The last side is held, so that its identity is not reused, with
-    # its row in one tuple, so that threads sharing the loss read a side and its row together.
+    # entropy row is built once per right side, in an array of its own (never in the caller's buffers), and taken
+    # from the cross-entropy grid in place.  The last side is held, so that its identity is not reused, with its
+    # row in one tuple, so that threads sharing the loss read a side and its row together.
     last = [(None, None)]
 
-    def pair_evaluator(left: Optional[np.ndarray], right: np.ndarray) -> np.ndarray:
+    def pair_evaluator(left: Optional[np.ndarray], right: np.ndarray, out: Optional[tuple] = None) -> np.ndarray:
         side, row = last[0]
         if side is not right:
             side, row = last[0] = right, ent.pair_evaluator(None, right)
-        return ce.pair_evaluator(left, right) - row
+        grid = ce.pair_evaluator(left, right, out=out)
+        return np.subtract(grid, row, out=grid)
 
     return CompiledLoss(
         evaluator=evaluator,

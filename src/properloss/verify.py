@@ -63,6 +63,7 @@ from .compiler import (
     CompiledLoss,
     KnownTargetLoss,
     _numerator_route,
+    _pair_grids,
     _row_sums,
     bregman_known_target,
     compile_known_target,
@@ -389,7 +390,8 @@ class PoissonExpectation:
     pairs: int
 
 
-#: Pairs scored per pair-evaluator call; bounds the oracle's pair matrices, at 512 KiB per float matrix.
+#: Pairs scored per pair-evaluator call; bounds the two float buffers, a grid and a workspace, that one
+#: :func:`poisson_expected_loss` call scores every block in, at 512 KiB each (more only for a wider target side).
 _PAIR_BLOCK = 65536
 
 
@@ -475,10 +477,17 @@ def poisson_expected_loss(
     scores tiled and repeated rows with its batch evaluator.  The grid is
     target-major, so one reduce over its target axis adds each model row's
     terms one after another; a block of one row or one column keeps a
-    cumulative sum.  Sums run in the order of a row-by-row double loop, so a
-    float-mode loss whose batch evaluator equals its scalar one gives the same
-    result bit for bit.  Sides come from a process-wide memo
-    (:func:`_side_items`), so a repeated call builds none of them again.
+    cumulative sum.  The call allocates two flat float buffers, a grid and a
+    workspace, sized for its largest block, and passes them to every block
+    through the pair evaluator's ``out`` keyword: the evaluator writes its
+    grid into the first and returns a view of it.  The oracle takes |v| and
+    the weighted grid in the workspace, and reads only the grid returned,
+    never the buffers themselves, nor writes into that grid, so an evaluator
+    that returns an array of its own is scored the same.  Sums run in the
+    order of a row-by-row double loop, so a float-mode loss whose batch
+    evaluator equals its scalar one gives the same result bit for bit.  Sides
+    come from a process-wide memo (:func:`_side_items`), so a repeated call
+    builds none of them again.
     """
     if loss.scheme_p is not None and p is None:
         raise ValueError("the loss consumes a model sample, so a model distribution is required")
@@ -490,21 +499,31 @@ def poisson_expected_loss(
     pairs = 0
     no_items = (None, np.zeros(0))
 
+    buffers = (np.empty(0), np.empty(0))  # the grid and the workspace that every block is scored in
+
     def cross(left: tuple, right: tuple) -> float:
-        nonlocal sup_loss, pairs
+        nonlocal sup_loss, pairs, buffers
         (left_counts, left_w), (right_counts, right_w) = left, right
         acc = 0.0
         if not len(left_w) or not len(right_w):
             return acc
         rows = max(1, _PAIR_BLOCK // len(right_w))
+        size = min(rows, len(left_w)) * len(right_w)
+        if len(buffers[0]) < size:  # a larger block than any before; the old buffers go first
+            buffers = ()
+            size = max(size, min(_PAIR_BLOCK, 2 * size))  # a block within half of a full one gets a full one
+            buffers = (np.empty(size), np.empty(size))
         for start in range(0, len(left_w), rows):
             w = left_w[start : start + rows]
-            v = pair_evaluator(None if left_counts is None else left_counts[start : start + rows], right_counts)
-            sup_loss = float(np.fmax.reduce(np.abs(v), axis=None, initial=sup_loss))  # NaN losses are skipped
+            v = pair_evaluator(None if left_counts is None else left_counts[start : start + rows], right_counts,
+                               out=buffers)
+            scratch = _pair_grids(buffers, *v.shape)[1].T  # target-major, whatever the layout of v
+            sup_loss = float(np.fmax.reduce(np.abs(v, out=scratch), axis=None, initial=sup_loss))  # NaN is skipped
+            np.multiply(v, right_w, out=scratch)
             if min(v.shape) < 2:  # one row would be added pairwise by a reduce, as one contiguous run
-                inner = _row_sums(right_w * v)
+                inner = _row_sums(scratch)
             else:  # target-major, so a reduce over the targets adds them one after another, as the scalar loop does
-                inner = np.add.reduce(np.multiply(v, right_w, order="F"), axis=1)
+                inner = np.add.reduce(scratch, axis=1)
             acc = float(np.cumsum(np.concatenate(([acc], w * inner)))[-1])
             pairs += v.size
         return acc

@@ -351,6 +351,26 @@ class TestCrossEntropyLosses:
         expected = [[float(loss.evaluator(Histogram(tuple(h)), Histogram(tuple(g)))) for g in right] for h in left]
         assert repr(grid.tolist()) == repr(expected)
 
+    def test_pair_evaluators_write_their_grid_into_the_buffers_given(self):
+        # buffers longer than the block and full of NaN: the grid is a view of the first, with every entry written,
+        # equal bit for bit to a fresh loss's grid scored without buffers, also on a loss that scored other rows before
+        right = [[3, 0], [0, 2], [2, 2]]
+        for build, calls in (
+            (lambda: cross_entropy_poisson(0.5, 2.0), [([[0, 1], [1, 2]], right), ([[200, 0], [0, 1]], right)]),
+            (lambda: cross_entropy_poisson(0.5, 2.0), [([[0, 1]], [[0, 0], [0, 0]])]),  # no target observes any x
+            (lambda: kl_poisson(4.0, 4.0), [([[0, 1], [1, 2]], right), ([[5, 1], [1, 9]], right)]),
+            (lambda: entropy_poisson(4.0), [(None, right), (None, [[9, 0], [0, 12]])]),
+            (lambda: compile_two_sample(builtin_l2(2), 2, 2), [([[2, 0], [1, 1]], [[0, 2], [1, 1], [2, 0]])]),
+        ):
+            loss = build()
+            for lhs, rhs in calls:
+                left = None if lhs is None else np.array(lhs, dtype=np.int64)
+                buffers = (np.full(64, np.nan), np.full(64, np.nan))
+                grid = loss.pair_evaluator(left, np.array(rhs, dtype=np.int64), out=buffers)
+                assert np.shares_memory(grid, buffers[0]) and not np.shares_memory(grid, buffers[1])
+                assert grid.shape == (1 if left is None else len(left), len(rhs)) and not np.isnan(grid).any()
+                assert grid.tobytes() == build().pair_evaluator(left, np.array(rhs, dtype=np.int64)).tobytes()
+
     @pytest.mark.filterwarnings("error")
     def test_a_term_past_float_range_is_inf_without_a_warning(self):
         from properloss.compiler import _series_terms

@@ -1,8 +1,10 @@
 import dataclasses
 import functools
 import math
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from properloss import (
@@ -197,7 +199,9 @@ class TestPoissonExpectedLoss:
             (cross_entropy_poisson_fixed_target(4.0, 2), skew, HALF),
         ]
         default = [poisson_expected_loss(loss, p, q, tail_eps=1e-6) for loss, p, q in cases]
-        for block in (1, 10**9):  # one pair per call, and every left row against the whole right side at once
+        # one pair per call; blocks of several rows, each scored in the buffers the one before it used; and every
+        # left row against the whole right side at once
+        for block in (1, 64, 4096, 10**9):
             monkeypatch.setattr(verify, "_PAIR_BLOCK", block)
             assert [poisson_expected_loss(loss, p, q, tail_eps=1e-6) for loss, p, q in cases] == default
 
@@ -208,9 +212,9 @@ class TestPoissonExpectedLoss:
         def counted_entropy(beta, mode=Mode.FLOAT):
             ent = real_entropy(beta, mode)
 
-            def row(left, right):
+            def row(left, right, out=None):
                 builds.append(right)
-                return ent.pair_evaluator(left, right)
+                return ent.pair_evaluator(left, right, out=out)
 
             return dataclasses.replace(ent, pair_evaluator=row)
 
@@ -219,9 +223,9 @@ class TestPoissonExpectedLoss:
         loss = kl_poisson(4.0, 5.0)
         blocks = []
 
-        def block(left, right):
+        def block(left, right, out=None):
             blocks.append(right)
-            return loss.pair_evaluator(left, right)
+            return loss.pair_evaluator(left, right, out=out)
 
         skew = Distribution.exact([Fraction(1, 4), Fraction(3, 4)])
         est = poisson_expected_loss(dataclasses.replace(loss, pair_evaluator=block), skew, HALF, tail_eps=1e-6)
@@ -231,12 +235,47 @@ class TestPoissonExpectedLoss:
         assert len(blocks) > 10 * len(sides)
         ce, ent = cross_entropy_poisson(4.0, 5.0), real_entropy(5.0)
 
-        def unshared(left, right):  # the entropy row built on every block
-            return ce.pair_evaluator(left, right) - ent.pair_evaluator(None, right)
+        def unshared(left, right, out=None):  # the entropy row built on every block
+            return ce.pair_evaluator(left, right, out=out) - ent.pair_evaluator(None, right)
 
         plain = dataclasses.replace(loss, pair_evaluator=unshared)
         reference = poisson_expected_loss(plain, skew, HALF, tail_eps=1e-6)
         assert {k: repr(v) for k, v in vars(est).items()} == {k: repr(v) for k, v in vars(reference).items()}
+
+    def test_a_returned_grid_is_only_read(self, monkeypatch):
+        # a pair evaluator may return an array of its own in place of the buffers: here views of one cached array,
+        # C-ordered, whose values do not depend on the rows; the oracle must score them as it scores fresh copies
+        # and leave them as they were
+        monkeypatch.setattr(verify, "_PAIR_BLOCK", 4096)  # many blocks per cross
+        skew = Distribution.exact([Fraction(1, 4), Fraction(3, 4)])
+        for loss, p in ((cross_entropy_poisson(4.0, 5.0), skew), (entropy_poisson(4.0), None)):
+            first = poisson_expected_loss(loss, p, HALF, tail_eps=1e-6)
+            cached = np.random.default_rng(5).standard_normal((first.items_model or 1, first.items_target))
+            kept = cached.copy()
+
+            def shared(left, right, out=None):
+                return cached[: 1 if left is None else len(left), : len(right)]
+
+            def fresh(left, right, out=None):
+                return np.array(shared(left, right), order="F")
+
+            est = poisson_expected_loss(dataclasses.replace(loss, pair_evaluator=shared), p, HALF, tail_eps=1e-6)
+            reference = poisson_expected_loss(dataclasses.replace(loss, pair_evaluator=fresh), p, HALF, tail_eps=1e-6)
+            assert {k: repr(v) for k, v in vars(est).items()} == {k: repr(v) for k, v in vars(reference).items()}
+            assert cached.tobytes() == kept.tobytes()
+
+    def test_a_warm_call_holds_two_block_buffers(self):
+        # the grid and the workspace are allocated once per call and reused by every block; fresh matrices per block
+        # (a grid, a term per coordinate, |v| and v * w) peaked at about 3.4 blocks' worth
+        loss = cross_entropy_poisson(6.0, 6.0)
+        poisson_expected_loss(loss, verify._SKEW, verify._HALF)  # the sides are memoized once per process
+        tracemalloc.start()
+        try:
+            poisson_expected_loss(loss, verify._SKEW, verify._HALF)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * verify._PAIR_BLOCK * 8
 
     def test_a_fixed_size_loss_matches_the_exact_oracle(self):
         # a polynomial loss reaches the truncated oracle only through its tiled pair evaluator
