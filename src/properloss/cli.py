@@ -197,12 +197,13 @@ def _reject_rates(args: argparse.Namespace, names: Sequence[str], reason: str) -
             raise ValueError(f"--{name} does not apply to {args.divergence}: {reason}")
 
 
-def _build_loss(args: argparse.Namespace, divergence, dim: int, mode: Mode) -> CompiledLoss:
+def _build_loss(args: argparse.Namespace, divergence) -> CompiledLoss:
     if isinstance(divergence, PolyDivergence):
         _reject_rates(args, ("alpha", "beta"), "polynomial divergences draw fixed-size samples (--n, --m)")
         if args.n is None or args.m is None:
             raise ValueError("polynomial divergences need --n and --m")
-        return compile_two_sample(divergence, args.n, args.m, mode)
+        # float whatever --mode says: the estimate reads only the batch evaluator, which is float in either mode
+        return compile_two_sample(divergence, args.n, args.m, Mode.FLOAT)
     kind = divergence.kind
     _reject_series_sizes(args, kind)
     if kind is SeriesKind.CROSS_ENTROPY:
@@ -210,18 +211,18 @@ def _build_loss(args: argparse.Namespace, divergence, dim: int, mode: Mode) -> C
             raise ValueError("cross-entropy needs --alpha")
         if args.m is not None:
             _reject_rates(args, ("beta",), f"with --m {args.m} the target draws a fixed-size sample")
-            return cross_entropy_poisson_fixed_target(args.alpha, args.m, mode)
+            return cross_entropy_poisson_fixed_target(args.alpha, args.m)
         if args.beta is None:
             raise ValueError("cross-entropy needs --beta (or --m for a fixed-size target)")
-        return cross_entropy_poisson(args.alpha, args.beta, mode)
+        return cross_entropy_poisson(args.alpha, args.beta)
     if kind is SeriesKind.KL:
         if args.alpha is None or args.beta is None:
             raise ValueError("kl needs --alpha and --beta")
-        return kl_poisson(args.alpha, args.beta, mode)
+        return kl_poisson(args.alpha, args.beta)
     _reject_rates(args, ("alpha",), "entropy scores the target alone, with no model sample")
     if args.beta is None:
         raise ValueError("entropy needs --beta")
-    return entropy_poisson(args.beta, mode)
+    return entropy_poisson(args.beta)
 
 
 def _describe_source(args: argparse.Namespace, side: str) -> str:
@@ -237,7 +238,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     domain = _resolve_domain(args)
     divergence_dim = domain.size if domain is not None else 2
     divergence = parse_divergence(args.divergence, divergence_dim)
-    loss = _build_loss(args, divergence, divergence_dim, mode)
+    loss = _build_loss(args, divergence)
 
     # every source built is closed on every path: a child started for one
     # side must not outlive a configuration error found on the other
@@ -454,7 +455,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--target-file", help="token-per-line sample file for the target")
     p_eval.add_argument("--target-cmd", help="subprocess generator command for the target")
     p_eval.add_argument("--replicates", type=int, default=10000)
-    p_eval.add_argument("--mode", choices=("float", "exact"), default="float")
+    p_eval.add_argument("--mode", choices=("float", "exact"), default="float",
+                        help="how --*-probs parse: exact reads rationals (1/3) and needs an exact unit sum; "
+                             "the estimate is float either way")
     add_common(p_eval)
     p_eval.set_defaults(func=cmd_eval)
 

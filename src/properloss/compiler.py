@@ -17,6 +17,10 @@ compiled: there is no separate closed form to keep in step.
 Compilation refuses sample sizes below the divergence's degrees
 (:class:`~properloss.errors.DegreeGateError`): that boundary is tight, not a
 convenience check.
+
+Arithmetic is exact only where an exact oracle reads it: polynomial losses
+compile in either :class:`~properloss.domain.Mode`, their batch and pair
+evaluators float in both, and the power-series losses are float.
 """
 
 from __future__ import annotations
@@ -500,8 +504,8 @@ def _tiled_pairs(batch_evaluator) -> Callable[..., np.ndarray]:
     return pair_evaluator
 
 
-def _log_series(rate, mode: Mode) -> Callable[[int], object]:
-    """Memoized S(t) = sum_{k=1..t} (1/k) rate**-k ff(t, k).
+def _log_series(rate) -> Callable[[int], float]:
+    """Memoized float S(t) = sum_{k=1..t} (1/k) rate**-k ff(t, k).
 
     This is the unbiased estimator of ``-ln(theta / rate)``'s Taylor series
     evaluated on a Poisson(theta) count: ``E S(T) = -ln(1 - theta/rate)``
@@ -509,13 +513,8 @@ def _log_series(rate, mode: Mode) -> Callable[[int], object]:
     """
     if not rate > 0:
         raise ValueError("rate must be > 0")
-    if mode is Mode.EXACT:
-        r = Fraction(rate)
-        coeffs = lambda k: Fraction(1, k)
-    else:
-        r = float(rate)
-        coeffs = lambda k: 1.0 / k
-    return cache(lambda t: poisson_power_series(t, coeffs, r))
+    r = float(rate)
+    return cache(lambda t: poisson_power_series(t, lambda k: 1.0 / k, r))
 
 
 def _series_loss(series, scale, weights: Histogram, h: Histogram):
@@ -546,7 +545,7 @@ def _row_sums(a: np.ndarray) -> np.ndarray:
 
 
 def _series_table(series, complements: np.ndarray) -> np.ndarray:
-    """S(0), ..., S(largest of ``complements``) as a float array, from a float-mode :func:`_log_series`."""
+    """S(0), ..., S(largest of ``complements``) as a float array, from a :func:`_log_series`."""
     return np.array([series(t) for t in range(int(complements.max(initial=0)) + 1)], dtype=float)
 
 
@@ -565,18 +564,18 @@ def _series_terms(counts: np.ndarray, scale, values: np.ndarray, out: Optional[n
 def _series_batch(series, scale, weights: CountRows, h: CountRows) -> np.ndarray:
     """:func:`_series_loss` in float over count rows, equal to the float scalar row by row.
 
-    ``series`` is a float-mode :func:`_log_series`, whose memo carries over
-    from call to call.  Complements at observed coordinates index a dense
-    table of S(0), ..., S(largest such complement).  Each row adds its terms
-    in ascending coordinate order, the scalar's order: as dense columns
-    (:func:`_row_sums`) when the domain is small against the draws per row
-    (:meth:`CountRows.dense_scoring`), where every unobserved coordinate adds
-    exactly 0; otherwise over each row's observed coordinates only
-    (:func:`_fold`)."""
+    ``series`` is a :func:`_log_series`, whose memo carries over from call
+    to call.  Complements at observed coordinates, each row's size less its
+    count there, index a dense table of S(0), ..., S(largest such
+    complement).  Each row adds its terms in ascending coordinate order, the
+    scalar's order: as dense columns (:func:`_row_sums`) when the domain is
+    small against the draws per row (:meth:`CountRows.dense_scoring`), where
+    every unobserved coordinate adds exactly 0; otherwise over each row's
+    observed coordinates only (:func:`_fold`)."""
     rows, d = weights.shape
     if weights.dense_scoring(*(() if h is weights else (h,))):
-        counts, totals = weights.dense(), _row_sums(h.dense())
-        complements = np.where(counts > 0, totals[:, None] - h.dense(), 0)
+        counts = weights.dense()
+        complements = np.where(counts > 0, h.sizes[:, None] - h.dense(), 0)
         sums = _row_sums
     else:
         keys, counts = weights.entries()
@@ -609,17 +608,14 @@ def _series_pairs(series, scale, left: np.ndarray, right: np.ndarray, out: Optio
     return grid.T
 
 
-def _series_compiled(rate, scale, mode: Mode, provenance: str, fixed: bool = False,
-                     target_only: bool = False) -> CompiledLoss:
-    """The Poisson series loss ``sum_x (h_q[x] / scale) * S_rate(count of h_p outside x)``.
+def _series_compiled(rate, scale, provenance: str, fixed: bool = False, target_only: bool = False) -> CompiledLoss:
+    """The Poisson series loss ``sum_x (h_q[x] / scale) * S_rate(count of h_p outside x)``, in float.
 
     Its target sample has Poisson(scale) size, or exactly ``scale`` draws when ``fixed``; a ``target_only`` loss
     reads ``h_q`` in place of ``h_p`` and has no model scheme, and its pair evaluator gives the one row of the
-    right rows' losses.  The float series of the batch and pair evaluators is built once per loss.
+    right rows' losses.  One series is built per loss, and all three evaluators read it.
     """
-    series = _log_series(rate, mode)
-    float_series = series if mode is Mode.FLOAT else _log_series(rate, Mode.FLOAT)
-    scale_val = Fraction(scale) if mode is Mode.EXACT else float(scale)
+    series = _log_series(rate)
 
     def evaluator(h_p: Histogram, h_q: Histogram) -> object:
         if target_only:
@@ -628,27 +624,27 @@ def _series_compiled(rate, scale, mode: Mode, provenance: str, fixed: bool = Fal
             raise DimensionMismatchError(f"histogram dimensions {h_p.dim} != {h_q.dim}")
         if fixed:
             _check_fixed_total(h_q, scale, "target")
-        return _series_loss(series, scale_val, h_q, h_p)
+        return _series_loss(series, float(scale), h_q, h_p)
 
     def pair_evaluator(left: Optional[np.ndarray], right: np.ndarray, out: Optional[tuple] = None) -> np.ndarray:
         if target_only:
             rows = CountRows.from_counts(right)
             grid, _ = _pair_grids(out, 1, len(right))
-            grid[:, 0] = _series_batch(float_series, scale, rows, rows)
+            grid[:, 0] = _series_batch(series, scale, rows, rows)
             return grid.T
-        return _series_pairs(float_series, scale, left, right, out)
+        return _series_pairs(series, scale, left, right, out)
 
     return CompiledLoss(
         evaluator=evaluator,
         scheme_p=None if target_only else Poisson(float(rate)),
         scheme_q=FixedSize(scale) if fixed else Poisson(float(scale)),
         provenance=provenance,
-        batch_evaluator=lambda hp, hq: _series_batch(float_series, scale, hq, hq if target_only else hp),
+        batch_evaluator=lambda hp, hq: _series_batch(series, scale, hq, hq if target_only else hp),
         pair_evaluator=pair_evaluator,
     )
 
 
-def cross_entropy_poisson(alpha: float, beta: float, mode: Mode = Mode.FLOAT) -> CompiledLoss:
+def cross_entropy_poisson(alpha: float, beta: float) -> CompiledLoss:
     """Poisson-size loss whose expectation is the cross-entropy -sum_x q_x ln p_x.
 
     ``L(h_p, h_q) = sum_x (h_q[x]/beta) * S_alpha(h_p minus x)``, where
@@ -656,10 +652,10 @@ def cross_entropy_poisson(alpha: float, beta: float, mode: Mode = Mode.FLOAT) ->
     everything except ``x``.  The inner sum self-truncates, so the loss is
     finite on every histogram pair even when the divergence itself is +inf.
     """
-    return _series_compiled(alpha, beta, mode, f"cross-entropy power-series loss, rates ({alpha}, {beta})")
+    return _series_compiled(alpha, beta, f"cross-entropy power-series loss, rates ({alpha}, {beta})")
 
 
-def cross_entropy_poisson_fixed_target(alpha: float, m: int, mode: Mode = Mode.FLOAT) -> CompiledLoss:
+def cross_entropy_poisson_fixed_target(alpha: float, m: int) -> CompiledLoss:
     """Cross-entropy loss with a Poisson model sample but a fixed-size target sample.
 
     The target side only needs the empirical frequency, so any ``m >= 1``
@@ -667,11 +663,11 @@ def cross_entropy_poisson_fixed_target(alpha: float, m: int, mode: Mode = Mode.F
     """
     if m < 1:
         raise ValueError("target sample size must be >= 1")
-    return _series_compiled(alpha, m, mode, f"cross-entropy power-series loss, rate {alpha}, fixed target size {m}",
+    return _series_compiled(alpha, m, f"cross-entropy power-series loss, rate {alpha}, fixed target size {m}",
                             fixed=True)
 
 
-def entropy_poisson(beta: float, mode: Mode = Mode.FLOAT) -> CompiledLoss:
+def entropy_poisson(beta: float) -> CompiledLoss:
     """Target-only Poisson loss whose expectation is the Shannon entropy -sum_x q_x ln q_x.
 
     Uses that under Poisson sampling the count at ``x`` and the count of
@@ -679,18 +675,18 @@ def entropy_poisson(beta: float, mode: Mode = Mode.FLOAT) -> CompiledLoss:
     S_beta(h_q minus x)`` has expectation ``sum_x q_x * (-ln q_x) >= 0``.
     The model histogram is ignored (``scheme_p`` is ``None``).
     """
-    return _series_compiled(beta, beta, mode, f"Shannon-entropy power-series loss, rate {beta}", target_only=True)
+    return _series_compiled(beta, beta, f"Shannon-entropy power-series loss, rate {beta}", target_only=True)
 
 
-def kl_poisson(alpha: float, beta: float, mode: Mode = Mode.FLOAT) -> CompiledLoss:
+def kl_poisson(alpha: float, beta: float) -> CompiledLoss:
     """Poisson-size loss whose expectation is sum_x q_x ln(q_x / p_x).
 
     KL decomposes as cross-entropy minus Shannon entropy of the target, and
     both parts are implementable under Poisson sampling, so the loss is the
     difference of the two estimators on the same histogram pair.
     """
-    ce = cross_entropy_poisson(alpha, beta, mode)
-    ent = entropy_poisson(beta, mode)
+    ce = cross_entropy_poisson(alpha, beta)
+    ent = entropy_poisson(beta)
 
     def evaluator(h_p: Histogram, h_q: Histogram) -> object:
         return ce.evaluator(h_p, h_q) - ent.evaluator(None, h_q)

@@ -21,8 +21,8 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional
 
-from .domain import Distribution, compositions, over_common_denominator
-from .errors import DimensionMismatchError, OddExponentError
+from .domain import ENUMERATION_CAP, Distribution, compositions, over_common_denominator
+from .errors import DimensionMismatchError, DomainTooLargeError, OddExponentError
 from .estimators import ExponentVector
 
 
@@ -329,10 +329,13 @@ def simplex_grid(d: int, denominator: int) -> list[Distribution]:
     """All exact distributions with entries in {0, 1/denominator, ..., 1}.
 
     Each call returns a new list, of points built once per process and shared: a distribution is immutable, and
-    a shared point keeps the hash and common-denominator form it caches, which the exact oracles read.
+    a shared point keeps the hash and common-denominator form it caches, which the exact oracles read.  A grid of
+    more than ``ENUMERATION_CAP`` points is refused (:class:`DomainTooLargeError`) before any point is built.
     """
     if d < 1 or denominator < 1:
         raise ValueError("need d >= 1 and denominator >= 1")
+    if (count := math.comb(denominator + d - 1, d - 1)) > ENUMERATION_CAP:
+        raise DomainTooLargeError(f"a grid of {count} points over {d} outcomes exceeds the cap of {ENUMERATION_CAP}")
     return list(_simplex_points(d, denominator))
 
 

@@ -29,6 +29,9 @@ from .errors import (
     TokenUnknownError,
 )
 
+#: Feasibility cap on the number of histograms or grid points one enumeration builds.
+ENUMERATION_CAP = 10**6
+
 #: Float-mode tolerance on |sum(probs) - 1| before construction fails.
 #: In-tolerance vectors are renormalized so downstream code sees an exact unit sum.
 FLOAT_SIMPLEX_TOL = 1e-12
@@ -79,19 +82,13 @@ class Domain:
         return self.labels[i]
 
 
-def _as_exact(value) -> Fraction:
-    if isinstance(value, float):
-        # Floats convert to their exact binary value; callers that want a
-        # decimal-looking rational should pass a string or Fraction.
-        return Fraction(value)
-    return Fraction(value)
-
-
 @dataclass(frozen=True)
 class Distribution:
     """A probability vector over a finite domain of size ``len(probs)``.
 
-    Entries are Fractions in exact mode and floats in float mode.  Float
+    Entries are Fractions in exact mode and floats in float mode.  In exact
+    mode a float entry converts to its exact binary value; callers that want
+    a decimal-looking rational should pass a string or Fraction.  Float
     vectors within :data:`FLOAT_SIMPLEX_TOL` of a unit sum are renormalized
     on construction; anything further off is rejected.
     """
@@ -104,7 +101,7 @@ class Distribution:
         if len(probs) == 0:
             raise ValueError("distribution must have at least one entry")
         if self.mode is Mode.EXACT:
-            probs = tuple(_as_exact(v) for v in probs)
+            probs = tuple(map(Fraction, probs))
             if any(v < 0 for v in probs):
                 raise ValueError("probabilities must be non-negative")
             if sum(probs) != 1:

@@ -84,6 +84,7 @@ from .divergences import (
     squared_norm_polynomial,
 )
 from .domain import (
+    ENUMERATION_CAP,
     KNOWN_TARGET,
     Distribution,
     FixedSize,
@@ -104,9 +105,6 @@ from .errors import (
 )
 from .estimators import ExponentVector
 from .sampling import InternalSource, estimate_loss
-
-#: Feasibility cap on the number of enumerated histograms per oracle call.
-ENUMERATION_CAP = 10**6
 
 
 def enumerate_histograms(d: int, n: int, cap: int = ENUMERATION_CAP) -> list[Histogram]:
@@ -658,7 +656,7 @@ def check_implements(loss, divergence, points: Sequence[tuple], tol=0, tail_eps:
     return reports
 
 
-def naive_plugin_loss(n: int, mode: Mode = Mode.EXACT) -> KnownTargetLoss:
+def naive_plugin_loss(n: int) -> KnownTargetLoss:
     """The biased plug-in loss ||phat - q||^2, kept around as a counterexample.
 
     Its expectation is the squared distance plus the summed sampling variance
@@ -674,7 +672,7 @@ def naive_plugin_loss(n: int, mode: Mode = Mode.EXACT) -> KnownTargetLoss:
             raise DimensionMismatchError(f"histogram dimension {h.dim}, target dimension {len(qv)}")
         if h.total != n:
             raise TotalMismatchError(f"histogram total {h.total} != declared sample size {n}")
-        phat = empirical(h, mode).probs
+        phat = empirical(h).probs
         return sum((a - b) ** 2 for a, b in zip(phat, qv))
 
     return KnownTargetLoss(evaluator=evaluator, scheme=FixedSize(n), provenance=f"plug-in squared loss (biased), n={n}")
@@ -695,17 +693,14 @@ _BIAS_GRID_STEP = 1e-4
 
 
 def _plugin_optimum(q: Distribution, n: int):
-    """The plug-in loss's optimum on a coin domain, ``(q1 - 1/(2n)) * n/(n-1)`` clipped to [0, 1]."""
+    """The plug-in loss's optimum on a coin domain, ``(q1 - 1/(2n)) * n/(n-1)`` clipped to [0, 1]; ``q`` is exact."""
     if q.dim != 2:
         raise DimensionMismatchError("the bias demo is defined on two-outcome domains")
     if n < 2:
         raise SampleTooSmallError("need n >= 2")
-    q1 = q.probs[0]
-    if q.mode is Mode.EXACT:
-        stationary = (q1 - Fraction(1, 2 * n)) * Fraction(n, n - 1)
-        return min(max(stationary, Fraction(0)), Fraction(1))
-    stationary = (q1 - 1.0 / (2 * n)) * n / (n - 1)
-    return min(max(stationary, 0.0), 1.0)
+    _require_exact(q, "target")
+    stationary = (q.probs[0] - Fraction(1, 2 * n)) * Fraction(n, n - 1)
+    return min(max(stationary, Fraction(0)), Fraction(1))
 
 
 def naive_plugin_bias_demo(q: Distribution, n: int) -> NaivePluginBias:

@@ -608,6 +608,38 @@ class TestEval:
         mean, se = float(record["mean"]), float(record["std_error"])
         assert abs(mean - 0.6931471805599453) <= 5 * se
 
+    @pytest.mark.parametrize(
+        "divergence, sizes",
+        [
+            ("l2", ("--n", "2", "--m", "2")),
+            ("lk:4", ("--n", "4", "--m", "4")),
+            ("brier", ("--n", "2", "--m", "1")),
+            ("cross-entropy", ("--alpha", "6", "--beta", "4")),
+            ("cross-entropy", ("--alpha", "6", "--m", "3")),
+            ("kl", ("--alpha", "6", "--beta", "4")),
+            ("entropy", ("--beta", "4")),
+        ],
+    )
+    def test_mode_changes_no_estimate(self, capsys, divergence, sizes):
+        # --mode sets how the probabilities parse; the loss and the estimate are float either way
+        model = () if divergence == "entropy" else ("--model-probs", "0.2,0.3,0.5")
+        records = {}
+        for mode in ("float", "exact"):
+            code, out, _ = run(
+                capsys,
+                "eval",
+                "--divergence", divergence, *sizes, *model,
+                "--target-probs", "0.1,0.6,0.3",
+                "--replicates", "400",
+                "--seed", "5",
+                "--mode", mode,
+                "--format", "machine",
+            )
+            assert code == 0
+            records[mode] = parse_machine(out)[1]
+            assert records[mode].pop("mode") == mode
+        assert records["exact"] == records["float"]
+
 
 #: ``properloss verify --seed 7 --format machine``, byte for byte: every check's name, order, tag, gap and detail.
 VERIFY_SEED_7_MACHINE = (

@@ -335,11 +335,6 @@ class TestCrossEntropyLosses:
         loss = cross_entropy_poisson_fixed_target(4.0, 2)
         assert loss.evaluator(Histogram((4, 0)), Histogram((2, 0))) == 0
 
-    def test_exact_mode_is_rational(self):
-        loss = cross_entropy_poisson(Fraction(4), Fraction(2), Mode.EXACT)
-        value = loss.evaluator(Histogram((3, 1)), Histogram((1, 1)))
-        assert value == Fraction(39, 64)
-
     def test_a_pair_grid_adds_exactly_zero_where_an_unweighted_series_term_overflows(self):
         # at rate 0.5, S(400) overflows to inf: model row 0 has it at coordinate 1, which target row 0 never saw
         loss = cross_entropy_poisson(0.5, 2.0)

@@ -6,6 +6,7 @@ import pytest
 from properloss import (
     DimensionMismatchError,
     Distribution,
+    DomainTooLargeError,
     ExponentVector,
     Monomial,
     OddExponentError,
@@ -18,6 +19,7 @@ from properloss import (
     builtin_lk_even,
     simplex_grid,
 )
+from properloss import divergences
 
 HALF = Distribution.exact([Fraction(1, 2), Fraction(1, 2)])
 
@@ -158,6 +160,20 @@ class TestSeriesDivergences:
         ent = SeriesDivergence(SeriesKind.SHANNON_ENTROPY)
         p = Distribution.exact([1, 0])
         assert ent.evaluate(p, HALF) == ent.evaluate(HALF, HALF)
+
+
+class TestSimplexGrid:
+    def test_a_grid_past_the_cap_is_refused_before_any_point_is_built(self):
+        # C(39, 19), about 6.9e10 points: refused from the count alone
+        with pytest.raises(DomainTooLargeError, match="68923264410 points over 20 outcomes"):
+            simplex_grid(20, 20)
+
+    def test_a_grid_of_the_cap_is_built(self, monkeypatch):
+        # a d = 2 grid of denominator k has k + 1 points
+        monkeypatch.setattr(divergences, "ENUMERATION_CAP", 10)
+        assert len(simplex_grid(2, 9)) == 10
+        with pytest.raises(DomainTooLargeError):
+            simplex_grid(2, 10)
 
 
 class TestPropernessInvariant:

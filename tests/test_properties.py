@@ -203,23 +203,17 @@ def test_power_series_batch_evaluators_equal_their_scalar_evaluators(data):
     rows = data.draw(st.lists(st.tuples(counts, counts), min_size=1, max_size=40))
     fixed_rows = [(h, list(data.draw(histograms(d, m)).counts)) for h, _ in rows]
 
-    def cases(mode):
-        return [
-            (cross_entropy_poisson(alpha, beta, mode), rows),
-            (cross_entropy_poisson_fixed_target(alpha, m, mode), fixed_rows),
-            (entropy_poisson(beta, mode), rows),
-            (kl_poisson(alpha, beta, mode), rows),
-        ]
-
-    for (loss, pairs), (exact, _) in zip(cases(Mode.FLOAT), cases(Mode.EXACT)):
+    for loss, pairs in (
+        (cross_entropy_poisson(alpha, beta), rows),
+        (cross_entropy_poisson_fixed_target(alpha, m), fixed_rows),
+        (entropy_poisson(beta), rows),
+        (kl_poisson(alpha, beta), rows),
+    ):
         hp = CountRows.from_counts(np.array([h for h, _ in pairs], dtype=np.int64))
         hq = CountRows.from_counts(np.array([g for _, g in pairs], dtype=np.int64))
-        args = (None if loss.scheme_p is None else hp, hq)
         with np.errstate(invalid="ignore"):  # KL's inf - inf
-            batch, exact_batch = loss.batch_evaluator(*args), exact.batch_evaluator(*args)
+            batch = loss.batch_evaluator(None if loss.scheme_p is None else hp, hq)
         assert batch.shape == (len(pairs),)
-        # by repr, so that NaN rows match too
-        assert repr(batch.tolist()) == repr(exact_batch.tolist())  # float in every mode
         for value, (h, g) in zip(batch.tolist(), pairs):
             # bit for bit, not only within 1e-12: rows add their terms in the
             # scalar's order, so Monte Carlo means match a per-replicate loop
@@ -239,12 +233,11 @@ def test_series_pair_evaluators_equal_their_batch_evaluators_on_tiled_rows(data)
     left = np.array(data.draw(st.lists(counts, min_size=1, max_size=8)), dtype=np.int64)
     right = np.array(data.draw(st.lists(counts, min_size=1, max_size=8)), dtype=np.int64)
     fixed_right = np.array([data.draw(histograms(d, m)).counts for _ in right], dtype=np.int64)
-    mode = data.draw(st.sampled_from(Mode))
     for loss, rhs in (
-        (cross_entropy_poisson(alpha, beta, mode), right),
-        (cross_entropy_poisson_fixed_target(alpha, m, mode), fixed_right),
-        (entropy_poisson(beta, mode), right),
-        (kl_poisson(alpha, beta, mode), right),
+        (cross_entropy_poisson(alpha, beta), right),
+        (cross_entropy_poisson_fixed_target(alpha, m), fixed_right),
+        (entropy_poisson(beta), right),
+        (kl_poisson(alpha, beta), right),
     ):
         lhs = None if loss.scheme_p is None else left
         rows = 1 if lhs is None else len(lhs)
@@ -391,22 +384,6 @@ def test_batched_poisson_oracle_equals_the_scalar_loop_bit_for_bit(data):
         reference = scalar_poisson_expectation(loss, model, q, **args)
         # repr tells every float apart except NaNs, which an overflowing series can produce on both sides
         assert {k: repr(v) for k, v in vars(batched).items()} == {k: repr(v) for k, v in reference.items()}
-
-
-def test_an_exact_mode_poisson_loss_is_scored_in_float():
-    p = Distribution.exact([Fraction(1, 4), Fraction(3, 4)])
-    q = Distribution.exact([Fraction(1, 2), Fraction(1, 2)])
-    for exact, floating in (
-        (cross_entropy_poisson(6.0, 6.0, Mode.EXACT), cross_entropy_poisson(6.0, 6.0)),
-        (kl_poisson(4.0, 5.0, Mode.EXACT), kl_poisson(4.0, 5.0)),
-        (entropy_poisson(3.0, Mode.EXACT), entropy_poisson(3.0)),
-        (cross_entropy_poisson_fixed_target(6.0, 2, Mode.EXACT), cross_entropy_poisson_fixed_target(6.0, 2)),
-    ):
-        model = None if exact.scheme_p is None else p
-        value = poisson_expected_loss(exact, model, q, **ORACLE_ARGS).value
-        assert isinstance(value, float)
-        reference = scalar_poisson_expectation(floating, model, q, **ORACLE_ARGS)["value"]
-        assert math.isclose(value, reference, rel_tol=1e-12)
 
 
 def brute_force_expectation(evaluator, p, q, n, m=None):

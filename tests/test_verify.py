@@ -209,8 +209,8 @@ class TestPoissonExpectedLoss:
         monkeypatch.setattr(verify, "_PAIR_BLOCK", 64)  # one or two model rows a block: many blocks per cross
         builds = []
 
-        def counted_entropy(beta, mode=Mode.FLOAT):
-            ent = real_entropy(beta, mode)
+        def counted_entropy(beta):
+            ent = real_entropy(beta)
 
             def row(left, right, out=None):
                 builds.append(right)
@@ -505,6 +505,10 @@ class TestNaivePluginBiasDemo:
         q = Distribution.exact([Fraction(1, 10), Fraction(9, 10)])
         demo = naive_plugin_bias_demo(q, 2)
         assert demo.closed_form == 0  # stationary point -0.3 clipped into the simplex
+
+    def test_a_float_target_is_refused(self):
+        with pytest.raises(ValueError, match="exact-mode target"):
+            naive_plugin_bias_demo(Distribution.floating([0.1, 0.9]), 10)
 
     def test_biased_below_for_every_sample_size(self):
         q = Distribution.exact([Fraction(1, 10), Fraction(9, 10)])
