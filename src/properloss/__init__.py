@@ -8,7 +8,6 @@ rational enumeration oracles.
 
 from .compiler import (
     CompiledLoss,
-    KnownTargetLoss,
     bregman_known_target,
     compile_known_target,
     compile_two_sample,

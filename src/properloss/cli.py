@@ -103,17 +103,31 @@ SERIES_NAMES = {
 
 
 def load_divergence_spec(path: str) -> PolyDivergence:
-    """JSON spec: {"monomials": [{"coeff": 1 | "1/3", "p_exps": [...], "q_exps": [...]}]}"""
+    """JSON spec: {"monomials": [{"coeff": 1 | "1/3", "p_exps": [...], "q_exps": [...]}]}
+
+    A coefficient is a finite JSON number or a string that ``Fraction`` parses, and each exponent list holds JSON
+    integers >= 0; a boolean is neither.  Anything else raises ``ValueError`` naming the file and the monomial."""
     with open(path, "r", encoding="utf-8") as handle:
         data = json.load(handle)
+    if type(data) is not dict or type(data.get("monomials")) is not list:
+        raise ValueError(f"spec file {path!r}: need an object with a \"monomials\" list")
     monomials = []
-    for item in data["monomials"]:
+    for index, item in enumerate(data["monomials"]):
+        where = f"spec file {path!r}, monomial {index}"
+        if type(item) is not dict or not {"coeff", "p_exps", "q_exps"} <= item.keys():
+            raise ValueError(f"{where}: need an object with coeff, p_exps and q_exps")
         coeff = item["coeff"]
-        if isinstance(coeff, str):
-            coeff = Fraction(coeff)
-        monomials.append(
-            Monomial(coeff, ExponentVector(tuple(item["p_exps"])), ExponentVector(tuple(item["q_exps"])))
-        )
+        if type(coeff) is str:
+            try:
+                coeff = Fraction(coeff)
+            except (ValueError, ZeroDivisionError):
+                raise ValueError(f"{where}: coeff {json.dumps(coeff)} is not a rational number") from None
+        elif type(coeff) is not int and not (type(coeff) is float and math.isfinite(coeff)):
+            raise ValueError(f"{where}: coeff must be a finite number or a string such as \"1/3\", not {json.dumps(coeff)}")
+        for key in ("p_exps", "q_exps"):
+            if type(item[key]) is not list or any(type(e) is not int or e < 0 for e in item[key]):
+                raise ValueError(f"{where}: {key} must be a list of integers >= 0, not {json.dumps(item[key])}")
+        monomials.append(Monomial(coeff, ExponentVector(item["p_exps"]), ExponentVector(item["q_exps"])))
     return PolyDivergence(tuple(monomials))
 
 

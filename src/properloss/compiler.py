@@ -5,13 +5,12 @@ monomials, replace every monomial by its minimum-variance unbiased estimator
 evaluated on the sample histogram, and the resulting loss has the divergence
 as its exact expectation under the declared sampling scheme.
 
-Two loss shapes exist.  A :class:`KnownTargetLoss` scores a model-sample
-histogram against a fully known target distribution; a :class:`CompiledLoss`
-scores a pair of histograms, one drawn from the model and one from the
-target.  Fixed-size schemes admit polynomial divergences up to the sample
-sizes' degrees; Poisson-size schemes additionally admit power series, which
-is how the log family (cross-entropy, KL, Shannon entropy) becomes
-implementable.  Every polynomial loss, the squared distance included, is
+Every loss is a :class:`CompiledLoss`: a model-sample histogram scored
+against a target side, a histogram drawn from the target or the fully known
+target distribution itself.  Fixed-size schemes admit polynomial divergences
+up to the sample sizes' degrees; Poisson-size schemes additionally admit
+power series, which is how the log family (cross-entropy, KL, Shannon
+entropy) becomes implementable.  Every polynomial loss, the squared distance included, is
 compiled: there is no separate closed form to keep in step.
 
 Compilation refuses sample sizes below the divergence's degrees
@@ -57,24 +56,12 @@ from .estimators import falling_factorial, poisson_power_series
 
 
 @dataclass(frozen=True)
-class KnownTargetLoss:
-    """A loss L(h, q): a model sample (``scheme``, also read as ``scheme_p``) against a known target (``scheme_q``)."""
-
-    evaluator: Callable[[Histogram, Distribution], object]
-    scheme: FixedSize
-    provenance: str
-
-    scheme_p = property(lambda self: self.scheme)
-    scheme_q = property(lambda self: KNOWN_TARGET)
-
-    def evaluate(self, h: Histogram, q: Distribution):
-        return self.evaluator(h, q)
-
-
-@dataclass(frozen=True)
 class CompiledLoss:
-    """A loss L(h_p, h_q) over a pair of sample histograms.
+    """A loss L(h_p, t): a model sample histogram against a target side ``t``.
 
+    ``t`` is a target sample histogram, or, when ``scheme_q`` is
+    :data:`~properloss.domain.KNOWN_TARGET`, the known target itself, which is
+    never sampled: such a loss has no batch or pair evaluator.
     ``scheme_p`` is ``None`` for target-only losses (the evaluator ignores its
     first argument).  ``batch_evaluator`` maps two sides' :class:`CountRows`
     (the model side ``None`` for a target-only loss) to R float loss values in
@@ -100,14 +87,14 @@ class CompiledLoss:
     apart from internal memoization and safe to call concurrently.
     """
 
-    evaluator: Callable[[Optional[Histogram], Histogram], object]
+    evaluator: Callable[[Optional[Histogram], object], object]
     scheme_p: Optional[SamplingScheme]
     scheme_q: SamplingScheme
     provenance: str
-    batch_evaluator: Callable[[Optional[CountRows], CountRows], np.ndarray]
-    pair_evaluator: Callable[..., np.ndarray]
+    batch_evaluator: Optional[Callable[[Optional[CountRows], CountRows], np.ndarray]] = None
+    pair_evaluator: Optional[Callable[..., np.ndarray]] = None
 
-    def evaluate(self, h_p: Optional[Histogram], h_q: Histogram):
+    def evaluate(self, h_p: Optional[Histogram], h_q):
         return self.evaluator(h_p, h_q)
 
 
@@ -347,7 +334,7 @@ def _fold(rows: int, start: float, row: np.ndarray, values: np.ndarray) -> np.nd
     return _row_sums(table)
 
 
-def compile_known_target(divergence: PolyDivergence, n: int, mode: Mode = Mode.EXACT) -> KnownTargetLoss:
+def compile_known_target(divergence: PolyDivergence, n: int, mode: Mode = Mode.EXACT) -> CompiledLoss:
     """Loss against a known target whose expectation over model samples equals
     the divergence.
 
@@ -401,11 +388,8 @@ def compile_known_target(divergence: PolyDivergence, n: int, mode: Mode = Mode.E
         est = estimator(q)
         return None if est.den is None else (est.numerators(hists), est.den)
 
-    return KnownTargetLoss(
-        evaluator=_numerated(evaluator, numerators),
-        scheme=FixedSize(n),
-        provenance=f"estimator substitution, known target, degree {divergence.deg_p}, n={n}",
-    )
+    provenance = f"estimator substitution, known target, degree {divergence.deg_p}, n={n}"
+    return CompiledLoss(_numerated(evaluator, numerators), FixedSize(n), KNOWN_TARGET, provenance)
 
 
 def compile_two_sample(divergence: PolyDivergence, n: int, m: int, mode: Mode = Mode.EXACT) -> CompiledLoss:
@@ -420,7 +404,8 @@ def compile_two_sample(divergence: PolyDivergence, n: int, m: int, mode: Mode = 
     also gives the exact oracles its integer numerators against one target
     histogram (:func:`_numerated`); the float estimator behind the batch and
     pair evaluators is built when one of them is first called, which the
-    exact oracles never do.
+    exact oracles never do.  The evaluator and the batch evaluator refuse
+    inputs over another domain (:class:`~properloss.errors.DimensionMismatchError`).
     """
     if n < divergence.deg_p or m < divergence.deg_q:
         raise DegreeGateError(divergence.deg_p, divergence.deg_q)
@@ -445,7 +430,9 @@ def compile_two_sample(divergence: PolyDivergence, n: int, m: int, mode: Mode = 
             check(h, h_q)
         return None if scalar.den is None else (scalar.numerators(hists, h_q.counts, h_q.support), scalar.den)
 
-    def batch_evaluator(hp: Optional[CountRows], hq: CountRows) -> np.ndarray:
+    def batch_evaluator(hp: CountRows, hq: CountRows) -> np.ndarray:
+        if hp.shape[1] != d or hq.shape[1] != d:
+            raise DimensionMismatchError(f"count row dimensions ({hp.shape[1]}, {hq.shape[1]}), divergence needs {d}")
         return twin().batch(hp, hq)
 
     return CompiledLoss(
@@ -739,7 +726,7 @@ def bregman_known_target(
     gradient: Sequence[Optional[PolyDivergence]],
     n: int,
     mode: Mode = Mode.EXACT,
-) -> KnownTargetLoss:
+) -> CompiledLoss:
     """Known-target loss implementing the Bregman divergence of a convex quadratic potential ``G``:
     ``compile_known_target(bregman_divergence(potential), n, mode)``, after two exact proofs.
 

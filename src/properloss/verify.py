@@ -22,10 +22,11 @@ evaluator, a wrapper of a compiled one included, is evaluated value by value
 and its values put over their lcm.  So implementation claims ("the expectation
 of this loss IS that divergence") are checked as literal equalities with zero
 tolerance, by cross-multiplying the expectation's numerator and denominator
-with the target's; a Fraction is built only for a point that differs.  A suite
-check of several losses on one grid makes one sweep, evaluates each divergence
-value once, unreduced (``PolyDivergence.evaluate(p, q, unreduced=True)``), and
-builds no ``VerificationReport``.  ``multinomial_pmf`` stays the public
+with the target's; a Fraction is built only for a point that differs.
+``check_implements`` and the suite's checks compare through one generator
+(``_compared``): one sweep over all their losses, each divergence value
+evaluated once, unreduced (``PolyDivergence.evaluate(p, q, unreduced=True)``);
+the suite builds no ``VerificationReport``.  ``multinomial_pmf`` stays the public
 reference for the pmf and weighs float-mode sides.  ``poisson_expected_loss``
 is the one truncated core: Poisson schemes have unbounded support, so it
 truncates at a quantile, reports the truncation honestly, and scores every
@@ -61,7 +62,6 @@ import numpy as np
 
 from .compiler import (
     CompiledLoss,
-    KnownTargetLoss,
     _numerator_route,
     _pair_grids,
     _row_sums,
@@ -107,13 +107,13 @@ from .estimators import ExponentVector
 from .sampling import InternalSource, estimate_loss
 
 
-def enumerate_histograms(d: int, n: int, cap: int = ENUMERATION_CAP) -> list[Histogram]:
-    """All histograms over d outcomes with total n, each exactly once."""
+def enumerate_histograms(d: int, n: int) -> list[Histogram]:
+    """All histograms over d outcomes with total n, each exactly once; more than ``ENUMERATION_CAP`` are refused."""
     if d < 1 or n < 0:
         raise ValueError("need d >= 1 and n >= 0")
     count = math.comb(n + d - 1, d - 1)
-    if count > cap:
-        raise EnumerationTooLargeError(f"{count} histograms exceed the cap of {cap}")
+    if count > ENUMERATION_CAP:
+        raise EnumerationTooLargeError(f"{count} histograms exceed the cap of {ENUMERATION_CAP}")
     return [Histogram(c) for c in compositions(n, d)]
 
 
@@ -221,8 +221,9 @@ def _case(loss, points: Sequence[tuple], n: int | None = None, m: int | None = N
     bounded sides, or for a raw callable ``FixedSize(n)`` against ``FixedSize(m)`` when ``two_sample`` says so (by
     default when ``m`` is given) and against the known target otherwise."""
     if not callable(loss):
-        if two_sample is not None and two_sample == (loss.scheme_q == KNOWN_TARGET):
-            raise ValueError(f"a {type(loss).__name__} is scored with two_sample={not two_sample}")
+        known = loss.scheme_q == KNOWN_TARGET
+        if two_sample is not None and two_sample == known:
+            raise ValueError(f"a {'known-target' if known else 'two-sample'} loss is scored with two_sample={two_sample}")
         if not _enumerable(loss):
             raise ValueError("this oracle handles fixed-size schemes; use poisson_expected_loss otherwise")
         return loss.evaluator, loss.scheme_p, loss.scheme_q, points
@@ -343,8 +344,8 @@ def expected_losses(loss, points: Sequence[tuple], n: int | None = None, m: int 
 
     The points share histogram enumerations, pmf numerators, loss values and folded targets
     (:func:`_fixed_size_sweep`): each distinct target is folded once, and each loss value is evaluated once.  A
-    :class:`~properloss.compiler.CompiledLoss` is scored against target samples, a
-    :class:`~properloss.compiler.KnownTargetLoss` against known targets; a raw callable is a two-sample loss
+    :class:`~properloss.compiler.CompiledLoss` is scored against its own target side, target samples or, when its
+    ``scheme_q`` is ``KNOWN_TARGET``, known targets; a raw callable is a two-sample loss
     ``(h, g) -> value`` when ``m`` is given and a known-target loss ``(h, q) -> value`` otherwise, unless
     ``two_sample`` says which.  A known target is a distribution, or anything hashable its loss reads.
     """
@@ -352,12 +353,8 @@ def expected_losses(loss, points: Sequence[tuple], n: int | None = None, m: int 
 
 
 def exact_expected_known_target(loss, p: Distribution, q, n: int | None = None):
-    """E over model histograms of a known-target loss, by exact enumeration.
-
-    ``loss`` is a :class:`~properloss.compiler.KnownTargetLoss` (sample size
-    taken from its scheme) or a raw callable ``(h, q) -> value`` with ``n``
-    given explicitly.
-    """
+    """E over model histograms of a known-target loss, by exact enumeration: a compiled loss, whose ``scheme_p``
+    gives the sample size, or a raw callable ``(h, q) -> value`` with ``n`` given explicitly."""
     return expected_losses(loss, [(p, q)], n, two_sample=False)[0]
 
 
@@ -606,22 +603,14 @@ def _equals(target, num: int, den: int) -> bool:
     return type(target) is Fraction and num * target.denominator == target.numerator * den
 
 
-def check_implements(loss, divergence, points: Sequence[tuple], tol=0, tail_eps: float = 1e-10) -> list[VerificationReport]:
+def check_implements(loss, divergence, points: Sequence[tuple]) -> list[VerificationReport]:
     """Check E[loss] == divergence at every (p, q) pair.
 
-    Fixed-size losses and known targets are checked exactly: the
-    distributions must be exact-mode, the loss values rational (a float value
-    raises ``ValueError``), and equality is literal (``tol`` defaults to
-    zero).  Truncated checks pass when the gap is within ``tail_bound + tol``.
-    The exact points are one case of :func:`_fixed_size_sweep`, which
-    computes each model's pmf numerators and each target's folded loss table
-    once, and evaluates each loss value once.  Each expectation's integer
-    numerator and denominator are compared with a Fraction target by
-    cross-multiplication; an equal point reports the target as its estimate
-    and a shared zero gap, and only a point that differs builds its
-    estimate's Fraction.  The suite's checks of several losses on one grid
-    build no report: each sweeps all its losses at once and compares the
-    same way (``_exact_outcome``).
+    Fixed-size losses and known targets are checked exactly, by the suite's one comparison (:func:`_compared`): the
+    distributions must be exact-mode, the loss values rational (a float value raises ``ValueError``), and a point
+    passes when its gap is exactly zero.  An equal point reports the divergence value as its estimate and a shared
+    zero gap; only a point that differs builds its estimate's Fraction.  Truncated checks pass when the gap is
+    within the oracle's ``tail_bound``.
     """
     if not points:
         raise ValueError("need at least one (model, target) point to check")
@@ -629,16 +618,16 @@ def check_implements(loss, divergence, points: Sequence[tuple], tol=0, tail_eps:
     if callable(loss) or _enumerable(loss):
         # fixed-size sides, or a known target: one exact oracle for every point (a raw callable is refused there)
         zero = Fraction(0)
-        equal_passes = zero <= tol
-        swept = _fixed_size_sweep([_case(loss, points)])[0]
-        for (p, q), (num, den) in zip(points, swept):
-            target = divergence.evaluate(p, q)
+        [compared] = _compared([(divergence, points, [loss])])
+        for target, (num, den) in compared:
+            if type(target) is tuple:
+                target = Fraction(*target)
             if _equals(target, num, den):
-                reports.append(VerificationReport(target, target, zero, "exact", None, equal_passes))
+                reports.append(VerificationReport(target, target, zero, "exact", None, True))
                 continue
             value = Fraction(num, den)
             gap = abs(target - value)
-            reports.append(VerificationReport(target, value, gap, "exact", None, gap <= tol))
+            reports.append(VerificationReport(target, value, gap, "exact", None, gap == 0))
         return reports
 
     # At least one unbounded (Poisson) or absent side: truncated oracle per point.
@@ -648,15 +637,13 @@ def check_implements(loss, divergence, points: Sequence[tuple], tol=0, tail_eps:
             # a truncated sum can never witness an infinite expectation
             reports.append(VerificationReport(target, math.nan, math.inf, "truncated", None, False))
             continue
-        est = poisson_expected_loss(loss, p, q, tail_eps)
+        est = poisson_expected_loss(loss, p, q)
         gap = abs(float(target) - est.value)
-        reports.append(
-            VerificationReport(target, est.value, gap, "truncated", est.tail_bound, gap <= est.tail_bound + tol)
-        )
+        reports.append(VerificationReport(target, est.value, gap, "truncated", est.tail_bound, gap <= est.tail_bound))
     return reports
 
 
-def naive_plugin_loss(n: int) -> KnownTargetLoss:
+def naive_plugin_loss(n: int) -> CompiledLoss:
     """The biased plug-in loss ||phat - q||^2, kept around as a counterexample.
 
     Its expectation is the squared distance plus the summed sampling variance
@@ -675,7 +662,7 @@ def naive_plugin_loss(n: int) -> KnownTargetLoss:
         phat = empirical(h).probs
         return sum((a - b) ** 2 for a, b in zip(phat, qv))
 
-    return KnownTargetLoss(evaluator=evaluator, scheme=FixedSize(n), provenance=f"plug-in squared loss (biased), n={n}")
+    return CompiledLoss(evaluator, FixedSize(n), KNOWN_TARGET, f"plug-in squared loss (biased), n={n}")
 
 
 @dataclass(frozen=True)
@@ -774,28 +761,38 @@ def _grid_pairs(d: int, denominator: int) -> list:
 _POLY_EVALUATE = PolyDivergence.evaluate
 
 
-def _exact_outcome(groups, detail: str) -> tuple:
-    """Whether E[loss] equals the divergence exactly at every point, for every loss of every ``(divergence, points,
-    losses)`` group.
+def _compared(groups):
+    """Each loss's points, as ``(divergence value, (numerator, denominator) of E[loss])`` pairs, for every loss of
+    every ``(divergence, points, losses)`` group, in order.
 
-    Every loss of every group is one case of one sweep (:func:`_fixed_size_sweep`), and each group's divergence is
-    evaluated once per point, unreduced.  A point is compared by cross-multiplication; only one that differs builds
-    Fractions, for its gap.  The gap is the largest one seen; ``{count}`` in ``detail`` becomes the number of points
-    checked.
+    Every loss of every group is one case of one sweep (:func:`_fixed_size_sweep`), made at the first ``next``; each
+    group's divergence is evaluated once per point, unreduced, so a value is a Fraction, an unreduced
+    ``(numerator, denominator)`` pair or a float.  Each loss's pairs are yielded lazily, as one ``zip``.
     """
     groups = list(groups)
-    cases = [_case(loss, points) for _, points, losses in groups for loss in losses]
-    swept = iter(_fixed_size_sweep(cases))
-    worst, count = Fraction(0), 0
+    swept = iter(_fixed_size_sweep([_case(loss, points) for _, points, losses in groups for loss in losses]))
     for divergence, points, losses in groups:
         unreduced = {"unreduced": True} if type(divergence).evaluate is _POLY_EVALUATE else {}
         targets = [divergence.evaluate(p, q, **unreduced) for p, q in points]
         for _ in losses:
-            for target, (num, den) in zip(targets, next(swept)):
-                if not _equals(target, num, den):
-                    value = Fraction(*target) if type(target) is tuple else target
-                    worst = max(worst, abs(value - Fraction(num, den)))
-            count += len(points)
+            yield zip(targets, next(swept))
+
+
+def _exact_outcome(groups, detail: str) -> tuple:
+    """Whether E[loss] equals the divergence exactly at every point, for every loss of every ``(divergence, points,
+    losses)`` group, by the one comparison (:func:`_compared`).
+
+    A point is compared by cross-multiplication; only one that differs builds Fractions, for its gap.  The gap is
+    the largest one seen; ``{count}`` in ``detail`` becomes the number of points checked.
+    """
+    groups = list(groups)
+    worst = Fraction(0)
+    for compared in _compared(groups):
+        for target, (num, den) in compared:
+            if not _equals(target, num, den):
+                value = Fraction(*target) if type(target) is tuple else target
+                worst = max(worst, abs(value - Fraction(num, den)))
+    count = sum(len(points) * len(losses) for _, points, losses in groups)
     return worst == 0, str(worst), detail.format(count=count)
 
 
@@ -904,7 +901,7 @@ def _check_bregman(seed: int) -> tuple:
         return False, "0", detail
     ok = True
     for bloss, squared in losses:  # each loss's rows of integer numerators, compared by cross-multiplication
-        hists = enumerate_histograms(2, bloss.scheme.n)
+        hists = enumerate_histograms(2, bloss.scheme_p.n)
         (rows_b, den_b), (rows_s, den_s) = (_scorer(loss.evaluator)(None, hists, grid) for loss in (bloss, squared))
         ok = ok and all(b * den_s == s * den_b for row_b, row_s in zip(rows_b, rows_s) for b, s in zip(row_b, row_s))
     # mean of the potential at the empirical distribution exceeds the potential

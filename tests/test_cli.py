@@ -119,6 +119,67 @@ class TestCompileInfo:
         assert record["deg_target"] == "1"
 
 
+#: The squared distance over two outcomes, written out as a spec file.
+L2_SPEC = {"monomials": [
+    {"coeff": 1, "p_exps": [2, 0], "q_exps": [0, 0]},
+    {"coeff": -2, "p_exps": [1, 0], "q_exps": [1, 0]},
+    {"coeff": 1, "p_exps": [0, 0], "q_exps": [2, 0]},
+    {"coeff": 1, "p_exps": [0, 2], "q_exps": [0, 0]},
+    {"coeff": -2, "p_exps": [0, 1], "q_exps": [0, 1]},
+    {"coeff": 1, "p_exps": [0, 0], "q_exps": [0, 2]},
+]}
+
+
+def _spec_with(**fields):
+    """A one-monomial l2-like spec over two outcomes with ``fields`` replaced."""
+    return {"monomials": [{"coeff": 1, "p_exps": [2, 0], "q_exps": [0, 0], **fields}]}
+
+
+class TestSpecFiles:
+    """A spec file the loader refuses exits 2 from every command that reads it, naming the file."""
+
+    @pytest.mark.parametrize("spec, named", [
+        ({"monomials": ["x"]}, "monomial 0: need an object"),
+        ([1, 2], 'need an object with a "monomials" list'),
+        ({"terms": []}, 'need an object with a "monomials" list'),
+        ({"monomials": [{"coeff": 1, "p_exps": [2, 0]}]}, "monomial 0: need an object with coeff, p_exps and q_exps"),
+        (_spec_with(p_exps=2), "monomial 0: p_exps must be a list of integers >= 0, not 2"),
+        (_spec_with(coeff=None), "monomial 0: coeff must be a finite number"),
+        (_spec_with(coeff=True), "monomial 0: coeff must be a finite number"),
+        (_spec_with(coeff=math.inf), "monomial 0: coeff must be a finite number or a string such as \"1/3\", not Infinity"),
+        (_spec_with(coeff="one"), 'monomial 0: coeff "one" is not a rational number'),
+        (_spec_with(coeff="1/0"), 'monomial 0: coeff "1/0" is not a rational number'),
+        (_spec_with(p_exps=[2.5, 0]), "monomial 0: p_exps must be a list of integers >= 0, not [2.5, 0]"),
+        (_spec_with(q_exps=[True, 0]), "monomial 0: q_exps must be a list of integers >= 0, not [true, 0]"),
+        (_spec_with(q_exps=[-1, 0]), "monomial 0: q_exps must be a list of integers >= 0"),
+    ], ids=["monomial-not-object", "top-level-list", "no-monomials", "missing-key", "exps-not-list", "null-coeff",
+            "bool-coeff", "infinite-coeff", "unparsed-coeff", "zero-denominator", "float-exponent", "bool-exponent", "negative-exponent"])
+    @pytest.mark.parametrize("command", [
+        ("compile-info", "--n", "2", "--m", "2"),
+        ("eval", "--n", "2", "--m", "2", "--model-probs", "0.2,0.8", "--target-probs", "0.5,0.5", "--replicates", "10"),
+    ], ids=["compile-info", "eval"])
+    def test_a_malformed_spec_exits_2_naming_the_file(self, capsys, tmp_path, spec, named, command):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        code, out, err = run(capsys, command[0], "--divergence", str(path), *command[1:])
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert err.startswith(f"error: spec file {str(path)!r}") and named in err
+
+    def test_a_spec_over_fewer_outcomes_than_the_sources_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "l2.json"
+        path.write_text(json.dumps(L2_SPEC), encoding="utf-8")
+        argv = ["eval", "--n", "2", "--m", "2", "--replicates", "200", "--format", "machine"]
+        two = ["--model-probs", "0.2,0.8", "--target-probs", "0.5,0.5"]
+        code, out, _ = run(capsys, *argv, "--divergence", str(path), *two)
+        assert code == 0
+        _, builtin, _ = run(capsys, *argv, "--divergence", "l2", *two)
+        assert parse_machine(out)[1]["mean"] == parse_machine(builtin)[1]["mean"]
+        code, out, err = run(capsys, *argv, "--divergence", str(path),
+                             "--model-probs", "0.2,0.3,0.5", "--target-probs", "0.5,0.25,0.25")
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert err == "error: count row dimensions (3, 3), divergence needs 2\n"
+
+
 class TestEval:
     def test_known_vectors(self, capsys):
         code, out, _ = run(

@@ -8,10 +8,13 @@ import numpy as np
 import pytest
 
 from properloss import (
+    CompiledLoss,
     DegreeGateError,
+    DimensionMismatchError,
     Distribution,
     FixedSize,
     Histogram,
+    InternalSource,
     Mode,
     Poisson,
     TotalMismatchError,
@@ -26,8 +29,10 @@ from properloss import (
     cross_entropy_poisson_fixed_target,
     entropy_poisson,
     enumerate_histograms,
+    estimate_loss,
     exact_expected_known_target,
     kl_poisson,
+    naive_plugin_loss,
     simplex_grid,
     squared_norm_gradient,
     squared_norm_polynomial,
@@ -35,7 +40,7 @@ from properloss import (
 from properloss import compiler
 from properloss.compiler import _row_sums
 from properloss.divergences import Monomial, PolyDivergence, Separable
-from properloss.domain import CountRows, empirical
+from properloss.domain import KNOWN_TARGET, CountRows, empirical
 from properloss.estimators import ExponentVector, variance_mvue
 
 HALF = Distribution.exact([Fraction(1, 2), Fraction(1, 2)])
@@ -130,6 +135,16 @@ class TestCompileTwoSample:
         finally:
             gc.enable()
 
+    @pytest.mark.parametrize("mode", [Mode.EXACT, Mode.FLOAT])
+    def test_count_rows_over_another_domain_are_refused(self, mode):
+        # a divergence over 2 outcomes must not score 3-outcome rows by their first two columns
+        loss = compile_two_sample(builtin_l2(2), 2, 2, mode)
+        narrow, wide = (CountRows.from_counts(np.array([row])) for row in ([1, 1], [1, 0, 1]))
+        for hp, hq in ((wide, wide), (narrow, wide), (wide, narrow)):
+            with pytest.raises(DimensionMismatchError, match="divergence needs 2"):
+                loss.batch_evaluator(hp, hq)
+        assert loss.batch_evaluator(narrow, narrow).tolist() == [-1.0]
+
     def test_batch_matches_scalar(self):
         loss = compile_two_sample(builtin_lk_even(2, 4), 4, 4, Mode.FLOAT)
         rng = np.random.default_rng(1)
@@ -141,6 +156,19 @@ class TestCompileTwoSample:
 
 
 class TestCompileKnownTarget:
+    @pytest.mark.parametrize("build", [
+        lambda: compile_known_target(builtin_l2(2), 2),
+        lambda: bregman_known_target(squared_norm_polynomial(2), squared_norm_gradient(2), 2),
+        lambda: naive_plugin_loss(2),
+    ], ids=["compiled", "bregman", "plug-in"])
+    def test_a_known_target_loss_is_a_compiled_loss_that_is_never_sampled(self, build):
+        loss = build()
+        assert type(loss) is CompiledLoss and loss.scheme_p == FixedSize(2) and loss.scheme_q is KNOWN_TARGET
+        assert loss.batch_evaluator is None and loss.pair_evaluator is None
+        source = InternalSource(Distribution.floating([0.5, 0.5]))
+        with pytest.raises(ValueError, match="known target is not sampled: score its loss with expected_losses"):
+            estimate_loss(source, source, loss, 10, seed=0)
+
     def test_matches_closed_form_values(self):
         loss = compile_known_target(builtin_l2(2), 2)
         assert loss.evaluator(Histogram((1, 1)), HALF) == Fraction(-1, 2)

@@ -53,9 +53,9 @@ from properloss import (
     stream_rng,
 )
 from properloss import VerificationReport, divergences, poisson_expected_loss, verify
-from properloss.compiler import CompiledLoss, _numerator_route
+from properloss.compiler import _numerator_route
 from properloss.divergences import Monomial, PolyDivergence
-from properloss.domain import CountRows, Poisson
+from properloss.domain import KNOWN_TARGET, CountRows, Poisson
 from properloss.estimators import ExponentVector, poisson_power_series, variance_mvue
 from properloss.sampling import _searched_indices, _stepped_indices
 from properloss.verify import (
@@ -750,7 +750,7 @@ def test_the_equality_fast_path_cannot_hide_a_gap(data):
             assert not report.passed and type(report.gap) is Fraction and report.gap == EPSILON
             assert report.estimate - report.target == EPSILON
     for loss in compiled + [naive_plugin_loss(n)]:
-        one_point = exact_expected_two_sample if isinstance(loss, CompiledLoss) else exact_expected_known_target
+        one_point = exact_expected_known_target if loss.scheme_q == KNOWN_TARGET else exact_expected_two_sample
         for (p, q), report in zip(points, check_implements(loss, div, points)):
             target = div.evaluate(p, q)
             estimate = one_point(loss, p, q)

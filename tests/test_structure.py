@@ -6,7 +6,7 @@ from pathlib import Path
 import properloss
 
 #: Types whose kind only their own modules test; every other module asks a scheme or a loss's sides instead.
-SCHEME_AND_LOSS_TYPES = {"FixedSize", "Poisson", "SamplingScheme", "KnownTargetLoss", "CompiledLoss"}
+SCHEME_AND_LOSS_TYPES = {"FixedSize", "Poisson", "SamplingScheme", "CompiledLoss"}
 OWNERS = {"domain.py", "compiler.py"}
 
 

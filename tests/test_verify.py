@@ -35,9 +35,9 @@ from properloss import (
     squared_norm_polynomial,
 )
 from properloss import compiler, verify
-from properloss.compiler import KnownTargetLoss
+from properloss.compiler import CompiledLoss
 from properloss.divergences import Monomial, PolyDivergence
-from properloss.domain import FixedSize, Mode
+from properloss.domain import KNOWN_TARGET, FixedSize, Mode
 from properloss.estimators import ExponentVector
 
 HALF = Distribution.exact([Fraction(1, 2), Fraction(1, 2)])
@@ -55,9 +55,10 @@ class TestEnumerateHistograms:
     def test_count_for_three_of_four(self):
         assert len(enumerate_histograms(3, 4)) == 15  # C(6, 2)
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        monkeypatch.setattr(verify, "ENUMERATION_CAP", 10)
         with pytest.raises(EnumerationTooLargeError):
-            enumerate_histograms(3, 4, cap=10)
+            enumerate_histograms(3, 4)
 
 
 class TestMultinomialPmf:
@@ -343,6 +344,13 @@ class TestCheckImplements:
                 reports = check_implements(loss, div, points)
                 assert all(r.passed and r.gap == 0 for r in reports)
 
+    def test_a_float_divergence_value_that_equals_the_expectation_passes(self):
+        # float coefficients give float divergence values, exact at these dyadic points
+        float_l2 = PolyDivergence(tuple(Monomial(float(m.coeff), m.p_exps, m.q_exps) for m in builtin_l2(2).monomials))
+        points = [(p, q) for p in simplex_grid(2, 4) for q in simplex_grid(2, 4)]
+        reports = check_implements(compile_two_sample(builtin_l2(2), 2, 2), float_l2, points)
+        assert all(r.passed and type(r.target) is float and r.gap == 0 for r in reports)
+
     def test_infinite_target_reports_failure(self):
         ce_div = __import__("properloss").SeriesDivergence(__import__("properloss").SeriesKind.CROSS_ENTROPY)
         p = Distribution.exact([0, 1])
@@ -384,7 +392,8 @@ class TestFixedSizeOracleKernel:
     def test_a_loss_of_the_other_shape_is_rejected_by_name(self, two_sample, sizes):
         # a known-target loss asked for as two-sample, and a two-sample loss asked for as known-target
         loss = compile_known_target(builtin_l2(2), 2) if two_sample else compile_two_sample(builtin_l2(2), 2, 2)
-        with pytest.raises(ValueError, match=f"^a {type(loss).__name__} is scored with two_sample={not two_sample}$"):
+        shape = "known-target" if two_sample else "two-sample"
+        with pytest.raises(ValueError, match=f"^a {shape} loss is scored with two_sample={two_sample}$"):
             verify.expected_losses(loss, [(self.P, HALF)], *sizes, two_sample=two_sample)
 
     @pytest.mark.parametrize("compile_l2, sizes", [(compile_known_target, (2,)), (compile_two_sample, (2, 3))])
@@ -449,7 +458,8 @@ class TestFixedSizeOracleKernel:
             calls.append((q, h.counts))
             return known.evaluator(h, q)
 
-        reports = check_implements(KnownTargetLoss(counted_known, FixedSize(2), "counted"), builtin_l2(3), points)
+        counted = CompiledLoss(counted_known, FixedSize(2), KNOWN_TARGET, "counted")
+        reports = check_implements(counted, builtin_l2(3), points)
         assert all(r.passed for r in reports)
         assert len(calls) == len(set(calls))
         assert set(calls) == {(q, h.counts) for p, q in points for h in support(p, 2)}
