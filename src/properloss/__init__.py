@@ -8,6 +8,7 @@ rational enumeration oracles.
 
 from .compiler import (
     CompiledLoss,
+    SeriesTerm,
     bregman_known_target,
     compile_known_target,
     compile_two_sample,

@@ -106,11 +106,15 @@ def load_divergence_spec(path: str) -> PolyDivergence:
     """JSON spec: {"monomials": [{"coeff": 1 | "1/3", "p_exps": [...], "q_exps": [...]}]}
 
     A coefficient is a finite JSON number or a string that ``Fraction`` parses, and each exponent list holds JSON
-    integers >= 0; a boolean is neither.  Anything else raises ``ValueError`` naming the file and the monomial."""
+    integers >= 0; a boolean is neither.  Both lists of every monomial have one length, the number of outcomes, which
+    is at least 1, and the list of monomials is not empty.  Anything else raises ``ValueError`` naming the file and,
+    where there is one, the monomial."""
     with open(path, "r", encoding="utf-8") as handle:
         data = json.load(handle)
     if type(data) is not dict or type(data.get("monomials")) is not list:
         raise ValueError(f"spec file {path!r}: need an object with a \"monomials\" list")
+    if not data["monomials"]:
+        raise ValueError(f"spec file {path!r}: the \"monomials\" list is empty; a divergence needs a monomial")
     monomials = []
     for index, item in enumerate(data["monomials"]):
         where = f"spec file {path!r}, monomial {index}"
@@ -127,7 +131,15 @@ def load_divergence_spec(path: str) -> PolyDivergence:
         for key in ("p_exps", "q_exps"):
             if type(item[key]) is not list or any(type(e) is not int or e < 0 for e in item[key]):
                 raise ValueError(f"{where}: {key} must be a list of integers >= 0, not {json.dumps(item[key])}")
-        monomials.append(Monomial(coeff, ExponentVector(item["p_exps"]), ExponentVector(item["q_exps"])))
+        d = len(item["p_exps"])
+        if len(item["q_exps"]) != d or d == 0:
+            raise ValueError(f"{where}: p_exps and q_exps need one length of at least 1, not {d} and {len(item['q_exps'])}")
+        if monomials and d != monomials[0].p_exps.dim:
+            raise ValueError(f"{where}: exponent lists of length {d}, where monomial 0 has {monomials[0].p_exps.dim}")
+        try:
+            monomials.append(Monomial(coeff, ExponentVector(item["p_exps"]), ExponentVector(item["q_exps"])))
+        except ValueError as exc:  # a zero coefficient
+            raise ValueError(f"{where}: {exc}") from None
     return PolyDivergence(tuple(monomials))
 
 

@@ -18,15 +18,15 @@ Compilation refuses sample sizes below the divergence's degrees
 convenience check.
 
 Arithmetic is exact only where an exact oracle reads it: polynomial losses
-compile in either :class:`~properloss.domain.Mode`, their batch and pair
-evaluators float in both, and the power-series losses are float.
+compile in either :class:`~properloss.domain.Mode`, their batch evaluators
+float in both, and the power-series losses are float.
 """
 
 from __future__ import annotations
 
 import operator
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache, lru_cache, reduce
 from math import perm  # perm(c, e) is the falling factorial ff(c, e), 0 when c < e
@@ -59,32 +59,14 @@ from .estimators import falling_factorial, poisson_power_series
 class CompiledLoss:
     """A loss L(h_p, t): a model sample histogram against a target side ``t``.
 
-    ``t`` is a target sample histogram, or, when ``scheme_q`` is
-    :data:`~properloss.domain.KNOWN_TARGET`, the known target itself, which is
-    never sampled: such a loss has no batch or pair evaluator.
-    ``scheme_p`` is ``None`` for target-only losses (the evaluator ignores its
-    first argument).  ``batch_evaluator`` maps two sides' :class:`CountRows`
-    (the model side ``None`` for a target-only loss) to R float loss values in
-    any mode; Monte Carlo estimation and the Poisson oracle use it.  It scores
-    rows over a domain small against their draws as dense count columns and
-    other rows over each row's observed coordinates only
-    (:meth:`CountRows.dense_scoring`), with the same bits either way.
-    ``pair_evaluator`` scores every pair of a left (model) and a right
-    (target) int64 count matrix at once, as a ``(len(left), len(right))``
-    float matrix whose entry ``[i, j]`` equals the batch evaluator's value on
-    the row pair ``(left[i], right[j])`` bit for bit; ``left`` is ``None``
-    for a target-only loss, which gives one row.  The Poisson oracle uses it,
-    and a grid of several rows is stored target-major (Fortran order), so that
-    the oracle adds each row's targets one after another in one reduce.
-    The series losses score the grid straight from their series table; other
-    losses score tiled left and repeated right rows with their batch
-    evaluator.  Its keyword ``out`` takes two flat float buffers, a grid and a
-    workspace, each of at least as many entries as the block has pairs: the
-    evaluator writes its grid into the first, may overwrite the second, and
-    returns a view of the first; without ``out`` it allocates both.  The
-    caller reads only the returned grid, never the buffers, so an evaluator
-    that returns an array of its own is scored the same.  Evaluators are pure
-    apart from internal memoization and safe to call concurrently.
+    ``t`` is a target sample histogram, or, when ``scheme_q`` is :data:`~properloss.domain.KNOWN_TARGET`, the known
+    target itself, which is never sampled.  ``scheme_p`` is ``None`` for target-only losses (the evaluator ignores
+    its first argument).  ``batch_evaluator`` maps two sides' :class:`CountRows` (the model side ``None`` for a
+    target-only loss) to R float loss values in any mode, for Monte Carlo estimation; it scores rows as dense count
+    columns or over each row's observed coordinates (:meth:`CountRows.dense_scoring`), with the same bits either
+    way.  ``coordinate_form`` is a power-series loss's per-coordinate form, the :class:`SeriesTerm` s whose signed
+    sum its evaluator computes, which the truncated Poisson oracle reads; every loss with a Poisson side has one.
+    A known-target loss has neither.  Evaluators are pure apart from internal memoization and thread-safe.
     """
 
     evaluator: Callable[[Optional[Histogram], object], object]
@@ -92,7 +74,7 @@ class CompiledLoss:
     scheme_q: SamplingScheme
     provenance: str
     batch_evaluator: Optional[Callable[[Optional[CountRows], CountRows], np.ndarray]] = None
-    pair_evaluator: Optional[Callable[..., np.ndarray]] = None
+    coordinate_form: Optional[tuple["SeriesTerm", ...]] = None
 
     def evaluate(self, h_p: Optional[Histogram], h_q):
         return self.evaluator(h_p, h_q)
@@ -402,9 +384,9 @@ def compile_two_sample(divergence: PolyDivergence, n: int, m: int, mode: Mode = 
     Evaluation visits only monomials filed under observed coordinates, so its
     cost follows the samples' support, not the domain size.  The evaluator
     also gives the exact oracles its integer numerators against one target
-    histogram (:func:`_numerated`); the float estimator behind the batch and
-    pair evaluators is built when one of them is first called, which the
-    exact oracles never do.  The evaluator and the batch evaluator refuse
+    histogram (:func:`_numerated`); the float estimator behind the batch
+    evaluator is built when it is first called, which the exact oracles never
+    do.  The evaluator and the batch evaluator refuse
     inputs over another domain (:class:`~properloss.errors.DimensionMismatchError`).
     """
     if n < divergence.deg_p or m < divergence.deg_q:
@@ -444,7 +426,6 @@ def compile_two_sample(divergence: PolyDivergence, n: int, m: int, mode: Mode = 
             f"n={n}, m={m}"
         ),
         batch_evaluator=batch_evaluator,
-        pair_evaluator=_tiled_pairs(batch_evaluator),
     )
 
 
@@ -467,32 +448,9 @@ def _numerator_route(evaluator: Callable) -> Optional[Callable]:
     return route if getattr(route, "owner", lambda: None)() is evaluator else None
 
 
-def _pair_grids(out: Optional[tuple], rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
-    """The grid and the workspace of a block of ``rows`` left by ``cols`` right rows, each as a row-major
-    ``(cols, rows)`` matrix whose transpose is the target-major grid: the leading entries of the flat buffers
-    ``out`` (:attr:`CompiledLoss.pair_evaluator`), or fresh matrices without them."""
-    size = rows * cols
-    grid, work = (np.empty(size), np.empty(size)) if out is None else out
-    return grid[:size].reshape(cols, rows), work[:size].reshape(cols, rows)
-
-
-def _tiled_pairs(batch_evaluator) -> Callable[..., np.ndarray]:
-    """A pair evaluator that scores every (left row, right row) pair with ``batch_evaluator``, on the right rows
-    each repeated once per left row against the left rows tiled ``len(right)`` times: target-major, so the grid
-    is the transpose of a row-major ``(len(right), len(left))`` matrix, copied into the grid buffer."""
-
-    def pair_evaluator(left: Optional[np.ndarray], right: np.ndarray, out: Optional[tuple] = None) -> np.ndarray:
-        rows = 1 if left is None else len(left)
-        hp = None if left is None else CountRows.from_counts(np.tile(left, (len(right), 1)))
-        grid, _ = _pair_grids(out, rows, len(right))
-        grid.reshape(-1)[:] = batch_evaluator(hp, CountRows.from_counts(np.repeat(right, rows, axis=0)))
-        return grid.T
-
-    return pair_evaluator
-
-
+@lru_cache(maxsize=16)
 def _log_series(rate) -> Callable[[int], float]:
-    """Memoized float S(t) = sum_{k=1..t} (1/k) rate**-k ff(t, k).
+    """Memoized float S(t) = sum_{k=1..t} (1/k) rate**-k ff(t, k), one per rate, shared by every loss at that rate.
 
     This is the unbiased estimator of ``-ln(theta / rate)``'s Taylor series
     evaluated on a Poisson(theta) count: ``E S(T) = -ln(1 - theta/rate)``
@@ -572,37 +530,33 @@ def _series_batch(series, scale, weights: CountRows, h: CountRows) -> np.ndarray
     return sums(_series_terms(counts, scale, _series_table(series, complements)[complements]))
 
 
-def _series_pairs(series, scale, left: np.ndarray, right: np.ndarray, out: Optional[tuple] = None) -> np.ndarray:
-    """:func:`_series_batch` at every (left row, right row) pair, as a ``(len(left), len(right))`` matrix.
+@dataclass(frozen=True)
+class SeriesTerm:
+    """One per-coordinate term of a power-series loss: ``sign * sum_x (h_q[x] / scale) * series(c_x)``, where ``c_x``
+    is the count outside ``x`` of the histogram on ``side``, ``"model"`` (``h_p``) or ``"target"`` (``h_q``).
 
-    The series values ``S(|left[i]| - left[i, x])`` come from the left rows alone and the weights
-    ``right[j, x] / scale`` from the right rows alone, so each coordinate's terms are one outer product of the
-    two.  Coordinates are added in ascending order, the batch's order, and one that no right row observed is
-    skipped: its terms are all exactly 0, and adding 0 to the nonnegative terms changes no bit.  So the first
-    observed coordinate's terms are written straight into the grid, each later one's into the workspace and
-    added from there (:func:`_pair_grids`).  The grid is built target-major, as the transpose of a row-major
-    ``(len(right), len(left))`` matrix."""
-    complements = left.sum(axis=1)[:, None] - left
-    values = _series_table(series, complements)[complements]
-    grid, work = _pair_grids(out, len(left), len(right))
-    observed = np.flatnonzero(right.any(axis=0)).tolist()
-    if not observed:
-        grid.fill(0.0)
-    for i, x in enumerate(observed):
-        terms = _series_terms(right[:, x, None], scale, values[:, x], out=work if i else grid)
-        if i:
-            np.add(grid, terms, out=grid)
-    return grid.T
+    ``series`` is the loss's own memoized S_rate (:func:`_log_series`) and ``scale`` the target side's mean size,
+    so ``E[h_q[x] / scale] = q_x``.  Under Poisson(rate) draws from ``dist`` on ``side``, ``c_x`` is
+    Poisson(``rate * (1 - dist_x)``) and independent of ``h_q[x]`` (thinning).
+    """
+
+    series: Callable[[int], float]
+    rate: float
+    scale: float
+    side: str
+    sign: float = 1.0
+
+    def coordinates(self, p: Optional[Distribution], q: Distribution) -> list[tuple[float, float]]:
+        """``(q_x, rate * (1 - dist_x))`` in float at each ``x`` with ``q_x > 0``, ``dist`` the distribution of ``side``."""
+        dist = p if self.side == "model" else q
+        return [(float(w), self.rate * float(1 - v)) for w, v in zip(q.probs, dist.probs) if w > 0]
 
 
 def _series_compiled(rate, scale, provenance: str, fixed: bool = False, target_only: bool = False) -> CompiledLoss:
-    """The Poisson series loss ``sum_x (h_q[x] / scale) * S_rate(count of h_p outside x)``, in float.
-
-    Its target sample has Poisson(scale) size, or exactly ``scale`` draws when ``fixed``; a ``target_only`` loss
-    reads ``h_q`` in place of ``h_p`` and has no model scheme, and its pair evaluator gives the one row of the
-    right rows' losses.  One series is built per loss, and all three evaluators read it.
-    """
-    series = _log_series(rate)
+    """The Poisson series loss ``sum_x (h_q[x] / scale) * S_rate(count of h_p outside x)``, in float: its one-term
+    form's reading.  Its target sample has Poisson(scale) size, or exactly ``scale`` draws when ``fixed``; a
+    ``target_only`` loss reads ``h_q`` in place of ``h_p`` and has no model scheme."""
+    term = SeriesTerm(_log_series(rate), float(rate), float(scale), "target" if target_only else "model")
 
     def evaluator(h_p: Histogram, h_q: Histogram) -> object:
         if target_only:
@@ -611,23 +565,15 @@ def _series_compiled(rate, scale, provenance: str, fixed: bool = False, target_o
             raise DimensionMismatchError(f"histogram dimensions {h_p.dim} != {h_q.dim}")
         if fixed:
             _check_fixed_total(h_q, scale, "target")
-        return _series_loss(series, float(scale), h_q, h_p)
-
-    def pair_evaluator(left: Optional[np.ndarray], right: np.ndarray, out: Optional[tuple] = None) -> np.ndarray:
-        if target_only:
-            rows = CountRows.from_counts(right)
-            grid, _ = _pair_grids(out, 1, len(right))
-            grid[:, 0] = _series_batch(series, scale, rows, rows)
-            return grid.T
-        return _series_pairs(series, scale, left, right, out)
+        return _series_loss(term.series, term.scale, h_q, h_p)
 
     return CompiledLoss(
         evaluator=evaluator,
-        scheme_p=None if target_only else Poisson(float(rate)),
-        scheme_q=FixedSize(scale) if fixed else Poisson(float(scale)),
+        scheme_p=None if target_only else Poisson(term.rate),
+        scheme_q=FixedSize(scale) if fixed else Poisson(term.scale),
         provenance=provenance,
-        batch_evaluator=lambda hp, hq: _series_batch(series, scale, hq, hq if target_only else hp),
-        pair_evaluator=pair_evaluator,
+        batch_evaluator=lambda hp, hq: _series_batch(term.series, scale, hq, hq if target_only else hp),
+        coordinate_form=(term,),
     )
 
 
@@ -670,7 +616,8 @@ def kl_poisson(alpha: float, beta: float) -> CompiledLoss:
 
     KL decomposes as cross-entropy minus Shannon entropy of the target, and
     both parts are implementable under Poisson sampling, so the loss is the
-    difference of the two estimators on the same histogram pair.
+    difference of the two estimators on the same histogram pair: its form is
+    the cross-entropy's term and the entropy's, negated.
     """
     ce = cross_entropy_poisson(alpha, beta)
     ent = entropy_poisson(beta)
@@ -678,26 +625,13 @@ def kl_poisson(alpha: float, beta: float) -> CompiledLoss:
     def evaluator(h_p: Histogram, h_q: Histogram) -> object:
         return ce.evaluator(h_p, h_q) - ent.evaluator(None, h_q)
 
-    # The Poisson oracle scores one right side against many blocks of left rows and never writes into it, so the
-    # entropy row is built once per right side, in an array of its own (never in the caller's buffers), and taken
-    # from the cross-entropy grid in place.  The last side is held, so that its identity is not reused, with its
-    # row in one tuple, so that threads sharing the loss read a side and its row together.
-    last = [(None, None)]
-
-    def pair_evaluator(left: Optional[np.ndarray], right: np.ndarray, out: Optional[tuple] = None) -> np.ndarray:
-        side, row = last[0]
-        if side is not right:
-            side, row = last[0] = right, ent.pair_evaluator(None, right)
-        grid = ce.pair_evaluator(left, right, out=out)
-        return np.subtract(grid, row, out=grid)
-
     return CompiledLoss(
         evaluator=evaluator,
         scheme_p=Poisson(float(alpha)),
         scheme_q=Poisson(float(beta)),
         provenance=f"KL power-series loss, rates ({alpha}, {beta})",
         batch_evaluator=lambda hp, hq: ce.batch_evaluator(hp, hq) - ent.batch_evaluator(None, hq),
-        pair_evaluator=pair_evaluator,
+        coordinate_form=ce.coordinate_form + tuple(replace(t, sign=-t.sign) for t in ent.coordinate_form),
     )
 
 

@@ -334,10 +334,10 @@ def run_starts(values: np.ndarray) -> np.ndarray:
 class SamplingScheme:
     """How one side of a loss (model or target) is observed; callers ask the scheme, not its type.
 
-    ``draw_sizes(rows, rng)``: the sizes of ``rows`` Monte Carlo replicates.  ``first_sizes(tail_eps)``: the size
-    range the truncated oracle enumerates first, omitting mass at most ``tail_eps``; ``size_weight(size)``: P[N =
-    size].  A ``bounded`` side has one size, and gives the exact oracle ``oracle_items(dist, pmf)``, ``(items, integer
-    weights, D)`` as ``pmf(dist, size)`` gives a sample's, and each block of ``block_average`` ``blocks(...)``.
+    ``draw_sizes(rows, rng)``: the sizes of ``rows`` Monte Carlo replicates.  A ``bounded`` side has one size, and
+    gives the exact oracle ``oracle_items(dist, pmf)``, ``(items, integer weights, D)`` as ``pmf(dist, size)`` gives a
+    sample's, and each block of ``block_average`` ``blocks(...)``.  An unbounded (Poisson) side is scored by the
+    truncated oracle through the loss's per-coordinate form.
     """
 
     __slots__ = ()
@@ -361,12 +361,6 @@ class FixedSize(SamplingScheme):
 
     def draw_sizes(self, rows: int, rng: np.random.Generator) -> np.ndarray:
         return np.full(rows, self.n, dtype=np.int64)  # nothing is drawn from ``rng``
-
-    def first_sizes(self, tail_eps: float) -> tuple[int, int]:
-        return self.n, self.n
-
-    def size_weight(self, size: int) -> float:
-        return 1.0
 
     def oracle_items(self, dist, pmf) -> tuple:
         return pmf(dist, self.n)
@@ -392,18 +386,6 @@ class Poisson(SamplingScheme):
     def draw_sizes(self, rows: int, rng: np.random.Generator) -> np.ndarray:
         return _poisson_size(rng.random(rows), self.rate)
 
-    def first_sizes(self, tail_eps: float) -> tuple[int, int]:
-        """Sizes 0 to the smallest T with P[N > T] <= tail_eps, or to the walk's limit."""
-        if not tail_eps > 0:
-            raise ValueError("tail mass must be > 0")
-        for t, cum in poisson_cdf(self.rate):
-            if not 1.0 - cum > tail_eps:
-                break
-        return 0, t
-
-    def size_weight(self, size: int) -> float:
-        return math.exp(-self.rate + size * math.log(self.rate) - math.lgamma(size + 1))
-
 
 @dataclass(frozen=True)
 class KnownTarget(SamplingScheme):
@@ -411,8 +393,6 @@ class KnownTarget(SamplingScheme):
 
     def draw_sizes(self, *_):
         raise ValueError("a known target is not sampled: score its loss with expected_losses or check_implements")
-
-    first_sizes = draw_sizes
 
     def oracle_items(self, q, pmf) -> tuple:
         return (q if isinstance(q, Hashable) else tuple(q),), (1,), 1  # the oracle's memos key items by value

@@ -152,8 +152,15 @@ class TestSpecFiles:
         (_spec_with(p_exps=[2.5, 0]), "monomial 0: p_exps must be a list of integers >= 0, not [2.5, 0]"),
         (_spec_with(q_exps=[True, 0]), "monomial 0: q_exps must be a list of integers >= 0, not [true, 0]"),
         (_spec_with(q_exps=[-1, 0]), "monomial 0: q_exps must be a list of integers >= 0"),
+        (_spec_with(coeff=0), "monomial 0: monomial coefficients must be nonzero"),
+        ({"monomials": []}, 'the "monomials" list is empty'),
+        (_spec_with(q_exps=[0]), "monomial 0: p_exps and q_exps need one length of at least 1, not 2 and 1"),
+        (_spec_with(p_exps=[], q_exps=[]), "monomial 0: p_exps and q_exps need one length of at least 1, not 0 and 0"),
+        ({"monomials": [_spec_with()["monomials"][0], {"coeff": 1, "p_exps": [1], "q_exps": [0]}]},
+         "monomial 1: exponent lists of length 1, where monomial 0 has 2"),
     ], ids=["monomial-not-object", "top-level-list", "no-monomials", "missing-key", "exps-not-list", "null-coeff",
-            "bool-coeff", "infinite-coeff", "unparsed-coeff", "zero-denominator", "float-exponent", "bool-exponent", "negative-exponent"])
+            "bool-coeff", "infinite-coeff", "unparsed-coeff", "zero-denominator", "float-exponent", "bool-exponent",
+            "negative-exponent", "zero-coeff", "empty-monomials", "unequal-lengths", "zero-outcomes", "mixed-dimensions"])
     @pytest.mark.parametrize("command", [
         ("compile-info", "--n", "2", "--m", "2"),
         ("eval", "--n", "2", "--m", "2", "--model-probs", "0.2,0.8", "--target-probs", "0.5,0.5", "--replicates", "10"),
@@ -715,8 +722,8 @@ VERIFY_SEED_7_MACHINE = (
     "check.degree-one-affine=PASS [exact] gap=0 one-draw expected losses are affine in the model; constant under a uniform target\n"
     "check.single-draw-infeasible=PASS [exact] gap=0 no single-draw loss of ANY form matches the squared distance on three collinear models\n"
     "check.bregman=PASS [exact] gap=0 Bregman loss equals the closed squared-loss form pointwise; mean-vs-truth gap is the summed variance\n"
-    "check.cross-entropy=PASS [truncated] gap=6.35e-09 truncated expectations match -sum q ln p at two points (tail 1.3e-15)\n"
-    "check.entropy-kl=PASS [truncated] gap=3.60e-09 entropy matches -sum q ln q; KL matches sum q ln(q/p)\n"
+    "check.cross-entropy=PASS [truncated] gap=7.28e-10 truncated expectations match -sum q ln p at two points (tail 5.2e-20)\n"
+    "check.entropy-kl=PASS [truncated] gap=7.28e-10 entropy matches -sum q ln q; KL matches sum q ln(q/p)\n"
     "check.cramer-energy=PASS [exact] gap=0 two-draw enumeration: E[cramer] equals the CDF-distance oracle, E[energy] is exactly twice it\n"
     "check.mc-sanity=PASS [truncated] gap=1.18e-02 Monte Carlo mean within 5 standard errors of 0.125 (se 6.35e-03)\n"
     "failures=0\n"
@@ -724,9 +731,9 @@ VERIFY_SEED_7_MACHINE = (
     'check.compiler-exact":"PASS [exact] gap=0 l2, lk:4, brier compiled at their degrees match exactly on the grid","'
     'check.compiler-gates":"PASS [exact] gap=0 compilation succeeds at the degree boundary and refuses one draw below it","'
     'check.cramer-energy":"PASS [exact] gap=0 two-draw enumeration: E[cramer] equals the CDF-distance oracle, E[energy] is exactly twice it","'
-    'check.cross-entropy":"PASS [truncated] gap=6.35e-09 truncated expectations match -sum q ln p at two points (tail 1.3e-15)","'
+    'check.cross-entropy":"PASS [truncated] gap=7.28e-10 truncated expectations match -sum q ln p at two points (tail 5.2e-20)","'
     'check.degree-one-affine":"PASS [exact] gap=0 one-draw expected losses are affine in the model; constant under a uniform target","'
-    'check.entropy-kl":"PASS [truncated] gap=3.60e-09 entropy matches -sum q ln q; KL matches sum q ln(q/p)","'
+    'check.entropy-kl":"PASS [truncated] gap=7.28e-10 entropy matches -sum q ln q; KL matches sum q ln(q/p)","'
     'check.mc-sanity":"PASS [truncated] gap=1.18e-02 Monte Carlo mean within 5 standard errors of 0.125 (se 6.35e-03)","'
     'check.plugin-bias":"PASS [exact] gap=4.44e-05 optimum at n=10 is 1/18 (grid 0.0556), below 1/10 for n=2..20","'
     'check.plugin-improper":"PASS [exact] gap=summed-frequency-variance 7 interior models all show a positive exact gap","'
@@ -750,8 +757,8 @@ VERIFY_SEED_0_HUMAN = (
     "check.degree-one-affine       PASS [exact] gap=0 one-draw expected losses are affine in the model; constant under a uniform target\n"
     "check.single-draw-infeasible  PASS [exact] gap=0 no single-draw loss of ANY form matches the squared distance on three collinear models\n"
     "check.bregman                 PASS [exact] gap=0 Bregman loss equals the closed squared-loss form pointwise; mean-vs-truth gap is the summed variance\n"
-    "check.cross-entropy           PASS [truncated] gap=6.35e-09 truncated expectations match -sum q ln p at two points (tail 1.3e-15)\n"
-    "check.entropy-kl              PASS [truncated] gap=3.60e-09 entropy matches -sum q ln q; KL matches sum q ln(q/p)\n"
+    "check.cross-entropy           PASS [truncated] gap=7.28e-10 truncated expectations match -sum q ln p at two points (tail 5.2e-20)\n"
+    "check.entropy-kl              PASS [truncated] gap=7.28e-10 entropy matches -sum q ln q; KL matches sum q ln(q/p)\n"
     "check.cramer-energy           PASS [exact] gap=0 two-draw enumeration: E[cramer] equals the CDF-distance oracle, E[energy] is exactly twice it\n"
     "check.mc-sanity               PASS [truncated] gap=7.50e-04 Monte Carlo mean within 5 standard errors of 0.125 (se 6.30e-03)\n"
     "failures                      0\n"

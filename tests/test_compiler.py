@@ -119,7 +119,6 @@ class TestCompileTwoSample:
         rows = CountRows.from_counts(np.array([[2, 0], [1, 1]]))
         for _ in range(2):
             assert loss.batch_evaluator(rows, rows).tolist() == [0.0, -1.0]
-            assert loss.pair_evaluator(rows.dense(), rows.dense()).tolist() == [[0.0, 0.0], [0.0, -1.0]]
         assert len(built) == after
 
     @pytest.mark.parametrize("build", [lambda: compile_known_target(builtin_l2(2), 2),
@@ -164,7 +163,7 @@ class TestCompileKnownTarget:
     def test_a_known_target_loss_is_a_compiled_loss_that_is_never_sampled(self, build):
         loss = build()
         assert type(loss) is CompiledLoss and loss.scheme_p == FixedSize(2) and loss.scheme_q is KNOWN_TARGET
-        assert loss.batch_evaluator is None and loss.pair_evaluator is None
+        assert loss.batch_evaluator is None and loss.coordinate_form is None
         source = InternalSource(Distribution.floating([0.5, 0.5]))
         with pytest.raises(ValueError, match="known target is not sampled: score its loss with expected_losses"):
             estimate_loss(source, source, loss, 10, seed=0)
@@ -363,36 +362,28 @@ class TestCrossEntropyLosses:
         loss = cross_entropy_poisson_fixed_target(4.0, 2)
         assert loss.evaluator(Histogram((4, 0)), Histogram((2, 0))) == 0
 
-    def test_a_pair_grid_adds_exactly_zero_where_an_unweighted_series_term_overflows(self):
-        # at rate 0.5, S(400) overflows to inf: model row 0 has it at coordinate 1, which target row 0 never saw
-        loss = cross_entropy_poisson(0.5, 2.0)
-        left = np.array([[400, 0], [1, 2]], dtype=np.int64)
-        right = np.array([[3, 0], [0, 2]], dtype=np.int64)
-        grid = loss.pair_evaluator(left, right)
-        assert grid.shape == (2, 2)
-        assert grid[0, 0] == 0.0 and grid[0, 1] == math.inf
-        expected = [[float(loss.evaluator(Histogram(tuple(h)), Histogram(tuple(g)))) for g in right] for h in left]
-        assert repr(grid.tolist()) == repr(expected)
+    def test_each_series_loss_exposes_its_per_coordinate_form(self):
+        # (rate, scale, side whose complement count feeds the series, sign) of each term; KL is the cross-entropy's
+        # term less the entropy's
+        cases = [
+            (cross_entropy_poisson(4.0, 2.0), [(4.0, 2.0, "model", 1.0)]),
+            (cross_entropy_poisson_fixed_target(4.0, 3), [(4.0, 3.0, "model", 1.0)]),
+            (entropy_poisson(5.0), [(5.0, 5.0, "target", 1.0)]),
+            (kl_poisson(4.0, 5.0), [(4.0, 5.0, "model", 1.0), (5.0, 5.0, "target", -1.0)]),
+        ]
+        for loss, terms in cases:
+            assert [(t.rate, t.scale, t.side, t.sign) for t in loss.coordinate_form] == terms
+            for t in loss.coordinate_form:
+                assert [t.series(k) for k in range(6)] == [compiler._log_series(t.rate)(k) for k in range(6)]
+        assert compile_two_sample(builtin_l2(2), 2, 2).coordinate_form is None
 
-    def test_pair_evaluators_write_their_grid_into_the_buffers_given(self):
-        # buffers longer than the block and full of NaN: the grid is a view of the first, with every entry written,
-        # equal bit for bit to a fresh loss's grid scored without buffers, also on a loss that scored other rows before
-        right = [[3, 0], [0, 2], [2, 2]]
-        for build, calls in (
-            (lambda: cross_entropy_poisson(0.5, 2.0), [([[0, 1], [1, 2]], right), ([[200, 0], [0, 1]], right)]),
-            (lambda: cross_entropy_poisson(0.5, 2.0), [([[0, 1]], [[0, 0], [0, 0]])]),  # no target observes any x
-            (lambda: kl_poisson(4.0, 4.0), [([[0, 1], [1, 2]], right), ([[5, 1], [1, 9]], right)]),
-            (lambda: entropy_poisson(4.0), [(None, right), (None, [[9, 0], [0, 12]])]),
-            (lambda: compile_two_sample(builtin_l2(2), 2, 2), [([[2, 0], [1, 1]], [[0, 2], [1, 1], [2, 0]])]),
-        ):
-            loss = build()
-            for lhs, rhs in calls:
-                left = None if lhs is None else np.array(lhs, dtype=np.int64)
-                buffers = (np.full(64, np.nan), np.full(64, np.nan))
-                grid = loss.pair_evaluator(left, np.array(rhs, dtype=np.int64), out=buffers)
-                assert np.shares_memory(grid, buffers[0]) and not np.shares_memory(grid, buffers[1])
-                assert grid.shape == (1 if left is None else len(left), len(rhs)) and not np.isnan(grid).any()
-                assert grid.tobytes() == build().pair_evaluator(left, np.array(rhs, dtype=np.int64)).tobytes()
+    def test_a_terms_coordinates_are_its_weights_and_complement_rates(self):
+        p = Distribution.exact([Fraction(1, 4), Fraction(3, 4), 0])
+        q = Distribution.exact([Fraction(1, 2), 0, Fraction(1, 2)])
+        model, target = kl_poisson(4.0, 6.0).coordinate_form
+        # only the coordinates q weighs; 1 - p_x is formed exactly before it is rounded
+        assert model.coordinates(p, q) == [(0.5, 3.0), (0.5, 4.0)]
+        assert target.coordinates(None, q) == [(0.5, 3.0), (0.5, 3.0)]
 
     @pytest.mark.filterwarnings("error")
     def test_a_term_past_float_range_is_inf_without_a_warning(self):

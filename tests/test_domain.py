@@ -190,9 +190,9 @@ class TestCompositions:
 
 
 class TestPoissonCdf:
-    # Sampled Poisson sizes and oracle truncation points both come from one
-    # CDF walk; these values were recorded from the two separate pmf loops the
-    # walk replaced, so any change to its float arithmetic shows here.
+    # Sampled Poisson sizes come from one CDF walk; these values were recorded
+    # from the pmf loop the walk replaced, so any change to its float
+    # arithmetic shows here.
     def test_sampled_sizes_are_pinned(self):
         import hashlib
 
@@ -208,18 +208,6 @@ class TestPoissonCdf:
         assert sizes[40][:10] == [11, 4, 9, 9, 6, 8, 9, 13, 7, 6]  # rate 8, seed 0
         digest = hashlib.sha256(repr(sizes).encode()).hexdigest()
         assert digest == "8bf6c729864483c0db204691c093f974de34b2695acf52b155c1481e7d306ce1"
-
-    def test_oracle_truncation_points_are_pinned(self):
-        def truncation(rate, eps):
-            low, high = Poisson(rate).first_sizes(eps)
-            assert low == 0
-            return high
-
-        # the rates and per-side tail masses of the verify suite's Poisson checks
-        pinned = {(6.0, 1e-10): 27, (6.0, 5e-11): 28, (8.0, 1e-10): 32, (8.0, 5e-11): 32}
-        assert {key: truncation(*key) for key in pinned} == pinned
-        assert truncation(2.0, 1e-300) == 22
-        assert truncation(0.5, 0.5) == 0
 
     def test_walk_ends_at_the_shared_limit(self):
         from properloss.domain import _poisson_size, poisson_cdf

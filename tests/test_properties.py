@@ -24,6 +24,8 @@ from properloss import (
     InternalSource,
     Mode,
     RealSample,
+    SeriesDivergence,
+    SeriesKind,
     VectorSample,
     bregman_divergence,
     bregman_known_target,
@@ -53,19 +55,17 @@ from properloss import (
     stream_rng,
 )
 from properloss import VerificationReport, divergences, poisson_expected_loss, verify
-from properloss.compiler import _numerator_route
+from properloss.compiler import SeriesTerm, _numerator_route
 from properloss.divergences import Monomial, PolyDivergence
-from properloss.domain import KNOWN_TARGET, CountRows, Poisson
+from properloss.domain import KNOWN_TARGET, CountRows, FixedSize, Poisson, poisson_cdf
 from properloss.estimators import ExponentVector, poisson_power_series, variance_mvue
 from properloss.sampling import _searched_indices, _stepped_indices
 from properloss.verify import (
     _case,
     _fixed_size_sweep,
-    _item_arrays,
     _numerated_compositions,
     _pmf_numerators,
     _scaled_support,
-    _side_items,
     _support_histograms,
 )
 
@@ -220,34 +220,38 @@ def test_power_series_batch_evaluators_equal_their_scalar_evaluators(data):
             assert repr(value) == repr(float(loss.evaluator(Histogram(h), Histogram(g))))
 
 
+def form_value(form, h_p, h_q):
+    """A loss's value read from its per-coordinate form: each term's ``sum_x (h_q[x] / scale) * series(c_x)``, ``c_x``
+    the count outside ``x`` of the term's side, in ascending ``x``, the terms added in order with their signs."""
+    value = None
+    for term in form:
+        counted = h_p if term.side == "model" else h_q
+        part = 0
+        for x in h_q.support:
+            part = part + (h_q.counts[x] / term.scale) * term.series(counted.total - counted.counts[x])
+        value = part if value is None else value + term.sign * part
+    return value
+
+
 @settings(deadline=None)
 @given(st.data())
-def test_series_pair_evaluators_equal_their_batch_evaluators_on_tiled_rows(data):
+def test_series_evaluators_equal_their_per_coordinate_forms_bit_for_bit(data):
     d = data.draw(st.integers(1, 6))
     m = data.draw(st.integers(1, 6))
     # spiked rows overflow the series at rate 0.5 next to coordinates that the other side never observed
     spiked = data.draw(st.booleans())
     counts = spiked_counts(d) if spiked else poisson_counts(d)
-    alpha = data.draw(st.sampled_from([0.5] if spiked else [0.5, 4.0, 8.0]))
-    beta = data.draw(st.sampled_from([0.5] if spiked else [0.5, 4.0, 8.0]))
-    left = np.array(data.draw(st.lists(counts, min_size=1, max_size=8)), dtype=np.int64)
-    right = np.array(data.draw(st.lists(counts, min_size=1, max_size=8)), dtype=np.int64)
-    fixed_right = np.array([data.draw(histograms(d, m)).counts for _ in right], dtype=np.int64)
-    for loss, rhs in (
-        (cross_entropy_poisson(alpha, beta), right),
-        (cross_entropy_poisson_fixed_target(alpha, m), fixed_right),
-        (entropy_poisson(beta), right),
-        (kl_poisson(alpha, beta), right),
-    ):
-        lhs = None if loss.scheme_p is None else left
-        rows = 1 if lhs is None else len(lhs)
-        hp = None if lhs is None else CountRows.from_counts(np.repeat(lhs, len(rhs), axis=0))
-        with np.errstate(invalid="ignore"):  # KL's inf - inf
-            grid = loss.pair_evaluator(lhs, rhs)
-            tiled = loss.batch_evaluator(hp, CountRows.from_counts(np.tile(rhs, (rows, 1))))
-        assert grid.shape == (rows, len(rhs))
-        # by repr, bit for bit, so that inf and NaN pairs match too
-        assert repr(grid.tolist()) == repr(tiled.reshape(rows, len(rhs)).tolist())
+    alpha = data.draw(st.sampled_from([0.5] if spiked else [0.5, 2.0, 4.0, 8.0]))
+    beta = data.draw(st.sampled_from([0.5] if spiked else [0.5, 2.0, 4.0, 8.0]))
+    pairs = data.draw(st.lists(st.tuples(counts, counts), min_size=1, max_size=8))
+    for loss in (cross_entropy_poisson(alpha, beta), cross_entropy_poisson_fixed_target(alpha, m),
+                 entropy_poisson(beta), kl_poisson(alpha, beta)):
+        for h, g in pairs:
+            h_p, h_q = Histogram(tuple(h)), Histogram(tuple(g))
+            if loss.scheme_q == FixedSize(m):
+                h_q = data.draw(histograms(d, m))
+            # by repr, bit for bit, so that inf and NaN values match too
+            assert repr(float(loss.evaluator(h_p, h_q))) == repr(float(form_value(loss.coordinate_form, h_p, h_q)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -271,30 +275,35 @@ def pmf_weighted_histograms(dist, size, scale):
     return [(h, w) for h, w in weighted if w != 0]
 
 
-def scalar_poisson_expectation(loss, p, q, tail_eps, value_tol, max_items_per_side):
-    """The truncated Poisson oracle as a pair-by-pair loop over the scalar evaluator, summed sequentially."""
+def poisson_size_weight(rate, size):
+    return math.exp(-rate + size * math.log(rate) - math.lgamma(size + 1))
+
+
+def joint_poisson_expectation(loss, p, q, tail_eps, value_tol, max_items_per_side):
+    """The reference Poisson oracle: every (model, target) pair of joint histograms, by a pair-by-pair loop over the
+    scalar evaluator, summed sequentially.
+
+    Each Poisson side starts at the smallest size whose omitted mass is within its share of ``tail_eps``, and grows
+    in blocks of four sizes while its increment exceeds ``value_tol * max(1, |value|)``, until two blocks in a row
+    stay below it or a side holds ``max_items_per_side`` histograms.  It has no sound bound of its own: what it
+    leaves out is a loss with infinite variance times a small mass.  For a loss with nonnegative values the value
+    is a lower bound on the expectation."""
     poisson_sides = sum(1 for s in (loss.scheme_p, loss.scheme_q) if isinstance(s, Poisson))
     per_side = tail_eps / poisson_sides if poisson_sides else tail_eps
-    sup_loss = 0.0
-    pairs = 0
 
     def items(dist, rate, size_from, size_to):
         return [
             item
             for size in range(size_from, size_to + 1)
-            for item in pmf_weighted_histograms(dist, size, Poisson(rate).size_weight(size))
+            for item in pmf_weighted_histograms(dist, size, poisson_size_weight(rate, size))
         ]
 
     def cross(left, right):
-        nonlocal sup_loss, pairs
         acc = 0.0
         for h, wp in left:
             inner = 0.0
             for g, wq in right:
-                v = float(loss.evaluator(h, g))
-                inner += wq * v
-                sup_loss = max(sup_loss, abs(v))
-                pairs += 1
+                inner += wq * float(loss.evaluator(h, g))
             acc += wp * inner
         return acc
 
@@ -302,14 +311,13 @@ def scalar_poisson_expectation(loss, p, q, tail_eps, value_tol, max_items_per_si
         if scheme is None:
             return [(None, 1.0)], None, None
         if isinstance(scheme, Poisson):
-            trunc = scheme.first_sizes(per_side)[1]
+            trunc = next(t for t, cum in poisson_cdf(scheme.rate) if not 1.0 - cum > per_side)
             return items(dist, scheme.rate, 0, trunc), trunc, scheme.rate
         return pmf_weighted_histograms(dist, scheme.n, 1.0), None, None
 
     model_side, trunc_p, rate_p = side(loss.scheme_p, p)
     target_side, trunc_q, rate_q = side(loss.scheme_q, q)
     value = cross(model_side, target_side)
-    last_delta = 0.0
     calm_p = 0 if rate_p is not None else 2
     calm_q = 0 if rate_q is not None else 2
     while calm_p < 2 or calm_q < 2:
@@ -327,27 +335,12 @@ def scalar_poisson_expectation(loss, p, q, tail_eps, value_tol, max_items_per_si
         value += delta_p + delta_q + delta_pq
         model_side.extend(new_p)
         target_side.extend(new_q)
-        last_delta = abs(delta_p) + abs(delta_q) + abs(delta_pq)
         threshold = value_tol * max(1.0, abs(value))
         if grow_p:
             calm_p = calm_p + 1 if abs(delta_p) + abs(delta_pq) <= threshold else 0
         if grow_q:
             calm_q = calm_q + 1 if abs(delta_q) + abs(delta_pq) <= threshold else 0
-
-    omitted = 0.0
-    for rate, kept in ((rate_p, model_side), (rate_q, target_side)):
-        if rate is not None:
-            omitted += max(0.0, 1.0 - sum(w for _, w in kept))
-    return dict(
-        value=value,
-        tail_bound=omitted * sup_loss + last_delta,
-        omitted_mass=omitted,
-        truncation_model=trunc_p,
-        truncation_target=trunc_q,
-        items_model=None if loss.scheme_p is None else len(model_side),
-        items_target=len(target_side),
-        pairs=pairs,
-    )
+    return value
 
 
 @st.composite
@@ -356,13 +349,41 @@ def exact_distributions(draw, d: int):
     return Distribution.exact([Fraction(w, sum(weights)) for w in weights])
 
 
-# small sides keep the scalar reference affordable; the extension loop still runs
+# small sides keep the joint reference affordable; its extension loop still runs
 ORACLE_ARGS = dict(tail_eps=1e-2, value_tol=1e-5, max_items_per_side=60)
+
+
+def series_losses(alpha, beta, m):
+    return (cross_entropy_poisson(alpha, beta), kl_poisson(alpha, beta), entropy_poisson(beta),
+            cross_entropy_poisson_fixed_target(alpha, m))
+
+
+#: What each series loss implements.
+SERIES_TARGETS = {"model": SeriesDivergence(SeriesKind.CROSS_ENTROPY), "KL": SeriesDivergence(SeriesKind.KL),
+                  "target": SeriesDivergence(SeriesKind.SHANNON_ENTROPY)}
+
+
+def implemented(loss):
+    form = loss.coordinate_form
+    return SERIES_TARGETS["KL" if len(form) == 2 else form[0].side]
+
+
+def settled(loss, est, target) -> bool:
+    """Whether ``est`` has a finite bound; an infinite one must come from an infinite target, or from a series that
+    left float range at the last count a sum reached."""
+    if math.isfinite(est.tail_bound):
+        return True
+    if math.isinf(target):
+        assert est.value == math.inf
+    else:
+        last = {"model": est.truncation_model, "target": est.truncation_target}
+        assert any(last[t.side] is not None and t.series(last[t.side]) == math.inf for t in loss.coordinate_form)
+    return False
 
 
 @settings(deadline=None, max_examples=20)
 @given(st.data())
-def test_batched_poisson_oracle_equals_the_scalar_loop_bit_for_bit(data):
+def test_the_joint_reference_stays_below_the_poisson_oracles_upper_bound(data):
     d = data.draw(st.integers(1, 3))
     p = data.draw(exact_distributions(d))
     q = data.draw(exact_distributions(d))
@@ -371,19 +392,99 @@ def test_batched_poisson_oracle_equals_the_scalar_loop_bit_for_bit(data):
     m = data.draw(st.integers(1, 3))
     args = dict(ORACLE_ARGS, tail_eps=data.draw(st.sampled_from([1e-2, 1e-3])))
     if data.draw(st.booleans()):
-        # exact sides are weighted from integer pmf numerators, float sides by multinomial_pmf
         p, q = Distribution.floating(p.as_floats()), Distribution.floating(q.as_floats())
-    for loss in (
-        cross_entropy_poisson(alpha, beta),
-        kl_poisson(alpha, beta),
-        entropy_poisson(beta),
-        cross_entropy_poisson_fixed_target(alpha, m),
-    ):
+    # KL's values take both signs, so its truncated joint sum bounds nothing
+    for loss in series_losses(alpha, beta, m):
         model = None if loss.scheme_p is None else p
-        batched = poisson_expected_loss(loss, model, q, **args)
-        reference = scalar_poisson_expectation(loss, model, q, **args)
-        # repr tells every float apart except NaNs, which an overflowing series can produce on both sides
-        assert {k: repr(v) for k, v in vars(batched).items()} == {k: repr(v) for k, v in reference.items()}
+        est = poisson_expected_loss(loss, model, q, **args)
+        if len(loss.coordinate_form) == 1 and settled(loss, est, implemented(loss).evaluate(p, q)):
+            with np.errstate(invalid="ignore", over="ignore"):
+                value = joint_poisson_expectation(loss, model, q, **args)
+            assert 0 <= value <= est.value + est.tail_bound + 1e-12
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_the_poisson_oracle_lies_within_its_bound_of_the_closed_form(data):
+    d = data.draw(st.integers(1, 3))
+    p = data.draw(exact_distributions(d))
+    q = data.draw(exact_distributions(d))
+    if data.draw(st.booleans()):
+        p, q = Distribution.floating(p.as_floats()), Distribution.floating(q.as_floats())
+    alpha, beta = data.draw(st.floats(2.0, 8.0)), data.draw(st.floats(2.0, 8.0))
+    value_tol = data.draw(st.sampled_from([1e-3, 1e-7, 1e-12]))
+    for loss in series_losses(alpha, beta, data.draw(st.integers(1, 3))):
+        target = implemented(loss).evaluate(p, q)
+        est = poisson_expected_loss(loss, None if loss.scheme_p is None else p, q, value_tol=value_tol)
+        if settled(loss, est, target):
+            # each sum stops within value_tol * max(1, its value), at most -ln(1/9) here, and its term's weights add to 1
+            assert abs(est.value - target) <= est.tail_bound <= 5 * value_tol * max(1.0, abs(target)) + 1e-12
+
+
+@dataclasses.dataclass(frozen=True)
+class DroppedCoordinate(SeriesTerm):
+    """A term that leaves coordinate ``dropped`` out of its sum."""
+
+    dropped: int = 0
+
+    def coordinates(self, p, q):
+        weighed = [x for x, w in enumerate(q.probs) if w > 0]
+        return [pair for x, pair in zip(weighed, super().coordinates(p, q)) if x != self.dropped]
+
+
+def mutants(loss, epsilon, x):
+    """``(name, mutant)``: the loss with each value shifted by ``epsilon``, scaled by ``1 + epsilon``, and with
+    coordinate ``x``'s term dropped from its first term, each in its evaluator and in its per-coordinate form."""
+    form = loss.coordinate_form
+    first, rest = form[0], form[1:]
+
+    def shifted(h_p, h_q):
+        return loss.evaluator(h_p, h_q) + epsilon * h_q.total / first.scale
+
+    def scaled(h_p, h_q):
+        return loss.evaluator(h_p, h_q) * (1 + epsilon)
+
+    def dropped(h_p, h_q):
+        counted = h_p if first.side == "model" else h_q
+        term = h_q.counts[x] / first.scale * first.series(counted.total - counted.counts[x]) if h_q.counts[x] else 0.0
+        return loss.evaluator(h_p, h_q) - first.sign * term
+
+    shift = dataclasses.replace(first, series=lambda t: first.series(t) + epsilon)
+    scale = tuple(dataclasses.replace(t, sign=t.sign * (1 + epsilon)) for t in form)
+    drop = DroppedCoordinate(**{f.name: getattr(first, f.name) for f in dataclasses.fields(SeriesTerm)}, dropped=x)
+    return [
+        ("shift", dataclasses.replace(loss, evaluator=shifted, coordinate_form=(shift, *rest))),
+        ("scale", dataclasses.replace(loss, evaluator=scaled, coordinate_form=scale)),
+        ("drop", dataclasses.replace(loss, evaluator=dropped, coordinate_form=(drop, *rest))),
+    ]
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.data())
+def test_a_shifted_a_scaled_and_a_dropped_coordinate_mutant_fail_in_truncated_mode(data):
+    d = data.draw(st.integers(1, 3))
+    p = data.draw(exact_distributions(d))
+    q = data.draw(exact_distributions(d))
+    alpha, beta = data.draw(st.floats(2.0, 8.0)), data.draw(st.floats(2.0, 8.0))
+    epsilon = data.draw(st.sampled_from([1e-4, 1e-3, 0.05]))
+    x = data.draw(st.sampled_from([x for x, w in enumerate(q.probs) if w > 0]))
+    for loss in series_losses(alpha, beta, data.draw(st.integers(1, 3))):
+        divergence = implemented(loss)
+        target = divergence.evaluate(p, q)
+        if math.isinf(target):
+            continue
+        first = loss.coordinate_form[0]
+        dist = p if first.side == "model" else q
+        # each mutant moves E[loss] by epsilon, by epsilon * |target|, and by coordinate x's own term,
+        # -q_x ln dist_x; where that is 0 the mutant is the loss itself
+        changes = {"shift": epsilon, "scale": epsilon * abs(target), "drop": float(-q.probs[x] * math.log(dist.probs[x]))}
+        for name, mutant in mutants(loss, epsilon, x):
+            [report] = check_implements(mutant, divergence, [(p, q)])
+            assert report.mode == "truncated"
+            if changes[name] >= 1e-5:
+                assert not report.passed, (name, report)
+            elif changes[name] == 0 and math.isfinite(report.tail_bound):
+                assert report.passed, (name, report)
 
 
 def brute_force_expectation(evaluator, p, q, n, m=None):
@@ -607,19 +708,6 @@ def test_a_compiled_loss_has_the_expectations_of_its_evaluator_as_a_raw_callable
         two_sample.evaluator, points, n, m, two_sample=True)
 
 
-@settings(deadline=None, max_examples=60)
-@given(st.data())
-def test_exact_side_weights_equal_the_scaled_reference_pmf_bit_for_bit(data):
-    d = data.draw(st.integers(1, 3))
-    dist = data.draw(st.one_of(exact_distributions(d), mixed_denominator_distributions(d)))
-    size = data.draw(st.integers(0, 8))
-    scale = data.draw(st.one_of(st.just(1.0), st.floats(1e-300, 1e3),
-                                st.floats(0.5, 700.0).map(lambda rate: Poisson(rate).size_weight(size))))
-    counts, weights = _item_arrays(dist, size, size, lambda _: scale)
-    assert [(tuple(c), repr(w)) for c, w in zip(counts.tolist(), weights.tolist())] == [
-        (h.counts, repr(w)) for h, w in pmf_weighted_histograms(dist, size, scale)]
-
-
 @settings(deadline=None, max_examples=40)
 @given(st.data())
 def test_numerated_compositions_are_the_pmf_over_the_common_denominator(data):
@@ -637,37 +725,6 @@ def test_numerated_compositions_are_the_pmf_over_the_common_denominator(data):
     assert sum(numerators) == den**size  # so every histogram off the support has probability 0
 
 
-def histogram_item_arrays(dist, size_from, size_to, size_weight):
-    """A side's items built from Histograms: :func:`pmf_weighted_histograms` per size, stacked into arrays."""
-    items = [item for size in range(size_from, size_to + 1)
-             for item in pmf_weighted_histograms(dist, size, size_weight(size))]
-    counts = np.array([h.counts for h, _ in items], dtype=np.int64).reshape(len(items), dist.dim)
-    return counts, np.array([w for _, w in items], dtype=float)
-
-
-def same_arrays(a, b):
-    return all(x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes() for x, y in zip(a, b))
-
-
-@settings(deadline=None, max_examples=40)
-@given(st.data())
-def test_poisson_item_arrays_equal_the_histogram_built_items_bit_for_bit(data):
-    d = data.draw(st.integers(1, 3))
-    dist = data.draw(st.one_of(exact_distributions(d), mixed_denominator_distributions(d)))  # zeros make sparse supports
-    if data.draw(st.booleans()):
-        dist = Distribution.floating(dist.as_floats())
-    rate = data.draw(st.floats(0.5, 12.0))
-    trunc = Poisson(rate).first_sizes(data.draw(st.sampled_from([1e-2, 1e-4])))[1]
-    size_from = data.draw(st.sampled_from([0, trunc + 1]))  # the first truncation, or one extension block
-    size_to = trunc if size_from == 0 else trunc + 4
-    reference = histogram_item_arrays(dist, size_from, size_to, Poisson(rate).size_weight)
-    assert same_arrays(_side_items(dist, Poisson(rate), size_from, size_to), reference)
-    # a fixed-size side; a scale of two subnormal units underflows every pmf below 1/4 to 0, and drops its rows
-    n = data.draw(st.integers(0, 8))
-    for scale in (1.0, 1e-323):
-        assert same_arrays(_item_arrays(dist, n, n, lambda _: scale), histogram_item_arrays(dist, n, n, lambda _: scale))
-
-
 @settings(deadline=None, max_examples=40)
 @given(st.data())
 def test_the_oracle_memos_equal_fresh_builds_and_cannot_be_written(data):
@@ -682,15 +739,6 @@ def test_the_oracle_memos_equal_fresh_builds_and_cannot_be_written(data):
     assert type(hists) is tuple and list(hists) == on_support and hists == _support_histograms(support, d, size)
     assert type(numerators) is tuple and list(numerators) == _numerated_compositions(scaled, size)[1]
     assert _pmf_numerators(dist, size) is side
-    rate = data.draw(st.floats(0.5, 8.0))
-    trunc = Poisson(rate).first_sizes(1e-2)[1]
-    items = _side_items(dist, Poisson(rate), 0, trunc)
-    assert _side_items(dist, Poisson(rate), 0, trunc) is items
-    assert same_arrays(items, _item_arrays(dist, 0, trunc, Poisson(rate).size_weight))
-    for array in items:
-        assert not array.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            array[...] = 0
 
 
 @settings(deadline=None, max_examples=30)
@@ -723,10 +771,8 @@ def test_every_oracle_memo_stays_within_its_bound():
         _pmf_numerators(dist, 1)
         _support_histograms((0,), 1, k)
         simplex_grid(1, k)
-        if k <= 2 * verify._ITEM_TABLES:
-            _side_items(dist, Poisson(0.5), 0, 1)
     for memo, bound in ((_pmf_numerators, verify._SIDE_TABLES), (_support_histograms, verify._SUPPORT_TABLES),
-                        (_side_items, verify._ITEM_TABLES), (divergences._simplex_points, divergences._GRIDS)):
+                        (divergences._simplex_points, divergences._GRIDS)):
         info = memo.cache_info()
         assert info.maxsize == bound and info.currsize == bound
 

@@ -1,10 +1,9 @@
 import dataclasses
 import functools
 import math
-import tracemalloc
+import time
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from properloss import (
@@ -12,6 +11,8 @@ from properloss import (
     Distribution,
     EnumerationTooLargeError,
     Histogram,
+    SeriesDivergence,
+    SeriesKind,
     TotalMismatchError,
     builtin_brier,
     builtin_l2,
@@ -34,7 +35,7 @@ from properloss import (
     simplex_grid,
     squared_norm_polynomial,
 )
-from properloss import compiler, verify
+from properloss import verify
 from properloss.compiler import CompiledLoss
 from properloss.divergences import Monomial, PolyDivergence
 from properloss.domain import KNOWN_TARGET, FixedSize, Mode
@@ -73,30 +74,6 @@ class TestMultinomialPmf:
     def test_total_mismatch(self):
         with pytest.raises(TotalMismatchError):
             multinomial_pmf(Histogram((1, 1)), 3, HALF)
-
-
-def pmf_weighted_histograms(dist, size, scale):
-    """``(counts, scale * multinomial_pmf(h))`` over the full enumeration, zero weights dropped."""
-    weighted = ((h.counts, scale * multinomial_pmf(h, size, dist)) for h in enumerate_histograms(dist.dim, size))
-    return [(c, w) for c, w in weighted if w != 0]
-
-
-def item_pairs(dist, size, scale):
-    """The rows and weights of ``_item_arrays`` for one size, as ``(counts, weight)`` pairs."""
-    counts, weights = verify._item_arrays(dist, size, size, lambda _: scale)
-    return list(zip(map(tuple, counts.tolist()), weights.tolist()))
-
-
-class TestItemArrays:
-    def test_a_sparse_support_gives_the_filtered_full_enumeration(self):
-        for probs in ([Fraction(1, 2), 0, Fraction(1, 2)], [0, 0, 1], [0, Fraction(1, 4), Fraction(3, 4)]):
-            dist = Distribution.exact(probs)
-            for size in (0, 1, 3):
-                assert item_pairs(dist, size, 1.0) == pmf_weighted_histograms(dist, size, 1.0)
-
-    def test_a_float_scale_gives_the_filtered_full_enumeration(self):
-        dist = Distribution.floating([0.25, 0.0, 0.75, 0.0])
-        assert item_pairs(dist, 4, 0.5) == pmf_weighted_histograms(dist, 4, 0.5)
 
 
 class TestExactExpectedKnownTarget:
@@ -171,8 +148,12 @@ class TestPoissonExpectedLoss:
             poisson_expected_loss(cross_entropy_poisson(4.0, 4.0), third, HALF)
 
     def test_a_known_target_loss_is_sent_to_the_exact_oracle(self):
-        with pytest.raises(ValueError, match="known target is not sampled.*expected_losses or check_implements"):
+        with pytest.raises(ValueError, match="known-target loss has no per-coordinate Poisson form: score it exactly with expected_losses"):
             poisson_expected_loss(compile_known_target(builtin_l2(2), 2), HALF, HALF)
+
+    def test_a_fixed_size_loss_is_sent_to_the_exact_oracle(self):
+        with pytest.raises(ValueError, match="fixed-size or known-target loss has no per-coordinate Poisson form"):
+            poisson_expected_loss(compile_two_sample(builtin_l2(2), 2, 2), HALF, HALF)
 
     def test_entropy_on_a_sparse_support_of_a_large_domain(self):
         # only the two-outcome support is enumerated; over all 30 coordinates
@@ -184,130 +165,54 @@ class TestPoissonExpectedLoss:
         assert (est.value, est.truncation_target, est.items_target) == (
             dense.value, dense.truncation_target, dense.items_target)
 
-    def test_point_masses_keep_one_histogram_per_size(self):
-        p = Distribution.exact([1, 0, 0])
-        q = Distribution.exact([0, 0, 1])
-        est = poisson_expected_loss(cross_entropy_poisson(8.0, 8.0), p, q, tail_eps=1e-2, max_items_per_side=300)
-        assert est.items_model == est.truncation_model + 1
-        assert est.items_target == est.truncation_target + 1
+    def test_a_coordinate_the_model_never_draws_makes_the_value_infinite(self):
+        # q weighs outcome 2, which p never draws: its complement count is Poisson(8), the series rate itself
+        p, q = Distribution.exact([1, 0, 0]), Distribution.exact([0, 0, 1])
+        est = poisson_expected_loss(cross_entropy_poisson(8.0, 8.0), p, q)
+        assert (est.value, est.tail_bound) == (math.inf, math.inf)
+        # where p puts all its mass on q's outcome, every complement count is 0 and S(0) = 0: exactly 0
+        est = poisson_expected_loss(cross_entropy_poisson(8.0, 8.0), q, q)
+        assert (est.value, est.tail_bound, est.items_model, est.truncation_model) == (0.0, 0.0, 1, 0)
 
-    def test_one_pair_blocks_give_the_same_result(self, monkeypatch):
-        skew = Distribution.exact([Fraction(1, 4), Fraction(3, 4)])
-        cases = [
-            (cross_entropy_poisson(4.0, 5.0), skew, HALF),
-            (kl_poisson(4.0, 4.0), skew, HALF),
-            (entropy_poisson(4.0), None, skew),
-            (cross_entropy_poisson_fixed_target(4.0, 2), skew, HALF),
-        ]
-        default = [poisson_expected_loss(loss, p, q, tail_eps=1e-6) for loss, p, q in cases]
-        # one pair per call; blocks of several rows, each scored in the buffers the one before it used; and every
-        # left row against the whole right side at once
-        for block in (1, 64, 4096, 10**9):
-            monkeypatch.setattr(verify, "_PAIR_BLOCK", block)
-            assert [poisson_expected_loss(loss, p, q, tail_eps=1e-6) for loss, p, q in cases] == default
+    def test_a_series_past_float_range_leaves_the_sum_unsettled(self):
+        # at rate 0.5, S(t) overflows near t = 170, long before a sum at theta / rate = 0.99 settles
+        p = Distribution.exact([Fraction(1, 100), Fraction(99, 100)])
+        loss = cross_entropy_poisson(0.5, 0.5)
+        est = poisson_expected_loss(loss, p, HALF)
+        assert math.isfinite(est.value) and est.tail_bound == math.inf
+        [report] = check_implements(loss, SeriesDivergence(SeriesKind.CROSS_ENTROPY), [(p, HALF)])
+        assert not report.passed and report.tail_bound == math.inf
 
-    def test_kl_builds_each_target_sides_entropy_row_once(self, monkeypatch):
-        monkeypatch.setattr(verify, "_PAIR_BLOCK", 64)  # one or two model rows a block: many blocks per cross
-        builds = []
-
-        def counted_entropy(beta):
-            ent = real_entropy(beta)
-
-            def row(left, right, out=None):
-                builds.append(right)
-                return ent.pair_evaluator(left, right, out=out)
-
-            return dataclasses.replace(ent, pair_evaluator=row)
-
-        real_entropy = compiler.entropy_poisson
-        monkeypatch.setattr(compiler, "entropy_poisson", counted_entropy)
-        loss = kl_poisson(4.0, 5.0)
-        blocks = []
-
-        def block(left, right, out=None):
-            blocks.append(right)
-            return loss.pair_evaluator(left, right, out=out)
-
-        skew = Distribution.exact([Fraction(1, 4), Fraction(3, 4)])
-        est = poisson_expected_loss(dataclasses.replace(loss, pair_evaluator=block), skew, HALF, tail_eps=1e-6)
-        # a cross passes one target side to all its blocks, and the next cross may pass the same one again
-        sides = [right for i, right in enumerate(blocks) if i == 0 or right is not blocks[i - 1]]
-        assert len(builds) == len(sides) and all(b is s for b, s in zip(builds, sides))
-        assert len(blocks) > 10 * len(sides)
-        ce, ent = cross_entropy_poisson(4.0, 5.0), real_entropy(5.0)
-
-        def unshared(left, right, out=None):  # the entropy row built on every block
-            return ce.pair_evaluator(left, right, out=out) - ent.pair_evaluator(None, right)
-
-        plain = dataclasses.replace(loss, pair_evaluator=unshared)
-        reference = poisson_expected_loss(plain, skew, HALF, tail_eps=1e-6)
-        assert {k: repr(v) for k, v in vars(est).items()} == {k: repr(v) for k, v in vars(reference).items()}
-
-    def test_a_returned_grid_is_only_read(self, monkeypatch):
-        # a pair evaluator may return an array of its own in place of the buffers: here views of one cached array,
-        # C-ordered, whose values do not depend on the rows; the oracle must score them as it scores fresh copies
-        # and leave them as they were
-        monkeypatch.setattr(verify, "_PAIR_BLOCK", 4096)  # many blocks per cross
-        skew = Distribution.exact([Fraction(1, 4), Fraction(3, 4)])
-        for loss, p in ((cross_entropy_poisson(4.0, 5.0), skew), (entropy_poisson(4.0), None)):
-            first = poisson_expected_loss(loss, p, HALF, tail_eps=1e-6)
-            cached = np.random.default_rng(5).standard_normal((first.items_model or 1, first.items_target))
-            kept = cached.copy()
-
-            def shared(left, right, out=None):
-                return cached[: 1 if left is None else len(left), : len(right)]
-
-            def fresh(left, right, out=None):
-                return np.array(shared(left, right), order="F")
-
-            est = poisson_expected_loss(dataclasses.replace(loss, pair_evaluator=shared), p, HALF, tail_eps=1e-6)
-            reference = poisson_expected_loss(dataclasses.replace(loss, pair_evaluator=fresh), p, HALF, tail_eps=1e-6)
-            assert {k: repr(v) for k, v in vars(est).items()} == {k: repr(v) for k, v in vars(reference).items()}
-            assert cached.tobytes() == kept.tobytes()
-
-    def test_a_warm_call_holds_two_block_buffers(self):
-        # the grid and the workspace are allocated once per call and reused by every block; fresh matrices per block
-        # (a grid, a term per coordinate, |v| and v * w) peaked at about 3.4 blocks' worth
+    def test_the_three_outcome_case_ends_on_its_bound(self):
+        third = Distribution.exact([Fraction(1, 3)] * 3)
         loss = cross_entropy_poisson(6.0, 6.0)
-        poisson_expected_loss(loss, verify._SKEW, verify._HALF)  # the sides are memoized once per process
-        tracemalloc.start()
-        try:
-            poisson_expected_loss(loss, verify._SKEW, verify._HALF)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 3 * verify._PAIR_BLOCK * 8
+        best = math.inf
+        for _ in range(3):
+            start = time.perf_counter()
+            est = poisson_expected_loss(loss, third, third)
+            best = min(best, time.perf_counter() - start)
+        assert best < 0.01  # the joint enumeration scored 83.5M pairs here and stopped on its item budget
+        assert est.items_model < 100 and abs(est.value - math.log(3)) <= est.tail_bound <= 1e-6
 
-    def test_a_fixed_size_loss_matches_the_exact_oracle(self):
-        # a polynomial loss reaches the truncated oracle only through its tiled pair evaluator
-        cases = [(2, HALF, Distribution.exact([Fraction(1, 4), Fraction(3, 4)])),
-                 (3, Distribution.exact([Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)]),
-                  Distribution.exact([Fraction(1, 2), 0, Fraction(1, 2)]))]
-        for d, p, q in cases:
-            loss = compile_two_sample(builtin_l2(d), 2, 2)
-            est = poisson_expected_loss(loss, p, q)
-            [exact] = verify.expected_losses(loss, [(p, q)])
-            assert math.isclose(est.value, float(exact), rel_tol=1e-12)
-            assert (est.truncation_model, est.truncation_target, est.omitted_mass, est.tail_bound) == (None, None, 0, 0)
-            assert est.pairs == est.items_model * est.items_target
-            assert est.items_target == sum(1 for h in enumerate_histograms(d, 2) if multinomial_pmf(h, 2, q) != 0)
-
-    def test_item_and_pair_counts(self):
-        # with full support every histogram of sizes 0..T is kept: C(T + d, d) of them
+    def test_term_counts(self):
+        # one sum per distinct theta: both coordinates of the uniform model share theta = 4 * (1 - 1/2)
         est = poisson_expected_loss(cross_entropy_poisson(4.0, 5.0), HALF, HALF, tail_eps=1e-6)
-        assert est.items_model == math.comb(est.truncation_model + 2, 2)
-        assert est.items_target == math.comb(est.truncation_target + 2, 2)
-        assert est.pairs == est.items_model * est.items_target
+        assert (est.items_model, est.items_target, est.truncation_target) == (est.truncation_model + 1, 0, None)
+        assert est.pairs == est.items_model
+        skew = Distribution.exact([Fraction(1, 4), Fraction(3, 4)])
+        two = poisson_expected_loss(cross_entropy_poisson(4.0, 5.0), skew, HALF, tail_eps=1e-6)
+        assert est.truncation_model + 1 < two.items_model <= 2 * (two.truncation_model + 1)
 
         ent = poisson_expected_loss(entropy_poisson(4.0), None, HALF, tail_eps=1e-6)
-        assert ent.items_model is None
-        assert ent.items_target == math.comb(ent.truncation_target + 2, 2)
-        assert ent.pairs == ent.items_target
+        assert ent.items_model is None and ent.truncation_model is None
+        assert ent.items_target == ent.truncation_target + 1 == ent.pairs
+
+        kl = poisson_expected_loss(kl_poisson(4.0, 4.0), HALF, HALF, tail_eps=1e-6)
+        assert (kl.items_model, kl.items_target) == (kl.truncation_model + 1, kl.truncation_target + 1)
+        assert kl.pairs == kl.items_model + kl.items_target
 
         fixed = poisson_expected_loss(cross_entropy_poisson_fixed_target(4.0, 3), HALF, HALF, tail_eps=1e-6)
-        assert fixed.items_model == math.comb(fixed.truncation_model + 2, 2)
-        assert fixed.items_target == math.comb(3 + 1, 1)  # the three-draw histograms over two outcomes
-        assert fixed.pairs == fixed.items_model * fixed.items_target
+        assert (fixed.items_model, fixed.items_target, fixed.truncation_target) == (fixed.truncation_model + 1, 0, None)
 
 
 class TestCheckImplementsInputs:
@@ -351,8 +256,25 @@ class TestCheckImplements:
         reports = check_implements(compile_two_sample(builtin_l2(2), 2, 2), float_l2, points)
         assert all(r.passed and type(r.target) is float and r.gap == 0 for r in reports)
 
+    def test_a_shifted_entropy_loss_fails_in_truncated_mode(self):
+        # every value shifted by +0.05: sum_x (h_q[x] / beta) * (S(c_x) + 0.05), whose expectation is H(q) + 0.05
+        loss = entropy_poisson(6.0)
+        [term] = loss.coordinate_form
+
+        def shifted(h_p, h_q):
+            return loss.evaluator(h_p, h_q) + 0.05 * h_q.total / term.scale
+
+        shifted_form = (dataclasses.replace(term, series=lambda t: term.series(t) + 0.05),)
+        mutant = dataclasses.replace(loss, evaluator=shifted, coordinate_form=shifted_form)
+        entropy = SeriesDivergence(SeriesKind.SHANNON_ENTROPY)
+        skew = Distribution.exact([Fraction(1, 4), Fraction(3, 4)])
+        points = [(q, q) for q in (HALF, skew)]
+        assert all(r.passed and r.mode == "truncated" for r in check_implements(loss, entropy, points))
+        reports = check_implements(mutant, entropy, points)
+        assert all(not r.passed and abs(r.gap - 0.05) <= r.tail_bound for r in reports)
+
     def test_infinite_target_reports_failure(self):
-        ce_div = __import__("properloss").SeriesDivergence(__import__("properloss").SeriesKind.CROSS_ENTROPY)
+        ce_div = SeriesDivergence(SeriesKind.CROSS_ENTROPY)
         p = Distribution.exact([0, 1])
         reports = check_implements(cross_entropy_poisson(4.0, 4.0), ce_div, [(p, HALF)])
         assert not reports[0].passed
